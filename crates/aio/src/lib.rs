@@ -13,8 +13,7 @@
 //! reported on every wait until drained, so partial reads/writes (the
 //! normal case under backpressure) need no readiness re-arming and cannot
 //! be lost. On non-Unix targets [`Poller::new`] returns
-//! `ErrorKind::Unsupported` and the caller falls back to the blocking
-//! thread-per-connection server.
+//! `ErrorKind::Unsupported`: serving is Unix-only.
 
 mod poller;
 mod waker;

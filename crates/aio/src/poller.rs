@@ -390,8 +390,7 @@ mod imp {
     use std::time::Duration;
     type RawFd = i32;
 
-    /// Non-Unix stub: construction fails and the serving layer falls back
-    /// to the blocking thread-per-connection server.
+    /// Non-Unix stub: construction fails; serving is Unix-only.
     pub struct Poller;
 
     impl Poller {

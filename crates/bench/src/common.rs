@@ -7,33 +7,6 @@ use fairsqg_algo::{
 };
 use fairsqg_datagen::Workload;
 use fairsqg_measures::{eps_indicator, r_indicator, DiversityConfig, Objectives, Relevance};
-use fairsqg_wire::Value;
-
-/// The machine's available parallelism (1 when unknown). Every
-/// `BENCH_*.json` header records this, and every `clamped` flag is
-/// derived from it via [`clamped`] — never hand-set — so a report from a
-/// small CI box is self-describing.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Machine-description fields shared by every `BENCH_*.json` header.
-/// `available_parallelism` is the canonical key; `hardware_threads` is
-/// kept for readers of the earlier reports.
-pub fn machine_header() -> [(&'static str, Value); 2] {
-    let hw = available_parallelism() as i64;
-    [
-        ("available_parallelism", Value::from(hw)),
-        ("hardware_threads", Value::from(hw)),
-    ]
-}
-
-/// Whether a requested pool of `requested` threads measures a smaller
-/// pool than asked for on this machine (schedulers in this workspace
-/// never oversubscribe the hardware).
-pub fn clamped(requested: usize) -> bool {
-    requested > available_parallelism()
-}
 
 /// The algorithms compared throughout Section V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

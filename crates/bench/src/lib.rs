@@ -22,16 +22,10 @@ pub mod export;
 pub mod fig10;
 pub mod fig11;
 pub mod fig9;
-pub mod hotpath;
-pub mod mplex;
-pub mod order;
-pub mod overload;
 pub mod pruning;
 pub mod render;
 pub mod scales;
-pub mod storage;
 pub mod table2;
-pub mod throughput;
 
 use scales::ExpScale;
 

@@ -39,7 +39,6 @@ mod partition;
 mod schema;
 mod seg;
 mod stats;
-mod subgraph;
 mod value;
 
 pub use builder::GraphBuilder;
@@ -55,5 +54,4 @@ pub use partition::{shards_of, PartitionTable, Shard, DEFAULT_SHARD_TARGET};
 pub use schema::Schema;
 pub use seg::{Pod, Segment, SegmentError, StableBytes};
 pub use stats::{GraphStats, LabelStats};
-pub use subgraph::{induce_subgraph, InducedSubgraph};
 pub use value::{AttrValue, CmpOp};

@@ -19,8 +19,6 @@
 mod backtrack;
 mod budget;
 mod candidates;
-mod multi_output;
-mod node_matches;
 mod plan;
 mod reference;
 mod stats;
@@ -31,8 +29,6 @@ pub use backtrack::{
 };
 pub use budget::{BudgetExceeded, BudgetKind, MatchBudget};
 pub use candidates::{candidates, candidates_from_pool, candidates_scan, satisfies_literals};
-pub use multi_output::match_output_tuples;
-pub use node_matches::{count_embeddings, match_node_set};
 pub use plan::{plan_matching_order, MatchPlan};
 pub use reference::match_output_set_bruteforce;
 pub use stats::{matcher_stats, take_stats, MatcherStats};

@@ -384,8 +384,7 @@ impl<'g> DiversityMeasure<'g> {
         let (a, b) = if v < w { (v, w) } else { (w, v) };
         let (ra, rb) = (self.node_rank[a.index()], self.node_rank[b.index()]);
         if ra == u32::MAX || rb == u32::MAX {
-            // A coordinate outside the output population (multi-output
-            // tuples may bind non-population nodes): not cacheable.
+            // A node outside the output population: not cacheable.
             self.distance_misses.set(self.distance_misses.get() + 1);
             return self.distance_uncached(a, b);
         }
@@ -598,53 +597,6 @@ impl<'g> DiversityMeasure<'g> {
         let min_pair = if min_pair.is_finite() { min_pair } else { 0.0 };
         (1.0 - lambda) * relevance_sum + lambda * n as f64 * min_pair
     }
-
-    /// Distance between two output *tuples* (multi-output extension): the
-    /// mean of the coordinate-wise node distances. Tuples must have equal
-    /// arity.
-    pub fn tuple_distance(&self, a: &[NodeId], b: &[NodeId]) -> f64 {
-        assert_eq!(a.len(), b.len(), "tuple arity mismatch");
-        if a.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = a.iter().zip(b).map(|(&x, &y)| self.distance(x, y)).sum();
-        sum / a.len() as f64
-    }
-
-    /// Max-sum diversity over output tuples (multi-output extension): the
-    /// relevance of a tuple is the mean of its coordinates' relevances, and
-    /// the pairwise term uses [`tuple_distance`](Self::tuple_distance),
-    /// normalized with the same `2λ/(|V_uo|-1)` constant as the
-    /// single-output measure.
-    pub fn score_tuples(&self, tuples: &[Vec<NodeId>]) -> f64 {
-        if tuples.is_empty() {
-            return 0.0;
-        }
-        let lambda = self.config.lambda;
-        let relevance_sum: f64 = tuples
-            .iter()
-            .map(|t| {
-                if t.is_empty() {
-                    0.0
-                } else {
-                    t.iter().map(|&v| self.relevance(v)).sum::<f64>() / t.len() as f64
-                }
-            })
-            .sum();
-        let n = tuples.len();
-        let mut pair_sum = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                pair_sum += self.tuple_distance(&tuples[i], &tuples[j]);
-            }
-        }
-        let norm = if self.population > 1 {
-            2.0 * lambda / (self.population as f64 - 1.0)
-        } else {
-            0.0
-        };
-        (1.0 - lambda) * relevance_sum + norm * pair_sum
-    }
 }
 
 #[cfg(test)]
@@ -762,28 +714,6 @@ mod tests {
         .score(&matches);
         let rel_err = (exact - approx).abs() / exact;
         assert!(rel_err < 0.15, "rel err {rel_err} too large");
-    }
-
-    #[test]
-    fn tuple_scoring_degenerates_to_node_scoring_for_arity_one() {
-        let g = graph();
-        let m = measure(&g, 1.0);
-        let nodes = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let tuples: Vec<Vec<NodeId>> = nodes.iter().map(|&v| vec![v]).collect();
-        let a = m.score(&nodes);
-        let b = m.score_tuples(&tuples);
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tuple_distance_is_the_coordinate_mean() {
-        let g = graph();
-        let m = measure(&g, 1.0);
-        let d01 = m.distance(NodeId(0), NodeId(1));
-        let d02 = m.distance(NodeId(0), NodeId(2));
-        let td = m.tuple_distance(&[NodeId(0), NodeId(0)], &[NodeId(1), NodeId(2)]);
-        assert!((td - (d01 + d02) / 2.0).abs() < 1e-12);
-        assert_eq!(m.score_tuples(&[]), 0.0);
     }
 
     #[test]

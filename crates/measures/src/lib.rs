@@ -18,7 +18,6 @@
 
 mod coverage;
 mod diversity;
-mod fairness;
 mod hypervolume;
 mod indicators;
 mod objectives;
@@ -30,7 +29,6 @@ pub use diversity::{
     DiversityConfig, DiversityMeasure, DiversityObjective, MeasureCacheStats, Relevance,
     SharedDiversityCache,
 };
-pub use fairness::{disparate_impact, ratio_rule_spec, satisfies_ratio_rule};
 pub use hypervolume::{hypervolume, hypervolume_normalized};
 pub use indicators::{eps_indicator, min_eps, r_indicator};
 pub use objectives::{BoxCoord, Objectives};

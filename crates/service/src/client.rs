@@ -75,8 +75,8 @@ impl From<std::io::Error> for ClientError {
 }
 
 /// Maps a reply to `Ok(value)` when it carries `"ok": true`, otherwise to
-/// the typed [`ClientError::Server`] (shared by the blocking and
-/// multiplexed clients so both surface identical errors).
+/// the typed [`ClientError::Server`] (shared by [`Client`] and
+/// [`crate::MuxClient`] so both surface identical errors).
 pub(crate) fn check_ok(value: Value) -> Result<Value, ClientError> {
     match value.get("ok").and_then(Value::as_bool) {
         Some(true) => Ok(value),

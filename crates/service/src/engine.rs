@@ -17,6 +17,10 @@
 //! strength. Locks are poison-tolerant throughout (see [`crate::sync`]).
 //! Jobs may carry a client-supplied `request_key`; resubmitting the same
 //! key returns the original job id instead of running the work twice.
+//! Settled job records stay readable for a bounded window
+//! ([`EngineConfig::dedup_entries`] most recent settlements); older ones
+//! are evicted with their keys, and `status`/`result` then report the id
+//! as unknown.
 //!
 //! Under sustained load the engine **degrades by levels** instead of
 //! queueing into uselessness (see [`crate::overload`]): admission
@@ -62,7 +66,9 @@ pub struct EngineConfig {
     /// Default per-verification resource caps; a job's own caps override
     /// these axis by axis.
     pub budget: MatchBudget,
-    /// Remembered `request_key` → job id mappings (FIFO-evicted).
+    /// Settled job records kept for later `status`/`result` calls and
+    /// `request_key` replays; the oldest are evicted beyond this many.
+    /// Unsettled jobs are never evicted.
     pub dedup_entries: usize,
     /// Keep per-`(graph, epoch)` warm evaluation state (diversity tables,
     /// plan pool) alive across jobs. Warm results are bit-identical to
@@ -393,39 +399,54 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// `request_key` → job id memory with FIFO eviction: large enough that a
-/// retrying client always finds its key, bounded so a key-spamming client
-/// cannot grow it without limit.
-struct DedupMap {
-    map: HashMap<String, u64>,
-    order: VecDeque<String>,
+/// Job records by id, plus the `request_key` → job id memory that makes
+/// resubmission idempotent. Settled records stay readable for `status`,
+/// `result` and key replays, with FIFO eviction beyond `capacity`: large
+/// enough that a polling or retrying client always finds its job, bounded
+/// so the table (and every scan over it) cannot grow with the number of
+/// jobs ever submitted. A key is forgotten with its record, so a replay
+/// never resolves to an evicted id.
+struct JobTable {
+    records: HashMap<u64, JobRecord>,
+    keys: HashMap<String, u64>,
+    /// Ids of settled records, oldest settlement first.
+    settled: VecDeque<u64>,
     capacity: usize,
 }
 
-impl DedupMap {
+impl JobTable {
     fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
-            order: VecDeque::new(),
+            records: HashMap::new(),
+            keys: HashMap::new(),
+            settled: VecDeque::new(),
             capacity,
         }
     }
 
-    fn get(&self, key: &str) -> Option<u64> {
-        self.map.get(key).copied()
-    }
-
-    fn insert(&mut self, key: String, id: u64) {
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return;
-        }
-        while self.order.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
+    /// Makes room by evicting the oldest settled records at capacity,
+    /// then adds `record`, remembering its `request_key` (the first job
+    /// to claim a key keeps it). Eviction runs here because this is the
+    /// only place the table grows; a record inserted already settled (a
+    /// cache hit) is therefore never evicted by its own insertion.
+    fn insert(&mut self, id: u64, record: JobRecord) {
+        while self.settled.len() >= self.capacity {
+            let Some(old) = self.settled.pop_front() else {
+                break;
+            };
+            if let Some(key) = self.records.remove(&old).and_then(|r| r.spec.request_key) {
+                if self.keys.get(&key) == Some(&old) {
+                    self.keys.remove(&key);
+                }
             }
         }
-        self.order.push_back(key.clone());
-        self.map.insert(key, id);
+        if let Some(key) = &record.spec.request_key {
+            self.keys.entry(key.clone()).or_insert(id);
+        }
+        if record.state.is_terminal() {
+            self.settled.push_back(id);
+        }
+        self.records.insert(id, record);
     }
 }
 
@@ -450,12 +471,11 @@ struct Shared {
     registry: Arc<GraphRegistry>,
     queue: Mutex<QueueState>,
     work_ready: Condvar,
-    jobs: Mutex<HashMap<u64, JobRecord>>,
+    jobs: Mutex<JobTable>,
     /// Fingerprint → leader job id for every admitted-but-unsettled job.
     /// Lock order everywhere: `inflight` → `queue` → `jobs`.
     inflight: Mutex<HashMap<String, u64>>,
     cache: Mutex<LruCache<Arc<Value>>>,
-    dedup: Mutex<DedupMap>,
     counters: Counters,
     latencies: Mutex<Latencies>,
     next_id: AtomicU64,
@@ -518,7 +538,6 @@ impl Engine {
         let pool = config.workers.max(1) as u64;
         let shared = Arc::new(Shared {
             cache: Mutex::new(LruCache::new(config.cache_entries)),
-            dedup: Mutex::new(DedupMap::new(config.dedup_entries)),
             config,
             registry,
             queue: Mutex::new(QueueState {
@@ -526,7 +545,7 @@ impl Engine {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::new(config.dedup_entries)),
             inflight: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             latencies: Mutex::new(Latencies::default()),
@@ -573,7 +592,8 @@ impl Engine {
         // Idempotent replay: a retried submission (same request_key) maps
         // to the job admitted the first time, whatever state it is in.
         if let Some(key) = &spec.request_key {
-            if let Some(id) = sync::lock(&self.shared.dedup).get(key) {
+            let replayed = sync::lock(&self.shared.jobs).keys.get(key).copied();
+            if let Some(id) = replayed {
                 self.shared
                     .counters
                     .dedup_hits
@@ -626,7 +646,6 @@ impl Engine {
                 .get("truncated")
                 .and_then(Value::as_bool)
                 .unwrap_or(false);
-            let request_key = spec.request_key.clone();
             sync::lock(&self.shared.jobs).insert(
                 id,
                 JobRecord {
@@ -646,9 +665,6 @@ impl Engine {
                     followers: Vec::new(),
                 },
             );
-            if let Some(k) = request_key {
-                sync::lock(&self.shared.dedup).insert(k, id);
-            }
             self.shared
                 .counters
                 .completed
@@ -670,7 +686,6 @@ impl Engine {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         };
-        let request_key = spec.request_key.clone();
 
         // Coalesce: an identical in-flight job (same fingerprint, still
         // queued or running) becomes this submission's leader — the new
@@ -688,6 +703,7 @@ impl Engine {
             if let Some(&leader) = map.get(&key) {
                 let mut jobs = sync::lock(&self.shared.jobs);
                 let attachable = jobs
+                    .records
                     .get(&leader)
                     .is_some_and(|r| matches!(r.state, JobState::Queued | JobState::Running));
                 if attachable {
@@ -711,13 +727,10 @@ impl Engine {
                             followers: Vec::new(),
                         },
                     );
-                    if let Some(r) = jobs.get_mut(&leader) {
+                    if let Some(r) = jobs.records.get_mut(&leader) {
                         r.followers.push(id);
                     }
                     drop(jobs);
-                    if let Some(k) = request_key {
-                        sync::lock(&self.shared.dedup).insert(k, id);
-                    }
                     self.shared
                         .counters
                         .coalesced_attached
@@ -750,7 +763,7 @@ impl Engine {
                     .iter()
                     .enumerate()
                     .filter_map(|(pos, &jid)| {
-                        let r = jobs.get(&jid)?;
+                        let r = jobs.records.get(&jid)?;
                         (r.spec.priority < spec.priority && r.followers.is_empty()).then_some((
                             pos,
                             jid,
@@ -760,7 +773,7 @@ impl Engine {
                     .min_by_key(|&(_, _, p)| p);
                 if let Some((pos, jid, _)) = victim {
                     q.queue.remove(pos);
-                    if let Some(r) = jobs.get_mut(&jid) {
+                    if let Some(r) = jobs.records.get_mut(&jid) {
                         r.state = JobState::Failed;
                         r.error = Some("shed: displaced by higher-priority work".to_string());
                         r.entry = None;
@@ -772,6 +785,7 @@ impl Engine {
                                 }
                             }
                         }
+                        jobs.settled.push_back(jid);
                     }
                     self.shared.counters.failed.fetch_add(1, Ordering::Relaxed);
                     self.shared
@@ -817,9 +831,6 @@ impl Engine {
         );
         if let Some(map) = inflight.as_deref_mut() {
             map.insert(key, id);
-        }
-        if let Some(k) = request_key {
-            sync::lock(&self.shared.dedup).insert(k, id);
         }
         q.queue.push_back(id);
         drop(q);
@@ -982,7 +993,7 @@ impl Engine {
     /// Snapshot of a job's state.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
         let jobs = sync::lock(&self.shared.jobs);
-        jobs.get(&id).map(|r| JobStatus {
+        jobs.records.get(&id).map(|r| JobStatus {
             id,
             state: r.state,
             from_cache: r.from_cache,
@@ -994,7 +1005,7 @@ impl Engine {
     /// The result of a `Done` job (shared, render-once).
     pub fn result(&self, id: u64) -> Option<Arc<Value>> {
         let jobs = sync::lock(&self.shared.jobs);
-        jobs.get(&id).and_then(|r| r.result.clone())
+        jobs.records.get(&id).and_then(|r| r.result.clone())
     }
 
     /// Requests cancellation of a job. Queued jobs are skipped by the
@@ -1002,7 +1013,7 @@ impl Engine {
     /// Returns `false` for unknown ids.
     pub fn cancel(&self, id: u64) -> bool {
         let jobs = sync::lock(&self.shared.jobs);
-        match jobs.get(&id) {
+        match jobs.records.get(&id) {
             Some(r) => {
                 r.cancel.cancel();
                 true
@@ -1018,7 +1029,7 @@ impl Engine {
     /// is mid-run misses nothing material: entries it never saw as live
     /// deltas arrive in the settlement catch-up.
     pub fn subscribe(&self, id: u64, sink: EventSink) -> bool {
-        if !sync::lock(&self.shared.jobs).contains_key(&id) {
+        if !sync::lock(&self.shared.jobs).records.contains_key(&id) {
             return false;
         }
         {
@@ -1092,6 +1103,7 @@ impl Engine {
             settle_job(&self.shared, id, Settled::Drained);
         }
         let running = sync::lock(&self.shared.jobs)
+            .records
             .values()
             .filter(|r| r.state == JobState::Running)
             .count();
@@ -1108,6 +1120,7 @@ impl Engine {
             return false;
         }
         !sync::lock(&self.shared.jobs)
+            .records
             .values()
             .any(|r| matches!(r.state, JobState::Queued | JobState::Running))
     }
@@ -1512,7 +1525,7 @@ fn watchdog_loop(shared: &Arc<Shared>, grace: Duration) {
         let mut lost: Vec<u64> = Vec::new();
         {
             let mut jobs = sync::lock(&shared.jobs);
-            for (&id, r) in jobs.iter_mut() {
+            for (&id, r) in jobs.records.iter_mut() {
                 if r.state != JobState::Running {
                     continue;
                 }
@@ -1632,7 +1645,7 @@ fn publish_delta(shared: &Shared, id: u64, version: u64, added: Vec<Value>, remo
 fn flush_settled(shared: &Shared, id: u64) {
     let snapshot = {
         let jobs = sync::lock(&shared.jobs);
-        match jobs.get(&id) {
+        match jobs.records.get(&id) {
             Some(r) if r.state.is_terminal() => Some((
                 r.state,
                 r.truncated,
@@ -1725,7 +1738,9 @@ fn run_job(shared: &Shared, id: u64) {
     // Snapshot what the job needs; the jobs lock is NOT held while running.
     let (spec, cancel, submitted_at, pinned, deadline) = {
         let mut jobs = sync::lock(&shared.jobs);
-        let Some(r) = jobs.get_mut(&id) else { return };
+        let Some(r) = jobs.records.get_mut(&id) else {
+            return;
+        };
         // A drain or double-settle may have already finished this id.
         if r.state.is_terminal() {
             return;
@@ -1973,7 +1988,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
     {
         let mut inflight = sync::lock(&shared.inflight);
         let mut jobs = sync::lock(&shared.jobs);
-        let (fingerprint, followers) = match jobs.get_mut(&id) {
+        let (fingerprint, followers) = match jobs.records.get_mut(&id) {
             Some(r) => {
                 // Double-settle guard: the watchdog may declare a job lost
                 // while its worker is still wedged; whichever settlement
@@ -2019,7 +2034,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
         let mut rest = followers.into_iter();
         if let Some(result) = &served {
             for f in rest.by_ref() {
-                if let Some(fr) = jobs.get_mut(&f) {
+                if let Some(fr) = jobs.records.get_mut(&f) {
                     fr.entry = None;
                     if let Some(c) = &fr.spec.client {
                         released.push(c.clone());
@@ -2041,7 +2056,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
             }
         } else if draining {
             for f in rest.by_ref() {
-                if let Some(fr) = jobs.get_mut(&f) {
+                if let Some(fr) = jobs.records.get_mut(&f) {
                     fr.entry = None;
                     fr.state = JobState::Drained;
                     if let Some(c) = &fr.spec.client {
@@ -2054,7 +2069,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
         } else {
             for f in rest.by_ref() {
                 let mut freed: Option<String> = None;
-                let live = jobs.get_mut(&f).is_some_and(|fr| {
+                let live = jobs.records.get_mut(&f).is_some_and(|fr| {
                     if fr.cancel.cancel_requested() {
                         fr.state = JobState::Cancelled;
                         fr.entry = None;
@@ -2076,7 +2091,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
             }
             if let Some(nl) = promoted {
                 let remaining: Vec<u64> = rest.collect();
-                if let Some(fr) = jobs.get_mut(&nl) {
+                if let Some(fr) = jobs.records.get_mut(&nl) {
                     fr.followers = remaining;
                 }
                 if let Some(fp) = &fingerprint {
@@ -2095,6 +2110,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
                 }
             }
         }
+        jobs.settled.extend(&settled_ids);
     }
     if !released.is_empty() && shared.config.client_quota > 0 {
         let mut ov = sync::lock(&shared.overload);
@@ -2128,5 +2144,137 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
             drop(q);
             shared.work_ready.notify_one();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{AlgoKind, DEFAULT_PRIORITY};
+    use fairsqg_datagen::{social_graph, SocialConfig};
+    use std::sync::mpsc;
+
+    fn spec(lambda: f64, request_key: Option<&str>) -> JobSpec {
+        JobSpec {
+            graph: "g".into(),
+            template: "node u0 : director\nnode u1 : user\nedge u1 -recommend-> u0\n\
+                       where u1.yearsOfExp >= ?\noutput u0\n"
+                .into(),
+            group_attr: "gender".into(),
+            cover: 3,
+            algo: AlgoKind::EnumQGen,
+            threads: 1,
+            eps: 0.05,
+            lambda,
+            deadline_ms: None,
+            budget: MatchBudget::UNLIMITED,
+            request_key: request_key.map(str::to_string),
+            priority: DEFAULT_PRIORITY,
+            client: None,
+            subscribe: false,
+        }
+    }
+
+    fn wait_settled(engine: &Engine, id: u64) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !engine.status(id).expect("job exists").state.is_terminal() {
+            assert!(Instant::now() < deadline, "job {id} never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Settled records are FIFO-evicted beyond `dedup_entries`; unsettled
+    /// ones never are, and a request key lives exactly as long as the
+    /// record it names.
+    #[test]
+    fn job_table_keeps_a_bounded_window_of_settled_records() {
+        const CAP: usize = 4;
+        let registry = Arc::new(GraphRegistry::new());
+        registry.insert(
+            "g",
+            social_graph(SocialConfig {
+                directors: 60,
+                majority_share: 0.6,
+                seed: 9,
+            }),
+        );
+        let engine = Engine::start(
+            registry,
+            EngineConfig {
+                workers: 2,
+                dedup_entries: CAP,
+                ..EngineConfig::default()
+            },
+        );
+
+        // A job that cannot settle until the test lets it: its sink parks
+        // the worker on the first live archive delta. The subscription is
+        // registered under the id the job is about to get, so the sink is
+        // in place before a worker can pick the job up.
+        let (release, parked) = mpsc::channel::<()>();
+        let parked = Mutex::new(parked);
+        let first = AtomicBool::new(true);
+        let sink: EventSink = Arc::new(move |_: &JobEvent| {
+            if first.swap(false, Ordering::SeqCst) {
+                let _ = sync::lock(&parked).recv();
+            }
+        });
+        let held = engine.shared.next_id.load(Ordering::Relaxed);
+        sync::lock(&engine.shared.subscriptions).insert(
+            held,
+            StreamState {
+                sinks: vec![sink],
+                streamed: BTreeSet::new(),
+                last_version: 0,
+            },
+        );
+        let mut streamed = spec(0.9, None);
+        streamed.subscribe = true;
+        assert_eq!(engine.submit(streamed).unwrap(), held);
+
+        // 3×CAP more jobs settle one after another: unique runs and cache
+        // hits alike, the first of them keyed.
+        let oldest = engine.submit(spec(0.1, Some("k-old"))).unwrap();
+        wait_settled(&engine, oldest);
+        let mut ids = vec![oldest];
+        for i in 1..3 * CAP {
+            let keyed = (i == 3 * CAP - 2).then_some("k-new");
+            let id = engine
+                .submit(spec(0.1 * (1 + i % 3) as f64, keyed))
+                .unwrap();
+            wait_settled(&engine, id);
+            ids.push(id);
+        }
+        let newest = *ids.last().unwrap();
+
+        {
+            let jobs = sync::lock(&engine.shared.jobs);
+            assert!(jobs.settled.len() <= CAP);
+            assert!(
+                jobs.records.len() <= CAP + 1,
+                "{} records for {CAP} settled + 1 unsettled",
+                jobs.records.len()
+            );
+            assert!(jobs.keys.values().all(|id| jobs.records.contains_key(id)));
+        }
+        assert!(engine.status(oldest).is_none(), "the oldest id is gone");
+        assert!(engine.result(oldest).is_none());
+        assert!(engine.result(newest).is_some(), "the newest is intact");
+        assert!(
+            !engine.status(held).unwrap().state.is_terminal(),
+            "the unsettled job outlived 3×CAP settlements"
+        );
+
+        // Inside the window a keyed replay dedups to the original id;
+        // past it the key went with its record and names a fresh job.
+        let replayed = engine.submit(spec(0.1, Some("k-new"))).unwrap();
+        assert_eq!(replayed, ids[3 * CAP - 2]);
+        let reissued = engine.submit(spec(0.1, Some("k-old"))).unwrap();
+        assert!(reissued > newest);
+
+        release.send(()).unwrap();
+        wait_settled(&engine, held);
+        assert!(engine.result(held).is_some());
+        engine.shutdown();
     }
 }

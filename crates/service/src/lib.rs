@@ -9,9 +9,13 @@
 //!   and cooperative cancellation (partial results come back flagged
 //!   `truncated`), and a cross-request LRU result cache keyed by
 //!   `(graph epoch, template hash, parameters)`;
-//! * [`Server`]/[`Client`] — a newline-delimited JSON TCP wire surface
-//!   (`submit`/`status`/`result`/`cancel`/`stats`/`graphs`/`shutdown`);
-//!   see [`proto`] for the protocol table and error codes.
+//! * [`MuxServer`] — a newline-delimited JSON TCP wire surface
+//!   (`submit`/`status`/`result`/`cancel`/`stats`/`graphs`/`shutdown`)
+//!   served by one readiness-driven event loop (Unix only; see [`mux`]),
+//!   with [`proto`] holding the protocol table and error codes;
+//! * [`Client`] (one request in flight, reconnects and retries) and
+//!   [`MuxClient`] (many `rid`-tagged requests and streaming
+//!   subscriptions on one connection) — the two ways to talk to it.
 //!
 //! ```
 //! use fairsqg_service::{Engine, EngineConfig, GraphRegistry, JobSpec, AlgoKind, JobState};
@@ -59,7 +63,6 @@ mod mux_client;
 pub mod overload;
 pub mod proto;
 mod registry;
-mod server;
 pub mod sync;
 pub mod warm;
 
@@ -81,5 +84,4 @@ pub use overload::{
 pub use registry::{
     GraphEntry, GraphRegistry, LoadError, LoadKind, ManifestReport, RegistryStats, WarmPoolStats,
 };
-pub use server::{spawn, spawn_with, Server, ServerOptions, StopHandle};
 pub use warm::{WarmCounters, WarmPlan, WarmState};

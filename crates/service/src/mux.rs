@@ -1,4 +1,4 @@
-//! Readiness-driven multiplexed server core (the async front end).
+//! The server: a readiness-driven, multiplexed TCP front end.
 //!
 //! One event-loop thread drives every connection off a
 //! [`fairsqg_aio::Poller`] (epoll on Linux, `poll(2)` elsewhere on Unix):
@@ -38,9 +38,7 @@
 //! marking the subscription lossy — its settled frame then carries
 //! `"lossy": true` and the client refetches the full result via the
 //! `result` op. Above the **hard** cap the connection is closed: a peer
-//! that far behind is not consuming. Admission-control rejections
-//! (`retry_after_ms` hints, shed/quota/deadline codes) are byte-identical
-//! to the blocking server's — both delegate to [`crate::proto`].
+//! that far behind is not consuming.
 //!
 //! ## Metrics
 //!
@@ -217,8 +215,7 @@ impl MuxStopHandle {
 impl MuxServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) with default
     /// [`MuxOptions`]. Fails with `ErrorKind::Unsupported` on targets
-    /// without a readiness facility — fall back to the blocking
-    /// [`crate::Server`] there.
+    /// without a readiness facility.
     pub fn bind(addr: &str, engine: Arc<Engine>) -> std::io::Result<Self> {
         Self::bind_with(addr, engine, MuxOptions::default())
     }
@@ -392,9 +389,12 @@ impl MuxServer {
         loop {
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
+                    // The peer is done sending but may still be reading
+                    // (a half-close after a pipelined burst): answer what
+                    // it sent, then close.
                     conn.decoder.finish();
                     self.dispatch_frames(conn);
-                    conn.dead = true;
+                    conn.close_after_flush = true;
                     return;
                 }
                 Ok(n) => {

@@ -83,9 +83,8 @@ pub(crate) fn submit_ok_response(engine: &Engine, id: u64) -> Value {
     ])
 }
 
-/// Maps a [`SubmitError`] to its wire response — shared by the blocking
-/// and multiplexed servers so rejection shapes (codes, `retry_after_ms`
-/// hints) stay identical across transports.
+/// Maps a [`SubmitError`] to its wire response, so plain and streaming
+/// submits reject with identical shapes (codes, `retry_after_ms` hints).
 pub(crate) fn submit_error_response(err: &SubmitError) -> Value {
     match err {
         SubmitError::Overloaded {

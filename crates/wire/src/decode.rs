@@ -1,17 +1,19 @@
-//! Incremental (push-based) frame decoding for readiness-driven I/O.
+//! Newline-delimited framing with a size guard, as a push-based decoder.
 //!
-//! [`read_frame`](crate::read_frame) blocks on a `BufRead`; a nonblocking
-//! event loop instead receives byte chunks whenever the socket is readable
-//! and must carry partial-frame state across reads. [`FrameDecoder`] is
-//! that state machine: feed it raw bytes with [`push`](FrameDecoder::push),
+//! The NDJSON wire protocol is one frame per line. A readiness-driven
+//! event loop receives byte chunks whenever the socket is readable and
+//! must carry partial-frame state across reads. [`FrameDecoder`] is that
+//! state machine: feed it raw bytes with [`push`](FrameDecoder::push),
 //! drain completed frames with [`next_frame`](FrameDecoder::next_frame).
 //!
-//! The semantics mirror `read_frame` exactly — same size cap, same
-//! drain-to-newline resync after an oversized frame (the error is emitted
-//! *in sequence* with the frames around it, so a decoder that hits garbage
-//! keeps serving subsequent well-formed frames), same `\r` strip and UTF-8
-//! validation. The two paths are property-tested against each other in the
-//! wire framing suite.
+//! An unbounded line would let a single malicious or corrupted peer grow
+//! a buffer without limit, so the decoder caps the bytes buffered per
+//! frame. When a frame overflows the cap, the rest of the line is
+//! **discarded** up to its newline and [`FrameError::TooLarge`] is emitted
+//! *in sequence* with the frames around it — the stream stays
+//! line-aligned, so a decoder that hits garbage keeps serving subsequent
+//! well-formed frames. A trailing `\r` is stripped (telnet-style clients)
+//! and each frame is validated as UTF-8.
 
 use std::collections::VecDeque;
 
@@ -34,7 +36,7 @@ pub struct FrameDecoder {
 
 impl FrameDecoder {
     /// A decoder capping each frame at `max_bytes` (excluding the
-    /// terminator), matching [`read_frame`](crate::read_frame).
+    /// terminator).
     pub fn new(max_bytes: usize) -> Self {
         Self {
             max_bytes,
@@ -62,8 +64,7 @@ impl FrameDecoder {
         }
     }
 
-    /// Signals EOF: an unterminated trailing frame still counts as a frame
-    /// (same contract as the blocking reader).
+    /// Signals EOF: an unterminated trailing frame still counts as a frame.
     pub fn finish(&mut self) {
         if self.overflowed || !self.line.is_empty() {
             self.terminate();

@@ -1,15 +1,7 @@
-//! Newline-delimited framing with a size guard.
-//!
-//! The NDJSON wire protocol is one frame per line. An unbounded
-//! `read_line` would let a single malicious or corrupted peer grow a
-//! `String` without limit, so [`read_frame`] caps the bytes buffered per
-//! frame. When a frame overflows the cap, the rest of the line is
-//! **consumed and discarded** before returning [`FrameError::TooLarge`] —
-//! the stream stays line-aligned and the connection can keep serving
-//! subsequent, well-formed frames.
+//! Framing failures of the newline-delimited wire protocol (see
+//! [`FrameDecoder`](crate::FrameDecoder)).
 
 use std::fmt;
-use std::io::BufRead;
 
 /// Framing failures.
 #[derive(Debug)]
@@ -35,147 +27,3 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
-/// Reads one newline-terminated frame of at most `max_bytes` bytes
-/// (excluding the terminator). Returns `Ok(None)` on a clean EOF.
-///
-/// Oversized frames are drained to their newline so the caller can report
-/// a structured error and continue reading the next frame.
-pub fn read_frame<R: BufRead>(
-    input: &mut R,
-    max_bytes: usize,
-) -> Result<Option<String>, FrameError> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF. A partial unterminated frame still counts as a frame.
-            if line.is_empty() && !overflowed {
-                return Ok(None);
-            }
-            break;
-        }
-        let (consume, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (chunk.len(), false),
-        };
-        if !overflowed {
-            let take = consume - usize::from(done);
-            if line.len() + take > max_bytes {
-                overflowed = true;
-                line.clear();
-            } else {
-                line.extend_from_slice(&chunk[..take]);
-            }
-        }
-        input.consume(consume);
-        if done {
-            break;
-        }
-    }
-    if overflowed {
-        return Err(FrameError::TooLarge { limit: max_bytes });
-    }
-    // Strip an optional carriage return (telnet-style clients).
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map(Some).map_err(|_| {
-        FrameError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame is not valid UTF-8",
-        ))
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::BufReader;
-
-    fn frames(text: &str, cap: usize) -> Vec<Result<Option<String>, FrameError>> {
-        let mut r = BufReader::new(text.as_bytes());
-        let mut out = Vec::new();
-        loop {
-            let f = read_frame(&mut r, cap);
-            let eof = matches!(f, Ok(None));
-            out.push(f);
-            if eof {
-                break;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn reads_lines_in_order() {
-        let out = frames("a\nbb\nccc\n", 16);
-        let texts: Vec<_> = out
-            .iter()
-            .filter_map(|f| f.as_ref().ok().and_then(|o| o.clone()))
-            .collect();
-        assert_eq!(texts, ["a", "bb", "ccc"]);
-    }
-
-    #[test]
-    fn oversized_frame_resyncs_to_next_line() {
-        let long = "x".repeat(100);
-        let text = format!("{long}\nok\n");
-        let mut r = BufReader::new(text.as_bytes());
-        let err = read_frame(&mut r, 10).unwrap_err();
-        assert!(matches!(err, FrameError::TooLarge { limit: 10 }));
-        // The stream realigned: the next frame reads cleanly.
-        assert_eq!(read_frame(&mut r, 10).unwrap().as_deref(), Some("ok"));
-        assert!(read_frame(&mut r, 10).unwrap().is_none());
-    }
-
-    #[test]
-    fn truncated_final_frame_is_returned() {
-        let out = frames("partial", 32);
-        assert_eq!(
-            out[0].as_ref().unwrap().as_deref(),
-            Some("partial"),
-            "unterminated trailing data is still a frame"
-        );
-    }
-
-    #[test]
-    fn eof_is_none() {
-        let mut r = BufReader::new("".as_bytes());
-        assert!(read_frame(&mut r, 8).unwrap().is_none());
-    }
-
-    #[test]
-    fn strips_carriage_return() {
-        let mut r = BufReader::new("hi\r\n".as_bytes());
-        assert_eq!(read_frame(&mut r, 8).unwrap().as_deref(), Some("hi"));
-    }
-
-    #[test]
-    fn oversized_frame_spanning_buffers_resyncs() {
-        // Longer than BufReader's internal buffer to exercise multi-chunk
-        // draining.
-        let long = "y".repeat(64 * 1024);
-        let text = format!("{long}\nnext\n");
-        let mut r = BufReader::new(text.as_bytes());
-        assert!(matches!(
-            read_frame(&mut r, 100),
-            Err(FrameError::TooLarge { .. })
-        ));
-        assert_eq!(read_frame(&mut r, 100).unwrap().as_deref(), Some("next"));
-    }
-
-    #[test]
-    fn invalid_utf8_is_io_error() {
-        let bytes: &[u8] = &[0xff, 0xfe, b'\n'];
-        let mut r = BufReader::new(bytes);
-        assert!(matches!(read_frame(&mut r, 8), Err(FrameError::Io(_))));
-    }
-}

@@ -20,7 +20,7 @@ mod parse;
 mod write;
 
 pub use decode::FrameDecoder;
-pub use frame::{read_frame, FrameError};
+pub use frame::FrameError;
 pub use parse::{parse, ParseError};
 pub use write::{to_string, to_string_pretty};
 

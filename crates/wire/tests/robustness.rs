@@ -1,8 +1,7 @@
 //! Hostile-input tests for the wire layer: arbitrary garbage must come
 //! back as structured errors — never a panic, never an unbounded buffer.
 
-use fairsqg_wire::{parse, read_frame, FrameError, Value};
-use std::io::BufReader;
+use fairsqg_wire::{parse, FrameDecoder, FrameError, Value};
 
 /// A deterministic grab-bag of malformed JSON: truncations, wrong types,
 /// stray bytes, deep nesting, bad escapes, numeric junk.
@@ -71,16 +70,32 @@ fn garbage_json_parses_to_errors_never_panics() {
     }
 }
 
+/// Pushes `bytes` in `chunk`-sized pieces, signals EOF, and returns every
+/// frame (or in-sequence framing error) the decoder produced.
+fn decode_all(
+    decoder: &mut FrameDecoder,
+    bytes: &[u8],
+    chunk: usize,
+) -> Vec<Result<String, FrameError>> {
+    let mut out = Vec::new();
+    for piece in bytes.chunks(chunk) {
+        decoder.push(piece);
+        out.extend(std::iter::from_fn(|| decoder.next_frame()));
+    }
+    decoder.finish();
+    out.extend(std::iter::from_fn(|| decoder.next_frame()));
+    out
+}
+
 #[test]
 fn valid_frames_survive_between_garbage_frames() {
     // A stream interleaving junk and real frames: the framing layer hands
     // every line through and the parser classifies each independently.
     let stream = "not json\n{\"op\":\"ping\"}\n{{{{\n{\"ok\":true}\n";
-    let mut reader = BufReader::new(stream.as_bytes());
     let mut parsed = 0;
     let mut rejected = 0;
-    while let Some(line) = read_frame(&mut reader, 1024).unwrap() {
-        match parse(&line) {
+    for frame in decode_all(&mut FrameDecoder::new(1024), stream.as_bytes(), 7) {
+        match parse(&frame.unwrap()) {
             Ok(v) => {
                 assert!(matches!(v, Value::Object(_)));
                 parsed += 1;
@@ -93,34 +108,43 @@ fn valid_frames_survive_between_garbage_frames() {
 
 #[test]
 fn oversized_frame_is_bounded_and_recoverable() {
-    // 8 MiB line against a 64 KiB cap: the reader must refuse it without
+    // 8 MiB line against a 64 KiB cap: the decoder must refuse it without
     // buffering it, then resync on the next line.
     let cap = 64 * 1024;
     let huge = "z".repeat(8 * 1024 * 1024);
     let stream = format!("{huge}\n{{\"op\":\"ping\"}}\n");
-    let mut reader = BufReader::new(stream.as_bytes());
-    match read_frame(&mut reader, cap) {
-        Err(FrameError::TooLarge { limit }) => assert_eq!(limit, cap),
+    let mut decoder = FrameDecoder::new(cap);
+    let mut frames = Vec::new();
+    for piece in stream.as_bytes().chunks(16 * 1024) {
+        decoder.push(piece);
+        assert!(decoder.buffered() <= cap, "buffered past the cap");
+        frames.extend(std::iter::from_fn(|| decoder.next_frame()));
+    }
+    decoder.finish();
+    assert!(
+        decoder.next_frame().is_none(),
+        "the stream ended on a newline"
+    );
+    match &frames[0] {
+        Err(FrameError::TooLarge { limit }) => assert_eq!(*limit, cap),
         other => panic!("expected TooLarge, got {other:?}"),
     }
-    let next = read_frame(&mut reader, cap).unwrap().unwrap();
-    assert!(parse(&next).is_ok(), "stream did not resync: {next:?}");
-    assert!(read_frame(&mut reader, cap).unwrap().is_none());
+    let next = frames[1].as_ref().unwrap();
+    assert!(parse(next).is_ok(), "stream did not resync: {next:?}");
+    assert_eq!(frames.len(), 2);
 }
 
 #[test]
 fn binary_noise_is_rejected_per_line_without_killing_the_stream() {
     // Invalid UTF-8 lines surface as InvalidData I/O errors; following
-    // lines still read.
+    // lines still decode.
     let mut bytes: Vec<u8> = vec![0xff, 0x00, 0x9b, b'\n'];
     bytes.extend_from_slice(b"{\"op\":\"ping\"}\n");
-    let mut reader = BufReader::new(bytes.as_slice());
-    match read_frame(&mut reader, 1024) {
+    let frames = decode_all(&mut FrameDecoder::new(1024), &bytes, 3);
+    match &frames[0] {
         Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
         other => panic!("expected InvalidData, got {other:?}"),
     }
-    assert_eq!(
-        read_frame(&mut reader, 1024).unwrap().as_deref(),
-        Some("{\"op\":\"ping\"}")
-    );
+    assert_eq!(frames[1].as_deref().unwrap(), "{\"op\":\"ping\"}");
+    assert_eq!(frames.len(), 2);
 }

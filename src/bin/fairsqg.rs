@@ -26,14 +26,13 @@
 //! chosen scale, directly as TSV or chained through the converter when
 //! the output path ends in `.fsg`.
 //!
-//! `serve` runs the concurrent generation server (`fairsqg::service`);
-//! `client` speaks its newline-delimited JSON protocol. With `--mux on`
-//! both sides switch to the readiness-driven multiplexed core: one
-//! event-loop thread serves every connection, many requests ride one
-//! connection via `rid`-tagged frames, `--subscribe on` streams Pareto
-//! archive deltas as the job runs, and `--op metrics` scrapes the
-//! Prometheus text exposition. See `docs/service.md` for the full
-//! protocol.
+//! `serve` runs the concurrent generation server (`fairsqg::service`,
+//! Unix only): one event-loop thread serves every connection and many
+//! requests can ride one connection via `rid`-tagged frames. `client`
+//! speaks its newline-delimited JSON protocol with reconnect and retry;
+//! `--op submit --subscribe on` instead streams Pareto archive deltas as
+//! the job runs, and `--op metrics` scrapes the Prometheus text
+//! exposition. See `docs/service.md` for the full protocol.
 
 use fairsqg::algo::MatchBudget;
 use fairsqg::prelude::*;
@@ -66,10 +65,9 @@ fn usage() -> ExitCode {
          [--warm on|off] [--warm-budget-mb <n>] [--coalesce on|off]\n      \
          [--brownout on|off] [--admission on|off] [--client-quota <n>]\n      \
          [--watchdog-grace-ms <n>  (0 = watchdog off)]\n      \
-         [--mux on|off  (readiness-driven multiplexed core, Unix only)]\n      \
          [--max-candidates <n>] [--max-steps <n>] [--max-matches <n>]\n  \
          fairsqg client --addr <host:port> --op ping|stats|graphs|status|result|cancel|drain|shutdown|submit|metrics\n      \
-         [--mux on|off] [--subscribe on|off  (mux submit: stream archive deltas)]\n      \
+         [--subscribe on|off  (submit: stream archive deltas as the job runs)]\n      \
          [--id <n>] [--graph <name> --template <dsl> --group-attr <attr> --cover <n>\n      \
          [--algo ...] [--eps <f>] [--lambda <f>] [--deadline-ms <n>] [--wait-ms <n>]\n      \
          [--priority <0..=9>] [--retries <n>] [--retry-budget-ms <n>] [--timeout-ms <n>]\n      \
@@ -392,14 +390,6 @@ mod sigterm {
     }
 }
 
-#[cfg(not(unix))]
-mod sigterm {
-    pub fn install() {}
-    pub fn triggered() -> bool {
-        false
-    }
-}
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let manifest = args.get("manifest").map(str::to_string);
@@ -463,17 +453,20 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         },
         ..EngineConfig::default()
     };
-    let engine = Arc::new(Engine::start(registry, config));
-    if args.get_switch("mux", false)? {
-        return serve_mux(addr, engine, manifest);
-    }
-    let server = fairsqg::service::Server::bind(addr, Arc::clone(&engine))
+    serve(addr, Arc::new(Engine::start(registry, config)), manifest)
+}
+
+/// Binds the server and runs its event loop until a `shutdown` request or
+/// SIGTERM stops it.
+#[cfg(unix)]
+fn serve(addr: &str, engine: Arc<Engine>, manifest: Option<String>) -> Result<(), String> {
+    let server = fairsqg::service::MuxServer::bind(addr, Arc::clone(&engine))
         .map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     eprintln!("fairsqg-service listening on {bound}");
 
     // SIGTERM monitor: drain admissions, let running jobs settle, persist
-    // the manifest, then stop the accept loop. Queued jobs were answered
+    // the manifest, then stop the event loop. Queued jobs were answered
     // `drained` — clients replay them elsewhere via their request keys.
     sigterm::install();
     let stop = server.stop_handle();
@@ -514,64 +507,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     served
 }
 
-/// `serve --mux on`: the readiness-driven multiplexed core. Same engine,
-/// same graceful-drain SIGTERM story as the thread-per-connection server;
-/// one event-loop thread instead of one thread per connection.
-#[cfg(unix)]
-fn serve_mux(addr: &str, engine: Arc<Engine>, manifest: Option<String>) -> Result<(), String> {
-    let server = fairsqg::service::MuxServer::bind(addr, Arc::clone(&engine))
-        .map_err(|e| format!("bind {addr}: {e}"))?;
-    let bound = server.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("fairsqg-service (mux) listening on {bound}");
-
-    sigterm::install();
-    let stop = server.stop_handle();
-    let sig_engine = Arc::clone(&engine);
-    let sig_manifest = manifest.clone();
-    std::thread::Builder::new()
-        .name("fairsqg-sigterm".to_string())
-        .spawn(move || loop {
-            if sigterm::triggered() {
-                let (bounced, running) = sig_engine.begin_drain();
-                eprintln!("SIGTERM: draining ({bounced} queued jobs bounced, {running} running)");
-                let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                while !sig_engine.drain_complete() && std::time::Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                if let Some(path) = &sig_manifest {
-                    match sig_engine.registry().write_manifest(path) {
-                        Ok(n) => eprintln!("SIGTERM: wrote manifest {path} ({n} graphs)"),
-                        Err(e) => eprintln!("SIGTERM: manifest write failed: {e}"),
-                    }
-                }
-                stop.stop();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        })
-        .map_err(|e| format!("spawn sigterm monitor: {e}"))?;
-
-    let served = server.serve().map_err(|e| e.to_string());
-    if let Some(path) = &manifest {
-        match engine.registry().write_manifest(path) {
-            Ok(n) => eprintln!("wrote manifest {path} ({n} graphs)"),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
-    }
-    served
-}
-
 #[cfg(not(unix))]
-fn serve_mux(_addr: &str, _engine: Arc<Engine>, _manifest: Option<String>) -> Result<(), String> {
-    Err("--mux on requires a Unix platform (epoll/poll readiness)".into())
+fn serve(_addr: &str, _engine: Arc<Engine>, _manifest: Option<String>) -> Result<(), String> {
+    Err("serve requires a Unix platform (epoll/poll readiness)".into())
 }
 
 fn cmd_client(args: &Args) -> Result<(), String> {
-    if args.get_switch("mux", false)? {
-        return cmd_client_mux(args);
-    }
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let op = args.get("op").ok_or("--op is required")?;
+    if op == "submit" && args.get_switch("subscribe", false)? {
+        return cmd_client_subscribe(args, addr);
+    }
     let mut policy = RetryPolicy::default();
     if let Some(retries) = args.get_opt_u64("retries")? {
         policy.max_attempts = (retries.max(1)).min(u64::from(u32::MAX)) as u32;
@@ -645,79 +591,41 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `client --mux on`: drives one multiplexed connection. `--op submit`
-/// with `--subscribe on` streams the Pareto archive as delta frames and
-/// prints the assembled outcome; `--op metrics` scrapes the Prometheus
-/// text exposition.
-fn cmd_client_mux(args: &Args) -> Result<(), String> {
-    use fairsqg::service::MuxClient;
-
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
-    let op = args.get("op").ok_or("--op is required")?;
-    let client = MuxClient::connect(addr).map_err(|e| e.to_string())?;
-    let id_arg = || -> Result<u64, String> {
-        args.get("id")
-            .ok_or("--id is required for this op")?
-            .parse()
-            .map_err(|_| "--id expects an integer".to_string())
-    };
-    let reply = match op {
-        "ping" => {
-            client.ping().map_err(|e| e.to_string())?;
-            Value::object([("pong", Value::from(true))])
-        }
-        "stats" => client.stats().map_err(|e| e.to_string())?,
-        "metrics" => {
-            // Raw Prometheus text, not JSON: print as-is.
-            print!("{}", client.metrics().map_err(|e| e.to_string())?);
-            return Ok(());
-        }
-        "result" => client.result(id_arg()?).map_err(|e| e.to_string())?,
-        "drain" => client.drain().map_err(|e| e.to_string())?,
-        "shutdown" => {
-            client.shutdown().map_err(|e| e.to_string())?;
-            Value::object([("stopping", Value::from(true))])
-        }
-        "submit" => {
-            let graph = args
-                .get("graph")
-                .ok_or("--graph (registry name) is required")?;
-            let spec = job_spec_from_args(args, graph)?;
-            let wait_ms = args.get_usize("wait-ms", 60_000)?;
-            if args.get_switch("subscribe", false)? {
-                let sub = client.submit_streaming(&spec).map_err(|e| e.to_string())?;
-                let streamed = sub
-                    .wait(Duration::from_millis(wait_ms.max(1) as u64))
-                    .map_err(|e| e.to_string())?;
-                let mut pairs = vec![
-                    ("id", Value::from(streamed.id)),
-                    ("state", Value::from(streamed.state.as_str())),
-                    ("truncated", Value::from(streamed.truncated)),
-                    ("from_cache", Value::from(streamed.from_cache)),
-                    ("lossy", Value::from(streamed.lossy)),
-                    ("deltas", Value::from(streamed.deltas)),
-                ];
-                if let Some(msg) = &streamed.error_message {
-                    pairs.push(("error", Value::from(msg.as_str())));
-                }
-                match streamed.result {
-                    Some(result) => pairs.push(("result", result)),
-                    // Backpressure shed deltas: fall back to the result op.
-                    None if streamed.lossy => pairs.push((
-                        "result",
-                        client.result(streamed.id).map_err(|e| e.to_string())?,
-                    )),
-                    None => {}
-                }
-                Value::object(pairs)
-            } else {
-                let id = client.submit(&spec).map_err(|e| e.to_string())?;
-                Value::object([("id", Value::from(id))])
-            }
-        }
-        other => return Err(format!("op '{other}' is not supported over --mux")),
-    };
-    println!("{}", fairsqg::wire::to_string_pretty(&reply));
+/// `client --op submit --subscribe on`: streams the job's Pareto archive
+/// as delta frames over a multiplexed connection and prints the assembled
+/// outcome.
+fn cmd_client_subscribe(args: &Args, addr: &str) -> Result<(), String> {
+    let client = fairsqg::service::MuxClient::connect(addr).map_err(|e| e.to_string())?;
+    let graph = args
+        .get("graph")
+        .ok_or("--graph (registry name) is required")?;
+    let spec = job_spec_from_args(args, graph)?;
+    let wait_ms = args.get_usize("wait-ms", 60_000)?;
+    let sub = client.submit_streaming(&spec).map_err(|e| e.to_string())?;
+    let streamed = sub
+        .wait(Duration::from_millis(wait_ms.max(1) as u64))
+        .map_err(|e| e.to_string())?;
+    let mut pairs = vec![
+        ("id", Value::from(streamed.id)),
+        ("state", Value::from(streamed.state.as_str())),
+        ("truncated", Value::from(streamed.truncated)),
+        ("from_cache", Value::from(streamed.from_cache)),
+        ("lossy", Value::from(streamed.lossy)),
+        ("deltas", Value::from(streamed.deltas)),
+    ];
+    if let Some(msg) = &streamed.error_message {
+        pairs.push(("error", Value::from(msg.as_str())));
+    }
+    match streamed.result {
+        Some(result) => pairs.push(("result", result)),
+        // Backpressure shed deltas: fall back to the result op.
+        None if streamed.lossy => pairs.push((
+            "result",
+            client.result(streamed.id).map_err(|e| e.to_string())?,
+        )),
+        None => {}
+    }
+    println!("{}", fairsqg::wire::to_string_pretty(&Value::object(pairs)));
     Ok(())
 }
 

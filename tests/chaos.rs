@@ -191,6 +191,7 @@ fn cache_insert_panic_does_not_lose_the_job() {
 
 /// The client's connect retry absorbs transient connection failures: two
 /// injected refusals, then the real connection succeeds.
+#[cfg(unix)]
 #[test]
 fn client_connect_retries_through_transient_refusals() {
     let _serial = serial();
@@ -199,7 +200,8 @@ fn client_connect_retries_through_transient_refusals() {
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = fairsqg::service::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
 
     let _fp = Guard::arm("client.connect", "2*error(connection refused)").unwrap();
     let policy = RetryPolicy {
@@ -233,6 +235,7 @@ fn client_connect_retries_through_transient_refusals() {
 /// connection) is absorbed by the retrying client: it reconnects, resends,
 /// and — because the submit carries a request key — the server dedups the
 /// replay onto the original job instead of running it twice.
+#[cfg(unix)]
 #[test]
 fn idempotent_submit_survives_a_killed_connection() {
     let _serial = serial();
@@ -241,7 +244,8 @@ fn idempotent_submit_survives_a_killed_connection() {
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = fairsqg::service::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
     let policy = RetryPolicy {
         max_attempts: 5,
         base_backoff: Duration::from_millis(1),
@@ -284,6 +288,7 @@ fn idempotent_submit_survives_a_killed_connection() {
 
 /// An injected read fault on an established connection kills only that
 /// connection; the retrying client transparently reconnects.
+#[cfg(unix)]
 #[test]
 fn client_reconnects_after_server_read_fault() {
     let _serial = serial();
@@ -292,7 +297,8 @@ fn client_reconnects_after_server_read_fault() {
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = fairsqg::service::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
     let policy = RetryPolicy {
         max_attempts: 5,
         base_backoff: Duration::from_millis(1),
@@ -316,6 +322,7 @@ fn client_reconnects_after_server_read_fault() {
 /// An injected graph-load failure surfaces as a typed `load_failed`
 /// protocol error; the connection and the registry's existing graphs are
 /// untouched.
+#[cfg(unix)]
 #[test]
 fn graph_load_fault_is_typed_and_non_fatal() {
     let _serial = serial();
@@ -324,7 +331,8 @@ fn graph_load_fault_is_typed_and_non_fatal() {
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = fairsqg::service::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
     let mut client = Client::connect_with(&addr.to_string(), RetryPolicy::none()).unwrap();
 
     // A perfectly valid file, failed by injection: callers see the same

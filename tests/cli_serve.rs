@@ -1,0 +1,66 @@
+//! Smoke test of the `fairsqg serve` binary: there is one serving path,
+//! with or without the retired `--mux` switch, and both client types talk
+//! to it.
+
+#![cfg(unix)]
+
+use fairsqg::service::{Client, MuxClient};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, ChildStderr, Command, Stdio};
+
+/// The `fairsqg serve` child and its stderr (kept open so later
+/// diagnostics have somewhere to go). Killed on drop, so a failed
+/// assertion does not leave a server behind.
+struct Served(Child, #[allow(dead_code)] BufReader<ChildStderr>);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns `fairsqg serve` on an ephemeral port with `extra` flags and
+/// returns it with the address from its `listening on <addr>` line.
+fn serve(graph: &std::path::Path, extra: &[&str]) -> (Served, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fairsqg"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--load"])
+        .arg(format!("g={}", graph.display()))
+        .args(extra)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fairsqg serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr was piped"));
+    let addr = (&mut stderr)
+        .lines()
+        .map_while(Result::ok)
+        .find_map(|line| {
+            line.split_once("listening on ")
+                .map(|(_, addr)| addr.trim().to_string())
+        })
+        .expect("the server reports the address it listens on");
+    (Served(child, stderr), addr)
+}
+
+#[test]
+fn serve_answers_both_clients_with_and_without_the_mux_flag() {
+    let dir = std::env::temp_dir().join(format!("fairsqg-cli-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.tsv");
+    std::fs::write(&graph, "0\tdirector\tgender=1\n\n").unwrap();
+
+    for extra in [&[][..], &["--mux", "on"][..]] {
+        let (mut served, addr) = serve(&graph, extra);
+        MuxClient::connect(&addr).unwrap().ping().unwrap();
+        let mut client = Client::connect(&addr).unwrap();
+        client.ping().unwrap();
+        client.shutdown().unwrap();
+        assert!(
+            served.0.wait().unwrap().success(),
+            "serve {extra:?} exits 0"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,7 +6,7 @@ use fairsqg::algo::MatchBudget;
 use fairsqg::datagen::{social_graph, SocialConfig};
 use fairsqg::service::{
     AlgoKind, Client, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, RetryPolicy,
-    ServerOptions, SubmitError,
+    SubmitError,
 };
 use fairsqg::wire::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -180,6 +180,7 @@ fn request_key_dedups_to_one_job() {
 /// Raw-socket abuse of a live server: garbage JSON, binary noise, and an
 /// over-limit frame each get a structured error response on a connection
 /// that keeps working — and the server survives to serve a clean client.
+#[cfg(unix)]
 #[test]
 fn server_answers_garbage_with_structured_errors() {
     let registry = registry("g", 100, 6);
@@ -187,12 +188,12 @@ fn server_answers_garbage_with_structured_errors() {
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = fairsqg::service::spawn_with(
+    let (addr, stop, server) = fairsqg::service::spawn_mux_with(
         "127.0.0.1:0",
         Arc::clone(&engine),
-        ServerOptions {
+        fairsqg::service::MuxOptions {
             max_frame_bytes: 512,
-            ..ServerOptions::default()
+            ..Default::default()
         },
     )
     .unwrap();
@@ -244,16 +245,65 @@ fn server_answers_garbage_with_structured_errors() {
     assert!(result.get("result").is_some());
 
     client.shutdown().unwrap();
-    // Close the raw socket before joining: the server waits on its
-    // connection threads, and ours blocks reading until EOF.
-    drop(writer);
-    drop(reader);
+    stop.stop();
+    server.join().unwrap().unwrap();
+}
+
+/// Requests without a `rid` are answered in request order, without one —
+/// the contract the one-request-in-flight [`Client`] relies on — however
+/// the bytes of a pipelined burst are split across reads, and a peer that
+/// half-closes right after its last request (no terminator) still gets
+/// that request answered before the server closes its side.
+#[cfg(unix)]
+#[test]
+fn ridless_requests_pipeline_in_order_across_arbitrary_splits() {
+    let registry = registry("g", 50, 8);
+    let engine = Arc::new(Engine::start(
+        Arc::clone(&registry),
+        EngineConfig::default(),
+    ));
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+
+    // Unknown job ids make every reply name the request it answers.
+    const N: u64 = 24;
+    let burst: String = (0..N)
+        .map(|i| format!("{{\"op\":\"status\",\"id\":{}}}\n", 9000 + i))
+        .collect();
+    let burst = burst.trim_end().as_bytes();
+    for split in [1, burst.len() / 3, burst.len() / 2 + 5, burst.len() - 1] {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(&burst[..split]).unwrap();
+        writer.flush().unwrap();
+        // Makes two server-side reads likely; the contract holds however
+        // the kernel coalesces them.
+        std::thread::sleep(Duration::from_millis(5));
+        writer.write_all(&burst[split..]).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let replies: Vec<String> = BufReader::new(stream).lines().map(Result::unwrap).collect();
+        assert_eq!(replies.len() as u64, N, "split at {split}");
+        for (i, line) in replies.iter().enumerate() {
+            let reply = fairsqg::wire::parse(line).unwrap();
+            assert!(reply.get("rid").is_none(), "no rid was sent: {reply}");
+            let message = reply
+                .get("error")
+                .and_then(|e| e.get("message"))
+                .and_then(Value::as_str)
+                .unwrap();
+            assert_eq!(message, format!("no job {}", 9000 + i), "split at {split}");
+        }
+    }
+
     stop.stop();
     server.join().unwrap().unwrap();
 }
 
 /// The `load` op reports TSV syntax errors as typed protocol errors with
 /// line/column positions, and missing files as `load_failed`.
+#[cfg(unix)]
 #[test]
 fn load_op_reports_typed_parse_positions() {
     let registry = registry("g", 50, 7);
@@ -261,7 +311,8 @@ fn load_op_reports_typed_parse_positions() {
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = fairsqg::service::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
 
     let dir = std::env::temp_dir().join(format!("fairsqg-robust-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

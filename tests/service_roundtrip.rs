@@ -46,6 +46,7 @@ fn spec(graph: &str, deadline_ms: Option<u64>) -> JobSpec {
 
 /// submit → poll → result over TCP, result caching, deadline truncation,
 /// and cancel-frees-worker — all against one served engine.
+#[cfg(unix)]
 #[test]
 fn wire_roundtrip_cache_deadline_cancel() {
     let registry = Arc::new(GraphRegistry::new());
@@ -62,7 +63,7 @@ fn wire_roundtrip_cache_deadline_cancel() {
         },
     ));
     let (addr, _stop, server) =
-        fairsqg::service::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
     let mut client = Client::connect(&addr.to_string()).unwrap();
     client.ping().unwrap();
 
