@@ -129,12 +129,8 @@ pub fn cbm(cfg: Configuration<'_>, opts: CbmOptions) -> Generated {
         ..GenStats::default()
     };
     // Matcher counters are thread-local and monotone, so the delta since
-    // the *first* evaluator's baseline already spans both levels; only the
-    // second level's measure cache still needs folding in.
+    // the *first* evaluator's baseline already spans both levels.
     anchor_ev.apply_hot_path_stats(&mut stats);
-    let sweep_measure = ev.measure().cache_stats();
-    stats.distance_cache_hits += sweep_measure.distance_hits;
-    stats.distance_cache_misses += sweep_measure.distance_misses;
     Generated {
         entries,
         eps: cfg.eps,

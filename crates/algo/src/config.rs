@@ -5,7 +5,7 @@ use crate::cancel::CancelToken;
 use crate::evaluator::EvalResult;
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, NodeId};
 use fairsqg_matcher::{BudgetExceeded, MatchBudget, MatchPlan, MatcherStats};
-use fairsqg_measures::{DiversityConfig, MeasureCacheStats, SharedDiversityCache};
+use fairsqg_measures::{DiversityConfig, DiversityMeasure, DiversityProfile};
 use fairsqg_query::Instantiation;
 use fairsqg_query::{QueryTemplate, RefinementDomains};
 use std::rc::Rc;
@@ -48,21 +48,18 @@ pub struct Configuration<'a> {
     /// instead of OOM/livelock on adversarial templates.
     pub budget: MatchBudget,
     /// Run on the un-optimized reference path: candidate sets by full
-    /// label-population scan (no value index, no bitsets) and no
-    /// relevance/distance memoization. Results are bit-identical to the
-    /// default path; only the cost differs. Used for A/B speedup
+    /// label-population scan (no value index, no bitsets) and diversity
+    /// by the walk over all pairs
+    /// ([`DiversityMeasure::score_pairwise`]). Results are bit-identical
+    /// to the default path; only the cost differs. Used for A/B speedup
     /// measurements in the bench harness.
     pub reference_path: bool,
-    /// Optional cross-run shared relevance/distance/pair-sample
-    /// memoization table (see [`SharedDiversityCache`]). Must have been
-    /// built for this graph, the template's output label, and this
-    /// configuration's relevance/pair-sampling parameters — the service's
-    /// warm-state layer keys its pool accordingly. When set, evaluators
-    /// and parallel workers attach it so successive jobs on the same
-    /// graph start hot; cached values are exact, so results stay
-    /// bit-identical to a cold run. Ignored on the reference path and
-    /// when distance caching is disabled.
-    pub shared_diversity: Option<&'a Arc<SharedDiversityCache>>,
+    /// Optional pre-built [`DiversityProfile`] of this graph and the
+    /// template's output label — the service's warm-state layer pools one
+    /// per label. When set, evaluators and parallel workers score against
+    /// it instead of deriving their own; a profile is immutable, so
+    /// results are bit-identical with or without one.
+    pub shared_diversity: Option<&'a Arc<DiversityProfile>>,
     /// Optional pre-planned matching order (see
     /// [`fairsqg_matcher::plan_matching_order`]), typically the service's
     /// per-`(template, graph epoch)` warm-pool plan. When unset, each
@@ -166,18 +163,39 @@ impl<'a> Configuration<'a> {
         self
     }
 
-    /// Switches to the un-indexed, un-cached reference path (see
+    /// Switches to the un-indexed, pair-walking reference path (see
     /// [`reference_path`](Self::reference_path)).
     pub fn with_reference_path(mut self) -> Self {
         self.reference_path = true;
         self
     }
 
-    /// Attaches a cross-run shared diversity memoization table (see
+    /// Attaches a pre-built diversity profile (see
     /// [`shared_diversity`](Self::shared_diversity)).
-    pub fn with_shared_diversity(mut self, shared: &'a Arc<SharedDiversityCache>) -> Self {
+    pub fn with_shared_diversity(mut self, shared: &'a Arc<DiversityProfile>) -> Self {
         self.shared_diversity = Some(shared);
         self
+    }
+
+    /// The diversity measure of this configuration, over the shared
+    /// profile when one is attached.
+    pub(crate) fn diversity_measure(&self) -> DiversityMeasure<'a> {
+        let measure =
+            DiversityMeasure::new(self.graph, self.template.output_label(), self.diversity);
+        match self.shared_diversity {
+            Some(shared) => measure.with_profile(Arc::clone(shared)),
+            None => measure,
+        }
+    }
+
+    /// `δ` of a verified match set: the closed form, or the walk over all
+    /// pairs on the reference path.
+    pub(crate) fn diversity_of(&self, measure: &DiversityMeasure<'_>, matches: &[NodeId]) -> f64 {
+        if self.reference_path {
+            measure.score_pairwise(matches)
+        } else {
+            measure.score(matches)
+        }
     }
 
     /// Attaches a pre-planned matching order (see
@@ -280,9 +298,12 @@ pub struct GenStats {
     /// Postings shards skipped wholesale by partition metadata during
     /// indexed range evaluation.
     pub shard_skips: u64,
-    /// Pairwise distances served from the diversity measure's cache.
+    /// Always 0: the diversity measure no longer caches distances. Kept,
+    /// with [`distance_cache_misses`](Self::distance_cache_misses), only
+    /// because `perf/` reads both; they go with its
+    /// `measures.distance_hit_rate` metric in the next `benchmark` PR.
     pub distance_cache_hits: u64,
-    /// Pairwise distances computed cold by the diversity measure.
+    /// Always 0 (see [`distance_cache_hits`](Self::distance_cache_hits)).
     pub distance_cache_misses: u64,
     /// Cost-based matching orders planned from index cardinality
     /// estimates (amortized by the service's warm plan pool).
@@ -299,8 +320,8 @@ pub struct GenStats {
 }
 
 impl GenStats {
-    /// Folds matcher and measure hot-path counters into the stats block.
-    pub fn record_hot_path(&mut self, matcher: MatcherStats, measure: MeasureCacheStats) {
+    /// Folds matcher hot-path counters into the stats block.
+    pub fn record_hot_path(&mut self, matcher: MatcherStats) {
         self.index_candidates += matcher.index_candidates;
         self.scan_candidates += matcher.scan_candidates;
         self.scan_fallbacks += matcher.scan_fallbacks;
@@ -311,7 +332,5 @@ impl GenStats {
         self.est_candidates += matcher.est_candidates;
         self.pruned_candidates += matcher.pruned_candidates;
         self.cand_memo_hits += matcher.cand_memo_hits;
-        self.distance_cache_hits += measure.distance_hits;
-        self.distance_cache_misses += measure.distance_misses;
     }
 }

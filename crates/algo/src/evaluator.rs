@@ -56,16 +56,7 @@ pub struct Evaluator<'a> {
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator for a configuration.
     pub fn new(cfg: Configuration<'a>) -> Self {
-        let mut diversity = cfg.diversity;
-        if cfg.reference_path {
-            diversity.cache_distances = false;
-        }
-        let mut measure = DiversityMeasure::new(cfg.graph, cfg.template.output_label(), diversity);
-        if let Some(shared) = cfg.shared_diversity {
-            if !cfg.reference_path && cfg.diversity.cache_distances {
-                measure.attach_shared_cache(Arc::clone(shared));
-            }
-        }
+        let measure = cfg.diversity_measure();
         // Baseline first, then plan: the planning work (order_planned,
         // est_candidates) is attributed to this evaluator's delta.
         let matcher_baseline = fairsqg_matcher::matcher_stats();
@@ -95,11 +86,6 @@ impl<'a> Evaluator<'a> {
     /// The configuration this evaluator serves.
     pub fn config(&self) -> &Configuration<'a> {
         &self.cfg
-    }
-
-    /// The diversity measure (exposes `δ_max = |V_uo|` for indicators).
-    pub fn measure(&self) -> &DiversityMeasure<'a> {
-        &self.measure
     }
 
     /// Number of instances actually verified (not served from cache).
@@ -188,7 +174,7 @@ impl<'a> Evaluator<'a> {
             }
         };
         let counts = self.cfg.groups.count_in_groups(&matches);
-        let delta = self.measure.score(&matches);
+        let delta = self.cfg.diversity_of(&self.measure, &matches);
         let fcov = coverage_score(&counts, self.cfg.spec);
         let feasible = is_feasible(&counts, self.cfg.spec);
         let result = Rc::new(EvalResult {
@@ -271,13 +257,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Folds this evaluator's hot-path counters (matcher candidate paths,
-    /// measure caches) into a stats block. Counters are thread-local, so
-    /// the matcher delta is exact as long as no other evaluator ran on
-    /// this thread since construction.
+    /// Folds this evaluator's hot-path counters (matcher candidate paths)
+    /// into a stats block. Counters are thread-local, so the matcher delta
+    /// is exact as long as no other evaluator ran on this thread since
+    /// construction.
     pub fn apply_hot_path_stats(&self, stats: &mut GenStats) {
         let matcher = fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline);
-        stats.record_hot_path(matcher, self.measure.cache_stats());
+        stats.record_hot_path(matcher);
     }
 }
 

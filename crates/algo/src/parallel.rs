@@ -7,12 +7,12 @@
 //! chunking leaves threads idle at the tail. Workers instead *claim* small
 //! batches of instances from a shared atomic cursor over the
 //! lexicographically enumerated space: fast workers drain whatever slow
-//! ones leave behind. Each worker verifies with its own thread-local
-//! diversity measure (the graph is shared immutably) and collects results
-//! in a private shard; the shards are merged by lattice index and folded
-//! into the ε-Pareto archive in ascending order — the same order the
-//! sequential fold uses, so the archive (including `Update`'s
-//! order-dependent same-box tie-breaks) is bit-identical to `enum_qgen`'s.
+//! ones leave behind. Workers share the graph and one diversity measure
+//! immutably and collect results in private shards; the shards are merged
+//! by lattice index and folded into the ε-Pareto archive in ascending
+//! order — the same order the sequential fold uses, so the archive
+//! (including `Update`'s order-dependent same-box tie-breaks) is
+//! bit-identical to `enum_qgen`'s.
 
 use crate::archive::EpsParetoArchive;
 use crate::config::{Configuration, GenStats};
@@ -22,10 +22,7 @@ use fairsqg_matcher::{
     plan_matching_order, take_stats, try_match_output_set_with, BudgetExceeded, MatchOptions,
     MatchScratch, MatcherStats,
 };
-use fairsqg_measures::{
-    coverage_score, is_feasible, DiversityMeasure, MeasureCacheStats, Objectives,
-    SharedDiversityCache,
-};
+use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives};
 use fairsqg_query::{ConcreteQuery, InstanceLattice, Instantiation};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -77,7 +74,7 @@ fn verify_standalone(
         scratch,
     )?;
     let counts = cfg.groups.count_in_groups(&matches);
-    let delta = measure.score(&matches);
+    let delta = cfg.diversity_of(measure, &matches);
     let fcov = coverage_score(&counts, cfg.spec);
     let feasible = is_feasible(&counts, cfg.spec);
     Ok(EvalResult {
@@ -94,7 +91,6 @@ type Shard = (
     Vec<(usize, EvalResult)>,
     Option<BudgetExceeded>,
     MatcherStats,
-    MeasureCacheStats,
 );
 
 /// Parallel `EnumQGen`: verifies the whole instance space on a pool of
@@ -145,46 +141,20 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
 
-    // One lock-free memoization table for the whole pool: workers publish
-    // computed distances/relevances to each other instead of each paying
-    // the full cold-cache cost (which would otherwise make oversubscribed
-    // runs redo the same work per worker). A caller-provided table (the
-    // service's per-(graph, epoch) warm state) takes precedence, so the
-    // pool both benefits from and feeds the cross-request cache.
-    let shared_cache = if cfg.reference_path || !cfg.diversity.cache_distances {
-        None
-    } else if let Some(shared) = cfg.shared_diversity {
-        Some(Arc::clone(shared))
-    } else {
-        Some(Arc::new(SharedDiversityCache::for_config(
-            cfg.graph,
-            cfg.template.output_label(),
-            &cfg.diversity,
-        )))
-    };
+    // One measure — one `O(|V|)` profile, the caller's when it brought
+    // one — for the whole pool.
+    let measure = cfg.diversity_measure();
 
     let shards: Vec<Shard> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads {
             let (cfg_ref, all_ref, cursor_ref, stop_ref) = (&cfg, &all, &cursor, &stop);
-            let worker_cache = shared_cache.clone();
+            let measure = &measure;
             handles.push(scope.spawn(move || {
                 // Matcher counters are thread-local; reset them so the
                 // final snapshot is exactly this worker's contribution
                 // even if the closure ever runs on a reused thread.
                 let _ = take_stats();
-                let mut diversity = cfg_ref.diversity;
-                if cfg_ref.reference_path {
-                    diversity.cache_distances = false;
-                }
-                let mut measure = DiversityMeasure::new(
-                    cfg_ref.graph,
-                    cfg_ref.template.output_label(),
-                    diversity,
-                );
-                if let Some(cache) = worker_cache {
-                    measure.attach_shared_cache(cache);
-                }
                 let mut out = Vec::new();
                 let mut tripped = None;
                 let mut scratch = MatchScratch::default();
@@ -200,7 +170,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
                         if cfg_ref.cancelled() || stop_ref.load(Ordering::Relaxed) {
                             break 'claim;
                         }
-                        match verify_standalone(cfg_ref, &measure, inst, &mut scratch) {
+                        match verify_standalone(cfg_ref, measure, inst, &mut scratch) {
                             Ok(result) => out.push((i, result)),
                             Err(e) => {
                                 // A tripped budget stops the pool; the
@@ -213,7 +183,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
                         }
                     }
                 }
-                (out, tripped, take_stats(), measure.cache_stats())
+                (out, tripped, take_stats())
             }));
         }
         handles
@@ -224,13 +194,10 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
 
     let mut budget_tripped = None;
     let mut matcher = plan_delta;
-    let mut measure_total = MeasureCacheStats::default();
     let mut results: Vec<(usize, EvalResult)> = Vec::with_capacity(total);
-    for (shard, tripped, worker_matcher, worker_measure) in shards {
+    for (shard, tripped, worker_matcher) in shards {
         budget_tripped = budget_tripped.or(tripped);
         matcher.merge(worker_matcher);
-        measure_total.distance_hits += worker_measure.distance_hits;
-        measure_total.distance_misses += worker_measure.distance_misses;
         results.extend(shard);
     }
 
@@ -256,7 +223,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
         threads_used: threads as u64,
         ..GenStats::default()
     };
-    stats.record_hot_path(matcher, measure_total);
+    stats.record_hot_path(matcher);
     Generated {
         entries: archive.entries().to_vec(),
         eps: cfg.eps,
@@ -339,10 +306,8 @@ mod tests {
             );
             assert_eq!(a.objectives().fcov.to_bits(), b.objectives().fcov.to_bits());
         }
-        // The reference path must not touch the index or distance cache.
+        // The reference path must not touch the index.
         assert_eq!(slow.stats.index_candidates, 0);
-        assert_eq!(slow.stats.distance_cache_hits, 0);
-        assert_eq!(slow.stats.distance_cache_misses, 0);
         assert!(fast.stats.index_candidates > 0 || fast.stats.scan_fallbacks > 0);
     }
 

@@ -4,14 +4,18 @@
 //!
 //! with relevance `r ∈ [0,1]` and pairwise difference `d ∈ [0,1]`. The
 //! pairwise term is normalized by `(|V_uo|-1)/2` so `δ ∈ [0, |V_uo|]`.
+//!
+//! `d` is a mean of per-attribute terms, so when every node of `V_uo`
+//! carries the same attributes the pair sum splits into one exact integer
+//! sum per attribute, each computable from one sort of the match set's
+//! values ([`DiversityMeasure::score`], `O(|A|·n log n)`). The pairwise
+//! walk survives as [`DiversityMeasure::score_pairwise`], the reference
+//! that accumulates the same integers pair by pair.
 
 use crate::sampling::sample_pairs;
-use fairsqg_graph::{AttrValue, Graph, LabelId, NodeId};
+use fairsqg_graph::{AttrId, AttrValue, Graph, LabelId, NodeId};
 use rand_pcg::Pcg64Mcg;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Relevance function `r(u_o, v)` choices.
 ///
@@ -53,19 +57,14 @@ pub struct DiversityConfig {
     pub objective: DiversityObjective,
     /// Relevance function.
     pub relevance: Relevance,
-    /// When the match set has more than `pair_cap` nodes, estimate the
-    /// pairwise term from a seeded sample of `pair_cap²/2` pairs instead of
-    /// all `O(|q(G)|²)` pairs. `0` disables sampling (always exact).
+    /// Only read where the pair term has no exact per-attribute form (a
+    /// population with mixed attribute schemas, a match outside `V_uo`,
+    /// max-min): when the match set has more than `pair_cap` nodes,
+    /// estimate the term from a seeded sample of `pair_cap²/2` pairs
+    /// instead of all `O(|q(G)|²)` pairs. `0` disables sampling.
     pub pair_cap: usize,
     /// Seed for pair sampling (determinism).
     pub seed: u64,
-    /// Memoize per-node relevance and pairwise distances across `score`
-    /// calls (default). Lemma 2's monotone refinement means nested match
-    /// sets re-score the same pairs over and over; the cache turns those
-    /// repeats into lookups. Cached values are the exact `f64`s the
-    /// uncached path computes, so scores are bit-identical either way.
-    /// Disable for the un-cached reference path in A/B benchmarks.
-    pub cache_distances: bool,
 }
 
 impl Default for DiversityConfig {
@@ -76,296 +75,235 @@ impl Default for DiversityConfig {
             relevance: Relevance::InDegreeNormalized,
             pair_cap: 512,
             seed: 0x5eed,
-            cache_distances: true,
         }
     }
 }
 
-/// Hit/miss counters of a [`DiversityMeasure`]'s memoization caches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MeasureCacheStats {
-    /// Pairwise distances served from the cache.
-    pub distance_hits: u64,
-    /// Pairwise distances computed from the attribute tuples (including
-    /// non-cacheable pairs involving nodes outside the output population).
-    pub distance_misses: u64,
-}
-
-/// A memoized seeded pair sample: all samples for one match-set size,
-/// shared between the cache and `score` callers. `Arc` (not `Rc`) so the
-/// cross-thread [`SharedDiversityCache`] can hand the same sample to every
-/// worker and every successive service job.
-type PairSample = Arc<Vec<(usize, usize)>>;
-
-/// Output populations up to this size get a dense triangular `f64` cache
-/// (lazily allocated, ≤ ~4 MiB); larger populations fall back to a hash
-/// map so memory stays proportional to the pairs actually scored.
-const DENSE_DISTANCE_MAX_POP: usize = 1024;
-
-/// Cross-thread relevance/distance memoization: a lock-free
-/// "compute once" table of `f64` bit patterns, shared by the measures of
-/// parallel workers so one worker's cold computation becomes every
-/// worker's hit. Races are benign — `distance`/`relevance` are
-/// deterministic, so concurrent writers of a slot store identical bits.
-/// `NaN` bits mark empty slots (both quantities are always finite).
+/// One attribute of a decomposable population.
 #[derive(Debug)]
-pub struct SharedDiversityCache {
+struct Column {
+    /// Each node's value by rank in `V_uo`: the `Int` payload, or the
+    /// symbol id of a `Str`.
+    values: Vec<i64>,
+    /// `Some(hi − lo)` of the attribute's global integer range: the
+    /// per-pair term is `|x−y|/range`. `None`: the term is `x ≠ y`
+    /// (strings, and integers whose global range is a single value).
+    range: Option<u64>,
+}
+
+impl Column {
+    /// `Σ_{v<w} t(x_v, x_w)` over the nodes at `ranks`, `t` being
+    /// `|x−y|` (ranged) or `x ≠ y`, from one sort of their values.
+    fn sorted_sum(&self, ranks: &[u32], vals: &mut Vec<i64>) -> u128 {
+        vals.clear();
+        vals.extend(ranks.iter().map(|&r| self.values[r as usize]));
+        vals.sort_unstable();
+        let n = vals.len() as u128;
+        match self.range {
+            // The gap between sorted neighbours `i-1` and `i` lies inside
+            // `|x_v − x_w|` for each of the `i·(n−i)` pairs straddling it.
+            Some(_) => vals
+                .windows(2)
+                .zip(1u128..)
+                .map(|(w, i)| u128::from(w[1].abs_diff(w[0])) * i * (n - i))
+                .sum(),
+            // `C(n,2) − Σ_val C(cnt_val,2)`: all pairs minus the equal ones.
+            None => vals
+                .chunk_by(|a, b| a == b)
+                .map(|run| run.len() as u128)
+                .fold(pairs_of(n), |sum, cnt| sum - pairs_of(cnt)),
+        }
+    }
+
+    /// The same sum by walking every pair.
+    fn pairwise_sum(&self, ranks: &[u32]) -> u128 {
+        let mut sum = 0u128;
+        for (i, &rv) in ranks.iter().enumerate() {
+            let x = self.values[rv as usize];
+            for &rw in &ranks[i + 1..] {
+                let y = self.values[rw as usize];
+                sum += match self.range {
+                    Some(_) => u128::from(x.abs_diff(y)),
+                    None => u128::from(x != y),
+                };
+            }
+        }
+        sum
+    }
+}
+
+/// `C(n, 2)`.
+fn pairs_of(n: u128) -> u128 {
+    n * n.saturating_sub(1) / 2
+}
+
+/// What the diversity measure derives once from `(graph, output label)`
+/// and never mutates: shareable across threads, measures and jobs.
+#[derive(Debug)]
+pub struct DiversityProfile {
     /// `|V_uo|`.
-    population: usize,
-    /// Triangular pairwise-distance table over population ranks; empty
-    /// when the population exceeds the dense cap (workers then fall back
-    /// to their private caches).
-    distances: Vec<AtomicU64>,
-    /// Per-node relevance, indexed by node id.
-    relevances: Vec<AtomicU64>,
-    /// The relevance function the cached values were computed under.
-    /// Cached relevances are only valid for measures configured with the
-    /// same function; [`DiversityMeasure::attach_shared_cache`] asserts it.
-    relevance: Relevance,
-    /// Pair-sampling parameters the memoized samples were drawn under
-    /// (`(pair_cap, seed)`); guarded like `relevance`.
-    pair_cap: usize,
-    seed: u64,
-    /// Cross-thread seeded pair-sample memo keyed by match-set size. The
-    /// sample is a pure function of `(seed, n)`, so sharing it is a pure
-    /// cost optimization — every consumer would compute identical pairs.
-    pair_samples: Mutex<HashMap<usize, PairSample>>,
-}
-
-impl SharedDiversityCache {
-    /// Builds an empty shared cache for matches of `output_label`, assuming
-    /// the default relevance function and pair-sampling parameters.
-    pub fn new(graph: &Graph, output_label: LabelId) -> Self {
-        Self::for_config(graph, output_label, &DiversityConfig::default())
-    }
-
-    /// Builds an empty shared cache for matches of `output_label` whose
-    /// cached values follow `config`'s relevance function and pair-sampling
-    /// parameters. `lambda`, the objective, and `cache_distances` do not
-    /// affect cached quantities, so caches are shareable across them.
-    pub fn for_config(graph: &Graph, output_label: LabelId, config: &DiversityConfig) -> Self {
-        let pop = graph.nodes_with_label(output_label);
-        let pairs = if pop.len() <= DENSE_DISTANCE_MAX_POP {
-            pop.len() * (pop.len() - 1) / 2
-        } else {
-            0
-        };
-        let nan = f64::NAN.to_bits();
-        Self {
-            population: pop.len(),
-            distances: (0..pairs).map(|_| AtomicU64::new(nan)).collect(),
-            relevances: (0..graph.node_count())
-                .map(|_| AtomicU64::new(nan))
-                .collect(),
-            relevance: config.relevance,
-            pair_cap: config.pair_cap,
-            seed: config.seed,
-            pair_samples: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// `|V_uo|` the cache was built for.
-    #[inline]
-    pub fn population(&self) -> usize {
-        self.population
-    }
-
-    /// Approximate resident size in bytes: the atomic tables plus the
-    /// memoized pair samples. Used by the service's warm-state pool to
-    /// enforce its cross-graph byte budget.
-    pub fn approx_bytes(&self) -> usize {
-        let samples: usize = self
-            .pair_samples
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-            .map(|s| s.len() * std::mem::size_of::<(usize, usize)>())
-            .sum();
-        (self.distances.len() + self.relevances.len()) * std::mem::size_of::<AtomicU64>() + samples
-    }
-
-    /// The memoized pair sample for match-set size `n`, computing and
-    /// publishing it on first request.
-    fn pair_sample(&self, n: usize) -> PairSample {
-        let mut samples = self
-            .pair_samples
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(samples.entry(n).or_insert_with(|| {
-            let sample_target = self.pair_cap * self.pair_cap / 2;
-            let mut rng = Pcg64Mcg::new(self.seed as u128 | 1);
-            Arc::new(sample_pairs(n, sample_target, &mut rng))
-        }))
-    }
-
-    #[inline]
-    fn get(slot: &AtomicU64) -> Option<f64> {
-        let v = f64::from_bits(slot.load(Ordering::Relaxed));
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    #[inline]
-    fn set(slot: &AtomicU64, value: f64) {
-        slot.store(value.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// Precomputed diversity evaluator for one graph + output label.
-///
-/// When [`DiversityConfig::cache_distances`] is set (default), per-node
-/// relevance and pairwise distances are memoized behind interior
-/// mutability: `score` keeps its `&self` signature, and each thread owns
-/// its own measure (the cells are not `Sync`).
-#[derive(Debug, Clone)]
-pub struct DiversityMeasure<'g> {
-    graph: &'g Graph,
-    config: DiversityConfig,
-    /// `|V_uo|`: population of the output label.
     population: usize,
     /// Max in-degree over `V_uo` (for relevance normalization).
     max_in_degree: usize,
-    /// Rank of each node within the sorted output population
-    /// (`u32::MAX` = not in `V_uo`); keys the triangular distance cache.
-    node_rank: Vec<u32>,
-    /// Memoized `r(u_o, v)` per node id; `NaN` = not yet computed.
-    /// Lazily sized on first use.
-    relevance_cache: RefCell<Vec<f64>>,
-    /// Dense triangular distance cache over population ranks (`NaN` =
-    /// unset), used when `|V_uo| ≤ DENSE_DISTANCE_MAX_POP`. Lazily sized
-    /// on first use.
-    dense_distances: RefCell<Vec<f64>>,
-    use_dense: bool,
-    /// Fallback distance cache for large populations.
-    sparse_distances: RefCell<HashMap<(NodeId, NodeId), f64>>,
-    /// Memoized seeded pair samples keyed by match-set size (the sample
-    /// is a pure function of the seed and `n`; see [`Self::sampled_pairs`]).
-    pair_sample_cache: RefCell<HashMap<usize, PairSample>>,
-    /// Optional cross-thread memoization table consulted before the
-    /// private caches (see [`SharedDiversityCache`]).
-    shared: Option<Arc<SharedDiversityCache>>,
-    distance_hits: Cell<u64>,
-    distance_misses: Cell<u64>,
+    /// Rank of each node within `V_uo` (`u32::MAX` = not in `V_uo`).
+    rank: Vec<u32>,
+    /// One column per attribute, ascending by attribute id, when the
+    /// population is *decomposable*: every node of `V_uo` carries the
+    /// same attribute-id sequence and every attribute is all-`Int` or
+    /// all-`Str`. `None` otherwise.
+    columns: Option<Vec<Column>>,
+}
+
+impl DiversityProfile {
+    /// Builds the profile of `output_label`'s population in `graph`.
+    pub fn new(graph: &Graph, output_label: LabelId) -> Self {
+        let pop = graph.nodes_with_label(output_label);
+        let mut rank = vec![u32::MAX; graph.node_count()];
+        for (i, &v) in pop.iter().enumerate() {
+            rank[v.index()] = i as u32;
+        }
+        Self {
+            population: pop.len(),
+            max_in_degree: pop.iter().map(|&v| graph.in_degree(v)).max().unwrap_or(0),
+            rank,
+            columns: Self::columns(graph, pop),
+        }
+    }
+
+    fn columns(graph: &Graph, pop: &[NodeId]) -> Option<Vec<Column>> {
+        let schema = graph.tuple(*pop.first()?);
+        let mut columns: Vec<Column> = schema
+            .iter()
+            .map(|e| Column {
+                values: Vec::with_capacity(pop.len()),
+                range: match e.value() {
+                    AttrValue::Int(_) => int_range(graph, e.attr()),
+                    AttrValue::Str(_) => None,
+                },
+            })
+            .collect();
+        for &v in pop {
+            let tuple = graph.tuple(v);
+            if tuple.len() != schema.len() {
+                return None;
+            }
+            for ((e, first), column) in tuple.iter().zip(schema).zip(&mut columns) {
+                if e.attr() != first.attr() {
+                    return None;
+                }
+                column.values.push(match (e.value(), first.value()) {
+                    (AttrValue::Int(x), AttrValue::Int(_)) => x,
+                    (AttrValue::Str(s), AttrValue::Str(_)) => i64::from(s.0),
+                    _ => return None,
+                });
+            }
+        }
+        Some(columns)
+    }
+
+    /// Approximate resident size in bytes, for the service's warm-state
+    /// byte budget.
+    pub fn approx_bytes(&self) -> usize {
+        let values: usize = self.columns.iter().flatten().map(|c| c.values.len()).sum();
+        self.rank.len() * std::mem::size_of::<u32>() + values * std::mem::size_of::<i64>()
+    }
+
+    /// `Σ_{v<w} d(v, w)` over `matches` from per-attribute integer sums
+    /// (`column_sum` computes one attribute's). `None` when the population
+    /// is not decomposable or a match lies outside `V_uo`.
+    fn exact_pair_sum(
+        &self,
+        matches: &[NodeId],
+        mut column_sum: impl FnMut(&Column, &[u32]) -> u128,
+    ) -> Option<f64> {
+        let columns = self.columns.as_ref()?;
+        let ranks: Vec<u32> = matches.iter().map(|v| self.rank[v.index()]).collect();
+        if ranks.contains(&u32::MAX) {
+            return None;
+        }
+        if columns.is_empty() {
+            return Some(0.0);
+        }
+        let total: f64 = columns
+            .iter()
+            .map(|c| column_sum(c, &ranks) as f64 / c.range.unwrap_or(1) as f64)
+            .sum();
+        Some(total / columns.len() as f64)
+    }
+}
+
+/// `hi − lo` of `attr`'s global integer range, when it spans more than
+/// one value.
+fn int_range(graph: &Graph, attr: AttrId) -> Option<u64> {
+    match graph.domains().int_range(attr) {
+        Some((lo, hi)) if hi > lo => Some(hi.abs_diff(lo)),
+        _ => None,
+    }
+}
+
+/// Diversity evaluator for one graph + output label.
+///
+/// `score` is a pure function of the match set: nothing computed for one
+/// call survives into the next, so every measure over the same
+/// `(graph, label, config)` — with or without a shared
+/// [`DiversityProfile`] — returns the same bits.
+#[derive(Debug, Clone)]
+pub struct DiversityMeasure<'g> {
+    graph: &'g Graph,
+    output_label: LabelId,
+    config: DiversityConfig,
+    /// Built on first use unless one was handed in by
+    /// [`with_profile`](Self::with_profile).
+    profile: OnceLock<Arc<DiversityProfile>>,
 }
 
 impl<'g> DiversityMeasure<'g> {
     /// Creates a measure for matches of `output_label` in `graph`.
     pub fn new(graph: &'g Graph, output_label: LabelId, config: DiversityConfig) -> Self {
-        let pop = graph.nodes_with_label(output_label);
-        let max_in_degree = pop.iter().map(|&v| graph.in_degree(v)).max().unwrap_or(0);
-        let mut node_rank = Vec::new();
-        if config.cache_distances {
-            node_rank = vec![u32::MAX; graph.node_count()];
-            for (i, &v) in pop.iter().enumerate() {
-                node_rank[v.index()] = i as u32;
-            }
-        }
         Self {
             graph,
+            output_label,
             config,
-            population: pop.len(),
-            max_in_degree,
-            node_rank,
-            relevance_cache: RefCell::new(Vec::new()),
-            dense_distances: RefCell::new(Vec::new()),
-            use_dense: pop.len() <= DENSE_DISTANCE_MAX_POP,
-            sparse_distances: RefCell::new(HashMap::new()),
-            pair_sample_cache: RefCell::new(HashMap::new()),
-            shared: None,
-            distance_hits: Cell::new(0),
-            distance_misses: Cell::new(0),
+            profile: OnceLock::new(),
         }
     }
 
-    /// Attaches a cross-thread memoization table built for the same graph
-    /// and output label. Values already published by other measures become
-    /// hits here; values this measure computes become hits everywhere
-    /// else. No effect when distance caching is disabled.
-    pub fn attach_shared_cache(&mut self, cache: Arc<SharedDiversityCache>) {
+    /// Uses a profile already built for the same graph and output label
+    /// instead of deriving a private one on first use.
+    pub fn with_profile(mut self, profile: Arc<DiversityProfile>) -> Self {
         debug_assert_eq!(
-            cache.population, self.population,
-            "shared cache built for a different output population"
+            (profile.rank.len(), profile.population),
+            (self.graph.node_count(), self.population()),
+            "profile built for a different graph or output label"
         );
-        debug_assert_eq!(
-            cache.relevance, self.config.relevance,
-            "shared cache built under a different relevance function"
-        );
-        debug_assert_eq!(
-            (cache.pair_cap, cache.seed),
-            (self.config.pair_cap, self.config.seed),
-            "shared cache built under different pair-sampling parameters"
-        );
-        self.shared = Some(cache);
+        self.profile = OnceLock::from(profile);
+        self
     }
 
-    /// Hit/miss counters of the memoization caches so far.
-    pub fn cache_stats(&self) -> MeasureCacheStats {
-        MeasureCacheStats {
-            distance_hits: self.distance_hits.get(),
-            distance_misses: self.distance_misses.get(),
-        }
-    }
-
-    /// Index of the (rank-ordered) pair `ra < rb` in the dense triangular
-    /// cache.
-    #[inline]
-    fn tri_index(&self, ra: usize, rb: usize) -> usize {
-        debug_assert!(ra < rb && rb < self.population);
-        ra * (2 * self.population - ra - 1) / 2 + (rb - ra - 1)
+    fn profile(&self) -> &DiversityProfile {
+        self.profile
+            .get_or_init(|| Arc::new(DiversityProfile::new(self.graph, self.output_label)))
     }
 
     /// `|V_uo|`.
     #[inline]
     pub fn population(&self) -> usize {
-        self.population
+        self.graph.nodes_with_label(self.output_label).len()
     }
 
     /// Upper bound of `δ`: `|V_uo|` (used to normalize indicators).
     #[inline]
     pub fn delta_max(&self) -> f64 {
-        self.population as f64
+        self.population() as f64
     }
 
-    /// Relevance `r(u_o, v) ∈ [0, 1]` (memoized per node when caching is
-    /// enabled).
+    /// Relevance `r(u_o, v) ∈ [0, 1]`.
     pub fn relevance(&self, v: NodeId) -> f64 {
-        if !self.config.cache_distances {
-            return self.relevance_uncached(v);
-        }
-        if let Some(shared) = &self.shared {
-            let slot = &shared.relevances[v.index()];
-            if let Some(r) = SharedDiversityCache::get(slot) {
-                return r;
-            }
-            let r = self.relevance_uncached(v);
-            SharedDiversityCache::set(slot, r);
-            return r;
-        }
-        let mut cache = self.relevance_cache.borrow_mut();
-        if cache.is_empty() {
-            cache.resize(self.graph.node_count(), f64::NAN);
-        }
-        let cached = cache[v.index()];
-        if !cached.is_nan() {
-            return cached;
-        }
-        let r = self.relevance_uncached(v);
-        cache[v.index()] = r;
-        r
-    }
-
-    fn relevance_uncached(&self, v: NodeId) -> f64 {
         match self.config.relevance {
-            Relevance::InDegreeNormalized => {
-                if self.max_in_degree == 0 {
-                    0.0
-                } else {
-                    self.graph.in_degree(v) as f64 / self.max_in_degree as f64
-                }
-            }
+            Relevance::InDegreeNormalized => match self.profile().max_in_degree {
+                0 => 0.0,
+                max => self.graph.in_degree(v) as f64 / max as f64,
+            },
             Relevance::Uniform(r) => r.clamp(0.0, 1.0),
         }
     }
@@ -374,65 +312,7 @@ impl<'g> DiversityMeasure<'g> {
     /// per-attribute distance over the union of the two tuples' attributes
     /// (integers: absolute difference over the attribute's global range;
     /// strings: 0/1; attribute present on one side only: 1).
-    ///
-    /// Memoized per unordered population pair when caching is enabled;
-    /// the cached value is the exact `f64` the computation produces.
     pub fn distance(&self, v: NodeId, w: NodeId) -> f64 {
-        if !self.config.cache_distances || v == w {
-            return self.distance_uncached(v, w);
-        }
-        let (a, b) = if v < w { (v, w) } else { (w, v) };
-        let (ra, rb) = (self.node_rank[a.index()], self.node_rank[b.index()]);
-        if ra == u32::MAX || rb == u32::MAX {
-            // A node outside the output population: not cacheable.
-            self.distance_misses.set(self.distance_misses.get() + 1);
-            return self.distance_uncached(a, b);
-        }
-        if let Some(shared) = &self.shared {
-            if !shared.distances.is_empty() {
-                let slot = &shared.distances[self.tri_index(ra as usize, rb as usize)];
-                if let Some(d) = SharedDiversityCache::get(slot) {
-                    self.distance_hits.set(self.distance_hits.get() + 1);
-                    return d;
-                }
-                let d = self.distance_uncached(a, b);
-                SharedDiversityCache::set(slot, d);
-                self.distance_misses.set(self.distance_misses.get() + 1);
-                return d;
-            }
-            // Population exceeds the dense cap: the shared table holds no
-            // pair slots, so fall through to the private caches.
-        }
-        if self.use_dense {
-            let idx = self.tri_index(ra as usize, rb as usize);
-            let cached = self.dense_distances.borrow().get(idx).copied();
-            if let Some(d) = cached {
-                if !d.is_nan() {
-                    self.distance_hits.set(self.distance_hits.get() + 1);
-                    return d;
-                }
-            }
-            let d = self.distance_uncached(a, b);
-            let mut dense = self.dense_distances.borrow_mut();
-            if dense.is_empty() {
-                dense.resize(self.population * (self.population - 1) / 2, f64::NAN);
-            }
-            dense[idx] = d;
-            self.distance_misses.set(self.distance_misses.get() + 1);
-            d
-        } else {
-            if let Some(&d) = self.sparse_distances.borrow().get(&(a, b)) {
-                self.distance_hits.set(self.distance_hits.get() + 1);
-                return d;
-            }
-            let d = self.distance_uncached(a, b);
-            self.sparse_distances.borrow_mut().insert((a, b), d);
-            self.distance_misses.set(self.distance_misses.get() + 1);
-            d
-        }
-    }
-
-    fn distance_uncached(&self, v: NodeId, w: NodeId) -> f64 {
         let tv = self.graph.tuple(v);
         let tw = self.graph.tuple(w);
         if tv.is_empty() && tw.is_empty() {
@@ -472,130 +352,101 @@ impl<'g> DiversityMeasure<'g> {
         total / count as f64
     }
 
-    fn value_distance(&self, attr: fairsqg_graph::AttrId, a: AttrValue, b: AttrValue) -> f64 {
-        match (a, b) {
-            (AttrValue::Int(x), AttrValue::Int(y)) => match self.graph.domains().int_range(attr) {
-                Some((lo, hi)) if hi > lo => ((x - y).unsigned_abs() as f64) / ((hi - lo) as f64),
-                _ => {
-                    if x == y {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                }
-            },
-            (a, b) => {
-                if a == b {
-                    0.0
-                } else {
-                    1.0
-                }
+    fn value_distance(&self, attr: AttrId, a: AttrValue, b: AttrValue) -> f64 {
+        if let (AttrValue::Int(x), AttrValue::Int(y)) = (a, b) {
+            if let Some(range) = int_range(self.graph, attr) {
+                return x.abs_diff(y) as f64 / range as f64;
             }
         }
+        f64::from(a != b)
     }
 
     /// Diversity `δ(q, G)` of a match set under the configured objective.
+    /// The max-sum pair term is exact, in `O(|A|·n log n)`, on a
+    /// decomposable population.
     pub fn score(&self, matches: &[NodeId]) -> f64 {
-        match self.config.objective {
-            DiversityObjective::MaxSum => self.score_max_sum(matches),
-            DiversityObjective::MaxMin => self.score_max_min(matches),
-        }
+        let mut vals = Vec::new();
+        self.score_by(matches, |column, ranks| column.sorted_sum(ranks, &mut vals))
     }
 
-    /// The seeded pair sample for a match set of size `n`. The sample is
-    /// a pure function of `(seed, n)` — rejection sampling from a freshly
-    /// seeded RNG — so when caching is on it is memoized per `n`: sibling
-    /// instances with equal-sized match sets reuse it instead of redoing
-    /// tens of thousands of RNG draws and hash-set inserts per score.
-    fn sampled_pairs(&self, n: usize) -> PairSample {
-        let sample_target = self.config.pair_cap * self.config.pair_cap / 2;
-        if !self.config.cache_distances {
-            let mut rng = Pcg64Mcg::new(self.config.seed as u128 | 1);
-            return Arc::new(sample_pairs(n, sample_target, &mut rng));
-        }
-        let mut cache = self.pair_sample_cache.borrow_mut();
-        Arc::clone(cache.entry(n).or_insert_with(|| {
-            // Consult (and feed) the cross-thread memo first so sibling
-            // workers and successive jobs on the same graph share one
-            // sample per size instead of redrawing it.
-            if let Some(shared) = &self.shared {
-                shared.pair_sample(n)
-            } else {
-                let mut rng = Pcg64Mcg::new(self.config.seed as u128 | 1);
-                Arc::new(sample_pairs(n, sample_target, &mut rng))
-            }
-        }))
+    /// [`score`](Self::score) by the `O(|A|·n²)` walk over all pairs: the
+    /// reference `score` is tested against, and what the generation
+    /// algorithms' reference path runs. Both accumulate the same
+    /// per-attribute integers and convert them by the same expression, so
+    /// they agree to the bit.
+    pub fn score_pairwise(&self, matches: &[NodeId]) -> f64 {
+        self.score_by(matches, Column::pairwise_sum)
     }
 
-    /// Max-sum diversity (the paper's `δ`).
-    pub fn score_max_sum(&self, matches: &[NodeId]) -> f64 {
+    /// `δ` with the max-sum pair term from `column_sum` where the
+    /// per-attribute form applies. Where it does not — a population that
+    /// is not decomposable, a match outside `V_uo`, max-min — the pair
+    /// term is the float loop over [`distance`](Self::distance), sampled
+    /// above `pair_cap`.
+    fn score_by(&self, matches: &[NodeId], column_sum: impl FnMut(&Column, &[u32]) -> u128) -> f64 {
         if matches.is_empty() {
             return 0.0;
         }
         let lambda = self.config.lambda;
         let relevance_sum: f64 = matches.iter().map(|&v| self.relevance(v)).sum();
-
-        let n = matches.len();
-        let total_pairs = n * (n - 1) / 2;
-        let pair_sum: f64 = if total_pairs == 0 {
-            0.0
-        } else if self.config.pair_cap > 0 && n > self.config.pair_cap {
-            // Seeded sample of pairs; scale the mean back to the full count.
-            let sampled = self.sampled_pairs(n);
-            let mean: f64 = sampled
-                .iter()
-                .map(|&(i, j)| self.distance(matches[i], matches[j]))
-                .sum::<f64>()
-                / sampled.len() as f64;
-            mean * total_pairs as f64
-        } else {
-            let mut sum = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    sum += self.distance(matches[i], matches[j]);
-                }
+        let pair_term = match self.config.objective {
+            DiversityObjective::MaxSum => {
+                let pair_sum = self
+                    .profile()
+                    .exact_pair_sum(matches, column_sum)
+                    .unwrap_or_else(|| self.float_pair_sum(matches));
+                let norm = match self.population() {
+                    0 | 1 => 0.0,
+                    pop => 2.0 * lambda / (pop as f64 - 1.0),
+                };
+                norm * pair_sum
             }
-            sum
+            // Singleton match sets have no pairs; their dispersion is 0.
+            DiversityObjective::MaxMin => {
+                let min_pair = self.fold_pairs(matches, f64::INFINITY, f64::min).0;
+                let min_pair = if min_pair.is_finite() { min_pair } else { 0.0 };
+                lambda * matches.len() as f64 * min_pair
+            }
         };
-
-        let norm = if self.population > 1 {
-            2.0 * lambda / (self.population as f64 - 1.0)
-        } else {
-            0.0
-        };
-        (1.0 - lambda) * relevance_sum + norm * pair_sum
+        (1.0 - lambda) * relevance_sum + pair_term
     }
 
-    /// Max-min dispersion variant:
-    /// `(1-λ) Σ r + λ |q(G)| · min_{v<v'} d(v,v')`. Singleton match sets
-    /// have no pairs; their dispersion term is 0.
-    pub fn score_max_min(&self, matches: &[NodeId]) -> f64 {
-        if matches.is_empty() {
-            return 0.0;
-        }
-        let lambda = self.config.lambda;
-        let relevance_sum: f64 = matches.iter().map(|&v| self.relevance(v)).sum();
+    /// `Σ_{v<w} d(v, w)` in floats; above `pair_cap`, the sampled mean
+    /// scaled back to the full pair count.
+    fn float_pair_sum(&self, matches: &[NodeId]) -> f64 {
         let n = matches.len();
-        let min_pair = if n < 2 {
-            0.0
-        } else if self.config.pair_cap > 0 && n > self.config.pair_cap {
-            let sample_target = self.config.pair_cap * self.config.pair_cap / 2;
+        match self.fold_pairs(matches, 0.0, |sum, d| sum + d) {
+            (sum, None) => sum,
+            (sum, Some(sampled)) => sum / sampled as f64 * (n * (n - 1) / 2) as f64,
+        }
+    }
+
+    /// Folds `d` over all pairs of `matches` in index order — or, with
+    /// more than `pair_cap` matches, over a seeded sample of `pair_cap²/2`
+    /// pairs, whose size is then returned alongside.
+    fn fold_pairs(
+        &self,
+        matches: &[NodeId],
+        init: f64,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> (f64, Option<usize>) {
+        let n = matches.len();
+        let cap = self.config.pair_cap;
+        let mut acc = init;
+        if cap > 0 && n > cap {
             let mut rng = Pcg64Mcg::new(self.config.seed as u128 | 1);
-            sample_pairs(n, sample_target, &mut rng)
-                .iter()
-                .map(|&(i, j)| self.distance(matches[i], matches[j]))
-                .fold(f64::INFINITY, f64::min)
-        } else {
-            let mut min = f64::INFINITY;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    min = min.min(self.distance(matches[i], matches[j]));
-                }
+            let sample = sample_pairs(n, cap * cap / 2, &mut rng);
+            for &(i, j) in &sample {
+                acc = f(acc, self.distance(matches[i], matches[j]));
             }
-            min
-        };
-        let min_pair = if min_pair.is_finite() { min_pair } else { 0.0 };
-        (1.0 - lambda) * relevance_sum + lambda * n as f64 * min_pair
+            return (acc, Some(sample.len()));
+        }
+        for (i, &v) in matches.iter().enumerate() {
+            for &w in &matches[i + 1..] {
+                acc = f(acc, self.distance(v, w));
+            }
+        }
+        (acc, None)
     }
 }
 
@@ -668,6 +519,7 @@ mod tests {
         let x = g2.schema().find_node_label("x").unwrap();
         let m2 = DiversityMeasure::new(&g2, x, DiversityConfig::default());
         assert_eq!(m2.distance(a, c), 0.0);
+        assert_eq!(m2.score(&[a, c]), m2.score_pairwise(&[a, c]));
     }
 
     #[test]
@@ -684,34 +536,31 @@ mod tests {
 
     #[test]
     fn sampling_approximates_exact() {
-        // A larger synthetic set to exercise the sampling path.
+        // Sampling only runs where the pair term has no per-attribute
+        // form: one movie without a year makes the population
+        // non-decomposable.
         let mut b = GraphBuilder::new();
         for i in 0..60 {
             b.add_named_node("movie", &[("year", AttrValue::Int(1960 + i))]);
         }
+        b.add_named_node("movie", &[]);
         let g = b.finish();
         let movie = g.schema().find_node_label("movie").unwrap();
-        let matches: Vec<NodeId> = g.nodes().collect();
-        let exact = DiversityMeasure::new(
-            &g,
-            movie,
-            DiversityConfig {
-                lambda: 1.0,
-                pair_cap: 0,
-                ..DiversityConfig::default()
-            },
-        )
-        .score(&matches);
-        let approx = DiversityMeasure::new(
-            &g,
-            movie,
-            DiversityConfig {
-                lambda: 1.0,
-                pair_cap: 30,
-                ..DiversityConfig::default()
-            },
-        )
-        .score(&matches);
+        let matches: Vec<NodeId> = g.nodes().take(60).collect();
+        let score_at = |pair_cap| {
+            DiversityMeasure::new(
+                &g,
+                movie,
+                DiversityConfig {
+                    lambda: 1.0,
+                    pair_cap,
+                    ..DiversityConfig::default()
+                },
+            )
+            .score(&matches)
+        };
+        let (exact, approx) = (score_at(0), score_at(30));
+        assert_ne!(exact, approx, "the fallback must sample above pair_cap");
         let rel_err = (exact - approx).abs() / exact;
         assert!(rel_err < 0.15, "rel err {rel_err} too large");
     }
@@ -741,9 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_scores_are_bit_identical_to_uncached_on_nested_sets() {
-        // Nested match sets mimic a refinement chain (Lemma 2): the cache
-        // must return exactly the same f64 as the cold computation.
+    fn closed_form_is_bit_identical_to_pairwise_on_nested_sets() {
+        // Nested match sets mimic a refinement chain (Lemma 2). `pair_cap`
+        // below the set sizes: a decomposable population never samples.
         let mut b = GraphBuilder::new();
         for i in 0..40i64 {
             b.add_named_node(
@@ -756,57 +605,25 @@ mod tests {
         }
         let g = b.finish();
         let movie = g.schema().find_node_label("movie").unwrap();
-        let cached = DiversityMeasure::new(
-            &g,
-            movie,
-            DiversityConfig {
-                lambda: 0.7,
-                pair_cap: 0,
-                ..DiversityConfig::default()
-            },
-        );
-        let uncached = DiversityMeasure::new(
-            &g,
-            movie,
-            DiversityConfig {
-                lambda: 0.7,
-                pair_cap: 0,
-                cache_distances: false,
-                ..DiversityConfig::default()
-            },
-        );
+        let score_at = |pair_cap| {
+            DiversityMeasure::new(
+                &g,
+                movie,
+                DiversityConfig {
+                    lambda: 0.7,
+                    pair_cap,
+                    ..DiversityConfig::default()
+                },
+            )
+        };
+        let (capped, uncapped) = (score_at(8), score_at(0));
         let all: Vec<NodeId> = g.nodes().collect();
         for len in (1..=all.len()).rev() {
             let set = &all[..len];
-            let a = cached.score(set);
-            let b = uncached.score(set);
-            assert_eq!(a.to_bits(), b.to_bits(), "score differs at len {len}");
+            let closed = capped.score(set).to_bits();
+            assert_eq!(closed, capped.score_pairwise(set).to_bits(), "len {len}");
+            assert_eq!(closed, uncapped.score(set).to_bits(), "len {len}");
         }
-        let stats = cached.cache_stats();
-        // The chain re-scores every surviving pair: all but the first full
-        // scoring must hit.
-        assert_eq!(stats.distance_misses, (40 * 39) / 2);
-        assert!(stats.distance_hits > stats.distance_misses);
-        assert_eq!(uncached.cache_stats(), MeasureCacheStats::default());
-    }
-
-    #[test]
-    fn sparse_cache_agrees_beyond_dense_cap() {
-        // Force the sparse path by shrinking over the dense cap is not
-        // possible via config, so exercise it directly with a population
-        // larger than DENSE_DISTANCE_MAX_POP.
-        let mut b = GraphBuilder::new();
-        for i in 0..(DENSE_DISTANCE_MAX_POP as i64 + 8) {
-            b.add_named_node("p", &[("k", AttrValue::Int(i % 97))]);
-        }
-        let g = b.finish();
-        let p = g.schema().find_node_label("p").unwrap();
-        let m = DiversityMeasure::new(&g, p, DiversityConfig::default());
-        let d1 = m.distance(NodeId(3), NodeId(900));
-        let d2 = m.distance(NodeId(900), NodeId(3));
-        assert_eq!(d1.to_bits(), d2.to_bits());
-        assert_eq!(m.cache_stats().distance_hits, 1);
-        assert_eq!(m.cache_stats().distance_misses, 1);
     }
 
     #[test]
@@ -827,12 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_bit_identical_to_private() {
+    fn shared_profile_is_bit_identical_to_private() {
         let g = graph();
         let movie = g.schema().find_node_label("movie").unwrap();
-        let shared = Arc::new(SharedDiversityCache::new(&g, movie));
-        let mut with_shared = measure(&g, 0.5);
-        with_shared.attach_shared_cache(Arc::clone(&shared));
+        let with_shared = measure(&g, 0.5).with_profile(Arc::new(DiversityProfile::new(&g, movie)));
         let private = measure(&g, 0.5);
         let all = [NodeId(0), NodeId(1), NodeId(2)];
         assert_eq!(
@@ -840,34 +655,56 @@ mod tests {
             private.score(&all).to_bits()
         );
         for &v in &all {
-            for &w in &all {
-                assert_eq!(
-                    with_shared.distance(v, w).to_bits(),
-                    private.distance(v, w).to_bits()
-                );
-            }
             assert_eq!(
                 with_shared.relevance(v).to_bits(),
                 private.relevance(v).to_bits()
             );
         }
+        // A director is outside `V_uo`: both take the float loop.
+        let mixed = [NodeId(0), NodeId(2), NodeId(3)];
+        assert_eq!(
+            with_shared.score(&mixed).to_bits(),
+            private.score_pairwise(&mixed).to_bits()
+        );
     }
 
     #[test]
-    fn shared_cache_publishes_across_measures() {
-        let g = graph();
-        let movie = g.schema().find_node_label("movie").unwrap();
-        let shared = Arc::new(SharedDiversityCache::new(&g, movie));
-        let mut first = measure(&g, 1.0);
-        first.attach_shared_cache(Arc::clone(&shared));
-        let d = first.distance(NodeId(0), NodeId(2));
-        assert_eq!(first.cache_stats().distance_misses, 1);
-        // A fresh measure on the same table sees the published value
-        // without ever computing it.
-        let mut second = measure(&g, 1.0);
-        second.attach_shared_cache(shared);
-        assert_eq!(second.distance(NodeId(0), NodeId(2)).to_bits(), d.to_bits());
-        assert_eq!(second.cache_stats().distance_hits, 1);
-        assert_eq!(second.cache_stats().distance_misses, 0);
+    fn extreme_integers_do_not_overflow() {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = [i64::MIN, 0, i64::MAX]
+            .iter()
+            .map(|&x| b.add_named_node("p", &[("k", AttrValue::Int(x))]))
+            .collect();
+        let g = b.finish();
+        let p = g.schema().find_node_label("p").unwrap();
+        let m = DiversityMeasure::new(
+            &g,
+            p,
+            DiversityConfig {
+                lambda: 1.0,
+                ..DiversityConfig::default()
+            },
+        );
+        assert_eq!(m.distance(nodes[0], nodes[2]), 1.0);
+        // Σ|x−y| = 2·(2⁶⁴−1) over a range of 2⁶⁴−1, and 2λ/(|V_uo|−1) = 1.
+        assert_eq!(m.score(&nodes), 2.0);
+        assert_eq!(
+            m.score(&nodes).to_bits(),
+            m.score_pairwise(&nodes).to_bits()
+        );
+    }
+
+    #[test]
+    fn empty_population_builds_and_scores_zero() {
+        let mut b = GraphBuilder::new();
+        let ghost = b.schema_mut().node_label("ghost");
+        b.add_named_node("p", &[("k", AttrValue::Int(1))]);
+        let g = b.finish();
+        let profile = Arc::new(DiversityProfile::new(&g, ghost));
+        assert!(profile.approx_bytes() > 0);
+        let m = DiversityMeasure::new(&g, ghost, DiversityConfig::default()).with_profile(profile);
+        assert_eq!(m.population(), 0);
+        assert_eq!(m.score(&[]), 0.0);
+        assert_eq!(m.score_pairwise(&[]), 0.0);
     }
 }

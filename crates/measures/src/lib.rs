@@ -26,8 +26,7 @@ mod sampling;
 
 pub use coverage::{coverage_score, is_feasible};
 pub use diversity::{
-    DiversityConfig, DiversityMeasure, DiversityObjective, MeasureCacheStats, Relevance,
-    SharedDiversityCache,
+    DiversityConfig, DiversityMeasure, DiversityObjective, DiversityProfile, Relevance,
 };
 pub use hypervolume::{hypervolume, hypervolume_normalized};
 pub use indicators::{eps_indicator, min_eps, r_indicator};

@@ -35,7 +35,7 @@
 
 use crate::cache::{CacheStats, LruCache};
 use crate::job::{
-    diversity_for_spec_with, entry_bindings, entry_to_value, generated_to_value_with, plan_key,
+    diversity_for_spec, entry_bindings, entry_to_value, generated_to_value_with, plan_key,
     plan_spec, plan_spec_cached, run_plan_observed, BrownoutMark, JobSpec, Plan, RunOverrides,
 };
 use crate::overload::{
@@ -1835,14 +1835,13 @@ fn run_job(shared: &Shared, id: u64) {
             None => plan_spec(&entry.graph, &spec)?,
         };
         let planned = Instant::now();
-        // The warm diversity table is keyed by the *effective* pair cap,
-        // so tables built under brownout never serve nominal jobs (and
-        // vice versa).
-        let effective_div =
-            diversity_for_spec_with(&spec, overrides.as_ref().and_then(|o| o.pair_cap));
-        let shared_div = warm
-            .as_ref()
-            .map(|w| w.diversity_cache(&entry.graph, plan.template.output_label(), &effective_div));
+        let shared_div = warm.as_ref().map(|w| {
+            w.diversity_cache(
+                &entry.graph,
+                plan.template.output_label(),
+                &diversity_for_spec(&spec),
+            )
+        });
         // Streaming jobs watch the anytime loop's archive; observation is
         // passive, so the archive (and the rendered result) stays
         // bit-identical to an unobserved run.

@@ -13,7 +13,7 @@ use fairsqg_algo::{
     BiQGenOptions, CancelToken, CbmOptions, Configuration, Generated, MatchBudget, RfQGenOptions,
 };
 use fairsqg_graph::{AttrValue, CoverageSpec, Graph, GroupSet};
-use fairsqg_measures::{DiversityConfig, SharedDiversityCache};
+use fairsqg_measures::{DiversityConfig, DiversityProfile};
 use fairsqg_query::{
     parse_template, render_concrete_query, render_instance, ConcreteQuery, DomainConfig,
     RefinementDomains,
@@ -370,14 +370,14 @@ pub fn run_plan(plan: &Plan<'_>, spec: &JobSpec, cancel: &CancelToken) -> Genera
     run_plan_shared(plan, spec, cancel, None)
 }
 
-/// Like [`run_plan`], with an optional cross-request shared diversity
-/// cache (the warm-state layer's per-`(graph, epoch)` table). Cached
-/// values are exact, so the archive is bit-identical with or without it.
+/// Like [`run_plan`], with an optional pre-built diversity profile (the
+/// warm-state layer's, pooled per `(graph, epoch, output label)`). The
+/// archive is bit-identical with or without it.
 pub fn run_plan_shared(
     plan: &Plan<'_>,
     spec: &JobSpec,
     cancel: &CancelToken,
-    shared: Option<&Arc<SharedDiversityCache>>,
+    shared: Option<&Arc<DiversityProfile>>,
 ) -> Generated {
     run_plan_overridden(plan, spec, cancel, shared, None)
 }
@@ -389,7 +389,7 @@ pub fn run_plan_overridden(
     plan: &Plan<'_>,
     spec: &JobSpec,
     cancel: &CancelToken,
-    shared: Option<&Arc<SharedDiversityCache>>,
+    shared: Option<&Arc<DiversityProfile>>,
     overrides: Option<&RunOverrides>,
 ) -> Generated {
     run_plan_observed(plan, spec, cancel, shared, overrides, None)
@@ -403,7 +403,7 @@ pub fn run_plan_observed(
     plan: &Plan<'_>,
     spec: &JobSpec,
     cancel: &CancelToken,
-    shared: Option<&Arc<SharedDiversityCache>>,
+    shared: Option<&Arc<DiversityProfile>>,
     overrides: Option<&RunOverrides>,
     observer: Option<&dyn ArchiveObserver>,
 ) -> Generated {
@@ -443,8 +443,7 @@ pub fn run_plan_observed(
         AlgoKind::BiQGen => biqgen(cfg, BiQGenOptions::default()),
         AlgoKind::ParEnum => par_enum_qgen(cfg, spec.threads),
     };
-    out.stats
-        .record_hot_path(plan_delta, fairsqg_measures::MeasureCacheStats::default());
+    out.stats.record_hot_path(plan_delta);
     out
 }
 
@@ -597,14 +596,6 @@ pub fn generated_to_value_with(
                 (
                     "cand_memo_hits",
                     Value::from(out.stats.cand_memo_hits as i64),
-                ),
-                (
-                    "distance_cache_hits",
-                    Value::from(out.stats.distance_cache_hits as i64),
-                ),
-                (
-                    "distance_cache_misses",
-                    Value::from(out.stats.distance_cache_misses as i64),
                 ),
                 (
                     "budget_tripped",

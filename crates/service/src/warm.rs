@@ -1,21 +1,18 @@
 //! Cross-request warm state: per-`(graph, epoch)` evaluation caches.
 //!
-//! Every job used to start cold — relevance/distance tables, pair-sample
-//! memos, and the parsed plan (template + refinement domains + groups)
+//! Every job used to start cold — the diversity measure's `O(|V|)`
+//! profile and the parsed plan (template + refinement domains + groups)
 //! were rebuilt per request even when hundreds of jobs target the same
 //! registered graph. A [`WarmState`] owns that state for one graph epoch:
 //!
-//! * a [`SharedDiversityCache`] per distinct diversity configuration
-//!   (keyed by output label + relevance function + pair-sampling
-//!   parameters — `λ` and the objective do not affect cached values, so
-//!   jobs differing only in `λ` share one table), handed to every job's
-//!   `Configuration` via `Arc`;
+//! * a [`DiversityProfile`] per output label (nothing in a job's
+//!   `DiversityConfig` enters it), handed to every job's `Configuration`
+//!   via `Arc`;
 //! * a pool of parsed [`WarmPlan`]s keyed by the spec's planning inputs,
 //!   so repeated templates skip parsing and domain construction.
 //!
-//! Cached diversity values are the exact `f64`s a cold run computes
-//! (see `fairsqg_measures::SharedDiversityCache`), so warm results are
-//! bit-identical to cold ones — the throughput benchmark asserts it.
+//! A profile is immutable and derived from the graph alone, so warm
+//! results are bit-identical to cold ones — `perf/` asserts it.
 //! The state is keyed by epoch: a graph reload creates a fresh
 //! `WarmState` and the old one dies with its last in-flight job. The
 //! registry's warm pool enforces a cross-graph byte budget with LRU
@@ -23,7 +20,7 @@
 
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, LabelId};
 use fairsqg_matcher::{plan_matching_order, MatchPlan};
-use fairsqg_measures::{DiversityConfig, Relevance, SharedDiversityCache};
+use fairsqg_measures::{DiversityConfig, DiversityProfile};
 use fairsqg_query::{ConcreteQuery, Instantiation, QueryTemplate, RefinementDomains};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,9 +100,9 @@ impl WarmPlan {
 /// so `stats` reports totals across graphs and epochs.
 #[derive(Debug, Default)]
 pub struct WarmCounters {
-    /// Diversity-cache requests served by an existing warm table.
+    /// Diversity-profile requests served by an existing warm profile.
     pub diversity_hits: AtomicU64,
-    /// Diversity-cache requests that had to build a fresh table.
+    /// Diversity-profile requests that had to build a fresh profile.
     pub diversity_misses: AtomicU64,
     /// Plan requests served from the warm plan pool.
     pub plan_hits: AtomicU64,
@@ -119,25 +116,11 @@ impl WarmCounters {
     }
 }
 
-/// Key of one shared diversity cache within a warm state: output label
-/// plus every `DiversityConfig` field the cached values depend on.
-/// `lambda`, the objective, and `cache_distances` are deliberately
-/// excluded — relevances and distances are the same under any of them.
-type DivKey = (usize, u8, u64, usize, u64);
-
-fn div_key(label: LabelId, config: &DiversityConfig) -> DivKey {
-    let (kind, bits) = match config.relevance {
-        Relevance::InDegreeNormalized => (0u8, 0u64),
-        Relevance::Uniform(c) => (1u8, c.to_bits()),
-    };
-    (label.index(), kind, bits, config.pair_cap, config.seed)
-}
-
 /// The warm evaluation state of one `(graph, epoch)`.
 #[derive(Debug)]
 pub struct WarmState {
     epoch: u64,
-    diversity: Mutex<HashMap<DivKey, Arc<SharedDiversityCache>>>,
+    diversity: Mutex<HashMap<LabelId, Arc<DiversityProfile>>>,
     plans: Mutex<HashMap<u64, Arc<WarmPlan>>>,
     counters: Arc<WarmCounters>,
 }
@@ -158,28 +141,25 @@ impl WarmState {
         self.epoch
     }
 
-    /// The shared diversity cache for `config`'s cache-relevant
-    /// parameters, building it on first request. Jobs differing only in
-    /// `λ`/objective get the same table.
+    /// The diversity profile of `output_label`, building it on first
+    /// request. The profile depends on the label only; the unread
+    /// `DiversityConfig` argument and the method's name are the call
+    /// shape `perf/` compiles against, and go in the next `benchmark` PR.
     pub fn diversity_cache(
         &self,
         graph: &Graph,
         output_label: LabelId,
-        config: &DiversityConfig,
-    ) -> Arc<SharedDiversityCache> {
+        _config: &DiversityConfig,
+    ) -> Arc<DiversityProfile> {
         let mut map = crate::sync::lock(&self.diversity);
-        match map.entry(div_key(output_label, config)) {
+        match map.entry(output_label) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 WarmCounters::bump(&self.counters.diversity_hits);
                 Arc::clone(e.get())
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 WarmCounters::bump(&self.counters.diversity_misses);
-                Arc::clone(e.insert(Arc::new(SharedDiversityCache::for_config(
-                    graph,
-                    output_label,
-                    config,
-                ))))
+                Arc::clone(e.insert(Arc::new(DiversityProfile::new(graph, output_label))))
             }
         }
     }
@@ -224,6 +204,7 @@ impl WarmState {
 mod tests {
     use super::*;
     use fairsqg_datagen::{social_graph, SocialConfig};
+    use fairsqg_measures::Relevance;
 
     fn graph() -> Graph {
         social_graph(SocialConfig {
@@ -254,30 +235,25 @@ mod tests {
     }
 
     #[test]
-    fn relevance_and_sampling_params_do_split() {
+    fn profiles_split_by_label_only() {
         let g = graph();
-        let label = g.schema().find_node_label("director").unwrap();
+        let director = g.schema().find_node_label("director").unwrap();
+        let user = g.schema().find_node_label("user").unwrap();
         let warm = WarmState::new(1, Arc::new(WarmCounters::default()));
-        let base = warm.diversity_cache(&g, label, &DiversityConfig::default());
-        let uniform = warm.diversity_cache(
+        let base = warm.diversity_cache(&g, director, &DiversityConfig::default());
+        let other_config = warm.diversity_cache(
             &g,
-            label,
+            director,
             &DiversityConfig {
                 relevance: Relevance::Uniform(0.5),
-                ..DiversityConfig::default()
-            },
-        );
-        let other_seed = warm.diversity_cache(
-            &g,
-            label,
-            &DiversityConfig {
+                pair_cap: 64,
                 seed: 99,
                 ..DiversityConfig::default()
             },
         );
-        assert!(!Arc::ptr_eq(&base, &uniform));
-        assert!(!Arc::ptr_eq(&base, &other_seed));
-        assert!(!Arc::ptr_eq(&uniform, &other_seed));
+        let other_label = warm.diversity_cache(&g, user, &DiversityConfig::default());
+        assert!(Arc::ptr_eq(&base, &other_config));
+        assert!(!Arc::ptr_eq(&base, &other_label));
     }
 
     #[test]

@@ -11,6 +11,15 @@ use std::time::{Duration, Instant};
 const TEMPLATE: &str = "node u0 : director\nnode u1 : user\nedge u1 -recommend-> u0\n\
                         where u1.yearsOfExp >= ?\noutput u0\n";
 
+/// Four range variables: `|I(Q)|` = 9⁴ = 6561 under the service's default
+/// domains, so a job over it is long because its lattice is large, not
+/// because one verification is slow.
+const SLOW_TEMPLATE: &str = "node u0 : director\nnode u1 : user\nnode u2 : org\n\
+                             edge u1 -recommend-> u0\nedge u1 -worksAt-> u2\n\
+                             where u0.yearsOfExp >= ?\nwhere u1.yearsOfExp >= ?\n\
+                             where u1.endorsements >= ?\nwhere u2.employees >= ?\n\
+                             output u0\n";
+
 fn graph(directors: usize, seed: u64) -> fairsqg_graph::Graph {
     social_graph(SocialConfig {
         directors,
@@ -35,6 +44,18 @@ fn spec(lambda: f64) -> JobSpec {
         priority: fairsqg_service::DEFAULT_PRIORITY,
         client: None,
         subscribe: false,
+    }
+}
+
+/// Holds the single worker while a test queues jobs behind it: `enum` over
+/// [`SLOW_TEMPLATE`] on `graph(400, _)` runs 1.6 s under `cargo test`'s
+/// debug profile and 0.11 s in release (2-vCPU Xeon 2.1 GHz); the submits
+/// and the reload it must outlast take ≈20 ms and ≈3 ms respectively.
+fn blocker() -> JobSpec {
+    JobSpec {
+        template: SLOW_TEMPLATE.into(),
+        algo: AlgoKind::EnumQGen,
+        ..spec(0.31)
     }
 }
 
@@ -78,9 +99,9 @@ fn stat(stats: &Value, path: &[&str]) -> u64 {
 }
 
 /// Acceptance: a graph reload bumps the epoch and drops the warm state —
-/// jobs after the reload build fresh tables over the new graph and their
+/// jobs after the reload build fresh profiles over the new graph and their
 /// archives are bit-identical to a cold engine's on that graph (no stale
-/// relevance/distance values survive the reload).
+/// diversity profile survives the reload).
 #[test]
 fn reload_invalidates_warm_state() {
     let registry = Arc::new(GraphRegistry::new());
@@ -110,7 +131,7 @@ fn reload_invalidates_warm_state() {
     assert_eq!(warm_after.graphs, 1, "new epoch gets fresh warm state");
     assert!(
         warm_after.diversity_misses > warm_before.diversity_misses,
-        "post-reload tables are built fresh, not reused"
+        "post-reload profiles are built fresh, not reused"
     );
 
     // Ground truth: a cold engine over the new graph.
@@ -141,9 +162,9 @@ fn no_coalescing_across_reload() {
     registry.insert("g", graph(400, 1));
     let engine = Engine::start(Arc::clone(&registry), config(1));
 
-    // One worker: the blocker occupies it (~tens of ms on this graph)
-    // while the rest of the submissions land in the queue.
-    let blocker = engine.submit(spec(0.31)).unwrap();
+    // One worker: the blocker occupies it while the rest of the
+    // submissions land in the queue.
+    let blocker = engine.submit(blocker()).unwrap();
     let leader = engine.submit(spec(0.5)).unwrap();
     let follower = engine.submit(spec(0.5)).unwrap();
 
@@ -185,7 +206,7 @@ fn followers_served_from_leader_result() {
     registry.insert("g", graph(400, 3));
     let engine = Engine::start(registry, config(1));
 
-    let blocker = engine.submit(spec(0.33)).unwrap();
+    let blocker = engine.submit(blocker()).unwrap();
     let ids: Vec<u64> = (0..3).map(|_| engine.submit(spec(0.6)).unwrap()).collect();
     let _ = wait(&engine, blocker);
     let results: Vec<String> = ids.iter().map(|&id| archive(&wait(&engine, id))).collect();

@@ -17,6 +17,24 @@ const TEMPLATE: &str = "\
     where u1.yearsOfExp >= ?\n\
     output u0\n";
 
+/// Four range variables: `|I(Q)|` = 9⁴ = 6561 under the service's default
+/// domains. Jobs that must still be running when the test looks again use
+/// this template, so their duration comes from the size of the lattice
+/// and not from what one verification costs: `enum` on `graph(400, 10)`
+/// takes 1.7 s under `cargo test`'s debug profile and 0.11 s in release
+/// (2-vCPU Xeon 2.1 GHz), against the 1 ms poll the tests watch it with.
+const SLOW_TEMPLATE: &str = "\
+    node u0 : director\n\
+    node u1 : user\n\
+    node u2 : org\n\
+    edge u1 -recommend-> u0\n\
+    edge u1 -worksAt-> u2\n\
+    where u0.yearsOfExp >= ?\n\
+    where u1.yearsOfExp >= ?\n\
+    where u1.endorsements >= ?\n\
+    where u2.employees >= ?\n\
+    output u0\n";
+
 fn graph(directors: usize, seed: u64) -> fairsqg::graph::Graph {
     social_graph(SocialConfig {
         directors,
@@ -41,6 +59,13 @@ fn spec(graph: &str, deadline_ms: Option<u64>) -> JobSpec {
         priority: fairsqg::service::DEFAULT_PRIORITY,
         client: None,
         subscribe: false,
+    }
+}
+
+fn slow_spec(graph: &str, deadline_ms: Option<u64>) -> JobSpec {
+    JobSpec {
+        template: SLOW_TEMPLATE.into(),
+        ..spec(graph, deadline_ms)
     }
 }
 
@@ -101,7 +126,7 @@ fn wire_roundtrip_cache_deadline_cancel() {
     assert!(hits >= 1, "cache hit must be visible in stats, got {hits}");
 
     // A tiny deadline yields a truncated partial archive, not a hang.
-    let id3 = client.submit(&spec("slow", Some(0))).unwrap();
+    let id3 = client.submit(&slow_spec("slow", Some(0))).unwrap();
     let truncated = client.wait(id3, Duration::from_secs(60)).unwrap();
     assert_eq!(
         truncated
@@ -112,7 +137,7 @@ fn wire_roundtrip_cache_deadline_cancel() {
     );
 
     // Cancelling a job frees its worker: a subsequent job still completes.
-    let id4 = client.submit(&spec("slow", None)).unwrap();
+    let id4 = client.submit(&slow_spec("slow", None)).unwrap();
     client.cancel(id4).unwrap();
     match client.wait(id4, Duration::from_secs(60)) {
         // The cancel raced the run. Either it landed mid-run (truncated
@@ -172,7 +197,7 @@ fn engine_sustains_eight_concurrent_jobs() {
         },
     );
     let ids: Vec<u64> = (0..8)
-        .map(|i| engine.submit(spec(&format!("g{i}"), None)).unwrap())
+        .map(|i| engine.submit(slow_spec(&format!("g{i}"), None)).unwrap())
         .collect();
 
     // All eight must be observed Running at the same instant.
@@ -237,7 +262,7 @@ fn engine_overload_is_structured() {
     );
 
     // Occupy the single worker, then fill the single queue slot.
-    let running = engine.submit(spec("g", None)).unwrap();
+    let running = engine.submit(slow_spec("g", None)).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     while engine.status(running).unwrap().state != JobState::Running {
         assert!(Instant::now() < deadline, "worker never picked up the job");
