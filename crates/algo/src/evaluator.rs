@@ -197,14 +197,14 @@ impl<'a> Evaluator<'a> {
             return !hit.feasible;
         }
         let query = ConcreteQuery::materialize(self.cfg.template, self.cfg.domains, inst);
-        // Tightest known output pool: the best cached direct parent's
-        // match set bounds this instance's matches (Lemma 2) and is never
-        // looser than the configured restriction (the parent was verified
-        // under it).
+        // Tightest known output pool: the best cached ancestor's match
+        // set bounds this instance's matches (Lemma 2) and is never
+        // looser than the configured restriction (the ancestor was
+        // verified under it).
         let parent_pool = if self.cfg.reference_path {
             None
         } else {
-            self.best_cached_parent(inst).map(Rc::clone)
+            self.best_cached_ancestor(inst).map(Rc::clone)
         };
         let pool = parent_pool
             .as_ref()
@@ -226,32 +226,38 @@ impl<'a> Evaluator<'a> {
         !is_feasible(&counts, self.cfg.spec)
     }
 
-    /// The cached direct lattice parent with the smallest match set.
-    fn best_cached_parent(&self, inst: &Instantiation) -> Option<&Rc<EvalResult>> {
+    /// The smallest match set among the nearest cached ancestors, one per
+    /// axis: on each axis the index is walked down to the first cached
+    /// instance. That is the direct lattice parent whenever it was
+    /// verified (one lookup, as before); after a template-refinement skip
+    /// (`Spawn` stepping a variable from `i` to `j > i + 1`) the direct
+    /// parent `j - 1` never was, and the walk reaches the spawning
+    /// instance instead of giving up the pool.
+    fn best_cached_ancestor(&self, inst: &Instantiation) -> Option<&Rc<EvalResult>> {
         let mut best: Option<&Rc<EvalResult>> = None;
         for x in 0..inst.var_count() {
-            if let Some(parent) = inst.relax_step(x) {
-                if let Some(r) = self.cache.get(&parent) {
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| r.matches.len() < b.matches.len())
-                    {
+            let mut ancestor = inst.relax_step(x);
+            while let Some(a) = ancestor {
+                if let Some(r) = self.cache.get(&a) {
+                    if best.is_none_or(|b| r.matches.len() < b.matches.len()) {
                         best = Some(r);
                     }
+                    break;
                 }
+                ancestor = a.relax_step(x);
             }
         }
         best
     }
 
-    /// Verifies `inst` using the best cached lattice ancestor (the verified
-    /// parent with the smallest match set) to restrict candidates.
+    /// Verifies `inst` using the best cached lattice ancestor (see
+    /// `best_cached_ancestor`) to restrict candidates.
     pub fn verify_with_best_parent(&mut self, inst: &Instantiation) -> Rc<EvalResult> {
         if let Some(hit) = self.cache.get(inst) {
             self.cache_hits += 1;
             return Rc::clone(hit);
         }
-        match self.best_cached_parent(inst).map(Rc::clone) {
+        match self.best_cached_ancestor(inst).map(Rc::clone) {
             Some(parent) => self.verify_inc(inst, Some(&parent.matches)),
             None => self.verify_inc(inst, None),
         }
@@ -363,5 +369,68 @@ mod tests {
             let b = smart.verify_with_best_parent(&inst);
             assert_eq!(a.matches, b.matches, "mismatch at {inst:?}");
         }
+    }
+
+    #[test]
+    fn inc_verify_survives_a_template_refinement_skip() {
+        use crate::spawn::{spawn_refinements, SpawnOptions};
+        use fairsqg_graph::{AttrValue::Int, CoverageSpec, GraphBuilder, GroupSet};
+        use fairsqg_query::{DomainConfig, RefinementDomains};
+
+        // Four hubs, each with one leaf (v = 1, 1, 3, 3), and one leaf with
+        // v = 2 attached to nothing: 2 is in the active domain but in no
+        // match set's neighborhood, so Spawn steps `leaf.v >= 1` straight to
+        // `>= 3` and the child's direct parent `>= 2` is never verified.
+        let mut b = GraphBuilder::new();
+        for (i, v) in [1, 1, 3, 3].into_iter().enumerate() {
+            let hub = b.add_named_node("hub", &[("g", Int(i as i64 % 2))]);
+            let leaf = b.add_named_node("leaf", &[("v", Int(v))]);
+            b.add_named_edge(leaf, hub, "e");
+        }
+        b.add_named_node("leaf", &[("v", Int(2))]);
+        let graph = b.finish();
+        let template = fairsqg_query::parse_template(
+            graph.schema(),
+            "node u0 : hub\nnode u1 : leaf\nedge u1 -e-> u0\nwhere u1.v >= ?\noutput u0\n",
+        )
+        .unwrap();
+        let domains = RefinementDomains::build(&template, &graph, DomainConfig::default());
+        assert_eq!(domains.domain(0).len(), 4); // _, 1, 2, 3
+        let g = graph.schema().find_attr("g").unwrap();
+        let groups = GroupSet::by_attribute(&graph, g, &[Int(0), Int(1)]);
+        let spec = CoverageSpec::equal_opportunity(2, 1);
+        let cfg = Configuration::new(
+            &graph,
+            &template,
+            &domains,
+            &groups,
+            &spec,
+            0.1,
+            fairsqg_measures::DiversityConfig::default(),
+        );
+
+        let mut ev = Evaluator::new(cfg);
+        let at = |i: u16| Instantiation::new(vec![i]);
+        let spawned = |ev: &mut Evaluator<'_>, i: u16| {
+            let r = ev.verify_with_best_parent(&at(i));
+            spawn_refinements(&cfg, &at(i), &r, SpawnOptions::default())
+        };
+        assert_eq!(spawned(&mut ev, 0), vec![(0, at(1))]);
+        assert_eq!(spawned(&mut ev, 1), vec![(0, at(3))], "Spawn skips 2");
+
+        // The skipped-to child is still verified against a pool — the
+        // spawning instance's match set — and agrees with a verification
+        // from scratch.
+        let before = fairsqg_matcher::matcher_stats().pool_restrictions;
+        assert!(!ev.quick_infeasible(&at(3)));
+        let inc = ev.verify_with_best_parent(&at(3));
+        let pooled = fairsqg_matcher::matcher_stats().pool_restrictions - before;
+        assert_eq!(pooled, 2, "the quick check and the verification");
+        let fresh = Evaluator::new(cfg).verify(&at(3));
+        assert_eq!(inc.matches, fresh.matches);
+        assert_eq!(inc.matches.len(), 2);
+        assert_eq!(inc.counts, fresh.counts);
+        assert_eq!(inc.objectives, fresh.objectives);
+        assert_eq!(inc.feasible, fresh.feasible);
     }
 }

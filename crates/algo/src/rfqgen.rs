@@ -170,7 +170,6 @@ mod tests {
             RfQGenOptions {
                 spawn: SpawnOptions {
                     template_refinement: false,
-                    ..SpawnOptions::default()
                 },
                 ..RfQGenOptions::default()
             },

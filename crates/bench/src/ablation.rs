@@ -61,7 +61,6 @@ pub fn ablation(scale: &ExpScale) -> String {
                 inc_verify: inc,
                 spawn: SpawnOptions {
                     template_refinement: tr,
-                    ..SpawnOptions::default()
                 },
                 collect_anytime: false,
             },

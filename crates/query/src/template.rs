@@ -109,6 +109,8 @@ pub struct QueryTemplate {
     /// edge-variable order.
     optional_edges: Vec<usize>,
     output: QNodeId,
+    /// Longest shortest path of the template graph, fixed at build time.
+    diameter: usize,
 }
 
 impl QueryTemplate {
@@ -187,35 +189,9 @@ impl QueryTemplate {
     /// Diameter of the template graph with **all** edges present
     /// (undirected). Used as the hop bound `d` of `G_q^d` in template
     /// refinement.
+    #[inline]
     pub fn diameter(&self) -> usize {
-        let n = self.nodes.len();
-        let mut adj = vec![Vec::new(); n];
-        for e in &self.edges {
-            adj[e.src.index()].push(e.dst.index());
-            adj[e.dst.index()].push(e.src.index());
-        }
-        let mut diameter = 0;
-        for start in 0..n {
-            let mut dist = vec![usize::MAX; n];
-            dist[start] = 0;
-            let mut queue = std::collections::VecDeque::from([start]);
-            while let Some(v) = queue.pop_front() {
-                for &w in &adj[v] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[v] + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            let ecc = dist
-                .iter()
-                .copied()
-                .filter(|&d| d != usize::MAX)
-                .max()
-                .unwrap_or(0);
-            diameter = diameter.max(ecc);
-        }
-        diameter
+        self.diameter
     }
 
     /// Whether `edge_idx` is a bridge of the full template graph (removing
@@ -409,6 +385,24 @@ impl TemplateBuilder {
             return Err(TemplateError::Disconnected);
         }
 
+        // Connected, so every BFS reaches every node: the diameter is the
+        // largest distance any of them assigns.
+        let mut diameter = 0;
+        for start in 0..n {
+            let mut dist = vec![usize::MAX; n];
+            dist[start] = 0;
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(v) = queue.pop_front() {
+                diameter = diameter.max(dist[v]);
+                for &w in &adj[v] {
+                    if dist[w] == usize::MAX {
+                        dist[w] = dist[v] + 1;
+                        queue.push_back(w);
+                    }
+                }
+            }
+        }
+
         let optional_edges = self
             .edges
             .iter()
@@ -424,6 +418,7 @@ impl TemplateBuilder {
             range_literals: self.range_literals,
             optional_edges,
             output,
+            diameter,
         })
     }
 }
