@@ -4,7 +4,7 @@ use crate::archive::{ArchiveObserver, EpsParetoArchive, UpdateOutcome};
 use crate::cancel::CancelToken;
 use crate::evaluator::EvalResult;
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, NodeId};
-use fairsqg_matcher::{BudgetExceeded, MatchBudget, MatchPlan, MatcherStats};
+use fairsqg_matcher::{BudgetExceeded, MatchBudget, MatcherStats};
 use fairsqg_measures::{DiversityConfig, DiversityMeasure, DiversityProfile};
 use fairsqg_query::Instantiation;
 use fairsqg_query::{QueryTemplate, RefinementDomains};
@@ -47,12 +47,15 @@ pub struct Configuration<'a> {
     /// cap recorded in [`GenStats::budget_tripped`] — graceful degradation
     /// instead of OOM/livelock on adversarial templates.
     pub budget: MatchBudget,
-    /// Run on the un-optimized reference path: candidate sets by full
-    /// label-population scan (no value index, no bitsets) and diversity
-    /// by the walk over all pairs
-    /// ([`DiversityMeasure::score_pairwise`]). Results are bit-identical
-    /// to the default path; only the cost differs. Used for A/B speedup
-    /// measurements in the bench harness.
+    /// Run on the reference path — the oracle the differential tests
+    /// hold the default path to, set by nothing outside tests: candidate
+    /// sets by full label-population scan with no cross-call memo, no
+    /// membership bitsets and no re-plan
+    /// ([`MatchOptions::use_index`](fairsqg_matcher::MatchOptions::use_index)
+    /// off), diversity by the walk over all pairs
+    /// ([`DiversityMeasure::score_pairwise`]), and no ancestor pool in
+    /// `quick_infeasible`. Results are bit-identical to the default path;
+    /// only the cost differs.
     pub reference_path: bool,
     /// Optional pre-built [`DiversityProfile`] of this graph and the
     /// template's output label — the service's warm-state layer pools one
@@ -60,20 +63,6 @@ pub struct Configuration<'a> {
     /// it instead of deriving their own; a profile is immutable, so
     /// results are bit-identical with or without one.
     pub shared_diversity: Option<&'a Arc<DiversityProfile>>,
-    /// Optional pre-planned matching order (see
-    /// [`fairsqg_matcher::plan_matching_order`]), typically the service's
-    /// per-`(template, graph epoch)` warm-pool plan. When unset, each
-    /// evaluator plans once from the root instantiation. A plan never
-    /// changes results — the matcher re-validates it per instance and
-    /// falls back to its in-call greedy order when it doesn't apply.
-    pub match_plan: Option<&'a Arc<MatchPlan>>,
-    /// Run the matcher's cost-based ordering, semi-join candidate
-    /// pruning, and adaptive re-planning (default `true`). `false` keeps
-    /// the indexed candidate path but the pre-optimizer fixed greedy
-    /// order — the `order` benchmark's baseline. Results are
-    /// bit-identical either way; the reference path ignores this flag
-    /// (it always runs un-optimized).
-    pub match_optimizer: bool,
     /// Optional in-run archive-mutation observer. When set, the anytime
     /// loops offer instances via [`offer`](Self::offer), which reports each
     /// accepted update's exact added/removed entries — the service layer's
@@ -122,8 +111,6 @@ impl<'a> Configuration<'a> {
             budget: MatchBudget::UNLIMITED,
             reference_path: false,
             shared_diversity: None,
-            match_plan: None,
-            match_optimizer: true,
             progress: None,
         }
     }
@@ -196,27 +183,6 @@ impl<'a> Configuration<'a> {
         } else {
             measure.score(matches)
         }
-    }
-
-    /// Attaches a pre-planned matching order (see
-    /// [`match_plan`](Self::match_plan)).
-    pub fn with_match_plan(mut self, plan: &'a Arc<MatchPlan>) -> Self {
-        self.match_plan = Some(plan);
-        self
-    }
-
-    /// Enables or disables the matcher's cost-based optimizer (see
-    /// [`match_optimizer`](Self::match_optimizer)).
-    pub fn with_match_optimizer(mut self, enabled: bool) -> Self {
-        self.match_optimizer = enabled;
-        self
-    }
-
-    /// Whether verifications should run the matcher's cost-based
-    /// optimizer: on by default, off on the reference path and when
-    /// explicitly disabled for A/B baselines.
-    pub fn matcher_optimized(&self) -> bool {
-        self.match_optimizer && !self.reference_path
     }
 
     /// Attaches an in-run archive observer (see
@@ -305,14 +271,11 @@ pub struct GenStats {
     pub distance_cache_hits: u64,
     /// Always 0 (see [`distance_cache_hits`](Self::distance_cache_hits)).
     pub distance_cache_misses: u64,
-    /// Cost-based matching orders planned from index cardinality
-    /// estimates (amortized by the service's warm plan pool).
-    pub order_planned: u64,
     /// Adaptive mid-enumeration suffix re-plans.
     pub order_replans: u64,
-    /// Summed estimated candidate cardinalities over planned orders.
-    pub est_candidates: u64,
-    /// Candidates removed by semi-join pruning before backtracking.
+    /// Always 0: the matcher no longer prunes root candidates ahead of
+    /// the search. Kept only because `perf/` reads it; it goes with the
+    /// `matcher.pruned_candidates` metric in the next `benchmark` PR.
     pub pruned_candidates: u64,
     /// Candidate sets served from the matcher's cross-call memo instead
     /// of being recomputed.
@@ -327,10 +290,7 @@ impl GenStats {
         self.scan_fallbacks += matcher.scan_fallbacks;
         self.pool_restrictions += matcher.pool_restrictions;
         self.shard_skips += matcher.shard_skips;
-        self.order_planned += matcher.order_planned;
         self.order_replans += matcher.order_replans;
-        self.est_candidates += matcher.est_candidates;
-        self.pruned_candidates += matcher.pruned_candidates;
         self.cand_memo_hits += matcher.cand_memo_hits;
     }
 }

@@ -3,14 +3,12 @@
 use crate::config::{Configuration, GenStats};
 use fairsqg_graph::NodeId;
 use fairsqg_matcher::{
-    plan_matching_order, try_match_output_set_with, BudgetExceeded, MatchOptions, MatchPlan,
-    MatchScratch, MatcherStats,
+    try_match_output_set_with, BudgetExceeded, MatchOptions, MatchScratch, MatcherStats,
 };
 use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives};
 use fairsqg_query::{ConcreteQuery, Instantiation};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// The verified state of one query instance.
 #[derive(Debug, Clone)]
@@ -41,11 +39,6 @@ pub struct Evaluator<'a> {
     /// The thread's matcher counters at construction time; the delta
     /// since then is what this evaluator's run contributed.
     matcher_baseline: MatcherStats,
-    /// The cost-based matching order for this template shape, built once
-    /// per evaluator when the configuration did not bring a (warm-pool)
-    /// plan of its own. `None` on the reference path / with the
-    /// optimizer disabled.
-    plan: Option<Arc<MatchPlan>>,
     /// Reusable matcher working memory: one evaluator issues thousands of
     /// verify calls over the same template shape, so candidate vectors,
     /// membership bitsets, and the assignment buffer are allocated once
@@ -57,19 +50,7 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator for a configuration.
     pub fn new(cfg: Configuration<'a>) -> Self {
         let measure = cfg.diversity_measure();
-        // Baseline first, then plan: the planning work (order_planned,
-        // est_candidates) is attributed to this evaluator's delta.
         let matcher_baseline = fairsqg_matcher::matcher_stats();
-        let plan = if cfg.matcher_optimized() && cfg.match_plan.is_none() {
-            let root = ConcreteQuery::materialize(
-                cfg.template,
-                cfg.domains,
-                &Instantiation::root(cfg.domains),
-            );
-            Some(Arc::new(plan_matching_order(cfg.graph, &root)))
-        } else {
-            None
-        };
         Self {
             cfg,
             measure,
@@ -78,7 +59,6 @@ impl<'a> Evaluator<'a> {
             cache_hits: 0,
             budget_tripped: None,
             matcher_baseline,
-            plan,
             scratch: MatchScratch::default(),
         }
     }
@@ -147,12 +127,7 @@ impl<'a> Evaluator<'a> {
             MatchOptions {
                 restrict_output: restriction,
                 use_index: !self.cfg.reference_path,
-                optimize: self.cfg.matcher_optimized(),
-                plan: self
-                    .cfg
-                    .match_plan
-                    .map(|p| p.as_ref())
-                    .or(self.plan.as_deref()),
+                plan: None,
                 stop: self.cfg.hard_stop_flag(),
             },
             &self.cfg.budget,

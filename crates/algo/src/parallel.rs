@@ -19,14 +19,12 @@ use crate::config::{Configuration, GenStats};
 use crate::evaluator::EvalResult;
 use crate::output::Generated;
 use fairsqg_matcher::{
-    plan_matching_order, take_stats, try_match_output_set_with, BudgetExceeded, MatchOptions,
-    MatchScratch, MatcherStats,
+    take_stats, try_match_output_set_with, BudgetExceeded, MatchOptions, MatchScratch, MatcherStats,
 };
 use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives};
 use fairsqg_query::{ConcreteQuery, InstanceLattice, Instantiation};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Instances a worker claims per cursor bump — enough to amortize the
@@ -66,8 +64,7 @@ fn verify_standalone(
         MatchOptions {
             restrict_output: cfg.output_restriction,
             use_index: !cfg.reference_path,
-            optimize: cfg.matcher_optimized(),
-            plan: cfg.match_plan.map(|p| p.as_ref()),
+            plan: None,
             stop: cfg.hard_stop_flag(),
         },
         &cfg.budget,
@@ -116,27 +113,6 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
     let lat = InstanceLattice::new(cfg.domains);
     let all = lat.enumerate();
     let total = all.len();
-
-    // One cost-based matching plan for the whole pool (workers only read
-    // it): planned here when the caller did not bring a warm-pool plan,
-    // with the planning counters captured on this thread (workers reset
-    // their own thread-locals).
-    let plan_baseline = fairsqg_matcher::matcher_stats();
-    let local_plan = if cfg.matcher_optimized() && cfg.match_plan.is_none() {
-        let root = ConcreteQuery::materialize(
-            cfg.template,
-            cfg.domains,
-            &Instantiation::root(cfg.domains),
-        );
-        Some(Arc::new(plan_matching_order(cfg.graph, &root)))
-    } else {
-        None
-    };
-    let plan_delta = fairsqg_matcher::matcher_stats().delta_since(plan_baseline);
-    let cfg = match &local_plan {
-        Some(p) => cfg.with_match_plan(p),
-        None => cfg,
-    };
 
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -193,7 +169,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
     });
 
     let mut budget_tripped = None;
-    let mut matcher = plan_delta;
+    let mut matcher = MatcherStats::default();
     let mut results: Vec<(usize, EvalResult)> = Vec::with_capacity(total);
     for (shard, tripped, worker_matcher) in shards {
         budget_tripped = budget_tripped.or(tripped);
@@ -312,15 +288,20 @@ mod tests {
     }
 
     /// The archive fingerprint — instances, bit-level objectives, and
-    /// match sets — is invariant across worker counts, with the matching
-    /// optimizer both on and off. Regression guard for the cost-based
-    /// ordering: a plan shared across workers (or an adaptive re-plan
-    /// firing on one shard but not another) must never leak into results.
+    /// match sets — is invariant across worker counts, on the default
+    /// and the reference path. Regression guard for the per-worker
+    /// matcher state: a memo or an adaptive re-plan firing on one shard
+    /// but not another must never leak into results.
     #[test]
     fn archive_fingerprint_invariant_across_thread_counts() {
         let fx = talent_fixture();
-        for optimize in [true, false] {
-            let cfg = fx.configuration(0.3).with_match_optimizer(optimize);
+        for reference in [false, true] {
+            let cfg = fx.configuration(0.3);
+            let cfg = if reference {
+                cfg.with_reference_path()
+            } else {
+                cfg
+            };
             let fingerprint = |out: &Generated| -> Vec<_> {
                 out.entries
                     .iter()
@@ -342,7 +323,7 @@ mod tests {
                 assert_eq!(
                     base,
                     fingerprint(&out),
-                    "archive diverged at {workers} workers (optimize={optimize})"
+                    "archive diverged at {workers} workers (reference={reference})"
                 );
             }
         }

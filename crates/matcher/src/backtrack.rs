@@ -4,23 +4,26 @@
 //! For each candidate `v` of the output node the engine decides whether at
 //! least one injective, label/edge/literal-preserving embedding of the
 //! query maps `u_o` to `v` (existence semantics — exactly what the match
-//! set `q(G)` requires). On the optimized path the search runs a cached
-//! cost-based matching order ([`MatchPlan`]) when one applies, prunes the
-//! candidate space with one-hop semi-joins before backtracking, and
-//! re-plans the order suffix mid-enumeration when per-position failure
-//! counts show the static order misjudged selectivity. With
-//! [`MatchOptions::optimize`] off it falls back to the fixed greedy
-//! connected order (smallest actual candidate set first) with no pruning
-//! — the A/B baseline. Either way each extension is driven through the
-//! adjacency list of an already-matched neighbor, and results are
-//! bit-identical: the output node is always position 0, so no ordering or
-//! (sound) pruning decision can change which root candidates extend.
+//! set `q(G)` requires). One search path, each stage kept for a measured
+//! reason (the ablation is in `docs/performance.md` §8): candidate sets
+//! (cross-call memo → value index → degree filter), the in-call greedy
+//! connected order (smallest actual candidate set first, ties to the
+//! higher query degree), memoised membership bitsets, and a per-root
+//! existence search that re-plans the order suffix when per-position
+//! failure counts show the order misjudged selectivity. Each extension is
+//! driven through the adjacency list of an already-matched neighbor.
+//!
+//! [`MatchOptions::use_index`] is the only behavioural switch. Off, it is
+//! the reference path the differential tests compare against: candidates
+//! by scan, no memo, no bitsets, no re-plan. Results are bit-identical
+//! either way: the output node is always position 0, so no ordering
+//! decision can change which root candidates extend.
 
 use crate::budget::{BudgetExceeded, BudgetKind, MatchBudget};
 use crate::candidates::{candidates_from_pool_into, candidates_into, candidates_scan_into};
 use crate::plan::MatchPlan;
 use crate::stats;
-use fairsqg_graph::{gallop_intersect, EdgeLabelId, Graph, NodeBitset, NodeId};
+use fairsqg_graph::{EdgeLabelId, Graph, NodeBitset, NodeId};
 use fairsqg_query::{ConcreteQuery, QNodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -31,22 +34,19 @@ pub struct MatchOptions<'a> {
     /// `incVerify`: a refined instance's match set is contained in its
     /// parent's (Lemma 2 (2)), so only the parent's matches are re-checked.
     pub restrict_output: Option<&'a [NodeId]>,
-    /// Compute candidate sets through the graph's sorted value index
-    /// (default). Disable to force the naive label-population scan — the
-    /// reference path used for A/B benchmarking.
+    /// Compute candidate sets through the graph's sorted value index,
+    /// memoise them across calls, probe membership through dense bitsets
+    /// and re-plan a failing order (default). Disable for the reference
+    /// path — label-population scan, no memo, no bitsets, no re-plan —
+    /// the oracle the differential tests hold the default path to.
+    /// Results are bit-identical either way.
     pub use_index: bool,
-    /// Run the cost-based order / semi-join pruning / adaptive re-plan
-    /// machinery (default). Disable to reproduce the fixed greedy
-    /// connected order with no pruning — the pre-optimizer baseline the
-    /// `order` benchmark measures against. Results are bit-identical
-    /// either way.
-    pub optimize: bool,
     /// A pre-planned matching order (see
-    /// [`plan_matching_order`](crate::plan_matching_order)), typically
-    /// cached per `(template, graph epoch)` by the caller. Used only when
-    /// [`optimize`](Self::optimize) is set and the plan
-    /// [applies to](MatchPlan::applies_to) the concrete instance;
-    /// otherwise the in-call greedy order runs. `None` = always greedy.
+    /// [`plan_matching_order`](crate::plan_matching_order)), used whenever
+    /// it [applies to](MatchPlan::applies_to) the concrete instance;
+    /// otherwise, and with `None`, the in-call greedy order runs. No
+    /// production caller sets it: it stays only because `perf/`'s replay
+    /// passes one, and goes with that use in the next `benchmark` PR.
     pub plan: Option<&'a MatchPlan>,
     /// External hard-stop flag, polled every [`STOP_POLL_STEPS`] extension
     /// steps *inside* the backtracking search. When it reads `true` the
@@ -62,7 +62,6 @@ impl Default for MatchOptions<'_> {
         Self {
             restrict_output: None,
             use_index: true,
-            optimize: true,
             plan: None,
             stop: None,
         }
@@ -74,31 +73,11 @@ impl Default for MatchOptions<'_> {
 /// microseconds, large enough that the atomic load is free in the noise.
 pub const STOP_POLL_STEPS: u64 = 1024;
 
-/// Candidate sets at or below this size skip semi-join pruning: the
-/// backtracker disposes of a handful of candidates faster than any
-/// neighbor-image construction could.
-const PRUNE_MIN_CANDIDATES: usize = 16;
-
-/// A semi-join builds the neighbor image of the *source* side; it is
-/// skipped when the source's total relevant adjacency exceeds
-/// `PRUNE_COST_FACTOR * |target| + PRUNE_COST_SLACK` — past that, the
-/// image costs more than the backtracking it could save.
-const PRUNE_COST_FACTOR: usize = 2;
-const PRUNE_COST_SLACK: usize = 64;
-
 /// Memoized candidate sets kept per template node across verify calls.
 /// Range variables take at most a handful of distinct values per node
 /// (`max_values_per_range_var` caps the domain), so a small cap captures
 /// effectively every binding while bounding scratch memory.
 const CAND_MEMO_CAP: usize = 32;
-
-/// A cached plan is used only while every node's actual candidate count
-/// stays within this factor (plus [`PLAN_DRIFT_SLACK`]) of the plan-time
-/// estimate. Refinement binds literals the plan never saw; once
-/// selectivities drift past this band the in-call greedy order — which
-/// sees the real sizes — is the better-informed choice.
-const PLAN_DRIFT_FACTOR: u64 = 2;
-const PLAN_DRIFT_SLACK: u64 = 16;
 
 /// Total extension failures (across positions, since the last plan) that
 /// arm an adaptive suffix re-plan at the next root-candidate boundary.
@@ -153,9 +132,7 @@ pub struct MatchScratch {
     /// Extension failures per order position since the last (re-)plan —
     /// the adaptive reordering signal.
     fails: Vec<u64>,
-    /// Semi-join neighbor-image buffer.
-    image: Vec<NodeId>,
-    /// Candidate-set memo across verify calls (optimized path only):
+    /// Candidate-set memo across verify calls (indexed path only):
     /// per template node, the degree-filtered candidate sets
     /// keyed by the node's label and bound literals. Sound because a
     /// candidate set depends on nothing else; under Lemma-2 refinement
@@ -222,7 +199,6 @@ pub fn try_match_output_set_with(
         in_order,
         assignment,
         fails,
-        image,
         memo,
         memo_graph,
     } = scratch;
@@ -262,7 +238,7 @@ pub fn try_match_output_set_with(
         let node = &query.nodes[u.index()];
         // The memo only covers unrestricted sets: the output node under a
         // `restrict_output` pool sees a different pool per call.
-        let memoable = opts.optimize && (u != query.output || opts.restrict_output.is_none());
+        let memoable = opts.use_index && (u != query.output || opts.restrict_output.is_none());
         let (out_req, in_req) = degree_req(u);
         let hit = if memoable {
             memo.get(u.index()).and_then(|entries| {
@@ -342,60 +318,15 @@ pub fn try_match_output_set_with(
         return Ok(matches);
     }
 
-    // One-hop semi-join pruning of the root set (optimized path): the
-    // output node's candidates are intersected with the neighbor image of
-    // each constrained peer's candidate set — every root candidate
-    // removed here skips a whole existence search. Sound — in any
-    // embedding the root's image must have the template edge to its
-    // peer's image, which lies in the peer's candidate set — so pruning
-    // never removes a true match. Peer membership bitsets cached in the
-    // memo make the probe-side kernel O(1) per adjacency entry.
-    if opts.optimize {
-        let probe_bits: Vec<Option<&NodeBitset>> = (0..active.len())
-            .map(|s| memo_src[s].and_then(|(ui, ei)| memo[ui][ei].bits.as_ref()))
-            .collect();
-        if !prune_root(
-            graph,
-            query,
-            &active,
-            cand,
-            &probe_bits,
-            image,
-            &mut steps,
-            budget,
-            opts.stop,
-        )? {
-            return Ok(Vec::new());
-        }
-    }
-
     let slot_of = |u: QNodeId| -> usize { active.iter().position(|&a| a == u).unwrap() };
 
-    // Matching order: a cached cost-based plan when one applies, else the
-    // greedy connected order by smallest (now pruned) candidate set —
-    // with a query-degree tiebreak on the optimized path only, so the
-    // un-optimized baseline stays byte-for-byte the old behavior.
+    // Matching order: a caller's plan when it applies, else the greedy
+    // connected order by smallest candidate set, ties to the higher query
+    // degree (more constraints bind earlier).
     order.clear();
     in_order.clear();
     in_order.resize(active.len(), false);
-    // A plan is trusted only while the actual candidate sizes stay within
-    // [`PLAN_DRIFT_FACTOR`] of its estimates: refinement binds literals
-    // the plan never saw, and once selectivities drift the in-call greedy
-    // order (which sees the real sizes) is the better-informed choice.
-    let drifted = |p: &&MatchPlan| -> bool {
-        p.order().iter().zip(p.estimates()).any(|(&u, &est)| {
-            let actual = cand[slot_of(u)].len() as u64;
-            actual * PLAN_DRIFT_FACTOR + PLAN_DRIFT_SLACK < est
-                || est * PLAN_DRIFT_FACTOR + PLAN_DRIFT_SLACK < actual
-        })
-    };
-    let planned = if opts.optimize {
-        opts.plan
-            .filter(|p| p.applies_to(query, &active) && !drifted(p))
-    } else {
-        None
-    };
-    if let Some(plan) = planned {
+    if let Some(plan) = opts.plan.filter(|p| p.applies_to(query, &active)) {
         for &u in plan.order() {
             let slot = slot_of(u);
             order.push(slot);
@@ -429,17 +360,10 @@ pub fn try_match_output_set_with(
                 let size = cand[slot].len();
                 let better = match best {
                     None => true,
-                    Some((_, bs, bd)) => {
-                        if opts.optimize {
-                            size < bs || (size == bs && qdeg(u) > bd)
-                        } else {
-                            size < bs
-                        }
-                    }
+                    Some((_, bs, bd)) => size < bs || (size == bs && qdeg(u) > bd),
                 };
                 if better {
-                    let dg = if opts.optimize { qdeg(u) } else { 0 };
-                    best = Some((slot, size, dg));
+                    best = Some((slot, size, qdeg(u)));
                 }
             }
             let (slot, _, _) = best.expect("active component is connected");
@@ -456,11 +380,10 @@ pub fn try_match_output_set_with(
     // word allocations across calls.
     let root_slot = order[0];
     // Membership source per large slot: the memo entry's cached bitset
-    // when the slot's set came from the memo and survived pruning
-    // untouched (equal length ⟹ identical set, pruning only removes), a
-    // per-call scratch bitset otherwise. Memoized bitsets are built
-    // lazily on the first call that needs one, then reused — the last
-    // per-call construction cost the memo can amortize.
+    // when the slot's set lives in the memo, a per-call scratch bitset
+    // otherwise. Memoized bitsets are built lazily on the first call that
+    // needs one, then reused — the last per-call construction cost the
+    // memo can amortize.
     #[derive(Clone, Copy)]
     enum BitsSrc {
         Memo(usize, usize),
@@ -474,17 +397,11 @@ pub fn try_match_output_set_with(
             continue;
         }
         if let Some((ui, ei)) = memo_src[slot] {
-            let e = &mut memo[ui][ei];
-            if e.cand.len() == c.len() {
-                if e.bits.is_none() {
-                    e.bits = Some(NodeBitset::from_nodes(
-                        graph.node_count(),
-                        c.iter().copied(),
-                    ));
-                }
-                bits_of_slot[slot] = BitsSrc::Memo(ui, ei);
-                continue;
-            }
+            memo[ui][ei].bits.get_or_insert_with(|| {
+                NodeBitset::from_nodes(graph.node_count(), c.iter().copied())
+            });
+            bits_of_slot[slot] = BitsSrc::Memo(ui, ei);
+            continue;
         }
         if bits_used == bitsets.len() {
             bitsets.push(NodeBitset::new(0));
@@ -533,7 +450,7 @@ pub fn try_match_output_set_with(
         // only a pathological order fails tens of times per root —
         // re-planning on absolute counts thrashes dense workloads where
         // nearly every root succeeds.
-        if opts.optimize && replans_attempted < MAX_REPLANS && order.len() > 2 {
+        if opts.use_index && replans_attempted < MAX_REPLANS && order.len() > 2 {
             let total: u64 = fails.iter().sum();
             if total >= REPLAN_FAIL_THRESHOLD && total >= REPLAN_FAILS_PER_ROOT * roots_since_plan {
                 replans_attempted += 1;
@@ -599,7 +516,7 @@ impl Membership<'_> {
 
 /// Adds `amount` to the step counter, tripping [`BudgetKind::Steps`] past
 /// the cap. Charged for backtracking extensions *and* candidate
-/// construction / pruning work, so preprocessing is bounded too.
+/// construction, so preprocessing is bounded too.
 #[inline]
 fn charge_steps(steps: &mut u64, amount: u64, budget: &MatchBudget) -> Result<(), BudgetExceeded> {
     *steps += amount;
@@ -662,152 +579,6 @@ fn build_constraints(
         }
         debug_assert!(pos == 0 || !cons.is_empty());
     }
-}
-
-/// One-hop semi-join pass shrinking the **root** (output) candidate set:
-/// for every template edge incident to the output node, root candidates
-/// without a supporting labeled neighbor in the peer's candidate set are
-/// dropped. Only the root set is worth shrinking — the backtracker
-/// iterates root candidates outermost, so every candidate removed here
-/// skips a whole existence search, while non-root sets act purely as
-/// O(1) membership filters during adjacency-driven extension.
-///
-/// Two kernels, chosen per edge by cost: a small peer set is expanded
-/// into its sorted labeled neighbor image and gallop-intersected with the
-/// root set ([`semi_join`]); a large peer set is instead probed per root
-/// candidate through the root's own adjacency, using the peer's memoized
-/// membership bitset when one exists (O(1) per adjacency entry, binary
-/// search otherwise). Tiny root sets skip pruning entirely — the
-/// backtracker disposes of a handful of candidates faster than any set
-/// algebra. Returns `Ok(false)` when the root set empties (no embedding
-/// can exist). All adjacency entries visited are charged against the
-/// step budget.
-#[allow(clippy::too_many_arguments)]
-fn prune_root(
-    graph: &Graph,
-    query: &ConcreteQuery,
-    active: &[QNodeId],
-    cand: &mut [Vec<NodeId>],
-    probe_bits: &[Option<&NodeBitset>],
-    image: &mut Vec<NodeId>,
-    steps: &mut u64,
-    budget: &MatchBudget,
-    stop: Option<&AtomicBool>,
-) -> Result<bool, BudgetExceeded> {
-    let slot_of = |u: QNodeId| -> usize { active.iter().position(|&a| a == u).unwrap() };
-    let root = slot_of(query.output);
-    for &(s, d, l) in &query.edges {
-        if cand[root].len() <= PRUNE_MIN_CANDIDATES {
-            return Ok(true);
-        }
-        check_stop(stop)?;
-        let (ss, ds) = (slot_of(s), slot_of(d));
-        if ss == ds || (ss != root && ds != root) {
-            continue;
-        }
-        // From the root's point of view: does the edge leave the root?
-        let (peer, root_outgoing) = if ss == root { (ds, true) } else { (ss, false) };
-        if cand[peer].len() * PRUNE_COST_FACTOR <= cand[root].len() {
-            // Small peer: build its labeled neighbor image and
-            // gallop-intersect with the root set. The image follows the
-            // edge towards the root, so the peer is the semi-join source.
-            if !semi_join(
-                graph,
-                cand,
-                peer,
-                root,
-                l,
-                !root_outgoing,
-                image,
-                steps,
-                budget,
-            )? {
-                return Ok(false);
-            }
-        } else {
-            // Large peer: probe each root candidate's own adjacency for a
-            // supporting neighbor in the peer set.
-            let mut rootset = std::mem::take(&mut cand[root]);
-            let before = rootset.len();
-            let mut visited = 0u64;
-            {
-                let peer_set = cand[peer].as_slice();
-                let bits = probe_bits[peer];
-                rootset.retain(|&v| {
-                    let neighbors = if root_outgoing {
-                        graph.out_neighbors(v)
-                    } else {
-                        graph.in_neighbors(v)
-                    };
-                    visited += neighbors.len() as u64;
-                    neighbors.iter().any(|a| {
-                        a.label() == l
-                            && match bits {
-                                Some(b) => b.contains(a.to()),
-                                None => peer_set.binary_search(&a.to()).is_ok(),
-                            }
-                    })
-                });
-            }
-            stats::count_pruned_candidates((before - rootset.len()) as u64);
-            cand[root] = rootset;
-            charge_steps(steps, visited, budget)?;
-            if cand[root].is_empty() {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
-}
-
-/// Intersects `cand[tgt]` with the image of `cand[src]` through its
-/// `label`-edges (`src_outgoing` picks the direction). Returns `Ok(false)`
-/// when the target empties. Skips itself (leaving the target untouched —
-/// always sound) when the target is tiny or the image too expensive.
-#[allow(clippy::too_many_arguments)]
-fn semi_join(
-    graph: &Graph,
-    cand: &mut [Vec<NodeId>],
-    src: usize,
-    tgt: usize,
-    label: EdgeLabelId,
-    src_outgoing: bool,
-    image: &mut Vec<NodeId>,
-    steps: &mut u64,
-    budget: &MatchBudget,
-) -> Result<bool, BudgetExceeded> {
-    let target_len = cand[tgt].len();
-    if target_len <= PRUNE_MIN_CANDIDATES {
-        return Ok(true);
-    }
-    let cost_cap = PRUNE_COST_FACTOR * target_len + PRUNE_COST_SLACK;
-    image.clear();
-    let mut visited = 0usize;
-    for &x in &cand[src] {
-        let neighbors = if src_outgoing {
-            graph.out_neighbors(x)
-        } else {
-            graph.in_neighbors(x)
-        };
-        visited += neighbors.len();
-        if visited > cost_cap {
-            charge_steps(steps, visited as u64, budget)?;
-            return Ok(true);
-        }
-        for a in neighbors {
-            if a.label() == label {
-                image.push(a.to());
-            }
-        }
-    }
-    charge_steps(steps, visited as u64, budget)?;
-    image.sort_unstable();
-    image.dedup();
-    let kept = gallop_intersect(&cand[tgt], image);
-    let removed = target_len - kept.len();
-    stats::count_pruned_candidates(removed as u64);
-    cand[tgt] = kept;
-    Ok(!cand[tgt].is_empty())
 }
 
 /// Re-plans the order suffix (positions `1..`) greedily by descending

@@ -15,10 +15,10 @@ pub struct MatchBudget {
     /// Maximum size of any per-query-node candidate set.
     pub max_candidates: Option<u64>,
     /// Maximum units of matching work: backtracking extension steps
-    /// (candidate nodes tried) plus candidate-set construction and
-    /// semi-join pruning (one unit per candidate built or adjacency
-    /// entry visited), so a query whose cost is dominated by giant
-    /// candidate spaces trips the cap even before enumeration starts.
+    /// (candidate nodes tried) plus candidate-set construction (one
+    /// unit per candidate kept), so a query whose cost is dominated by
+    /// giant candidate spaces trips the cap even before enumeration
+    /// starts.
     pub max_steps: Option<u64>,
     /// Maximum output matches emitted.
     pub max_matches: Option<u64>,

@@ -5,13 +5,14 @@
 //! "Matches"), with support for incremental re-verification of refined
 //! instances (`incVerify`, Section IV).
 //!
-//! The engine uses candidate filtering (label index + literal predicates),
-//! one-hop semi-join pruning of the candidate space, and connected
-//! backtracking with adjacency-driven extension under a cost-based
-//! matching order ([`plan_matching_order`]) that adapts mid-enumeration
-//! when failure counts show it misjudged selectivity. A brute-force
-//! reference implementation ([`match_output_set_bruteforce`]) validates
-//! it in tests.
+//! The engine uses candidate filtering (label index + literal predicates,
+//! memoised across calls) and connected backtracking with
+//! adjacency-driven extension under a greedy smallest-candidate-set-first
+//! matching order that adapts mid-enumeration when failure counts show it
+//! misjudged selectivity. [`MatchOptions::use_index`]` = false` is the
+//! reference path (scan, no memo, no bitsets, no re-plan), and a
+//! brute-force implementation ([`match_output_set_bruteforce`]) validates
+//! both in tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

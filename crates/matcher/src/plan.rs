@@ -1,17 +1,22 @@
-//! Cost-based matching-order planning from index cardinalities.
+//! Matching-order planning from index cardinalities, ahead of the call.
 //!
-//! The backtracking engine's order used to be chosen greedily from the
-//! *actual* candidate-set sizes computed per verify call. That is a good
-//! order, but it is recomputed on every call and knows nothing until the
-//! candidate sets exist. A [`MatchPlan`] is built **once per template
-//! shape** from the per-`(label, attribute)` postings the graph already
-//! maintains: each range literal's selectivity is two binary searches
+//! **No production caller.** The matcher orders every verification by the
+//! in-call greedy rule over the *actual* candidate-set sizes
+//! (`backtrack.rs`); a plan cached per template was used on 1 of 162
+//! verifications of a `gen-match` sweep and earned nothing anywhere (the
+//! ablation is in `docs/performance.md` §8), so the evaluator, the parallel
+//! driver and the service's warm pool stopped building one.
+//! [`plan_matching_order`], [`MatchPlan`] and
+//! [`MatchOptions::plan`](crate::MatchOptions::plan) remain, property-tested,
+//! only because `perf/src/replay.rs` compiles against them; they go in the
+//! next `benchmark` PR.
+//!
+//! A [`MatchPlan`] is built from the per-`(label, attribute)` postings: each
+//! range literal's selectivity is two binary searches
 //! (`Postings::range_count`), a node's estimate is the minimum over its
 //! literals (capped by its label population), and the order is the
 //! connectivity-constrained smallest-estimate-first sequence with a
-//! query-degree tiebreak (higher degree first — more constraints bind
-//! earlier). The service's warm-state layer caches the plan per
-//! `(template, graph epoch)`, so repeat jobs skip planning entirely.
+//! query-degree tiebreak.
 //!
 //! A plan never changes *results*: the output node is always position 0
 //! and the match set is exactly the set of root candidates that extend to
@@ -22,30 +27,22 @@
 //! plan for some instances — those fall back to the in-call greedy
 //! order).
 
-use crate::stats;
 use fairsqg_graph::Graph;
 use fairsqg_query::{ConcreteQuery, QNodeId};
 
-/// A cost-based matching order for one template shape: the output node
-/// first, then the remaining active nodes smallest-estimated-candidates
-/// first under the connectivity constraint.
+/// A matching order for one template shape: the output node first, then
+/// the remaining active nodes smallest-estimated-candidates first under
+/// the connectivity constraint.
 #[derive(Debug, Clone)]
 pub struct MatchPlan {
     /// Active query nodes in matching order (`order[0]` is the output).
     order: Vec<QNodeId>,
-    /// Estimated candidate cardinality per order position.
-    estimates: Vec<u64>,
 }
 
 impl MatchPlan {
     /// The planned matching order (`order()[0]` is the output node).
     pub fn order(&self) -> &[QNodeId] {
         &self.order
-    }
-
-    /// Estimated candidate cardinalities, parallel to [`order`](Self::order).
-    pub fn estimates(&self) -> &[u64] {
-        &self.estimates
     }
 
     /// Whether this plan is valid for `query`'s active component: same
@@ -75,8 +72,7 @@ impl MatchPlan {
 
 /// Plans a matching order for `query`'s active component from index
 /// cardinality estimates. Deterministic: ties break by higher query
-/// degree, then lower query-node id. Counts one `order_planned` and the
-/// summed `est_candidates` into the thread-local matcher stats.
+/// degree, then lower query-node id.
 pub fn plan_matching_order(graph: &Graph, query: &ConcreteQuery) -> MatchPlan {
     let active: Vec<QNodeId> = query.active_nodes().collect();
     debug_assert!(active.contains(&query.output));
@@ -93,14 +89,12 @@ pub fn plan_matching_order(graph: &Graph, query: &ConcreteQuery) -> MatchPlan {
     };
 
     let mut order = Vec::with_capacity(active.len());
-    let mut estimates = Vec::with_capacity(active.len());
     let mut used = vec![false; active.len()];
     let out_slot = active
         .iter()
         .position(|&u| u == query.output)
         .expect("output node is active");
     order.push(active[out_slot]);
-    estimates.push(est[out_slot]);
     used[out_slot] = true;
     while order.len() < active.len() {
         let mut best: Option<(usize, u64, usize)> = None; // (slot, est, degree)
@@ -124,14 +118,11 @@ pub fn plan_matching_order(graph: &Graph, query: &ConcreteQuery) -> MatchPlan {
                 best = Some((slot, e, dg));
             }
         }
-        let (slot, e, _) = best.expect("active component is connected");
+        let (slot, _, _) = best.expect("active component is connected");
         used[slot] = true;
         order.push(active[slot]);
-        estimates.push(e);
     }
-    stats::count_order_planned();
-    stats::count_est_candidates(estimates.iter().sum());
-    MatchPlan { order, estimates }
+    MatchPlan { order }
 }
 
 /// Upper-bound cardinality estimate for one query node: its label

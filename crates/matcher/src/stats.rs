@@ -28,18 +28,9 @@ pub struct MatcherStats {
     /// indexed range evaluation (their `[min, max]` envelope lay entirely
     /// on one side of the literal's boundary).
     pub shard_skips: u64,
-    /// Cost-based matching orders planned from index cardinality
-    /// estimates (once per template shape, amortized by plan caching).
-    pub order_planned: u64,
     /// Mid-enumeration suffix re-plans triggered by the adaptive
     /// fail-count threshold (QuickSI/RI-style reordering).
     pub order_replans: u64,
-    /// Sum of estimated candidate cardinalities over all planned orders
-    /// (the cost model's inputs, for observing estimate magnitudes).
-    pub est_candidates: u64,
-    /// Candidates removed from per-node candidate sets by the one-hop
-    /// semi-join pruning pass before backtracking.
-    pub pruned_candidates: u64,
     /// Candidate sets served from the cross-call memo (same node label
     /// and bound literals seen before on this graph) instead of being
     /// recomputed from the index or a scan.
@@ -54,10 +45,7 @@ impl MatcherStats {
         self.scan_fallbacks += other.scan_fallbacks;
         self.pool_restrictions += other.pool_restrictions;
         self.shard_skips += other.shard_skips;
-        self.order_planned += other.order_planned;
         self.order_replans += other.order_replans;
-        self.est_candidates += other.est_candidates;
-        self.pruned_candidates += other.pruned_candidates;
         self.cand_memo_hits += other.cand_memo_hits;
     }
 
@@ -77,12 +65,7 @@ impl MatcherStats {
                 .pool_restrictions
                 .saturating_sub(baseline.pool_restrictions),
             shard_skips: self.shard_skips.saturating_sub(baseline.shard_skips),
-            order_planned: self.order_planned.saturating_sub(baseline.order_planned),
             order_replans: self.order_replans.saturating_sub(baseline.order_replans),
-            est_candidates: self.est_candidates.saturating_sub(baseline.est_candidates),
-            pruned_candidates: self
-                .pruned_candidates
-                .saturating_sub(baseline.pruned_candidates),
             cand_memo_hits: self.cand_memo_hits.saturating_sub(baseline.cand_memo_hits),
         }
     }
@@ -94,10 +77,7 @@ thread_local! {
     static SCAN_FALLBACKS: Cell<u64> = const { Cell::new(0) };
     static POOL_RESTRICTIONS: Cell<u64> = const { Cell::new(0) };
     static SHARD_SKIPS: Cell<u64> = const { Cell::new(0) };
-    static ORDER_PLANNED: Cell<u64> = const { Cell::new(0) };
     static ORDER_REPLANS: Cell<u64> = const { Cell::new(0) };
-    static EST_CANDIDATES: Cell<u64> = const { Cell::new(0) };
-    static PRUNED_CANDIDATES: Cell<u64> = const { Cell::new(0) };
     static CAND_MEMO_HITS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -129,27 +109,8 @@ pub(crate) fn count_shard_skips(n: u64) {
 }
 
 #[inline]
-pub(crate) fn count_order_planned() {
-    ORDER_PLANNED.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
 pub(crate) fn count_order_replans() {
     ORDER_REPLANS.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_est_candidates(n: u64) {
-    if n > 0 {
-        EST_CANDIDATES.with(|c| c.set(c.get() + n));
-    }
-}
-
-#[inline]
-pub(crate) fn count_pruned_candidates(n: u64) {
-    if n > 0 {
-        PRUNED_CANDIDATES.with(|c| c.set(c.get() + n));
-    }
 }
 
 #[inline]
@@ -165,10 +126,7 @@ pub fn matcher_stats() -> MatcherStats {
         scan_fallbacks: SCAN_FALLBACKS.with(Cell::get),
         pool_restrictions: POOL_RESTRICTIONS.with(Cell::get),
         shard_skips: SHARD_SKIPS.with(Cell::get),
-        order_planned: ORDER_PLANNED.with(Cell::get),
         order_replans: ORDER_REPLANS.with(Cell::get),
-        est_candidates: EST_CANDIDATES.with(Cell::get),
-        pruned_candidates: PRUNED_CANDIDATES.with(Cell::get),
         cand_memo_hits: CAND_MEMO_HITS.with(Cell::get),
     }
 }
@@ -182,10 +140,7 @@ pub fn take_stats() -> MatcherStats {
         scan_fallbacks: SCAN_FALLBACKS.with(|c| c.replace(0)),
         pool_restrictions: POOL_RESTRICTIONS.with(|c| c.replace(0)),
         shard_skips: SHARD_SKIPS.with(|c| c.replace(0)),
-        order_planned: ORDER_PLANNED.with(|c| c.replace(0)),
         order_replans: ORDER_REPLANS.with(|c| c.replace(0)),
-        est_candidates: EST_CANDIDATES.with(|c| c.replace(0)),
-        pruned_candidates: PRUNED_CANDIDATES.with(|c| c.replace(0)),
         cand_memo_hits: CAND_MEMO_HITS.with(|c| c.replace(0)),
     }
 }
@@ -216,10 +171,7 @@ mod tests {
             scan_fallbacks: 3,
             pool_restrictions: 4,
             shard_skips: 5,
-            order_planned: 6,
             order_replans: 7,
-            est_candidates: 8,
-            pruned_candidates: 9,
             cand_memo_hits: 10,
         };
         a.merge(a);
@@ -228,26 +180,16 @@ mod tests {
         assert_eq!(a.scan_fallbacks, 6);
         assert_eq!(a.pool_restrictions, 8);
         assert_eq!(a.shard_skips, 10);
-        assert_eq!(a.order_planned, 12);
         assert_eq!(a.order_replans, 14);
-        assert_eq!(a.est_candidates, 16);
-        assert_eq!(a.pruned_candidates, 18);
         assert_eq!(a.cand_memo_hits, 20);
     }
 
     #[test]
     fn ordering_counters_round_trip() {
         let _ = take_stats();
-        count_order_planned();
         count_order_replans();
-        count_est_candidates(10);
-        count_pruned_candidates(3);
-        count_pruned_candidates(0); // zero increments are dropped
         let s = take_stats();
-        assert_eq!(s.order_planned, 1);
         assert_eq!(s.order_replans, 1);
-        assert_eq!(s.est_candidates, 10);
-        assert_eq!(s.pruned_candidates, 3);
         let d = s.delta_since(MatcherStats::default());
         assert_eq!(d, s);
     }

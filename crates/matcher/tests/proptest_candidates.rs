@@ -3,13 +3,25 @@
 //! conjunctions. The indexed path (binary-searched range slices, gallop
 //! intersection, scan fallback) must return exactly the scan's node set —
 //! it is a pure performance substitution.
+//!
+//! The same holds one level up, for the backtracker: the default path
+//! (cross-call candidate memo, cached membership bitsets, adaptive
+//! re-plan) must return exactly what the reference path
+//! (`use_index: false` — none of the three) and the brute-force oracle
+//! return. The second half of this file drives those mechanisms on inputs
+//! large enough for them to fire.
 
 use fairsqg_graph::{AttrValue, CmpOp, Graph, GraphBuilder, NodeId};
 use fairsqg_matcher::{
     candidates, candidates_from_pool, candidates_scan, match_output_set,
-    match_output_set_bruteforce, plan_matching_order, satisfies_literals, MatchOptions,
+    match_output_set_bruteforce, plan_matching_order, satisfies_literals, take_stats,
+    try_match_output_set, try_match_output_set_with, BudgetKind, MatchBudget, MatchOptions,
+    MatchScratch,
 };
-use fairsqg_query::{BoundLiteral, ConcreteNode, ConcreteQuery, QNodeId};
+use fairsqg_query::{
+    BoundLiteral, ConcreteNode, ConcreteQuery, Instantiation, QNodeId, QueryTemplate,
+    RefinementDomains, TemplateBuilder,
+};
 use proptest::prelude::*;
 
 /// One random attribute: `(attr, value, as_string)`.
@@ -234,12 +246,11 @@ proptest! {
         prop_assert_eq!(from_pool, reference);
     }
 
-    /// The optimized backtracker (cost-based order + semi-join pruning),
-    /// the pre-optimizer greedy baseline, and an explicitly pre-planned
-    /// order all return exactly the brute-force match set on random
-    /// edged graphs and random connected multi-node queries. Graphs are
-    /// kept small (≤ 24 nodes, ≤ 3 query nodes) so the exponential
-    /// oracle stays tractable.
+    /// The default backtracker, the reference path and an explicitly
+    /// pre-planned order all return exactly the brute-force match set on
+    /// random edged graphs and random connected multi-node queries.
+    /// Graphs are kept small (≤ 24 nodes, ≤ 3 query nodes) so the
+    /// exponential oracle stays tractable.
     #[test]
     fn optimized_match_set_equals_bruteforce(
         raw in proptest::collection::vec(
@@ -257,13 +268,13 @@ proptest! {
         let q = multi_query_for(&g, &q_nodes, &q_edges[..q_nodes.len() - 1]);
         let oracle = match_output_set_bruteforce(&g, &q);
         let optimized = match_output_set(&g, &q, MatchOptions::default());
-        prop_assert_eq!(&optimized, &oracle, "optimized path diverged");
-        let baseline = match_output_set(
+        prop_assert_eq!(&optimized, &oracle, "default path diverged");
+        let reference = match_output_set(
             &g,
             &q,
-            MatchOptions { optimize: false, ..MatchOptions::default() },
+            MatchOptions { use_index: false, ..MatchOptions::default() },
         );
-        prop_assert_eq!(&baseline, &oracle, "greedy baseline diverged");
+        prop_assert_eq!(&reference, &oracle, "reference path diverged");
         let plan = plan_matching_order(&g, &q);
         let planned = match_output_set(
             &g,
@@ -272,4 +283,289 @@ proptest! {
         );
         prop_assert_eq!(&planned, &oracle, "pre-planned order diverged");
     }
+}
+
+/// Seeds of [`memo_chain_case`] kept as regressions (the vendored proptest
+/// does not shrink, so a seed is the reproduction). These told the two
+/// paths apart while the test was written, with the degree requirement
+/// deliberately dropped from the memo key: a set filtered for the optional
+/// edge served the instance without it (about one seed in six sees that;
+/// a missing `Graph::uid` guard is seen by every seed).
+const MEMO_CHAIN_REGRESSION_SEEDS: &[u64] = &[6, 7, 11, 29, 31, 32];
+
+fn pick(rng: &mut TestRng, n: usize) -> usize {
+    rng.below(n as u64) as usize
+}
+
+/// A graph of three labels with 150–189 nodes each (so label populations
+/// clear the matcher's bitset threshold), `a0`/`a1` in `0..8` on every
+/// node, and zero to two edges per source node for each label/edge-label
+/// combination [`chain_template`] asks for. Labels, attributes and edge
+/// labels are interned in a fixed order, so one `ConcreteQuery` addresses
+/// any two draws.
+fn chain_graph(rng: &mut TestRng) -> Graph {
+    let mut b = GraphBuilder::new();
+    let labels = ["l0", "l1", "l2"].map(|l| b.schema_mut().node_label(l));
+    let attrs = ["a0", "a1"].map(|a| b.schema_mut().attr(a));
+    let elabels = ["e0", "e1"].map(|e| b.schema_mut().edge_label(e));
+    let nodes: Vec<Vec<NodeId>> = labels
+        .iter()
+        .map(|&l| {
+            (0..150 + pick(rng, 40))
+                .map(|_| {
+                    let vals = attrs.map(|a| (a, AttrValue::Int(pick(rng, 8) as i64)));
+                    b.add_node(l, &vals)
+                })
+                .collect()
+        })
+        .collect();
+    // (source label, edge label, target label) of every template edge.
+    for (src, e, dst) in [(0, 0, 1), (1, 1, 2), (1, 1, 0), (1, 0, 2)] {
+        for &v in &nodes[src] {
+            for _ in 0..pick(rng, 3) {
+                b.add_edge(v, nodes[dst][pick(rng, nodes[dst].len())], elabels[e]);
+            }
+        }
+    }
+    b.finish()
+}
+
+/// Five nodes, two branches off the output node `u0`:
+/// `u0 -e0-> u1 -e1-> u2` and `u3 -e1-> u0`, `u3 -e0-> u4` — the last
+/// edge optional, so switching it off drops `u4` and changes `u3`'s degree
+/// requirement. One range literal per node.
+fn chain_template(graph: &Graph) -> (QueryTemplate, RefinementDomains) {
+    let s = graph.schema();
+    let l = |name: &str| s.find_node_label(name).unwrap();
+    let (a0, a1) = (s.find_attr("a0").unwrap(), s.find_attr("a1").unwrap());
+    let (e0, e1) = (
+        s.find_edge_label("e0").unwrap(),
+        s.find_edge_label("e1").unwrap(),
+    );
+    let mut tb = TemplateBuilder::new();
+    let u: Vec<QNodeId> = ["l0", "l1", "l2", "l1", "l2"]
+        .iter()
+        .map(|name| tb.node(l(name)))
+        .collect();
+    tb.edge(u[0], u[1], e0).edge(u[1], u[2], e1);
+    tb.edge(u[3], u[0], e1).optional_edge(u[3], u[4], e0);
+    let ops = [
+        (a0, CmpOp::Ge),
+        (a1, CmpOp::Le),
+        (a0, CmpOp::Ge),
+        (a0, CmpOp::Ge),
+        (a1, CmpOp::Le),
+    ];
+    for (&node, (attr, op)) in u.iter().zip(ops) {
+        tb.range_literal(node, attr, op);
+    }
+    let template = tb.finish(u[0]).unwrap();
+    let per_var = ops
+        .iter()
+        .map(|&(_, op)| {
+            let tightening: Vec<i64> = if op == CmpOp::Ge {
+                (1..=5).collect()
+            } else {
+                (2..=6).rev().collect()
+            };
+            tightening.into_iter().map(AttrValue::Int).collect()
+        })
+        .collect();
+    let domains = RefinementDomains::with_range_values(&template, per_var);
+    (template, domains)
+}
+
+/// What one chain run produced: per verification the default path's match
+/// set (one scratch carried through the whole run) and the reference
+/// path's (fresh scratch, `use_index: false`), plus the run's memo hits.
+struct ChainRun {
+    fast: Vec<Vec<NodeId>>,
+    slow: Vec<Vec<NodeId>>,
+    cand_memo_hits: u64,
+}
+
+/// Walks twelve instances of [`chain_template`] — each one refinement step
+/// (three times in four) or one relaxation step from the last, over a
+/// random variable — and verifies them on two graphs in alternating
+/// blocks of three: 24 verifications through **one** `MatchScratch`, the
+/// graph under it changing every third call. A refinement is verified as
+/// `incVerify` would, restricted to the previous instance's match set on
+/// the same graph; a relaxation from scratch.
+fn memo_chain_case(seed: u64) -> ChainRun {
+    let rng = &mut TestRng::from_seed(seed);
+    let graphs = [chain_graph(rng), chain_graph(rng)];
+    let (template, domains) = chain_template(&graphs[0]);
+
+    let mut chain = vec![Instantiation::root(&domains)];
+    while chain.len() < 12 {
+        let last = chain.last().unwrap();
+        let x = pick(rng, domains.var_count());
+        let next = if pick(rng, 4) == 0 {
+            last.relax_step(x)
+        } else {
+            last.refine_step(x, &domains)
+        };
+        chain.extend(next);
+    }
+
+    let _ = take_stats();
+    let mut scratch = MatchScratch::default();
+    let mut previous: [Option<Vec<NodeId>>; 2] = [None, None];
+    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    for block in 0..chain.len() / 3 {
+        for (graph, previous) in graphs.iter().zip(&mut previous) {
+            for k in 3 * block..3 * block + 3 {
+                let query = ConcreteQuery::materialize(&template, &domains, &chain[k]);
+                let pool = previous
+                    .as_deref()
+                    .filter(|_| k > 0 && chain[k].refines(&chain[k - 1]));
+                let opts = MatchOptions {
+                    restrict_output: pool,
+                    ..MatchOptions::default()
+                };
+                let unlimited = &MatchBudget::UNLIMITED;
+                let reference = MatchOptions {
+                    use_index: false,
+                    ..opts
+                };
+                fast.push(
+                    try_match_output_set_with(graph, &query, opts, unlimited, &mut scratch)
+                        .unwrap(),
+                );
+                slow.push(try_match_output_set(graph, &query, reference, unlimited).unwrap());
+                *previous = fast.last().cloned();
+            }
+        }
+    }
+    ChainRun {
+        fast,
+        slow,
+        cand_memo_hits: take_stats().cand_memo_hits,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A `MatchScratch` reused across refinement chains **and across
+    /// graphs** never changes a result, and its memo is actually hit.
+    #[test]
+    fn reused_scratch_equals_reference_path(seed in 0u64..u64::MAX) {
+        let run = memo_chain_case(seed);
+        prop_assert_eq!(&run.fast, &run.slow, "memo_chain_case({:#x})", seed);
+        prop_assert!(run.fast.iter().any(|m| !m.is_empty()), "memo_chain_case({:#x}) is vacuous", seed);
+        prop_assert!(run.cand_memo_hits > 0, "memo_chain_case({:#x}) never hit the memo", seed);
+    }
+}
+
+#[test]
+fn memo_chain_regression_seeds_still_agree() {
+    for &seed in MEMO_CHAIN_REGRESSION_SEEDS {
+        let run = memo_chain_case(seed);
+        assert_eq!(run.fast, run.slow, "memo_chain_case({seed:#x})");
+    }
+}
+
+/// The shape on which the adaptive re-plan pays (`gen-div`'s LKI cases,
+/// `docs/performance.md` §8), built by hand: two branches off the output
+/// node, `u0 -x-> u3 -x-> u4 -x-> u5` and `u0 -y-> u1 -y-> u2`, where `u2`
+/// has **one** candidate (the only `E` node with `key = 1`) reachable from
+/// one `D` node, and `u1`'s head set is one candidate larger than `u3`'s
+/// (101 against 100). Greedy therefore walks the `x` branch first —
+/// `[u0, u3, u4, u5, u1, u2]` — and every root that cannot reach the one
+/// `E` node (291 of 300) enumerates all 4·4·4 `x`-embeddings, each times
+/// its 3 `D` neighbours, before failing at the last position.
+fn replan_fixture() -> (Graph, ConcreteQuery) {
+    let mut b = GraphBuilder::new();
+    let mut nodes = |label: &str, n: usize| -> Vec<NodeId> {
+        (0..n)
+            .map(|i| b.add_named_node(label, &[("key", AttrValue::Int((i == 0) as i64))]))
+            .collect()
+    };
+    let (r, a, bb, c) = (
+        nodes("R", 300),
+        nodes("A", 100),
+        nodes("B", 50),
+        nodes("C", 60),
+    );
+    let (d, e) = (nodes("D", 101), nodes("E", 101));
+    let mut fan = |from: &[NodeId], to: &[NodeId], out: usize, label: &str| {
+        for (i, &v) in from.iter().enumerate() {
+            for j in 0..out {
+                b.add_named_edge(v, to[(i * out + j) % to.len()], label);
+            }
+        }
+    };
+    fan(&r, &a, 4, "x");
+    fan(&a, &bb, 4, "x");
+    fan(&bb, &c, 4, "x");
+    fan(&r, &d, 3, "y");
+    fan(&d, &e, 1, "y"); // D[i] -> E[i]: only D[0] reaches the `key = 1` node
+    let graph = b.finish();
+
+    let s = graph.schema();
+    let (x, y) = (
+        s.find_edge_label("x").unwrap(),
+        s.find_edge_label("y").unwrap(),
+    );
+    let key_is_one = BoundLiteral {
+        attr: s.find_attr("key").unwrap(),
+        op: CmpOp::Eq,
+        value: AttrValue::Int(1),
+    };
+    let node = |label: &str, literals: Vec<BoundLiteral>| ConcreteNode {
+        label: s.find_node_label(label).unwrap(),
+        literals,
+    };
+    let q = |i: u8| QNodeId(i);
+    let query = ConcreteQuery {
+        nodes: vec![
+            node("R", vec![]),
+            node("D", vec![]),
+            node("E", vec![key_is_one]),
+            node("A", vec![]),
+            node("B", vec![]),
+            node("C", vec![]),
+        ],
+        active: vec![true; 6],
+        edges: vec![
+            (q(0), q(3), x),
+            (q(3), q(4), x),
+            (q(4), q(5), x),
+            (q(0), q(1), y),
+            (q(1), q(2), y),
+        ],
+        output: q(0),
+    };
+    (graph, query)
+}
+
+/// Measured on [`replan_fixture`] (smallest `max_steps` under which each
+/// path returns): the reference path — greedy order, no re-plan — needs
+/// **136 845** steps; the default path re-plans once, after the first
+/// failing root, moving the `y` branch ahead of the `x` branch, and needs
+/// **2 865**. The default path must therefore finish inside a tenth of the
+/// greedy-only count, where the reference path trips; with the re-plan
+/// block commented out the default path trips there too.
+#[test]
+fn the_replan_pays_on_a_near_tie_before_a_one_candidate_branch() {
+    let (graph, query) = replan_fixture();
+    let reference_opts = MatchOptions {
+        use_index: false,
+        ..MatchOptions::default()
+    };
+    let expected = match_output_set(&graph, &query, reference_opts);
+    assert_eq!(expected.len(), 9, "the roots with an edge to D[0]");
+
+    const GREEDY_ONLY_STEPS: u64 = 136_845;
+    let tenth = MatchBudget {
+        max_steps: Some(GREEDY_ONLY_STEPS / 10),
+        ..MatchBudget::UNLIMITED
+    };
+    let _ = take_stats();
+    let replanned = try_match_output_set(&graph, &query, MatchOptions::default(), &tenth);
+    assert_eq!(replanned.as_ref(), Ok(&expected));
+    assert!(take_stats().order_replans >= 1);
+    let greedy_only = try_match_output_set(&graph, &query, reference_opts, &tenth);
+    assert_eq!(greedy_only.unwrap_err().kind, BudgetKind::Steps);
 }

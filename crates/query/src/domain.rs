@@ -94,49 +94,53 @@ pub struct RefinementDomains {
 
 impl RefinementDomains {
     /// Builds domains from the graph's active domains.
+    ///
+    /// # Panics
+    /// Panics if a range variable's domain exceeds the 65 536 values an
+    /// [`Instantiation`](crate::Instantiation)'s `u16` indices can address
+    /// (only possible with `max_values_per_range_var = 0` or above that).
     pub fn build(template: &QueryTemplate, graph: &Graph, config: DomainConfig) -> Self {
-        let mut domains =
-            Vec::with_capacity(template.range_var_count() + template.edge_var_count());
-        for (li, lit) in template.range_literals().iter().enumerate() {
-            let label = template.nodes()[lit.node.index()].label;
-            let adom = graph.domains().for_label(label, lit.attr);
-            let ascending = lit
-                .op
-                .refines_ascending()
-                .expect("validated templates have no '=' range literals");
-            let picked = subsample(adom, config.max_values_per_range_var);
-            let mut values = Vec::with_capacity(picked.len() + 1);
-            values.push(DomainValue::Wildcard);
-            if ascending {
-                values.extend(picked.iter().map(|&v| DomainValue::Const(v)));
-            } else {
-                values.extend(picked.iter().rev().map(|&v| DomainValue::Const(v)));
-            }
-            domains.push(VarDomain {
-                kind: VarKind::Range { literal: li },
-                values,
-            });
-        }
-        for k in 0..template.edge_var_count() {
-            domains.push(VarDomain {
-                kind: VarKind::Edge {
-                    edge: template.optional_edge(k),
-                },
-                values: vec![DomainValue::EdgeOff, DomainValue::EdgeOn],
-            });
-        }
-        Self { domains }
+        let per_var = template
+            .range_literals()
+            .iter()
+            .map(|lit| {
+                let label = template.nodes()[lit.node.index()].label;
+                let adom = graph.domains().for_label(label, lit.attr);
+                let ascending = lit
+                    .op
+                    .refines_ascending()
+                    .expect("validated templates have no '=' range literals");
+                let mut picked = subsample(adom, config.max_values_per_range_var);
+                if !ascending {
+                    picked.reverse();
+                }
+                picked
+            })
+            .collect();
+        Self::with_range_values(template, per_var)
     }
 
     /// Builds domains with explicit value lists per range variable (used by
     /// workload generators that pre-select interesting constants). Values
     /// must already be in refinement order and must **not** include the
     /// wildcard, which is prepended automatically.
+    ///
+    /// # Panics
+    /// Panics if a list, with its wildcard, exceeds the 65 536 values an
+    /// [`Instantiation`](crate::Instantiation)'s `u16` indices can address.
     pub fn with_range_values(template: &QueryTemplate, per_var: Vec<Vec<AttrValue>>) -> Self {
         assert_eq!(per_var.len(), template.range_var_count());
         let mut domains =
             Vec::with_capacity(template.range_var_count() + template.edge_var_count());
         for (li, vals) in per_var.into_iter().enumerate() {
+            // Instantiations index domains by `u16`; a longer domain would
+            // silently truncate `bottom()` and wrap `refine_step`.
+            let (len, limit) = (vals.len() + 1, u16::MAX as usize + 1);
+            assert!(
+                len <= limit,
+                "range variable {li} has a domain of {len} values; instantiation indices are \
+                 u16, so at most {limit} (set DomainConfig::max_values_per_range_var)"
+            );
             let mut values = Vec::with_capacity(vals.len() + 1);
             values.push(DomainValue::Wildcard);
             values.extend(vals.into_iter().map(DomainValue::Const));
@@ -278,5 +282,48 @@ mod tests {
         assert_eq!(d.domain(0).len(), 3); // wildcard + 2
         assert_eq!(d.domain(1).len(), 2);
         assert_eq!(d.domain(2).len(), 2);
+    }
+
+    /// `n` users with an id-like attribute (all distinct), and a template
+    /// with one range variable on it.
+    fn id_like(n: i64) -> (Graph, QueryTemplate) {
+        let mut b = GraphBuilder::new();
+        for id in 0..n {
+            b.add_named_node("user", &[("id", AttrValue::Int(id))]);
+        }
+        let g = b.finish();
+        let mut tb = TemplateBuilder::new();
+        let u0 = tb.node(g.schema().find_node_label("user").unwrap());
+        tb.range_literal(u0, g.schema().find_attr("id").unwrap(), CmpOp::Ge);
+        let t = tb.finish(u0).unwrap();
+        (g, t)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "range variable 0 has a domain of 70001 values; instantiation indices are u16, so at most 65536"
+    )]
+    fn uncapped_domain_beyond_u16_is_rejected() {
+        let (g, t) = id_like(70_000);
+        let uncapped = DomainConfig {
+            max_values_per_range_var: 0,
+        };
+        RefinementDomains::build(&t, &g, uncapped);
+    }
+
+    #[test]
+    fn largest_addressable_domain_builds() {
+        let (g, t) = id_like(u16::MAX as i64);
+        let uncapped = DomainConfig {
+            max_values_per_range_var: 0,
+        };
+        let d = RefinementDomains::build(&t, &g, uncapped);
+        assert_eq!(d.domain(0).len(), 65_536);
+        let bottom = crate::Instantiation::bottom(&d);
+        assert_eq!(bottom.indices(), &[u16::MAX]);
+        assert_eq!(
+            d.domain(0).values[bottom.indices()[0] as usize],
+            DomainValue::Const(AttrValue::Int(u16::MAX as i64 - 1))
+        );
     }
 }

@@ -36,7 +36,7 @@
 use crate::cache::{CacheStats, LruCache};
 use crate::job::{
     diversity_for_spec, entry_bindings, entry_to_value, generated_to_value_with, plan_key,
-    plan_spec, plan_spec_cached, run_plan_observed, BrownoutMark, JobSpec, Plan, RunOverrides,
+    plan_spec, plan_spec_cached, run_plan_observed, BrownoutMark, JobSpec, Plan,
 };
 use crate::overload::{
     BrownoutConfig, Ewma, PressureController, PressureInputs, PressureLevel, ServiceModel,
@@ -351,18 +351,13 @@ struct Counters {
     eval_verified: AtomicU64,
     eval_cache_hits: AtomicU64,
     // Matcher hot-path totals, summed over completed jobs: the candidate
-    // computation paths plus the cost-based ordering / semi-join pruning
-    // machinery (order plans amortize across jobs via the warm pool, so
-    // `order_planned` stays near the distinct-template count).
+    // computation paths, the cross-call memo and the adaptive re-plans.
     match_index_candidates: AtomicU64,
     match_scan_candidates: AtomicU64,
     match_scan_fallbacks: AtomicU64,
     match_pool_restrictions: AtomicU64,
     match_shard_skips: AtomicU64,
-    match_order_planned: AtomicU64,
     match_order_replans: AtomicU64,
-    match_est_candidates: AtomicU64,
-    match_pruned_candidates: AtomicU64,
     match_cand_memo_hits: AtomicU64,
     // Robustness counters.
     job_panics: AtomicU64,
@@ -1364,20 +1359,8 @@ impl Engine {
                         Value::from(c.match_shard_skips.load(Ordering::Relaxed)),
                     ),
                     (
-                        "order_planned",
-                        Value::from(c.match_order_planned.load(Ordering::Relaxed)),
-                    ),
-                    (
                         "order_replans",
                         Value::from(c.match_order_replans.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "est_candidates",
-                        Value::from(c.match_est_candidates.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "pruned_candidates",
-                        Value::from(c.match_pruned_candidates.load(Ordering::Relaxed)),
                     ),
                     (
                         "cand_memo_hits",
@@ -1773,29 +1756,20 @@ fn run_job(shared: &Shared, id: u64) {
         .observe_queue_wait(picked_up - submitted_at);
 
     // Brownout: while the engine is Degraded or Shedding the job runs
-    // with axis-wise *tightened* caps and a smaller diversity pair
-    // sample. The result is a valid (possibly coarser) ε-Pareto archive,
-    // flagged in `stats.brownout` and never cached.
+    // with axis-wise *tightened* caps. The result is a valid (possibly
+    // coarser) ε-Pareto archive, flagged in `stats.brownout` and never
+    // cached.
     let level = level_from_u8(shared.level.load(Ordering::SeqCst));
-    let (overrides, mark) = if level >= PressureLevel::Degraded {
-        let bc = &shared.config.brownout;
-        let budget = spec.budget.tighten(&bc.degraded_budget);
-        let pair_cap = (bc.degraded_pair_cap > 0).then_some(bc.degraded_pair_cap);
+    let mark = (level >= PressureLevel::Degraded).then(|| {
         shared
             .counters
             .brownout_jobs
             .fetch_add(1, Ordering::Relaxed);
-        (
-            Some(RunOverrides { budget, pair_cap }),
-            Some(BrownoutMark {
-                level: level.as_str(),
-                budget,
-                pair_cap,
-            }),
-        )
-    } else {
-        (None, None)
-    };
+        BrownoutMark {
+            level: level.as_str(),
+            budget: spec.budget.tighten(&shared.config.brownout.degraded_budget),
+        }
+    });
 
     // The graph was pinned at admission (reloads must not change what an
     // admitted job runs against); the registry fallback only covers
@@ -1855,7 +1829,7 @@ fn run_job(shared: &Shared, id: u64) {
             &spec,
             &cancel,
             shared_div.as_ref(),
-            overrides.as_ref(),
+            mark.map(|m| m.budget),
             observer.as_ref().map(|o| o as &dyn ArchiveObserver),
         );
         let generated = Instant::now();
@@ -1882,10 +1856,7 @@ fn run_job(shared: &Shared, id: u64) {
             (&c.match_scan_fallbacks, out.stats.scan_fallbacks),
             (&c.match_pool_restrictions, out.stats.pool_restrictions),
             (&c.match_shard_skips, out.stats.shard_skips),
-            (&c.match_order_planned, out.stats.order_planned),
             (&c.match_order_replans, out.stats.order_replans),
-            (&c.match_est_candidates, out.stats.est_candidates),
-            (&c.match_pruned_candidates, out.stats.pruned_candidates),
             (&c.match_cand_memo_hits, out.stats.cand_memo_hits),
         ] {
             counter.fetch_add(value, Ordering::Relaxed);

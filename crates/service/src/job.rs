@@ -308,7 +308,12 @@ pub fn plan_spec<'g>(graph: &'g Graph, spec: &JobSpec) -> Result<Plan<'g>, Strin
     let coverage = CoverageSpec::equal_opportunity(groups.len(), spec.cover);
     let domains = RefinementDomains::build(&template, graph, DomainConfig::default());
     Ok(Plan {
-        warm: Arc::new(WarmPlan::new(template, domains, groups, coverage)),
+        warm: Arc::new(WarmPlan {
+            template,
+            domains,
+            groups,
+            spec: coverage,
+        }),
         graph,
     })
 }
@@ -334,35 +339,12 @@ pub fn plan_spec_cached<'g>(
     Ok(plan)
 }
 
-/// The diversity configuration a spec runs under (single source of truth
-/// for both the execution path and the warm-cache key).
+/// The diversity configuration a spec runs under.
 pub fn diversity_for_spec(spec: &JobSpec) -> DiversityConfig {
-    diversity_for_spec_with(spec, None)
-}
-
-/// Like [`diversity_for_spec`], with an optional pair-sample override —
-/// the brownout controller's tightened sampling. The override is part of
-/// the warm-cache key (`pair_cap` is a component of the warm layer's
-/// `DivKey`), so tables built under brownout never serve nominal jobs.
-pub fn diversity_for_spec_with(spec: &JobSpec, pair_cap: Option<usize>) -> DiversityConfig {
-    let mut cfg = DiversityConfig {
+    DiversityConfig {
         lambda: spec.lambda,
         ..DiversityConfig::default()
-    };
-    if let Some(cap) = pair_cap {
-        // Brownout may only shrink the sample.
-        cfg.pair_cap = cfg.pair_cap.min(cap.max(1));
     }
-    cfg
-}
-
-/// Per-run resource overrides (the brownout controller's tightened caps).
-#[derive(Debug, Clone, Copy)]
-pub struct RunOverrides {
-    /// The budget actually applied (already tightened by the caller).
-    pub budget: MatchBudget,
-    /// Diversity pair-sample cap (`None` keeps the spec's own sampling).
-    pub pair_cap: Option<usize>,
 }
 
 /// Runs a planned job, observing `cancel` between verifications.
@@ -382,17 +364,17 @@ pub fn run_plan_shared(
     run_plan_overridden(plan, spec, cancel, shared, None)
 }
 
-/// Like [`run_plan_shared`], with optional [`RunOverrides`] — the engine's
-/// brownout path, which substitutes tightened caps without mutating the
-/// job's recorded spec.
+/// Like [`run_plan_shared`], with an optional budget override — the
+/// engine's brownout path, which substitutes the tightened caps (already
+/// tightened by the caller) without mutating the job's recorded spec.
 pub fn run_plan_overridden(
     plan: &Plan<'_>,
     spec: &JobSpec,
     cancel: &CancelToken,
     shared: Option<&Arc<DiversityProfile>>,
-    overrides: Option<&RunOverrides>,
+    budget: Option<MatchBudget>,
 ) -> Generated {
-    run_plan_observed(plan, spec, cancel, shared, overrides, None)
+    run_plan_observed(plan, spec, cancel, shared, budget, None)
 }
 
 /// Like [`run_plan_overridden`], with an optional [`ArchiveObserver`]
@@ -404,19 +386,9 @@ pub fn run_plan_observed(
     spec: &JobSpec,
     cancel: &CancelToken,
     shared: Option<&Arc<DiversityProfile>>,
-    overrides: Option<&RunOverrides>,
+    budget: Option<MatchBudget>,
     observer: Option<&dyn ArchiveObserver>,
 ) -> Generated {
-    let budget = overrides.map_or(spec.budget, |o| o.budget);
-    let diversity = diversity_for_spec_with(spec, overrides.and_then(|o| o.pair_cap));
-    // The warm skeleton's cost-based matching order: built by the first
-    // job on this skeleton, reused by every later one (same template,
-    // same graph epoch). Capture the planning counters here — the
-    // evaluators snapshot their own baselines after this point, so a
-    // cold build would otherwise vanish from the job's stats.
-    let plan_baseline = fairsqg_matcher::matcher_stats();
-    let match_plan = plan.match_plan(plan.graph);
-    let plan_delta = fairsqg_matcher::matcher_stats().delta_since(plan_baseline);
     let mut cfg = Configuration::new(
         plan.graph,
         &plan.template,
@@ -424,27 +396,24 @@ pub fn run_plan_observed(
         &plan.groups,
         &plan.spec,
         spec.eps,
-        diversity,
+        diversity_for_spec(spec),
     )
     .with_cancel(cancel)
-    .with_budget(budget)
-    .with_match_plan(&match_plan);
+    .with_budget(budget.unwrap_or(spec.budget));
     if let Some(shared) = shared {
         cfg = cfg.with_shared_diversity(shared);
     }
     if let Some(obs) = observer {
         cfg = cfg.with_progress(obs);
     }
-    let mut out = match spec.algo {
+    match spec.algo {
         AlgoKind::EnumQGen => enum_qgen(cfg, false),
         AlgoKind::Kungs => kungs(cfg),
         AlgoKind::Cbm => cbm(cfg, CbmOptions::default()),
         AlgoKind::RfQGen => rfqgen(cfg, RfQGenOptions::default()),
         AlgoKind::BiQGen => biqgen(cfg, BiQGenOptions::default()),
         AlgoKind::ParEnum => par_enum_qgen(cfg, spec.threads),
-    };
-    out.stats.record_hot_path(plan_delta);
-    out
+    }
 }
 
 /// How a brownout-degraded run was constrained, for the result's
@@ -457,8 +426,6 @@ pub struct BrownoutMark {
     pub level: &'static str,
     /// The budget actually applied.
     pub budget: MatchBudget,
-    /// The pair-sample cap applied, if tightened.
-    pub pair_cap: Option<usize>,
 }
 
 impl BrownoutMark {
@@ -469,10 +436,6 @@ impl BrownoutMark {
             ("max_candidates", cap(self.budget.max_candidates)),
             ("max_steps", cap(self.budget.max_steps)),
             ("max_matches", cap(self.budget.max_matches)),
-            (
-                "pair_cap",
-                self.pair_cap.map_or(Value::Null, |c| Value::from(c as i64)),
-            ),
         ])
     }
 }
@@ -583,16 +546,7 @@ pub fn generated_to_value_with(
                     Value::from(out.stats.pool_restrictions as i64),
                 ),
                 ("shard_skips", Value::from(out.stats.shard_skips as i64)),
-                ("order_planned", Value::from(out.stats.order_planned as i64)),
                 ("order_replans", Value::from(out.stats.order_replans as i64)),
-                (
-                    "est_candidates",
-                    Value::from(out.stats.est_candidates as i64),
-                ),
-                (
-                    "pruned_candidates",
-                    Value::from(out.stats.pruned_candidates as i64),
-                ),
                 (
                     "cand_memo_hits",
                     Value::from(out.stats.cand_memo_hits as i64),
@@ -763,14 +717,12 @@ mod tests {
                 max_steps: Some(1000),
                 ..MatchBudget::UNLIMITED
             },
-            pair_cap: Some(64),
         };
         let degraded = generated_to_value_with(&plan, &out, Some(&mark));
         let b = degraded.get("stats").and_then(|st| st.get("brownout"));
         let b = b.expect("brownout stamped");
         assert_eq!(b.get("level").and_then(Value::as_str), Some("degraded"));
         assert_eq!(b.get("max_steps").and_then(Value::as_u64), Some(1000));
-        assert_eq!(b.get("pair_cap").and_then(Value::as_u64), Some(64));
     }
 
     #[test]
@@ -778,22 +730,12 @@ mod tests {
         let g = graph();
         let s = spec();
         let plan = plan_spec(&g, &s).unwrap();
-        let overrides = RunOverrides {
-            budget: MatchBudget {
-                max_steps: Some(1),
-                ..MatchBudget::UNLIMITED
-            },
-            pair_cap: Some(8),
+        let budget = MatchBudget {
+            max_steps: Some(1),
+            ..MatchBudget::UNLIMITED
         };
-        let out = run_plan_overridden(&plan, &s, &CancelToken::new(), None, Some(&overrides));
+        let out = run_plan_overridden(&plan, &s, &CancelToken::new(), None, Some(budget));
         assert!(out.truncated, "a one-step budget must trip");
-        // The pair-cap override shrinks sampling but never grows it.
-        assert_eq!(diversity_for_spec_with(&s, Some(8)).pair_cap, 8);
-        let default_cap = DiversityConfig::default().pair_cap;
-        assert_eq!(
-            diversity_for_spec_with(&s, Some(default_cap * 10)).pair_cap,
-            default_cap
-        );
     }
 
     #[test]

@@ -70,10 +70,10 @@ pub use cache::{CacheStats, LruCache};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use engine::{Engine, EngineConfig, EventSink, JobEvent, JobState, JobStatus, SubmitError};
 pub use job::{
-    diversity_for_spec, diversity_for_spec_with, entry_bindings, entry_to_value,
-    generated_to_value, generated_to_value_with, plan_key, plan_spec, plan_spec_cached, run_plan,
-    run_plan_observed, run_plan_overridden, run_plan_shared, AlgoKind, BrownoutMark, JobSpec, Plan,
-    RunOverrides, DEFAULT_PRIORITY, MAX_PRIORITY,
+    diversity_for_spec, entry_bindings, entry_to_value, generated_to_value,
+    generated_to_value_with, plan_key, plan_spec, plan_spec_cached, run_plan, run_plan_observed,
+    run_plan_overridden, run_plan_shared, AlgoKind, BrownoutMark, JobSpec, Plan, DEFAULT_PRIORITY,
+    MAX_PRIORITY,
 };
 #[cfg(unix)]
 pub use mux::{spawn_mux, spawn_mux_with, MuxOptions, MuxServer, MuxStopHandle};

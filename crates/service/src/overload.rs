@@ -82,9 +82,6 @@ pub struct BrownoutConfig {
     /// Budget caps applied axis-wise (tightening only) to jobs run while
     /// `Degraded` or `Shedding`.
     pub degraded_budget: MatchBudget,
-    /// Diversity pair-sample cap while `Degraded` or `Shedding` (`0`
-    /// keeps the spec's own sampling).
-    pub degraded_pair_cap: usize,
     /// While `Shedding`, submissions with priority strictly below this
     /// are rejected with a retry hint.
     pub shed_below_priority: u8,
@@ -111,7 +108,6 @@ impl Default for BrownoutConfig {
                 max_steps: Some(2_000_000),
                 max_matches: Some(20_000),
             },
-            degraded_pair_cap: 64,
             shed_below_priority: 1,
             recover_dwell: Duration::from_millis(200),
         }

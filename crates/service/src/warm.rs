@@ -19,12 +19,11 @@
 //! eviction (see `GraphRegistry::warm_state`).
 
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, LabelId};
-use fairsqg_matcher::{plan_matching_order, MatchPlan};
 use fairsqg_measures::{DiversityConfig, DiversityProfile};
-use fairsqg_query::{ConcreteQuery, Instantiation, QueryTemplate, RefinementDomains};
+use fairsqg_query::{QueryTemplate, RefinementDomains};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A parsed, planning-complete job skeleton: everything `plan_spec`
 /// derives from `(graph, template text, group_attr, cover)` that does not
@@ -40,46 +39,9 @@ pub struct WarmPlan {
     pub groups: GroupSet,
     /// Equal-opportunity coverage constraints.
     pub spec: CoverageSpec,
-    /// Lazily-built cost-based matching order for this template shape
-    /// (see [`fairsqg_matcher::plan_matching_order`]). Living inside the
-    /// warm-pool skeleton gives it exactly the right lifetime: cached per
-    /// `(template, graph epoch)`, dropped on reload with the rest of the
-    /// warm state. The first job plans; every later job (and every
-    /// parallel worker) reuses the `Arc`.
-    match_order: OnceLock<Arc<MatchPlan>>,
 }
 
 impl WarmPlan {
-    /// Assembles a planning-complete skeleton (the matching order stays
-    /// unplanned until the first job asks via [`Self::match_plan`]).
-    pub fn new(
-        template: QueryTemplate,
-        domains: RefinementDomains,
-        groups: GroupSet,
-        spec: CoverageSpec,
-    ) -> Self {
-        Self {
-            template,
-            domains,
-            groups,
-            spec,
-            match_order: OnceLock::new(),
-        }
-    }
-
-    /// The cost-based matching order for this skeleton, planned from the
-    /// root instantiation on first request and shared thereafter.
-    pub fn match_plan(&self, graph: &Graph) -> Arc<MatchPlan> {
-        Arc::clone(self.match_order.get_or_init(|| {
-            let root = ConcreteQuery::materialize(
-                &self.template,
-                &self.domains,
-                &Instantiation::root(&self.domains),
-            );
-            Arc::new(plan_matching_order(graph, &root))
-        }))
-    }
-
     /// Rough resident size, for the warm pool's byte budget. Dominated by
     /// the refinement domains; the template/groups/spec contribution is a
     /// flat ballpark.
@@ -88,10 +50,6 @@ impl WarmPlan {
         for i in 0..self.domains.var_count() {
             bytes += self.domains.domain(i).len() * 16;
         }
-        bytes += self
-            .match_order
-            .get()
-            .map_or(0, |p| p.order().len() * 2 * std::mem::size_of::<u64>());
         bytes + self.groups.len() * 64 + self.spec.len() * 4
     }
 }
