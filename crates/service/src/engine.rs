@@ -26,12 +26,21 @@
 //! queueing into uselessness (see [`crate::overload`]): admission
 //! predicts whether a deadline can still be met (rejecting with a
 //! `retry_after_ms` hint when it can't), a brownout controller tightens
-//! budgets and pair-sampling while pressure lasts, and at the top level
-//! low-priority submissions are shed. A **watchdog** escalates past
+//! budgets while pressure lasts, and at the top level low-priority
+//! submissions are shed. A **watchdog** escalates past
 //! cooperative cancellation for workers stuck beyond deadline + grace
 //! (hard-stop flag, then declaring the worker lost and respawning), and
 //! [`Engine::begin_drain`] bounces queued jobs with a typed `Drained`
 //! outcome so clients replay them elsewhere via their request keys.
+//!
+//! This file is the shell — public API, overload gate, worker and watchdog
+//! threads, `run_job`, `stats_value`. Every piece of per-job state (records,
+//! queue, running set, coalescing map, quotas, subscriptions, the
+//! shutdown/drain flags) lives in [`crate::sched::Sched`], whose transitions
+//! are pure and return what must happen outside the lock. The engine has
+//! four locks — `sched`, the result `cache`, the `observed` load figures
+//! and the `threads` handles — and no lock is held while another is taken
+//! or a sink is called.
 
 use crate::cache::{CacheStats, LruCache};
 use crate::job::{
@@ -41,14 +50,14 @@ use crate::job::{
 use crate::overload::{
     BrownoutConfig, Ewma, PressureController, PressureInputs, PressureLevel, ServiceModel,
 };
-use crate::registry::{GraphEntry, GraphRegistry, DEFAULT_WARM_BUDGET_BYTES};
+use crate::registry::{GraphRegistry, DEFAULT_WARM_BUDGET_BYTES};
+use crate::sched::{Admission, Effects, Refused, Run, Sched, Settled};
 use crate::sync;
 use fairsqg_algo::{ArchiveDelta, ArchiveObserver, CancelToken, MatchBudget};
 use fairsqg_faults::Fault;
 use fairsqg_wire::Value;
-use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -204,33 +213,6 @@ impl JobState {
     }
 }
 
-struct JobRecord {
-    spec: JobSpec,
-    state: JobState,
-    cancel: CancelToken,
-    result: Option<Arc<Value>>,
-    error: Option<String>,
-    from_cache: bool,
-    truncated: bool,
-    submitted_at: Instant,
-    /// Effective deadline (spec's or the engine default) — what the
-    /// watchdog measures overruns against.
-    deadline: Option<Duration>,
-    /// When a worker picked the job up (`Running` and later).
-    started_at: Option<Instant>,
-    /// When the watchdog escalated to a hard stop, if it did.
-    hard_stopped_at: Option<Instant>,
-    /// The graph pinned at admission; a reload between admission and
-    /// execution must not change what a job runs against (its fingerprint
-    /// was computed for this epoch). Cleared on completion.
-    entry: Option<GraphEntry>,
-    /// The cache/coalescing fingerprint computed at admission.
-    fingerprint: Option<String>,
-    /// Jobs coalesced onto this one: they are served from this job's
-    /// result when it completes cleanly, or promoted/requeued otherwise.
-    followers: Vec<u64>,
-}
-
 /// A streamed job event, delivered to [`EventSink`]s registered via
 /// [`Engine::subscribe`] / [`Engine::submit_streaming`].
 ///
@@ -274,19 +256,10 @@ pub enum JobEvent {
     },
 }
 
-/// A subscriber callback. Called from engine worker threads — it must be
-/// cheap and must **not** call back into the [`Engine`] (the engine may
-/// hold internal locks while delivering).
+/// A subscriber callback. Called from engine worker threads (or from the
+/// thread that subscribes to an already-settled job) with no engine lock
+/// held; it should be cheap — a slow sink stalls the worker that calls it.
 pub type EventSink = Arc<dyn Fn(&JobEvent) + Send + Sync>;
-
-/// Per-job streaming state: the registered sinks plus the set of entry
-/// keys already delivered via deltas (what the settlement catch-up diffs
-/// the final result against).
-struct StreamState {
-    sinks: Vec<EventSink>,
-    streamed: BTreeSet<String>,
-    last_version: u64,
-}
 
 /// Point-in-time view of one job, as reported by `status`.
 #[derive(Debug, Clone)]
@@ -339,14 +312,16 @@ struct Latencies {
     render: StageLatency,
 }
 
+/// The engine's event totals. Crate-visible because the state machine
+/// ([`crate::sched`]) counts the transitions it makes.
 #[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    truncated: AtomicU64,
+pub(crate) struct Counters {
+    pub(crate) submitted: AtomicU64,
+    pub(crate) completed: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) cancelled: AtomicU64,
+    pub(crate) failed: AtomicU64,
+    pub(crate) truncated: AtomicU64,
     // Per-evaluator memoization totals, summed over completed jobs.
     eval_verified: AtomicU64,
     eval_cache_hits: AtomicU64,
@@ -367,148 +342,87 @@ struct Counters {
     // Coalescing: submissions attached to an in-flight leader, followers
     // served from a leader's result, and followers promoted + requeued
     // because the leader's outcome was unusable.
-    coalesced_attached: AtomicU64,
-    coalesced_served: AtomicU64,
-    coalesced_requeued: AtomicU64,
+    pub(crate) coalesced_attached: AtomicU64,
+    pub(crate) coalesced_served: AtomicU64,
+    pub(crate) coalesced_requeued: AtomicU64,
     // Overload control: typed rejections by cause, queued victims evicted
     // in favor of higher-priority submissions, and jobs run degraded.
     deadline_rejected: AtomicU64,
     quota_rejected: AtomicU64,
     shed: AtomicU64,
-    shed_evicted: AtomicU64,
+    pub(crate) shed_evicted: AtomicU64,
     brownout_jobs: AtomicU64,
     deadline_misses: AtomicU64,
     // Watchdog escalations and drain bounces.
-    watchdog_hard_stops: AtomicU64,
+    pub(crate) watchdog_hard_stops: AtomicU64,
     watchdog_lost_workers: AtomicU64,
-    drained: AtomicU64,
+    pub(crate) drained: AtomicU64,
     // Streaming: live delta events published, settlement catch-up deltas
     // emitted, and subscriptions that reached their Settled event.
     stream_deltas: AtomicU64,
-    stream_catchups: AtomicU64,
-    stream_settled: AtomicU64,
+    pub(crate) stream_catchups: AtomicU64,
+    pub(crate) stream_settled: AtomicU64,
 }
 
-struct QueueState {
-    queue: VecDeque<u64>,
-    shutdown: bool,
-}
-
-/// Job records by id, plus the `request_key` → job id memory that makes
-/// resubmission idempotent. Settled records stay readable for `status`,
-/// `result` and key replays, with FIFO eviction beyond `capacity`: large
-/// enough that a polling or retrying client always finds its job, bounded
-/// so the table (and every scan over it) cannot grow with the number of
-/// jobs ever submitted. A key is forgotten with its record, so a replay
-/// never resolves to an evicted id.
-struct JobTable {
-    records: HashMap<u64, JobRecord>,
-    keys: HashMap<String, u64>,
-    /// Ids of settled records, oldest settlement first.
-    settled: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl JobTable {
-    fn new(capacity: usize) -> Self {
-        Self {
-            records: HashMap::new(),
-            keys: HashMap::new(),
-            settled: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Makes room by evicting the oldest settled records at capacity,
-    /// then adds `record`, remembering its `request_key` (the first job
-    /// to claim a key keeps it). Eviction runs here because this is the
-    /// only place the table grows; a record inserted already settled (a
-    /// cache hit) is therefore never evicted by its own insertion.
-    fn insert(&mut self, id: u64, record: JobRecord) {
-        while self.settled.len() >= self.capacity {
-            let Some(old) = self.settled.pop_front() else {
-                break;
-            };
-            if let Some(key) = self.records.remove(&old).and_then(|r| r.spec.request_key) {
-                if self.keys.get(&key) == Some(&old) {
-                    self.keys.remove(&key);
-                }
-            }
-        }
-        if let Some(key) = &record.spec.request_key {
-            self.keys.entry(key.clone()).or_insert(id);
-        }
-        if record.state.is_terminal() {
-            self.settled.push_back(id);
-        }
-        self.records.insert(id, record);
-    }
-}
-
-/// Mutable overload-control state. The mutex guarding it is a **leaf**:
-/// it is never held while acquiring (or waiting on) any other engine
-/// lock, so it cannot participate in a lock cycle.
-struct OverloadState {
+/// What the engine has observed of its own load: the inputs to admission
+/// prediction and the brownout ladder, and the stage latencies `stats`
+/// reports. Written at the same two points of every job (pickup and
+/// completion), hence one lock.
+struct Observed {
     /// Per-template service-time and queue-wait EWMAs.
     model: ServiceModel,
     /// The hysteretic pressure state machine.
     controller: PressureController,
-    /// Unsettled jobs per client identity (quota accounting).
-    quotas: HashMap<String, usize>,
     /// EWMA of deadline misses per completed deadline-bearing job.
     miss_ewma: Ewma,
     /// Warm-pool eviction total at the previous pressure evaluation.
     last_warm_evictions: u64,
+    latencies: Latencies,
 }
 
 struct Shared {
     config: EngineConfig,
     registry: Arc<GraphRegistry>,
-    queue: Mutex<QueueState>,
+    sched: Mutex<Sched>,
+    /// Signalled (on `sched`) when a job enters the queue or the engine
+    /// shuts down; only workers wait on it.
     work_ready: Condvar,
-    jobs: Mutex<JobTable>,
-    /// Fingerprint → leader job id for every admitted-but-unsettled job.
-    /// Lock order everywhere: `inflight` → `queue` → `jobs`.
-    inflight: Mutex<HashMap<String, u64>>,
+    /// Signalled (on `sched`) at shutdown; only the watchdog waits on it,
+    /// so it never swallows a worker's wake-up.
+    watchdog_wake: Condvar,
     cache: Mutex<LruCache<Arc<Value>>>,
+    observed: Mutex<Observed>,
+    /// Live worker handles (replacements register themselves here) and
+    /// the watchdog's.
+    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     counters: Counters,
-    latencies: Mutex<Latencies>,
-    next_id: AtomicU64,
-    // Supervision state: live handles (replacements register themselves
-    // here), a name sequence for respawned threads, and the live count.
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Name sequence for respawned worker threads.
     worker_seq: AtomicU64,
     workers_alive: AtomicU64,
-    /// Streaming subscriptions by job id. Leaf-ish: taken after `jobs`
-    /// where both are needed ([`flush_settled`]), never the other way.
-    subscriptions: Mutex<HashMap<u64, StreamState>>,
-    /// Leaf lock (see [`OverloadState`]).
-    overload: Mutex<OverloadState>,
-    /// Mirror of the controller's level for lock-free reads on the worker
-    /// hot path (0 = nominal, 1 = degraded, 2 = shedding).
-    level: AtomicU8,
-    /// Set by [`Engine::begin_drain`]; rejects new submissions.
-    draining: AtomicBool,
     /// Workers the watchdog replaced while their predecessor was still
     /// wedged: when the original thread eventually returns, one surplus
     /// worker exits voluntarily so the pool converges back to size.
     workers_excess: AtomicI64,
-    watchdog: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-fn level_to_u8(level: PressureLevel) -> u8 {
-    match level {
-        PressureLevel::Nominal => 0,
-        PressureLevel::Degraded => 1,
-        PressureLevel::Shedding => 2,
+impl Shared {
+    /// Carries out what a `sched` session left to do once its lock is
+    /// released.
+    fn apply(&self, fx: Effects) {
+        if fx.wake {
+            self.work_ready.notify_one();
+        }
+        for flush in fx.flushes {
+            flush.fire(&self.counters);
+        }
     }
-}
 
-fn level_from_u8(v: u8) -> PressureLevel {
-    match v {
-        0 => PressureLevel::Nominal,
-        1 => PressureLevel::Degraded,
-        _ => PressureLevel::Shedding,
+    /// One `sched` session around `f`, then its effects.
+    fn transition<T>(&self, f: impl FnOnce(&mut Sched, &mut Effects) -> T) -> T {
+        let mut fx = Effects::default();
+        let out = f(&mut sync::lock(&self.sched), &mut fx);
+        self.apply(fx);
+        out
     }
 }
 
@@ -532,34 +446,24 @@ impl Engine {
         }
         let pool = config.workers.max(1) as u64;
         let shared = Arc::new(Shared {
-            cache: Mutex::new(LruCache::new(config.cache_entries)),
-            config,
-            registry,
-            queue: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
+            sched: Mutex::new(Sched::new(&config)),
             work_ready: Condvar::new(),
-            jobs: Mutex::new(JobTable::new(config.dedup_entries)),
-            inflight: Mutex::new(HashMap::new()),
-            counters: Counters::default(),
-            latencies: Mutex::new(Latencies::default()),
-            next_id: AtomicU64::new(1),
-            subscriptions: Mutex::new(HashMap::new()),
-            workers: Mutex::new(Vec::new()),
-            worker_seq: AtomicU64::new(pool),
-            workers_alive: AtomicU64::new(0),
-            overload: Mutex::new(OverloadState {
+            watchdog_wake: Condvar::new(),
+            cache: Mutex::new(LruCache::new(config.cache_entries)),
+            observed: Mutex::new(Observed {
                 model: ServiceModel::default(),
                 controller: PressureController::new(config.brownout),
-                quotas: HashMap::new(),
                 miss_ewma: Ewma::new(0.2),
                 last_warm_evictions: 0,
+                latencies: Latencies::default(),
             }),
-            level: AtomicU8::new(0),
-            draining: AtomicBool::new(false),
+            threads: Mutex::new(Vec::new()),
+            config,
+            registry,
+            counters: Counters::default(),
+            worker_seq: AtomicU64::new(pool),
+            workers_alive: AtomicU64::new(0),
             workers_excess: AtomicI64::new(0),
-            watchdog: Mutex::new(None),
         });
         for i in 0..pool {
             spawn_worker(&shared, i);
@@ -570,7 +474,7 @@ impl Engine {
                 .name("fairsqg-watchdog".to_string())
                 .spawn(move || watchdog_loop(&arc, grace))
                 .expect("spawn watchdog");
-            *sync::lock(&shared.watchdog) = Some(handle);
+            sync::lock(&shared.threads).push(handle);
         }
         Self { shared }
     }
@@ -583,25 +487,40 @@ impl Engine {
     /// Submits a job. On a cache hit the returned job is already `Done`;
     /// on a `request_key` replay the original job's id is returned and
     /// nothing new runs.
-    pub fn submit(&self, mut spec: JobSpec) -> Result<u64, SubmitError> {
+    pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
+        self.admit(spec, None)
+    }
+
+    /// Admission, with the submission's sink (if it is a streaming one)
+    /// attached in the same `sched` session that creates or finds the job,
+    /// so no event can precede it.
+    fn admit(&self, mut spec: JobSpec, mut sink: Option<EventSink>) -> Result<u64, SubmitError> {
+        let shared = &*self.shared;
+        let c = &shared.counters;
+        let attach = |s: &mut Sched, id: u64, sink: Option<EventSink>, fx: &mut Effects| {
+            if let Some(sink) = sink {
+                s.subscribe(id, sink, fx);
+            }
+        };
+
         // Idempotent replay: a retried submission (same request_key) maps
         // to the job admitted the first time, whatever state it is in.
-        if let Some(key) = &spec.request_key {
-            let replayed = sync::lock(&self.shared.jobs).keys.get(key).copied();
+        // The same session reads what the later checks need of the state
+        // machine (they re-check under the lock if it matters).
+        let (replayed, draining, depth) = shared.transition(|s, fx| {
+            let replayed = spec.request_key.as_deref().and_then(|key| s.replay(key));
             if let Some(id) = replayed {
-                self.shared
-                    .counters
-                    .dedup_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(id);
+                attach(s, id, sink.take(), fx);
             }
+            (replayed, s.is_draining(), s.queue_depth())
+        });
+        if let Some(id) = replayed {
+            c.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(id);
         }
 
         if let Some(fault) = fairsqg_faults::fire("queue.admit") {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
+            c.rejected.fetch_add(1, Ordering::Relaxed);
             let message = match fault {
                 Fault::Error(m) => m,
                 Fault::ReturnEarly => "admission rejected (injected)".to_string(),
@@ -611,246 +530,99 @@ impl Engine {
 
         // A draining engine completes what it has but takes nothing new;
         // the typed rejection tells clients to replay elsewhere.
-        if self.shared.draining.load(Ordering::SeqCst) {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
+        if draining {
+            c.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Draining);
         }
 
-        let entry = self
-            .shared
+        let entry = shared
             .registry
             .get(&spec.graph)
             .ok_or_else(|| SubmitError::UnknownGraph(spec.graph.clone()))?;
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
+        c.submitted.fetch_add(1, Ordering::Relaxed);
 
         // Per-job caps override the engine defaults axis by axis; the
         // merged budget is what runs and what the cache keys on.
-        spec.budget = spec.budget.or(&self.shared.config.budget);
+        spec.budget = spec.budget.or(&shared.config.budget);
 
-        let key = spec.fingerprint(entry.epoch);
-        let cached = sync::lock(&self.shared.cache).get(&key);
+        let fingerprint = spec.fingerprint(entry.epoch);
+        let cached = sync::lock(&shared.cache).get(&fingerprint);
         if let Some(result) = cached {
-            let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-            let truncated = result
-                .get("truncated")
-                .and_then(Value::as_bool)
-                .unwrap_or(false);
-            sync::lock(&self.shared.jobs).insert(
-                id,
-                JobRecord {
-                    spec,
-                    state: JobState::Done,
-                    cancel: CancelToken::new(),
-                    result: Some(result),
-                    error: None,
-                    from_cache: true,
-                    truncated,
-                    submitted_at: Instant::now(),
-                    deadline: None,
-                    started_at: None,
-                    hard_stopped_at: None,
-                    entry: None,
-                    fingerprint: None,
-                    followers: Vec::new(),
-                },
-            );
-            self.shared
-                .counters
-                .completed
-                .fetch_add(1, Ordering::Relaxed);
+            let id = shared.transition(|s, fx| {
+                let id = s.admit_cached(spec, result, Instant::now());
+                attach(s, id, sink, fx);
+                id
+            });
+            c.completed.fetch_add(1, Ordering::Relaxed);
             return Ok(id);
         }
 
         let deadline = spec
             .deadline_ms
             .map(Duration::from_millis)
-            .or(self.shared.config.default_deadline);
-
-        // The overload gate: one leaf-lock session deciding shedding,
-        // deadline admission, and the quota reservation. A reservation
-        // made here is released on every later rejection path.
-        let quota_client = self.overload_gate(&spec, deadline)?;
-
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
-
-        // Coalesce: an identical in-flight job (same fingerprint, still
-        // queued or running) becomes this submission's leader — the new
-        // job attaches as a follower and is served from the leader's
-        // result instead of occupying a queue slot. The inflight guard is
-        // held across admission so a settling leader cannot slip away
-        // between the lookup and the attach. Lock order:
-        // inflight → queue → jobs.
-        let mut inflight = self
-            .shared
-            .config
-            .coalesce
-            .then(|| sync::lock(&self.shared.inflight));
-        if let Some(map) = inflight.as_deref_mut() {
-            if let Some(&leader) = map.get(&key) {
-                let mut jobs = sync::lock(&self.shared.jobs);
-                let attachable = jobs
-                    .records
-                    .get(&leader)
-                    .is_some_and(|r| matches!(r.state, JobState::Queued | JobState::Running));
-                if attachable {
-                    let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-                    jobs.insert(
-                        id,
-                        JobRecord {
-                            spec,
-                            state: JobState::Queued,
-                            cancel,
-                            result: None,
-                            error: None,
-                            from_cache: false,
-                            truncated: false,
-                            submitted_at: Instant::now(),
-                            deadline,
-                            started_at: None,
-                            hard_stopped_at: None,
-                            entry: Some(entry),
-                            fingerprint: Some(key),
-                            followers: Vec::new(),
-                        },
-                    );
-                    if let Some(r) = jobs.records.get_mut(&leader) {
-                        r.followers.push(id);
-                    }
-                    drop(jobs);
-                    self.shared
-                        .counters
-                        .coalesced_attached
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(id);
-                }
-                // The mapped job already settled; fall through and lead.
-                map.remove(&key);
-            }
-        }
-
-        let mut q = sync::lock(&self.shared.queue);
-        if q.shutdown {
-            drop(q);
-            drop(inflight);
-            self.release_quota(quota_client.as_deref());
-            return Err(SubmitError::ShuttingDown);
-        }
-        let mut evicted: Option<(u64, Option<String>)> = None;
-        if q.queue.len() >= self.shared.config.queue_capacity {
-            // At the Shedding level a full queue prefers its
-            // highest-priority work: evict the lowest-priority waiter
-            // (strictly below the newcomer, follower-free so nobody else
-            // rides on it) instead of bouncing the newcomer.
-            let level = level_from_u8(self.shared.level.load(Ordering::SeqCst));
-            if level == PressureLevel::Shedding {
-                let mut jobs = sync::lock(&self.shared.jobs);
-                let victim = q
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, &jid)| {
-                        let r = jobs.records.get(&jid)?;
-                        (r.spec.priority < spec.priority && r.followers.is_empty()).then_some((
-                            pos,
-                            jid,
-                            r.spec.priority,
-                        ))
-                    })
-                    .min_by_key(|&(_, _, p)| p);
-                if let Some((pos, jid, _)) = victim {
-                    q.queue.remove(pos);
-                    if let Some(r) = jobs.records.get_mut(&jid) {
-                        r.state = JobState::Failed;
-                        r.error = Some("shed: displaced by higher-priority work".to_string());
-                        r.entry = None;
-                        evicted = Some((jid, r.spec.client.clone()));
-                        if let Some(fp) = r.fingerprint.clone() {
-                            if let Some(map) = inflight.as_deref_mut() {
-                                if map.get(&fp) == Some(&jid) {
-                                    map.remove(&fp);
-                                }
-                            }
-                        }
-                        jobs.settled.push_back(jid);
-                    }
-                    self.shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .shed_evicted
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if evicted.is_none() {
-                drop(q);
-                drop(inflight);
-                self.release_quota(quota_client.as_deref());
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let retry_after_ms = self.retry_hint(1);
-                return Err(SubmitError::Overloaded {
-                    capacity: self.shared.config.queue_capacity,
-                    retry_after_ms,
-                });
-            }
-        }
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        sync::lock(&self.shared.jobs).insert(
-            id,
-            JobRecord {
-                spec,
-                state: JobState::Queued,
-                cancel,
-                result: None,
-                error: None,
-                from_cache: false,
-                truncated: false,
-                submitted_at: Instant::now(),
-                deadline,
-                started_at: None,
-                hard_stopped_at: None,
-                entry: Some(entry),
-                fingerprint: Some(key.clone()),
-                followers: Vec::new(),
+            .or(shared.config.default_deadline);
+        let template = plan_key(&spec);
+        let level = self.overload_gate(&spec, template, deadline, depth)?;
+        // Read before the token starts ticking: a job its deadline cut
+        // short has then always outlived `submitted_at + deadline`.
+        let now = Instant::now();
+        let admission = Admission {
+            cancel: match deadline {
+                Some(d) => CancelToken::with_deadline(d),
+                None => CancelToken::new(),
             },
-        );
-        if let Some(map) = inflight.as_deref_mut() {
-            map.insert(key, id);
-        }
-        q.queue.push_back(id);
-        drop(q);
-        drop(inflight);
-        if let Some((victim, victim_client)) = evicted {
-            self.release_quota(victim_client.as_deref());
-            // The evicted job settled Failed inline above; deliver its
-            // streaming events (if anyone subscribed) now that every
-            // lock is released.
-            flush_settled(&self.shared, victim);
-        }
-        self.shared.work_ready.notify_one();
-        Ok(id)
+            spec,
+            deadline,
+            entry,
+            fingerprint,
+            shedding: level == PressureLevel::Shedding,
+        };
+        let admitted = shared.transition(|s, fx| {
+            let id = s.admit(admission, now, c, fx)?;
+            attach(s, id, sink, fx);
+            Ok(id)
+        });
+        let workers = shared.config.workers.max(1) as f64;
+        admitted.map_err(|refused| match refused {
+            Refused::ShuttingDown => SubmitError::ShuttingDown,
+            Refused::Draining => {
+                c.rejected.fetch_add(1, Ordering::Relaxed);
+                SubmitError::Draining
+            }
+            Refused::Quota(client) => {
+                c.quota_rejected.fetch_add(1, Ordering::Relaxed);
+                c.rejected.fetch_add(1, Ordering::Relaxed);
+                let per_job = sync::lock(&shared.observed)
+                    .model
+                    .predict_service_ms(template);
+                SubmitError::QuotaExceeded {
+                    client,
+                    limit: shared.config.client_quota,
+                    retry_after_ms: hint_ms(per_job / workers),
+                }
+            }
+            Refused::Full => {
+                c.rejected.fetch_add(1, Ordering::Relaxed);
+                // One queue slot's worth of predicted drain.
+                let per_job = sync::lock(&shared.observed).model.overall_service_ms();
+                SubmitError::Overloaded {
+                    capacity: shared.config.queue_capacity,
+                    retry_after_ms: hint_ms(per_job.unwrap_or(25.0) / workers),
+                }
+            }
+        })
     }
 
-    /// One overload-gate pass under the leaf lock: refresh the pressure
-    /// level, shed if warranted, check deadline admission, and reserve a
-    /// quota slot. Returns the client whose slot was reserved (released
-    /// by [`Self::release_quota`] on later rejection, or at settlement).
+    /// One overload-gate pass: refresh the pressure level, shed if
+    /// warranted, check deadline admission. Returns the level it computed.
     fn overload_gate(
         &self,
         spec: &JobSpec,
+        template: u64,
         deadline: Option<Duration>,
-    ) -> Result<Option<String>, SubmitError> {
-        let depth = self.queue_depth();
+        depth: usize,
+    ) -> Result<PressureLevel, SubmitError> {
+        let c = &self.shared.counters;
         let capacity = self.shared.config.queue_capacity.max(1);
         let warm_evictions = if self.shared.config.warm_state {
             self.shared.registry.warm_stats().evictions
@@ -858,7 +630,7 @@ impl Engine {
             0
         };
         let workers = self.shared.config.workers.max(1);
-        let mut ov = sync::lock(&self.shared.overload);
+        let mut ov = sync::lock(&self.shared.observed);
 
         // Deterministic override for tests and drills: the
         // `brownout.level` fail point pins the controller to a named
@@ -877,25 +649,17 @@ impl Engine {
             ov.controller.evaluate(inputs);
         }
         let level = ov.controller.level();
-        self.shared
-            .level
-            .store(level_to_u8(level), Ordering::SeqCst);
 
         if level == PressureLevel::Shedding
             && spec.priority < self.shared.config.brownout.shed_below_priority
         {
-            let retry_after_ms = hint_ms(ov.model.predict_completion_ms(
-                plan_key(spec),
-                depth,
-                workers,
-            ));
+            let predicted = ov.model.predict_completion_ms(template, depth, workers);
             drop(ov);
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Shed { retry_after_ms });
+            c.shed.fetch_add(1, Ordering::Relaxed);
+            c.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::Shed {
+                retry_after_ms: hint_ms(predicted),
+            });
         }
 
         // Deadline admission guards *queueing* delay: an idle engine
@@ -909,112 +673,37 @@ impl Engine {
                     fairsqg_faults::fire("admission.reject"),
                     Some(Fault::Error(_) | Fault::ReturnEarly)
                 );
-                let predicted = ov
-                    .model
-                    .predict_completion_ms(plan_key(spec), depth, workers);
+                let predicted = ov.model.predict_completion_ms(template, depth, workers);
                 if forced || (depth > 0 && predicted > deadline_ms as f64) {
-                    let predicted_ms = predicted.ceil() as u64;
-                    let retry_after_ms = hint_ms(predicted - deadline_ms as f64);
                     drop(ov);
-                    self.shared
-                        .counters
-                        .deadline_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
+                    c.deadline_rejected.fetch_add(1, Ordering::Relaxed);
+                    c.rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(SubmitError::DeadlineUnmeetable {
                         deadline_ms,
-                        predicted_ms,
-                        retry_after_ms,
+                        predicted_ms: predicted.ceil() as u64,
+                        retry_after_ms: hint_ms(predicted - deadline_ms as f64),
                     });
                 }
             }
         }
-
-        // Quota: reserve the slot now (check-and-increment under the one
-        // lock), so two racing submissions cannot both squeeze under the
-        // limit.
-        let limit = self.shared.config.client_quota;
-        if limit > 0 {
-            if let Some(client) = &spec.client {
-                let used = ov.quotas.entry(client.clone()).or_insert(0);
-                if *used >= limit {
-                    let retry_after_ms =
-                        hint_ms(ov.model.predict_service_ms(plan_key(spec)) / workers as f64);
-                    drop(ov);
-                    self.shared
-                        .counters
-                        .quota_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::QuotaExceeded {
-                        client: client.clone(),
-                        limit,
-                        retry_after_ms,
-                    });
-                }
-                *used += 1;
-                return Ok(Some(client.clone()));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Releases a quota slot reserved by [`Self::overload_gate`].
-    fn release_quota(&self, client: Option<&str>) {
-        let Some(client) = client else { return };
-        let mut ov = sync::lock(&self.shared.overload);
-        if let Some(used) = ov.quotas.get_mut(client) {
-            *used = used.saturating_sub(1);
-            if *used == 0 {
-                ov.quotas.remove(client);
-            }
-        }
-    }
-
-    /// A retry hint for `slots` queue slots' worth of predicted drain.
-    fn retry_hint(&self, slots: usize) -> u64 {
-        let workers = self.shared.config.workers.max(1);
-        let ov = sync::lock(&self.shared.overload);
-        let per_job = ov.model.overall_service_ms().unwrap_or(25.0);
-        hint_ms(per_job * slots as f64 / workers as f64)
+        Ok(level)
     }
 
     /// Snapshot of a job's state.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
-        let jobs = sync::lock(&self.shared.jobs);
-        jobs.records.get(&id).map(|r| JobStatus {
-            id,
-            state: r.state,
-            from_cache: r.from_cache,
-            truncated: r.truncated,
-            error: r.error.clone(),
-        })
+        sync::lock(&self.shared.sched).status(id)
     }
 
     /// The result of a `Done` job (shared, render-once).
     pub fn result(&self, id: u64) -> Option<Arc<Value>> {
-        let jobs = sync::lock(&self.shared.jobs);
-        jobs.records.get(&id).and_then(|r| r.result.clone())
+        sync::lock(&self.shared.sched).result(id)
     }
 
     /// Requests cancellation of a job. Queued jobs are skipped by the
     /// worker; running jobs stop at the next verification boundary.
     /// Returns `false` for unknown ids.
     pub fn cancel(&self, id: u64) -> bool {
-        let jobs = sync::lock(&self.shared.jobs);
-        match jobs.records.get(&id) {
-            Some(r) => {
-                r.cancel.cancel();
-                true
-            }
-            None => false,
-        }
+        sync::lock(&self.shared.sched).cancel(id)
     }
 
     /// Registers `sink` for a job's [`JobEvent`] stream. Returns `false`
@@ -1024,23 +713,7 @@ impl Engine {
     /// is mid-run misses nothing material: entries it never saw as live
     /// deltas arrive in the settlement catch-up.
     pub fn subscribe(&self, id: u64, sink: EventSink) -> bool {
-        if !sync::lock(&self.shared.jobs).records.contains_key(&id) {
-            return false;
-        }
-        {
-            let mut subs = sync::lock(&self.shared.subscriptions);
-            let st = subs.entry(id).or_insert_with(|| StreamState {
-                sinks: Vec::new(),
-                streamed: BTreeSet::new(),
-                last_version: 0,
-            });
-            st.sinks.push(sink);
-        }
-        // The job may have settled between the existence check and the
-        // registration; flushing here makes the race benign (the flush
-        // removes the subscription atomically, so events fire once).
-        flush_settled(&self.shared, id);
-        true
+        self.shared.transition(|s, fx| s.subscribe(id, sink, fx))
     }
 
     /// [`Self::submit`] with a [`JobEvent`] subscription attached before
@@ -1051,14 +724,12 @@ impl Engine {
     /// catch-up delta.
     pub fn submit_streaming(&self, mut spec: JobSpec, sink: EventSink) -> Result<u64, SubmitError> {
         spec.subscribe = true;
-        let id = self.submit(spec)?;
-        self.subscribe(id, sink);
-        Ok(id)
+        self.admit(spec, Some(sink))
     }
 
     /// Current queue depth (admitted, not yet picked up).
     pub fn queue_depth(&self) -> usize {
-        sync::lock(&self.shared.queue).queue.len()
+        sync::lock(&self.shared.sched).queue_depth()
     }
 
     /// Result-cache counters.
@@ -1071,14 +742,14 @@ impl Engine {
         self.shared.workers_alive.load(Ordering::SeqCst)
     }
 
-    /// The current pressure level (last admission/settlement evaluation).
+    /// The current pressure level (last admission evaluation).
     pub fn pressure_level(&self) -> PressureLevel {
-        level_from_u8(self.shared.level.load(Ordering::SeqCst))
+        sync::lock(&self.shared.observed).controller.level()
     }
 
     /// Whether [`Self::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        sync::lock(&self.shared.sched).is_draining()
     }
 
     /// Starts a graceful drain: new submissions are rejected with
@@ -1088,36 +759,15 @@ impl Engine {
     /// normally. Returns `(bounced, running)`. Idempotent; the workers
     /// stay up for status/result traffic until [`Self::shutdown`].
     pub fn begin_drain(&self) -> (usize, usize) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let queued: Vec<u64> = {
-            let mut q = sync::lock(&self.shared.queue);
-            q.queue.drain(..).collect()
-        };
-        let bounced = queued.len();
-        for id in queued {
-            settle_job(&self.shared, id, Settled::Drained);
-        }
-        let running = sync::lock(&self.shared.jobs)
-            .records
-            .values()
-            .filter(|r| r.state == JobState::Running)
-            .count();
-        (bounced, running)
+        let c = &self.shared.counters;
+        self.shared.transition(|s, fx| s.begin_drain(c, fx))
     }
 
     /// Whether a drain has finished: draining was requested and nothing
     /// is queued or running any more.
     pub fn drain_complete(&self) -> bool {
-        if !self.is_draining() {
-            return false;
-        }
-        if !sync::lock(&self.shared.queue).queue.is_empty() {
-            return false;
-        }
-        !sync::lock(&self.shared.jobs)
-            .records
-            .values()
-            .any(|r| matches!(r.state, JobState::Queued | JobState::Running))
+        let s = sync::lock(&self.shared.sched);
+        s.is_draining() && s.idle()
     }
 
     /// Engine statistics in wire form (the `stats` response body).
@@ -1153,7 +803,60 @@ impl Engine {
         } else {
             Value::object([("enabled", Value::from(false))])
         };
-        let lat = sync::lock(&self.shared.latencies);
+        let (pressure, latency) = {
+            let ov = sync::lock(&self.shared.observed);
+            let pressure = Value::object([
+                ("level", Value::from(ov.controller.level().as_str())),
+                ("transitions", Value::from(ov.controller.transitions())),
+                (
+                    "miss_rate",
+                    ov.miss_ewma.get().map_or(Value::Null, Value::from),
+                ),
+                (
+                    "service_ms",
+                    ov.model
+                        .overall_service_ms()
+                        .map_or(Value::Null, Value::from),
+                ),
+                (
+                    "queue_wait_ms",
+                    ov.model.queue_wait_ms().map_or(Value::Null, Value::from),
+                ),
+                (
+                    "deadline_rejected",
+                    Value::from(c.deadline_rejected.load(Ordering::Relaxed)),
+                ),
+                (
+                    "quota_rejected",
+                    Value::from(c.quota_rejected.load(Ordering::Relaxed)),
+                ),
+                ("shed", Value::from(c.shed.load(Ordering::Relaxed))),
+                (
+                    "shed_evicted",
+                    Value::from(c.shed_evicted.load(Ordering::Relaxed)),
+                ),
+                (
+                    "brownout_jobs",
+                    Value::from(c.brownout_jobs.load(Ordering::Relaxed)),
+                ),
+                (
+                    "deadline_misses",
+                    Value::from(c.deadline_misses.load(Ordering::Relaxed)),
+                ),
+            ]);
+            let lat = &ov.latencies;
+            let latency = Value::object([
+                ("queue_wait", lat.queue_wait.to_value()),
+                ("plan", lat.plan.to_value()),
+                ("generate", lat.generate.to_value()),
+                ("render", lat.render.to_value()),
+            ]);
+            (pressure, latency)
+        };
+        let (queue_depth, draining, streams) = {
+            let s = sync::lock(&self.shared.sched);
+            (s.queue_depth(), s.is_draining(), s.streams())
+        };
         let eval_verified = c.eval_verified.load(Ordering::Relaxed);
         let eval_hits = c.eval_cache_hits.load(Ordering::Relaxed);
         let eval_lookups = eval_verified + eval_hits;
@@ -1164,7 +867,7 @@ impl Engine {
         };
         Value::object([
             ("workers", Value::from(self.shared.config.workers)),
-            ("queue_depth", Value::from(self.queue_depth())),
+            ("queue_depth", Value::from(queue_depth)),
             (
                 "queue_capacity",
                 Value::from(self.shared.config.queue_capacity),
@@ -1209,48 +912,7 @@ impl Engine {
                     ),
                 ]),
             ),
-            ("pressure", {
-                let ov = sync::lock(&self.shared.overload);
-                Value::object([
-                    ("level", Value::from(self.pressure_level().as_str())),
-                    ("transitions", Value::from(ov.controller.transitions())),
-                    (
-                        "miss_rate",
-                        ov.miss_ewma.get().map_or(Value::Null, Value::from),
-                    ),
-                    (
-                        "service_ms",
-                        ov.model
-                            .overall_service_ms()
-                            .map_or(Value::Null, Value::from),
-                    ),
-                    (
-                        "queue_wait_ms",
-                        ov.model.queue_wait_ms().map_or(Value::Null, Value::from),
-                    ),
-                    (
-                        "deadline_rejected",
-                        Value::from(c.deadline_rejected.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "quota_rejected",
-                        Value::from(c.quota_rejected.load(Ordering::Relaxed)),
-                    ),
-                    ("shed", Value::from(c.shed.load(Ordering::Relaxed))),
-                    (
-                        "shed_evicted",
-                        Value::from(c.shed_evicted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "brownout_jobs",
-                        Value::from(c.brownout_jobs.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "deadline_misses",
-                        Value::from(c.deadline_misses.load(Ordering::Relaxed)),
-                    ),
-                ])
-            }),
+            ("pressure", pressure),
             (
                 "watchdog",
                 Value::object([
@@ -1271,7 +933,7 @@ impl Engine {
             (
                 "drain",
                 Value::object([
-                    ("draining", Value::from(self.is_draining())),
+                    ("draining", Value::from(draining)),
                     ("drained", Value::from(c.drained.load(Ordering::Relaxed))),
                 ]),
             ),
@@ -1309,10 +971,7 @@ impl Engine {
                         "settled",
                         Value::from(c.stream_settled.load(Ordering::Relaxed)),
                     ),
-                    (
-                        "active",
-                        Value::from(sync::lock(&self.shared.subscriptions).len() as u64),
-                    ),
+                    ("active", Value::from(streams as u64)),
                 ]),
             ),
             ("warm_state", warm),
@@ -1368,15 +1027,7 @@ impl Engine {
                     ),
                 ]),
             ),
-            (
-                "latency",
-                Value::object([
-                    ("queue_wait", lat.queue_wait.to_value()),
-                    ("plan", lat.plan.to_value()),
-                    ("generate", lat.generate.to_value()),
-                    ("render", lat.render.to_value()),
-                ]),
-            ),
+            ("latency", latency),
         ])
     }
 
@@ -1384,25 +1035,19 @@ impl Engine {
     /// completion (their deadlines still apply), new submissions are
     /// rejected with [`SubmitError::ShuttingDown`].
     pub fn shutdown(&self) {
-        {
-            let mut q = sync::lock(&self.shared.queue);
-            q.shutdown = true;
-        }
+        sync::lock(&self.shared.sched).shut_down();
         self.shared.work_ready.notify_all();
+        self.shared.watchdog_wake.notify_all();
         // A dying worker registers its replacement's handle before
         // terminating, so keep draining until the vector stays empty.
         loop {
-            let drained: Vec<_> = sync::lock(&self.shared.workers).drain(..).collect();
+            let drained: Vec<_> = sync::lock(&self.shared.threads).drain(..).collect();
             if drained.is_empty() {
                 break;
             }
             for h in drained {
                 let _ = h.join();
             }
-        }
-        // The watchdog observes the shutdown flag within one poll tick.
-        if let Some(h) = sync::lock(&self.shared.watchdog).take() {
-            let _ = h.join();
         }
     }
 }
@@ -1419,7 +1064,7 @@ fn spawn_worker(shared: &Arc<Shared>, seq: u64) {
         .name(format!("fairsqg-worker-{seq}"))
         .spawn(move || worker_loop(&arc))
         .expect("spawn worker");
-    sync::lock(&shared.workers).push(handle);
+    sync::lock(&shared.threads).push(handle);
 }
 
 /// Supervision guard living on each worker thread's stack: when the thread
@@ -1433,7 +1078,7 @@ struct WorkerGuard {
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
         self.shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
-        if std::thread::panicking() && !sync::lock(&self.shared.queue).shutdown {
+        if std::thread::panicking() && !sync::lock(&self.shared.sched).is_shutdown() {
             self.shared
                 .counters
                 .worker_respawns
@@ -1466,19 +1111,23 @@ fn worker_loop(shared: &Arc<Shared>) {
                 return;
             }
         }
-        let id = {
-            let mut q = sync::lock(&shared.queue);
+        let mut fx = Effects::default();
+        let run = {
+            let mut s = sync::lock(&shared.sched);
             loop {
-                if let Some(id) = q.queue.pop_front() {
-                    break id;
+                if let Some(id) = s.pop() {
+                    break s.start(id, Instant::now(), &shared.counters, &mut fx);
                 }
-                if q.shutdown {
+                if s.is_shutdown() {
                     return;
                 }
-                q = sync::wait(&shared.work_ready, q);
+                s = sync::wait(&shared.work_ready, s);
             }
         };
-        run_job(shared, id);
+        shared.apply(fx);
+        if let Some(run) = run {
+            run_job(shared, run);
+        }
     }
 }
 
@@ -1495,63 +1144,35 @@ fn worker_loop(shared: &Arc<Shared>) {
 ///    replacement worker is spawned, and the pool's excess counter makes
 ///    the original thread exit voluntarily if it ever returns.
 ///
-/// Jobs with no effective deadline are never escalated — "stuck" is only
-/// defined relative to a promise.
+/// Overruns are measured from when the worker *started* the job, not from
+/// submission (which is what a deadline miss is measured from): the
+/// watchdog bounds how long a worker may be held, not how long a client
+/// waited. Jobs with no effective deadline are never escalated — "stuck"
+/// is only defined relative to a promise.
 fn watchdog_loop(shared: &Arc<Shared>, grace: Duration) {
     let tick = (grace / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
-    loop {
-        if sync::lock(&shared.queue).shutdown {
-            return;
+    let c = &shared.counters;
+    let mut s = sync::lock(&shared.sched);
+    while !s.is_shutdown() {
+        s = sync::wait_timeout(&shared.watchdog_wake, s, tick);
+        let lost = s.overdue(Instant::now(), grace, c);
+        if lost.is_empty() {
+            continue;
         }
-        std::thread::sleep(tick);
-        let now = Instant::now();
-        let mut lost: Vec<u64> = Vec::new();
-        {
-            let mut jobs = sync::lock(&shared.jobs);
-            for (&id, r) in jobs.records.iter_mut() {
-                if r.state != JobState::Running {
-                    continue;
-                }
-                let (Some(started), Some(deadline)) = (r.started_at, r.deadline) else {
-                    continue;
-                };
-                if now.saturating_duration_since(started) <= deadline + grace {
-                    continue;
-                }
-                match r.hard_stopped_at {
-                    None => {
-                        r.cancel.hard_stop();
-                        r.hard_stopped_at = Some(now);
-                        shared
-                            .counters
-                            .watchdog_hard_stops
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(at) if now.saturating_duration_since(at) > grace => lost.push(id),
-                    Some(_) => {}
-                }
-            }
-        }
+        drop(s);
         for id in lost {
-            shared
-                .counters
-                .watchdog_lost_workers
-                .fetch_add(1, Ordering::Relaxed);
+            c.watchdog_lost_workers.fetch_add(1, Ordering::Relaxed);
             // Over-provision first, settle second: the pool must not dip
             // below strength while the wedged thread holds its slot. If
             // the original thread ever returns, its settlement is a
-            // guarded no-op and one surplus worker exits.
+            // no-op and one surplus worker exits.
             shared.workers_excess.fetch_add(1, Ordering::SeqCst);
             let seq = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
             spawn_worker(shared, seq);
-            settle_job(
-                shared,
-                id,
-                Settled::Failed(
-                    "watchdog: worker unresponsive past deadline + grace; job abandoned".into(),
-                ),
-            );
+            let reason = "watchdog: worker unresponsive past deadline + grace; job abandoned";
+            shared.transition(|s, fx| s.settle(id, Settled::Failed(reason.into()), c, fx));
         }
+        s = sync::lock(&shared.sched);
     }
 }
 
@@ -1569,7 +1190,7 @@ impl ArchiveObserver for StreamObs<'_, '_> {
         // Render only while someone is listening — an unsubscribed (or
         // already-flushed) job skips the render cost entirely, and the
         // settlement catch-up covers whatever is skipped.
-        if !sync::lock(&self.shared.subscriptions).contains_key(&self.id) {
+        if !sync::lock(&self.shared.sched).listening(self.id) {
             return;
         }
         let added: Vec<Value> = delta
@@ -1582,209 +1203,56 @@ impl ArchiveObserver for StreamObs<'_, '_> {
             .iter()
             .map(|e| entry_bindings(self.plan, e))
             .collect();
-        publish_delta(self.shared, self.id, delta.version, added, removed);
-    }
-}
-
-/// Delivers one live delta to a job's sinks, recording the delivered entry
-/// keys so the settlement catch-up knows what the stream already carries.
-/// Sinks fire after the subscription lock is released.
-fn publish_delta(shared: &Shared, id: u64, version: u64, added: Vec<Value>, removed: Vec<String>) {
-    let sinks: Vec<EventSink> = {
-        let mut subs = sync::lock(&shared.subscriptions);
-        let Some(st) = subs.get_mut(&id) else { return };
-        for b in &removed {
-            st.streamed.remove(b);
-        }
-        for v in &added {
-            if let Some(b) = v.get("bindings").and_then(Value::as_str) {
-                st.streamed.insert(b.to_string());
-            }
-        }
-        st.last_version = version;
-        st.sinks.clone()
-    };
-    shared
-        .counters
-        .stream_deltas
-        .fetch_add(1, Ordering::Relaxed);
-    let ev = JobEvent::Delta {
-        id,
-        version,
-        added,
-        removed,
-    };
-    for sink in &sinks {
-        sink(&ev);
-    }
-}
-
-/// Fires a settled job's terminal events: a catch-up [`JobEvent::Delta`]
-/// reconciling the stream with the final entry set (covers cache hits,
-/// coalesced followers, rescales, and end-built archives), then the
-/// [`JobEvent::Settled`]. Removing the subscription under its lock makes
-/// the function idempotent — concurrent callers (a settling worker and a
-/// racing [`Engine::subscribe`]) deliver the events exactly once.
-fn flush_settled(shared: &Shared, id: u64) {
-    let snapshot = {
-        let jobs = sync::lock(&shared.jobs);
-        match jobs.records.get(&id) {
-            Some(r) if r.state.is_terminal() => Some((
-                r.state,
-                r.truncated,
-                r.from_cache,
-                r.error.clone(),
-                r.result.clone(),
-            )),
-            _ => None,
-        }
-    };
-    let Some((state, truncated, from_cache, error, result)) = snapshot else {
-        return;
-    };
-    let Some(st) = sync::lock(&shared.subscriptions).remove(&id) else {
-        return;
-    };
-    if state == JobState::Done {
-        if let Some(result) = &result {
-            let final_entries: Vec<&Value> = result
-                .get("entries")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().collect())
-                .unwrap_or_default();
-            let final_keys: BTreeSet<&str> = final_entries
-                .iter()
-                .filter_map(|e| e.get("bindings").and_then(Value::as_str))
-                .collect();
-            let added: Vec<Value> = final_entries
-                .iter()
-                .filter(|e| {
-                    e.get("bindings")
-                        .and_then(Value::as_str)
-                        .is_some_and(|b| !st.streamed.contains(b))
-                })
-                .map(|e| (*e).clone())
-                .collect();
-            let removed: Vec<String> = st
-                .streamed
-                .iter()
-                .filter(|b| !final_keys.contains(b.as_str()))
-                .cloned()
-                .collect();
-            if !added.is_empty() || !removed.is_empty() {
-                shared
-                    .counters
-                    .stream_catchups
-                    .fetch_add(1, Ordering::Relaxed);
-                let ev = JobEvent::Delta {
-                    id,
-                    version: st.last_version + 1,
-                    added,
-                    removed,
-                };
-                for sink in &st.sinks {
-                    sink(&ev);
-                }
-            }
-        }
-    }
-    shared
-        .counters
-        .stream_settled
-        .fetch_add(1, Ordering::Relaxed);
-    let ev = JobEvent::Settled {
-        id,
-        state,
-        truncated,
-        from_cache,
-        error,
-        result,
-    };
-    for sink in &st.sinks {
-        sink(&ev);
-    }
-}
-
-/// Terminal outcome of a leader job, consumed by [`settle_job`].
-enum Settled {
-    Done {
-        result: Arc<Value>,
-        truncated: bool,
-    },
-    Failed(String),
-    Cancelled,
-    /// Bounced by [`Engine::begin_drain`] before running.
-    Drained,
-}
-
-fn run_job(shared: &Shared, id: u64) {
-    // Snapshot what the job needs; the jobs lock is NOT held while running.
-    let (spec, cancel, submitted_at, pinned, deadline) = {
-        let mut jobs = sync::lock(&shared.jobs);
-        let Some(r) = jobs.records.get_mut(&id) else {
+        let (id, version) = (self.id, delta.version);
+        let sinks = sync::lock(&self.shared.sched).stream_delta(id, version, &added, &removed);
+        if sinks.is_empty() {
             return;
+        }
+        self.shared
+            .counters
+            .stream_deltas
+            .fetch_add(1, Ordering::Relaxed);
+        let ev = JobEvent::Delta {
+            id,
+            version,
+            added,
+            removed,
         };
-        // A drain or double-settle may have already finished this id.
-        if r.state.is_terminal() {
-            return;
+        for sink in &sinks {
+            sink(&ev);
         }
-        // Explicit cancellation skips the job entirely; a lapsed deadline
-        // does not — the generation runs and returns immediately with an
-        // empty archive flagged truncated, which is what deadline-bound
-        // callers are promised.
-        if r.cancel.cancel_requested() {
-            drop(jobs);
-            settle_job(shared, id, Settled::Cancelled);
-            return;
-        }
-        r.state = JobState::Running;
-        r.started_at = Some(Instant::now());
-        (
-            r.spec.clone(),
-            r.cancel.clone(),
-            r.submitted_at,
-            r.entry.clone(),
-            r.deadline,
-        )
-    };
+    }
+}
+
+fn run_job(shared: &Shared, run: Run) {
+    let Run {
+        id,
+        spec,
+        cancel,
+        submitted_at,
+        entry,
+        deadline,
+    } = run;
+    let c = &shared.counters;
     let picked_up = Instant::now();
-    sync::lock(&shared.latencies)
-        .queue_wait
-        .record(picked_up - submitted_at);
-    sync::lock(&shared.overload)
-        .model
-        .observe_queue_wait(picked_up - submitted_at);
+    let level = {
+        let mut ov = sync::lock(&shared.observed);
+        ov.latencies.queue_wait.record(picked_up - submitted_at);
+        ov.model.observe_queue_wait(picked_up - submitted_at);
+        ov.controller.level()
+    };
 
     // Brownout: while the engine is Degraded or Shedding the job runs
     // with axis-wise *tightened* caps. The result is a valid (possibly
     // coarser) ε-Pareto archive, flagged in `stats.brownout` and never
     // cached.
-    let level = level_from_u8(shared.level.load(Ordering::SeqCst));
     let mark = (level >= PressureLevel::Degraded).then(|| {
-        shared
-            .counters
-            .brownout_jobs
-            .fetch_add(1, Ordering::Relaxed);
+        c.brownout_jobs.fetch_add(1, Ordering::Relaxed);
         BrownoutMark {
             level: level.as_str(),
             budget: spec.budget.tighten(&shared.config.brownout.degraded_budget),
         }
     });
-
-    // The graph was pinned at admission (reloads must not change what an
-    // admitted job runs against); the registry fallback only covers
-    // records that predate pinning.
-    let entry = match pinned.or_else(|| shared.registry.get(&spec.graph)) {
-        Some(e) => e,
-        None => {
-            settle_job(
-                shared,
-                id,
-                Settled::Failed(format!("graph '{}' disappeared", spec.graph)),
-            );
-            return;
-        }
-    };
 
     // A panic inside planning/generation must not lose the job: it is
     // marked Failed, then the panic is re-raised so the supervisor retires
@@ -1834,23 +1302,14 @@ fn run_job(shared: &Shared, id: u64) {
         );
         let generated = Instant::now();
         let rendered = generated_to_value_with(&plan, &out, mark.as_ref());
-        let render_done = Instant::now();
-        {
-            let mut lat = sync::lock(&shared.latencies);
-            lat.plan.record(planned - plan_started);
-            lat.generate.record(generated - planned);
-            lat.render.record(render_done - generated);
-        }
-        shared
-            .counters
-            .eval_verified
-            .fetch_add(out.stats.verified, Ordering::Relaxed);
-        shared
-            .counters
-            .eval_cache_hits
-            .fetch_add(out.stats.cache_hits, Ordering::Relaxed);
-        let c = &shared.counters;
+        let stages = [
+            planned - plan_started,
+            generated - planned,
+            generated.elapsed(),
+        ];
         for (counter, value) in [
+            (&c.eval_verified, out.stats.verified),
+            (&c.eval_cache_hits, out.stats.cache_hits),
             (&c.match_index_candidates, out.stats.index_candidates),
             (&c.match_scan_candidates, out.stats.scan_candidates),
             (&c.match_scan_fallbacks, out.stats.scan_fallbacks),
@@ -1862,33 +1321,38 @@ fn run_job(shared: &Shared, id: u64) {
             counter.fetch_add(value, Ordering::Relaxed);
         }
         if out.stats.budget_tripped.is_some() {
-            shared.counters.budget_trips.fetch_add(1, Ordering::Relaxed);
+            c.budget_trips.fetch_add(1, Ordering::Relaxed);
         }
-        Ok::<(Arc<Value>, bool), String>((Arc::new(rendered), out.truncated))
+        Ok::<_, String>((Arc::new(rendered), out.truncated, stages))
     }));
 
     // Feed the admission predictor whatever happened: service time for
     // the model, and — for deadline-bearing jobs — whether the deadline
-    // was held. Observed before settling so a follower-promotion requeue
-    // already sees fresh numbers.
-    let elapsed = picked_up.elapsed();
+    // was held, counted from submission (the job's token has been ticking
+    // since then, so a job the queue delayed and the deadline then cut
+    // short is a miss even though its run was brief). Observed before
+    // settling so a follower-promotion requeue already sees fresh numbers.
     {
-        let mut ov = sync::lock(&shared.overload);
-        ov.model.observe_service(plan_key(&spec), elapsed);
+        let mut ov = sync::lock(&shared.observed);
+        ov.model
+            .observe_service(plan_key(&spec), picked_up.elapsed());
         if let Some(d) = deadline {
-            let missed = elapsed > d;
+            let missed = submitted_at.elapsed() > d;
             ov.miss_ewma.observe(if missed { 1.0 } else { 0.0 });
             if missed {
-                shared
-                    .counters
-                    .deadline_misses
-                    .fetch_add(1, Ordering::Relaxed);
+                c.deadline_misses.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        if let Ok(Ok((_, _, [plan, generate, render]))) = &outcome {
+            ov.latencies.plan.record(*plan);
+            ov.latencies.generate.record(*generate);
+            ov.latencies.render.record(*render);
         }
     }
 
+    let settle = |outcome| shared.transition(|s, fx| s.settle(id, outcome, c, fx));
     match outcome {
-        Ok(Ok((result, truncated))) => {
+        Ok(Ok((result, truncated, _))) => {
             if !truncated && mark.is_none() {
                 // Partial archives are deadline/budget artifacts and
                 // brownout archives reflect degraded caps; only complete,
@@ -1910,209 +1374,20 @@ fn run_job(shared: &Shared, id: u64) {
             // a valid (flagged) answer to exactly the job they submitted,
             // and re-running them would churn work precisely while the
             // engine is overloaded.
-            settle_job(shared, id, Settled::Done { result, truncated });
+            settle(Settled::Done { result, truncated });
         }
-        Ok(Err(message)) => settle_job(shared, id, Settled::Failed(message)),
+        Ok(Err(message)) => settle(Settled::Failed(message)),
         Err(panic) => {
-            shared.counters.job_panics.fetch_add(1, Ordering::Relaxed);
+            c.job_panics.fetch_add(1, Ordering::Relaxed);
             let message = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "job panicked".to_string());
-            settle_job(shared, id, Settled::Failed(format!("panic: {message}")));
+            settle(Settled::Failed(format!("panic: {message}")));
             // The thread's state can't be trusted after an arbitrary
             // panic; re-raise so WorkerGuard replaces this worker.
             resume_unwind(panic);
-        }
-    }
-}
-
-/// Terminal bookkeeping for a job: records the outcome, then deals with
-/// any coalesced followers. A clean (non-truncated) result is distributed
-/// to every live follower; an unusable outcome — failed, cancelled, or
-/// truncated (a partial archive reflects the *leader's* deadline, not the
-/// followers') — promotes the first live follower to a fresh leader that
-/// inherits the rest, and requeues it. Lock order: inflight → queue →
-/// jobs; the requeue push takes the queue lock only after the others are
-/// released.
-fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
-    let served = match &outcome {
-        Settled::Done {
-            result,
-            truncated: false,
-        } => Some(Arc::clone(result)),
-        _ => None,
-    };
-    // A drain bounces followers along with their leader: none of them ran,
-    // all of them should be replayed elsewhere, so promotion would be
-    // exactly wrong.
-    let draining = matches!(outcome, Settled::Drained);
-    let mut promoted: Option<u64> = None;
-    // Client identities whose quota slots free up here; released after the
-    // job locks are dropped (the overload mutex is a leaf).
-    let mut released: Vec<String> = Vec::new();
-    // Jobs that reached a terminal state in this pass; their streaming
-    // events fire after every lock is dropped.
-    let mut settled_ids: Vec<u64> = Vec::new();
-    {
-        let mut inflight = sync::lock(&shared.inflight);
-        let mut jobs = sync::lock(&shared.jobs);
-        let (fingerprint, followers) = match jobs.records.get_mut(&id) {
-            Some(r) => {
-                // Double-settle guard: the watchdog may declare a job lost
-                // while its worker is still wedged; whichever settlement
-                // lands first wins and the straggler is a no-op.
-                if r.state.is_terminal() {
-                    return;
-                }
-                let fp = r.fingerprint.clone();
-                let fw = std::mem::take(&mut r.followers);
-                r.entry = None;
-                if let Some(c) = &r.spec.client {
-                    released.push(c.clone());
-                }
-                match &outcome {
-                    Settled::Done { result, truncated } => {
-                        r.state = JobState::Done;
-                        r.result = Some(Arc::clone(result));
-                        r.truncated = *truncated;
-                        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                        if *truncated {
-                            shared.counters.truncated.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Settled::Failed(message) => {
-                        r.state = JobState::Failed;
-                        r.error = Some(message.clone());
-                        shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Settled::Cancelled => {
-                        r.state = JobState::Cancelled;
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Settled::Drained => {
-                        r.state = JobState::Drained;
-                        shared.counters.drained.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                settled_ids.push(id);
-                (fp, fw)
-            }
-            None => (None, Vec::new()),
-        };
-        let mut rest = followers.into_iter();
-        if let Some(result) = &served {
-            for f in rest.by_ref() {
-                if let Some(fr) = jobs.records.get_mut(&f) {
-                    fr.entry = None;
-                    if let Some(c) = &fr.spec.client {
-                        released.push(c.clone());
-                    }
-                    if fr.cancel.cancel_requested() {
-                        fr.state = JobState::Cancelled;
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        fr.state = JobState::Done;
-                        fr.result = Some(Arc::clone(result));
-                        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .coalesced_served
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    settled_ids.push(f);
-                }
-            }
-        } else if draining {
-            for f in rest.by_ref() {
-                if let Some(fr) = jobs.records.get_mut(&f) {
-                    fr.entry = None;
-                    fr.state = JobState::Drained;
-                    if let Some(c) = &fr.spec.client {
-                        released.push(c.clone());
-                    }
-                    shared.counters.drained.fetch_add(1, Ordering::Relaxed);
-                    settled_ids.push(f);
-                }
-            }
-        } else {
-            for f in rest.by_ref() {
-                let mut freed: Option<String> = None;
-                let live = jobs.records.get_mut(&f).is_some_and(|fr| {
-                    if fr.cancel.cancel_requested() {
-                        fr.state = JobState::Cancelled;
-                        fr.entry = None;
-                        freed = fr.spec.client.clone();
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        settled_ids.push(f);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if let Some(c) = freed {
-                    released.push(c);
-                }
-                if live {
-                    promoted = Some(f);
-                    break;
-                }
-            }
-            if let Some(nl) = promoted {
-                let remaining: Vec<u64> = rest.collect();
-                if let Some(fr) = jobs.records.get_mut(&nl) {
-                    fr.followers = remaining;
-                }
-                if let Some(fp) = &fingerprint {
-                    inflight.insert(fp.clone(), nl);
-                }
-                shared
-                    .counters
-                    .coalesced_requeued
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if promoted.is_none() {
-            if let Some(fp) = &fingerprint {
-                if inflight.get(fp) == Some(&id) {
-                    inflight.remove(fp);
-                }
-            }
-        }
-        jobs.settled.extend(&settled_ids);
-    }
-    if !released.is_empty() && shared.config.client_quota > 0 {
-        let mut ov = sync::lock(&shared.overload);
-        for c in released {
-            if let Some(used) = ov.quotas.get_mut(&c) {
-                *used = used.saturating_sub(1);
-                if *used == 0 {
-                    ov.quotas.remove(&c);
-                }
-            }
-        }
-    }
-    for sid in settled_ids {
-        flush_settled(shared, sid);
-    }
-    if let Some(nl) = promoted {
-        let mut q = sync::lock(&shared.queue);
-        if q.shutdown {
-            // Workers are draining out; don't strand the promoted job in a
-            // queue nobody may read again — settle it (and, recursively,
-            // anything attached to it) as failed.
-            drop(q);
-            settle_job(shared, nl, Settled::Failed("engine shutting down".into()));
-        } else if shared.draining.load(Ordering::SeqCst) {
-            // Same for a graceful drain, but with the typed outcome so
-            // the client replays instead of treating it as a failure.
-            drop(q);
-            settle_job(shared, nl, Settled::Drained);
-        } else {
-            q.queue.push_back(nl);
-            drop(q);
-            shared.work_ready.notify_one();
         }
     }
 }
@@ -2122,6 +1397,7 @@ mod tests {
     use super::*;
     use crate::job::{AlgoKind, DEFAULT_PRIORITY};
     use fairsqg_datagen::{social_graph, SocialConfig};
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
 
     fn spec(lambda: f64, request_key: Option<&str>) -> JobSpec {
@@ -2145,6 +1421,19 @@ mod tests {
         }
     }
 
+    fn registry(directors: usize) -> Arc<GraphRegistry> {
+        let registry = Arc::new(GraphRegistry::new());
+        registry.insert(
+            "g",
+            social_graph(SocialConfig {
+                directors,
+                majority_share: 0.6,
+                seed: 9,
+            }),
+        );
+        registry
+    }
+
     fn wait_settled(engine: &Engine, id: u64) {
         let deadline = Instant::now() + Duration::from_secs(60);
         while !engine.status(id).expect("job exists").state.is_terminal() {
@@ -2159,17 +1448,8 @@ mod tests {
     #[test]
     fn job_table_keeps_a_bounded_window_of_settled_records() {
         const CAP: usize = 4;
-        let registry = Arc::new(GraphRegistry::new());
-        registry.insert(
-            "g",
-            social_graph(SocialConfig {
-                directors: 60,
-                majority_share: 0.6,
-                seed: 9,
-            }),
-        );
         let engine = Engine::start(
-            registry,
+            registry(60),
             EngineConfig {
                 workers: 2,
                 dedup_entries: CAP,
@@ -2177,10 +1457,9 @@ mod tests {
             },
         );
 
-        // A job that cannot settle until the test lets it: its sink parks
-        // the worker on the first live archive delta. The subscription is
-        // registered under the id the job is about to get, so the sink is
-        // in place before a worker can pick the job up.
+        // A job that cannot settle until the test lets it: its sink,
+        // attached at admission, parks the worker on the first live
+        // archive delta.
         let (release, parked) = mpsc::channel::<()>();
         let parked = Mutex::new(parked);
         let first = AtomicBool::new(true);
@@ -2189,18 +1468,7 @@ mod tests {
                 let _ = sync::lock(&parked).recv();
             }
         });
-        let held = engine.shared.next_id.load(Ordering::Relaxed);
-        sync::lock(&engine.shared.subscriptions).insert(
-            held,
-            StreamState {
-                sinks: vec![sink],
-                streamed: BTreeSet::new(),
-                last_version: 0,
-            },
-        );
-        let mut streamed = spec(0.9, None);
-        streamed.subscribe = true;
-        assert_eq!(engine.submit(streamed).unwrap(), held);
+        let held = engine.submit_streaming(spec(0.9, None), sink).unwrap();
 
         // 3×CAP more jobs settle one after another: unique runs and cache
         // hits alike, the first of them keyed.
@@ -2217,16 +1485,14 @@ mod tests {
         }
         let newest = *ids.last().unwrap();
 
-        {
-            let jobs = sync::lock(&engine.shared.jobs);
-            assert!(jobs.settled.len() <= CAP);
-            assert!(
-                jobs.records.len() <= CAP + 1,
-                "{} records for {CAP} settled + 1 unsettled",
-                jobs.records.len()
-            );
-            assert!(jobs.keys.values().all(|id| jobs.records.contains_key(id)));
-        }
+        let readable: Vec<JobStatus> = (1..=newest).filter_map(|id| engine.status(id)).collect();
+        let settled = readable.iter().filter(|s| s.state.is_terminal()).count();
+        assert!(settled <= CAP, "{settled} settled records kept");
+        assert!(
+            readable.len() <= CAP + 1,
+            "{} records for {CAP} settled + 1 unsettled",
+            readable.len()
+        );
         assert!(engine.status(oldest).is_none(), "the oldest id is gone");
         assert!(engine.result(oldest).is_none());
         assert!(engine.result(newest).is_some(), "the newest is intact");
@@ -2246,5 +1512,58 @@ mod tests {
         wait_settled(&engine, held);
         assert!(engine.result(held).is_some());
         engine.shutdown();
+    }
+
+    /// A job's deadline token ticks from admission, so a deadline miss is
+    /// measured from submission too: a job that queued for most of its
+    /// deadline and was then cut short ran only briefly, and is a miss all
+    /// the same — the brownout ladder must see the misses queueing causes.
+    #[test]
+    fn deadline_misses_count_the_time_spent_queued() {
+        let engine = Engine::start(
+            registry(4000),
+            EngineConfig {
+                workers: 1,
+                admission_control: false,
+                cache_entries: 0,
+                ..EngineConfig::default()
+            },
+        );
+        let ids: Vec<u64> = (0..12)
+            .map(|i| {
+                let mut s = spec(0.05 + 0.07 * i as f64, None);
+                s.deadline_ms = Some(9);
+                engine.submit(s).unwrap()
+            })
+            .collect();
+        let mut truncated = 0;
+        for &id in &ids {
+            wait_settled(&engine, id);
+            truncated += u64::from(engine.status(id).unwrap().truncated);
+        }
+        let stats = engine.stats_value();
+        let pressure = stats.get("pressure").unwrap();
+        let misses = pressure.get("deadline_misses").and_then(Value::as_u64);
+        let miss_rate = pressure.get("miss_rate").and_then(Value::as_f64);
+        // Nothing but the deadline truncates these jobs, and a job its
+        // deadline cut short has by definition outlived it.
+        assert!(
+            misses >= Some(truncated) && (truncated == 0 || miss_rate > Some(0.0)),
+            "{truncated} of 12 results truncated by their deadline, \
+             yet deadline_misses = {misses:?}, miss_rate = {miss_rate:?}"
+        );
+        engine.shutdown();
+    }
+
+    /// Shutdown signals the watchdog instead of waiting out its tick
+    /// (250 ms at the default 2 s grace).
+    #[test]
+    fn shutdown_of_an_idle_engine_does_not_wait_for_the_watchdog_tick() {
+        let engine = Engine::start(registry(10), EngineConfig::default());
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        engine.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
     }
 }

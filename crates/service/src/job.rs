@@ -361,26 +361,16 @@ pub fn run_plan_shared(
     cancel: &CancelToken,
     shared: Option<&Arc<DiversityProfile>>,
 ) -> Generated {
-    run_plan_overridden(plan, spec, cancel, shared, None)
+    run_plan_observed(plan, spec, cancel, shared, None, None)
 }
 
 /// Like [`run_plan_shared`], with an optional budget override — the
 /// engine's brownout path, which substitutes the tightened caps (already
-/// tightened by the caller) without mutating the job's recorded spec.
-pub fn run_plan_overridden(
-    plan: &Plan<'_>,
-    spec: &JobSpec,
-    cancel: &CancelToken,
-    shared: Option<&Arc<DiversityProfile>>,
-    budget: Option<MatchBudget>,
-) -> Generated {
-    run_plan_observed(plan, spec, cancel, shared, budget, None)
-}
-
-/// Like [`run_plan_overridden`], with an optional [`ArchiveObserver`]
-/// watching the anytime loop's archive — the streaming path. Observation
-/// is passive: the archive, and therefore the final result, is
-/// bit-identical with or without an observer attached.
+/// tightened by the caller) without mutating the job's recorded spec —
+/// and an optional [`ArchiveObserver`] watching the anytime loop's
+/// archive — the streaming path. Observation is passive: the archive, and
+/// therefore the final result, is bit-identical with or without an
+/// observer attached.
 pub fn run_plan_observed(
     plan: &Plan<'_>,
     spec: &JobSpec,
@@ -734,7 +724,7 @@ mod tests {
             max_steps: Some(1),
             ..MatchBudget::UNLIMITED
         };
-        let out = run_plan_overridden(&plan, &s, &CancelToken::new(), None, Some(budget));
+        let out = run_plan_observed(&plan, &s, &CancelToken::new(), None, Some(budget), None);
         assert!(out.truncated, "a one-step budget must trip");
     }
 

@@ -63,6 +63,7 @@ mod mux_client;
 pub mod overload;
 pub mod proto;
 mod registry;
+mod sched;
 pub mod sync;
 pub mod warm;
 
@@ -72,8 +73,7 @@ pub use engine::{Engine, EngineConfig, EventSink, JobEvent, JobState, JobStatus,
 pub use job::{
     diversity_for_spec, entry_bindings, entry_to_value, generated_to_value,
     generated_to_value_with, plan_key, plan_spec, plan_spec_cached, run_plan, run_plan_observed,
-    run_plan_overridden, run_plan_shared, AlgoKind, BrownoutMark, JobSpec, Plan, DEFAULT_PRIORITY,
-    MAX_PRIORITY,
+    run_plan_shared, AlgoKind, BrownoutMark, JobSpec, Plan, DEFAULT_PRIORITY, MAX_PRIORITY,
 };
 #[cfg(unix)]
 pub use mux::{spawn_mux, spawn_mux_with, MuxOptions, MuxServer, MuxStopHandle};

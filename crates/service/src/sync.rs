@@ -8,6 +8,7 @@
 //! made — code elsewhere never calls `.lock().unwrap()`/`.expect(..)`.
 
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 /// Locks `m`, recovering the guard if a panicking holder poisoned it.
 pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -18,6 +19,19 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// parked.
 pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+}
+
+/// Waits on `cv` for at most `timeout` (spurious wake-ups included),
+/// recovering the guard if the lock was poisoned while parked.
+pub fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    let (guard, _) = cv
+        .wait_timeout(guard, timeout)
+        .unwrap_or_else(|e| e.into_inner());
+    guard
 }
 
 /// Read-locks `l`, recovering from poison.
