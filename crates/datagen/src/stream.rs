@@ -52,8 +52,8 @@ fn sub_rng(seed: u64, class: u64, index: u64) -> Pcg64Mcg {
 /// Emits the TSV for `kind` at `scale` output-label nodes to `out`.
 ///
 /// The text parses with [`fairsqg_graph::read_tsv`] and converts with the
-/// store's streaming converter; chaining the two never holds more than
-/// O(nodes) index state in memory.
+/// store's converter, which reads it one line at a time; chaining the two
+/// never holds the text in memory, only the graph's own columns.
 pub fn stream_tsv<W: Write>(
     kind: DatasetKind,
     scale: usize,

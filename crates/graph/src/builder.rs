@@ -10,17 +10,42 @@ use crate::schema::Schema;
 use crate::seg::Segment;
 use crate::value::AttrValue;
 
+/// The offsets array of a counting sort: `offsets[k]..offsets[k + 1]` is
+/// where the items whose key is `k` go, for keys `< buckets`.
+fn bucket_offsets(buckets: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut offsets = vec![0u32; buckets + 1];
+    for k in keys {
+        offsets[k + 1] += 1;
+    }
+    for k in 0..buckets {
+        offsets[k + 1] += offsets[k];
+    }
+    offsets
+}
+
 /// Incremental graph builder.
 ///
-/// Nodes receive ids in insertion order. Duplicate labeled edges are
-/// deduplicated at [`finish`](GraphBuilder::finish) time (the graph is a
-/// set of labeled edges, per Section II).
-#[derive(Debug, Default)]
+/// Nodes receive ids in insertion order. Attributes accumulate in the
+/// graph's own columnar layout (one offsets array, one entries array — no
+/// allocation per node), so memory while building is proportional to the
+/// finished columns. Duplicate labeled edges are deduplicated at
+/// [`finish`](GraphBuilder::finish) time (the graph is a set of labeled
+/// edges, per Section II).
+#[derive(Debug, PartialEq, Eq)]
 pub struct GraphBuilder {
     schema: Schema,
     node_labels: Vec<LabelId>,
-    tuples: Vec<Box<[(AttrId, AttrValue)]>>,
+    /// `attr_entries[attr_offsets[v]..attr_offsets[v + 1]]` is node `v`'s
+    /// run, sorted by attribute id with each id at most once.
+    attr_offsets: Vec<u32>,
+    attr_entries: Vec<AttrEntry>,
     edges: Vec<(NodeId, NodeId, EdgeLabelId)>,
+}
+
+impl Default for GraphBuilder {
+    fn default() -> Self {
+        Self::with_schema(Schema::default())
+    }
 }
 
 impl GraphBuilder {
@@ -34,7 +59,10 @@ impl GraphBuilder {
     pub fn with_schema(schema: Schema) -> Self {
         Self {
             schema,
-            ..Self::default()
+            node_labels: Vec::new(),
+            attr_offsets: vec![0],
+            attr_entries: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -60,13 +88,24 @@ impl GraphBuilder {
     pub fn add_node(&mut self, label: LabelId, attrs: &[(AttrId, AttrValue)]) -> NodeId {
         let id = NodeId::from_index(self.node_labels.len());
         self.node_labels.push(label);
-        let mut tuple: Vec<(AttrId, AttrValue)> = attrs.to_vec();
-        tuple.sort_by_key(|&(a, _)| a);
-        // Keep the last value for duplicated attribute ids.
-        tuple.reverse();
-        tuple.dedup_by_key(|&mut (a, _)| a);
-        tuple.reverse();
-        self.tuples.push(tuple.into_boxed_slice());
+        let start = self.attr_entries.len();
+        self.attr_entries
+            .extend(attrs.iter().map(|&(a, v)| AttrEntry::new(a, v)));
+        // Stable, so among duplicated ids the later value stays later and
+        // overwrites the earlier one in the compaction below.
+        self.attr_entries[start..].sort_by_key(|e| e.attr());
+        let mut kept = start;
+        for i in start..self.attr_entries.len() {
+            let e = self.attr_entries[i];
+            if kept > start && self.attr_entries[kept - 1].attr() == e.attr() {
+                self.attr_entries[kept - 1] = e;
+            } else {
+                self.attr_entries[kept] = e;
+                kept += 1;
+            }
+        }
+        self.attr_entries.truncate(kept);
+        self.attr_offsets.push(kept as u32);
         id
     }
 
@@ -97,70 +136,64 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph: builds CSR adjacency, the label index, the
-    /// active domains, the value postings, and their shard partitions.
+    /// value postings, the active domains, and the shard partitions. This
+    /// is the only code that builds them — every load path that starts
+    /// from text or from API calls ends here.
     pub fn finish(self) -> Graph {
         let n = self.node_labels.len();
-        let mut edges = self.edges;
-        edges.sort_unstable_by_key(|&(s, d, l)| (s, d, l));
-        edges.dedup();
 
-        // CSR out adjacency.
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(s, _, _) in &edges {
-            out_offsets[s.index() + 1] += 1;
+        // CSR out adjacency: bucket the edges by source (counting sort),
+        // then sort and deduplicate each source's short run in place.
+        let mut out_offsets = bucket_offsets(n, self.edges.iter().map(|e| e.0.index()));
+        let mut cursor = out_offsets.clone();
+        let mut out_adj = vec![Adj::new(NodeId(0), EdgeLabelId(0)); self.edges.len()];
+        for &(s, d, l) in &self.edges {
+            out_adj[cursor[s.index()] as usize] = Adj::new(d, l);
+            cursor[s.index()] += 1;
         }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
+        drop(self.edges);
+        let mut kept = 0usize;
+        for v in 0..n {
+            let (lo, hi) = (out_offsets[v] as usize, out_offsets[v + 1] as usize);
+            out_adj[lo..hi].sort_unstable();
+            out_offsets[v] = kept as u32;
+            for i in lo..hi {
+                if i == lo || out_adj[i] != out_adj[i - 1] {
+                    out_adj[kept] = out_adj[i];
+                    kept += 1;
+                }
+            }
         }
-        let out_adj: Vec<Adj> = edges.iter().map(|&(_, d, l)| Adj::new(d, l)).collect();
+        out_offsets[n] = kept as u32;
+        out_adj.truncate(kept);
 
-        // CSR in adjacency (stable counting sort by target).
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, d, _) in &edges {
-            in_offsets[d.index() + 1] += 1;
+        // CSR in adjacency: a stable counting sort by target over the out
+        // runs, which are in (source, target, label) order — so each
+        // target's run comes out sorted by (source, label), as binary
+        // search needs.
+        let in_offsets = bucket_offsets(n, out_adj.iter().map(|a| a.to().index()));
+        cursor.copy_from_slice(&in_offsets);
+        let mut in_adj = vec![Adj::new(NodeId(0), EdgeLabelId(0)); out_adj.len()];
+        for v in 0..n {
+            for a in &out_adj[out_offsets[v] as usize..out_offsets[v + 1] as usize] {
+                let slot = &mut cursor[a.to().index()];
+                in_adj[*slot as usize] = Adj::new(NodeId::from_index(v), a.label());
+                *slot += 1;
+            }
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_adj = vec![Adj::new(NodeId(0), EdgeLabelId(0)); edges.len()];
-        for &(s, d, l) in &edges {
-            let pos = cursor[d.index()] as usize;
-            in_adj[pos] = Adj::new(s, l);
-            cursor[d.index()] += 1;
-        }
-        // Each in-neighbor run must be sorted by (source, label) for binary
-        // search; the counting sort above preserved edge order which is
-        // sorted by (source, target, label), hence per-target runs are
-        // already sorted by (source, label).
+        drop(cursor);
         debug_assert!((0..n).all(|v| {
             let lo = in_offsets[v] as usize;
             let hi = in_offsets[v + 1] as usize;
-            in_adj[lo..hi].windows(2).all(|w| w[0] <= w[1])
+            in_adj[lo..hi].windows(2).all(|w| w[0] < w[1])
         }));
-
-        // Flattened per-node attribute runs.
-        let mut attr_offsets = Vec::with_capacity(n + 1);
-        attr_offsets.push(0u32);
-        let total_attrs: usize = self.tuples.iter().map(|t| t.len()).sum();
-        let mut attr_entries = Vec::with_capacity(total_attrs);
-        for t in &self.tuples {
-            for &(a, v) in t.iter() {
-                attr_entries.push(AttrEntry::new(a, v));
-            }
-            attr_offsets.push(attr_entries.len() as u32);
-        }
 
         // Label index as offset + node-run arrays (counting sort; node ids
         // ascend within each run because nodes are visited in id order).
-        let label_count = self.schema.node_label_count();
-        let mut label_offsets = vec![0u32; label_count + 1];
-        for &l in &self.node_labels {
-            label_offsets[l.index() + 1] += 1;
-        }
-        for i in 0..label_count {
-            label_offsets[i + 1] += label_offsets[i];
-        }
+        let label_offsets = bucket_offsets(
+            self.schema.node_label_count(),
+            self.node_labels.iter().map(|l| l.index()),
+        );
         let mut cursor = label_offsets.clone();
         let mut label_nodes = vec![NodeId(0); n];
         for (i, &l) in self.node_labels.iter().enumerate() {
@@ -169,25 +202,16 @@ impl GraphBuilder {
             cursor[l.index()] += 1;
         }
 
-        // Active domains.
-        let domains = ActiveDomains::build(
-            self.node_labels
-                .iter()
-                .zip(self.tuples.iter())
-                .flat_map(|(&l, t)| t.iter().map(move |&(a, v)| (l, a, v))),
-        );
-
-        // Sorted (value, node) postings per (label, attribute) pair.
+        // Sorted (value, node) postings per (label, attribute) pair, and
+        // the active domains read off them.
         let attr_index = AttrIndex::build(
-            self.node_labels
-                .iter()
-                .zip(self.tuples.iter())
-                .enumerate()
-                .flat_map(|(i, (&l, t))| {
-                    t.iter()
-                        .map(move |&(a, v)| (l, a, v, NodeId::from_index(i)))
-                }),
+            &label_offsets,
+            &label_nodes,
+            &self.attr_offsets,
+            &self.attr_entries,
+            self.schema.attr_count(),
         );
+        let domains = ActiveDomains::from_postings(&attr_index);
 
         // Shard partitions over the postings.
         let partitions = PartitionTable::build(
@@ -201,8 +225,8 @@ impl GraphBuilder {
             uid: crate::graph::next_uid(),
             schema: self.schema,
             node_labels: Segment::from_vec(self.node_labels),
-            attr_offsets: Segment::from_vec(attr_offsets),
-            attr_entries: Segment::from_vec(attr_entries),
+            attr_offsets: Segment::from_vec(self.attr_offsets),
+            attr_entries: Segment::from_vec(self.attr_entries),
             out_offsets: Segment::from_vec(out_offsets),
             out_adj: Segment::from_vec(out_adj),
             in_offsets: Segment::from_vec(in_offsets),

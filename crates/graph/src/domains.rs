@@ -6,6 +6,7 @@
 //! per-label domains are precomputed at graph build time.
 
 use crate::ids::{AttrId, LabelId};
+use crate::index::AttrIndex;
 use crate::value::AttrValue;
 use std::collections::HashMap;
 
@@ -17,18 +18,24 @@ pub struct ActiveDomains {
 }
 
 impl ActiveDomains {
-    /// Builds active domains from raw `(label, attr, value)` observations.
-    /// Deterministic in the observation *set* (insertion order is
-    /// irrelevant), so the builder and the streaming TSV converter produce
-    /// identical domains.
-    pub fn build(observations: impl Iterator<Item = (LabelId, AttrId, AttrValue)>) -> Self {
+    /// Derives the active domains from the value-sorted postings: the
+    /// per-label domain of `(l, A)` is the distinct values of that pair's
+    /// run, and `adom(A)` is the sorted union of `A`'s per-label domains.
+    pub(crate) fn from_postings(index: &AttrIndex) -> Self {
         let mut global: HashMap<AttrId, Vec<AttrValue>> = HashMap::new();
-        let mut per_label: HashMap<(LabelId, AttrId), Vec<AttrValue>> = HashMap::new();
-        for (l, a, v) in observations {
-            global.entry(a).or_default().push(v);
-            per_label.entry((l, a)).or_default().push(v);
+        let mut per_label = HashMap::with_capacity(index.pair_count());
+        for (l, a, postings) in index.iter_sorted() {
+            let mut vals: Vec<AttrValue> = Vec::new();
+            for e in postings.entries() {
+                if vals.last() != Some(&e.value()) {
+                    vals.push(e.value());
+                }
+            }
+            vals.shrink_to_fit();
+            global.entry(a).or_default().extend_from_slice(&vals);
+            per_label.insert((l, a), vals);
         }
-        for vals in global.values_mut().chain(per_label.values_mut()) {
+        for vals in global.values_mut() {
             vals.sort_unstable();
             vals.dedup();
             vals.shrink_to_fit();
@@ -115,6 +122,7 @@ impl ActiveDomains {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
 
     fn obs() -> Vec<(LabelId, AttrId, AttrValue)> {
         let l0 = LabelId(0);
@@ -128,9 +136,60 @@ mod tests {
         ]
     }
 
+    /// The domains of a graph with one node per observation, derived from
+    /// its postings by `GraphBuilder::finish`.
+    fn derived(obs: &[(LabelId, AttrId, AttrValue)]) -> ActiveDomains {
+        let mut b = GraphBuilder::new();
+        let ids = |(l, a, _): &(LabelId, AttrId, AttrValue)| l.index().max(a.index());
+        for i in 0..=obs.iter().map(ids).max().unwrap_or(0) {
+            b.schema_mut().node_label(&format!("l{i}"));
+            b.schema_mut().attr(&format!("a{i}"));
+        }
+        for &(l, a, v) in obs {
+            b.add_node(l, &[(a, v)]);
+        }
+        b.finish().domains().clone()
+    }
+
+    /// How domains were built before they were read off the postings:
+    /// every observation through two hash maps, then sort and dedup.
+    fn by_hashing(obs: &[(LabelId, AttrId, AttrValue)]) -> ActiveDomains {
+        let mut global: HashMap<AttrId, Vec<AttrValue>> = HashMap::new();
+        let mut per_label: HashMap<(LabelId, AttrId), Vec<AttrValue>> = HashMap::new();
+        for &(l, a, v) in obs {
+            global.entry(a).or_default().push(v);
+            per_label.entry((l, a)).or_default().push(v);
+        }
+        for vals in global.values_mut().chain(per_label.values_mut()) {
+            vals.sort_unstable();
+            vals.dedup();
+        }
+        ActiveDomains { global, per_label }
+    }
+
+    #[test]
+    fn derived_from_postings_equals_the_hashing_build() {
+        use crate::ids::SymbolId;
+        let mut mixed = obs();
+        // A second attribute, strings beside ints, a value shared across
+        // labels, and a label that lacks an attribute another one has.
+        mixed.extend([
+            (LabelId(1), AttrId(0), AttrValue::Int(5)),
+            (LabelId(1), AttrId(1), AttrValue::Str(SymbolId(2))),
+            (LabelId(2), AttrId(1), AttrValue::Int(-4)),
+            (LabelId(2), AttrId(1), AttrValue::Str(SymbolId(0))),
+            (LabelId(2), AttrId(1), AttrValue::Str(SymbolId(2))),
+        ]);
+        for obs in [obs(), mixed, Vec::new()] {
+            let (got, want) = (derived(&obs), by_hashing(&obs));
+            assert_eq!(got.global, want.global);
+            assert_eq!(got.per_label, want.per_label);
+        }
+    }
+
     #[test]
     fn global_is_sorted_and_deduped() {
-        let d = ActiveDomains::build(obs().into_iter());
+        let d = derived(&obs());
         assert_eq!(
             d.global(AttrId(0)),
             &[AttrValue::Int(1), AttrValue::Int(5), AttrValue::Int(9)]
@@ -139,7 +198,7 @@ mod tests {
 
     #[test]
     fn per_label_restricts() {
-        let d = ActiveDomains::build(obs().into_iter());
+        let d = derived(&obs());
         assert_eq!(
             d.for_label(LabelId(0), AttrId(0)),
             &[AttrValue::Int(1), AttrValue::Int(5)]
@@ -150,7 +209,7 @@ mod tests {
 
     #[test]
     fn max_domain_and_range() {
-        let d = ActiveDomains::build(obs().into_iter());
+        let d = derived(&obs());
         assert_eq!(d.max_domain_size(), 3);
         assert_eq!(d.int_range(AttrId(0)), Some((1, 9)));
         assert_eq!(d.int_range(AttrId(7)), None);

@@ -15,7 +15,7 @@
 //! during backtracking, and [`gallop_intersect`] intersects two sorted id
 //! lists in `O(m log(n/m))`.
 
-use crate::cols::PostEntry;
+use crate::cols::{AttrEntry, PostEntry};
 use crate::ids::{AttrId, LabelId, NodeId};
 use crate::partition::Shard;
 use crate::seg::Segment;
@@ -167,20 +167,48 @@ pub struct AttrIndex {
 }
 
 impl AttrIndex {
-    /// Builds the index from raw `(label, attr, value, node)` observations
-    /// (one per attribute per node). Deterministic in the observation
-    /// *set* (insertion order is irrelevant), so the builder and the
-    /// streaming TSV converter produce identical postings.
-    pub fn build(observations: impl Iterator<Item = (LabelId, AttrId, AttrValue, NodeId)>) -> Self {
-        let mut raw: HashMap<(LabelId, AttrId), Vec<PostEntry>> = HashMap::new();
-        for (l, a, v, n) in observations {
-            raw.entry((l, a)).or_default().push(PostEntry::new(v, n));
-        }
-        let mut postings = HashMap::with_capacity(raw.len());
-        for (k, mut entries) in raw {
-            entries.sort_unstable();
-            entries.shrink_to_fit();
-            postings.insert(k, Postings::from_entries(Segment::from_vec(entries)));
+    /// Builds the index from the node columns: the label index
+    /// (`label_nodes[label_offsets[l]..label_offsets[l + 1]]` lists the
+    /// nodes labeled `l` in ascending id order) and the per-node attribute
+    /// runs; `attr_count` bounds the attribute ids.
+    ///
+    /// One label at a time, each attribute of each node is appended to
+    /// that attribute's slot in a dense table — no hashing per
+    /// observation — and the slots the label touched are then sorted and
+    /// moved out. The table is `attr_count` wide whatever the number of
+    /// labels, so a file with 65 536 labels and as many attributes costs
+    /// what its observations cost.
+    pub(crate) fn build(
+        label_offsets: &[u32],
+        label_nodes: &[NodeId],
+        attr_offsets: &[u32],
+        attr_entries: &[AttrEntry],
+        attr_count: usize,
+    ) -> Self {
+        let mut postings = HashMap::new();
+        let mut slots: Vec<Vec<PostEntry>> = vec![Vec::new(); attr_count];
+        let mut touched: Vec<AttrId> = Vec::new();
+        for (l, w) in label_offsets.windows(2).enumerate() {
+            for &v in &label_nodes[w[0] as usize..w[1] as usize] {
+                let run = attr_offsets[v.index()] as usize..attr_offsets[v.index() + 1] as usize;
+                for e in &attr_entries[run] {
+                    let slot = &mut slots[e.attr().index()];
+                    if slot.is_empty() {
+                        touched.push(e.attr());
+                    }
+                    slot.push(PostEntry::new(e.value(), v));
+                }
+            }
+            for a in touched.drain(..) {
+                let mut entries = std::mem::take(&mut slots[a.index()]);
+                // Appended in node order, so a stable sort on the value
+                // alone yields `(value, node)` order.
+                entries.sort_by_key(|e| e.value());
+                postings.insert(
+                    (LabelId::from_index(l), a),
+                    Postings::from_entries(Segment::from_vec(entries)),
+                );
+            }
         }
         Self { postings }
     }

@@ -16,14 +16,14 @@
 //! with a `s:` prefix (`country=s:US`). Node ids must be dense `0..n` in
 //! the node section (the reader validates this).
 //!
-//! Parsing is event-driven: [`parse_tsv`] validates the syntax and feeds
-//! node/edge events into a [`TsvSink`]. [`read_tsv`] plugs in a
-//! [`GraphBuilder`] sink; the `fairsqg-store` converter plugs in a
-//! bounded-memory columnar sink that never materializes a full `Graph`.
-//! Both sinks intern names in the same order (per attribute: string value
-//! first, then attribute name; node label after all attributes; edge
-//! labels per edge line), so the two paths assign identical schema ids —
-//! a prerequisite for bit-identical generation archives across them.
+//! There is one ingest path: [`parse_tsv`] validates the text line by line
+//! (one reused line buffer, no allocation per line or field) straight into
+//! a [`GraphBuilder`], whose [`finish`](GraphBuilder::finish) builds every
+//! derived column. [`read_tsv`] is exactly that; the `fairsqg-store`
+//! converter serializes the same finished columns. Names are interned in
+//! file order — per attribute the string value, then the attribute name;
+//! the node label after all of a line's attributes; edge labels per edge
+//! line — and that order fixes the schema ids, hence the `.fsg` bytes.
 
 use crate::builder::GraphBuilder;
 use crate::graph::Graph;
@@ -32,6 +32,7 @@ use crate::value::AttrValue;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::path::Path;
+use std::str::FromStr;
 
 /// Errors raised while reading the TSV format.
 #[derive(Debug)]
@@ -159,93 +160,86 @@ fn parse_err(line: usize, column: usize, message: String) -> IoError {
     }
 }
 
-/// A raw attribute value as it appears in the TSV text, before interning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawAttr<'a> {
-    /// A bare integer value.
-    Int(i64),
-    /// A `s:`-prefixed string value (prefix stripped).
-    Str(&'a str),
-}
-
-/// Receiver of validated TSV node/edge events.
+/// Parses `field` as a decimal integer with std's acceptance and errors.
 ///
-/// [`parse_tsv`] guarantees: node events arrive in dense id order
-/// (0, 1, 2, …), edge events arrive after all node events of a file, and
-/// edge endpoints are `< node_count()` at the time of the call. Sinks
-/// that intern names must follow the documented interning order (module
-/// docs) to stay schema-compatible with [`read_tsv`].
-pub trait TsvSink {
-    /// One node line: its label and `name=value` attributes in file order.
-    fn node(&mut self, label: &str, attrs: &[(&str, RawAttr<'_>)]) -> std::io::Result<()>;
-
-    /// One edge line `src --label--> dst`; endpoints already validated.
-    fn edge(&mut self, src: NodeId, label: &str, dst: NodeId) -> std::io::Result<()>;
-
-    /// Number of node events received so far (drives edge validation).
-    fn node_count(&self) -> usize;
-}
-
-/// A [`TsvSink`] accumulating into a [`GraphBuilder`].
-struct BuilderSink {
-    builder: GraphBuilder,
-}
-
-impl TsvSink for BuilderSink {
-    fn node(&mut self, label: &str, attrs: &[(&str, RawAttr<'_>)]) -> std::io::Result<()> {
-        let mut tuple = Vec::with_capacity(attrs.len());
-        for &(name, raw) in attrs {
-            // Interning order (see module docs): string value before
-            // attribute name, node label after all attributes.
-            let value = match raw {
-                RawAttr::Str(s) => AttrValue::Str(self.builder.schema_mut().symbol(s)),
-                RawAttr::Int(i) => AttrValue::Int(i),
-            };
-            let attr = self.builder.schema_mut().attr(name);
-            tuple.push((attr, value));
+/// A field of 1–19 ASCII digits (it cannot overflow `u64`) whose value
+/// fits `T` is converted by hand; everything else — `+5`, `-3`, a
+/// 20-digit id, an out-of-range value, garbage — goes to std's `parse`,
+/// which alone decides what is accepted and what the error is.
+fn parse_int<T: FromStr + TryFrom<u64>>(field: &str) -> Result<T, T::Err> {
+    let digits = field.as_bytes();
+    if (1..=19).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+        let value = digits
+            .iter()
+            .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'));
+        if let Ok(value) = T::try_from(value) {
+            return Ok(value);
         }
-        let label = self.builder.schema_mut().node_label(label);
-        self.builder.add_node(label, &tuple);
-        Ok(())
     }
+    field.parse()
+}
 
-    fn edge(&mut self, src: NodeId, label: &str, dst: NodeId) -> std::io::Result<()> {
-        let label = self.builder.schema_mut().edge_label(label);
-        self.builder.add_edge(src, dst, label);
-        Ok(())
-    }
+/// The TAB-separated fields of one line, each with its 1-based byte
+/// column — what `split('\t')` yields, found by a plain byte loop: fields
+/// are a few bytes long, too short for a vectorised search to pay.
+struct Fields<'a> {
+    rest: Option<&'a str>,
+    col: usize,
+}
 
-    fn node_count(&self) -> usize {
-        self.builder.node_count()
+impl<'a> Iterator for Fields<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let text = self.rest?;
+        let col = self.col;
+        let field = match text.bytes().position(|b| b == b'\t') {
+            Some(tab) => {
+                self.rest = Some(&text[tab + 1..]);
+                &text[..tab]
+            }
+            None => {
+                self.rest = None;
+                text
+            }
+        };
+        self.col += field.len() + 1;
+        Some((col, field))
     }
 }
 
-/// Splits one content line into its TAB-separated fields, each paired with
-/// its 1-based byte column in the original line.
-fn split_fields<'a>(line: &str, content: &'a str) -> Vec<(usize, &'a str)> {
-    // `content` is `line` minus leading/trailing whitespace; its offset in
-    // `line` anchors the column numbers to what the user actually sent.
-    let base = content.as_ptr() as usize - line.as_ptr() as usize;
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    for f in content.split('\t') {
-        out.push((base + pos + 1, f));
-        pos += f.len() + 1;
-    }
-    out
-}
-
-/// Parses the TSV format, feeding validated events into `sink`.
+/// Parses the TSV format into a [`GraphBuilder`].
 ///
 /// Syntax and structural validation (integer fields, dense node ids,
-/// edge-endpoint ranges) happens here; storage policy lives in the sink.
-/// Errors carry the 1-based line and column of the offending field.
-pub fn parse_tsv<R: BufRead, S: TsvSink>(input: R, sink: &mut S) -> Result<(), IoError> {
+/// edge-endpoint ranges, id-space limits) happens here; errors carry the
+/// 1-based line and column of the offending field. One line is in memory
+/// at a time.
+pub fn parse_tsv<R: BufRead>(mut input: R) -> Result<GraphBuilder, IoError> {
+    let mut b = GraphBuilder::new();
+    let mut buf = Vec::new();
+    let mut tuple = Vec::new();
     let mut in_edges = false;
-    let mut expected_id: u64 = 0;
-    for (i, line) in input.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line?;
+    let mut line_no = 0usize;
+    loop {
+        buf.clear();
+        if input.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(b);
+        }
+        line_no += 1;
+        // A line is what `BufRead::lines` yields: the bytes before `\n`
+        // without a `\r` that precedes it, valid UTF-8 as a whole.
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         let content = line.trim();
         if content.is_empty() {
             in_edges = true;
@@ -254,92 +248,88 @@ pub fn parse_tsv<R: BufRead, S: TsvSink>(input: R, sink: &mut S) -> Result<(), I
         if content.starts_with('#') {
             continue;
         }
-        let fields = split_fields(&line, content);
-        let mut fields = fields.into_iter();
+        let err = |column: usize, message: String| parse_err(line_no, column, message);
+        let mut fields = Fields {
+            rest: Some(content),
+            // Columns are anchored to the line as sent, not to the trimmed text.
+            col: content.as_ptr() as usize - line.as_ptr() as usize + 1,
+        };
+        let (col, first) = fields.next().expect("a line has at least one field");
         if !in_edges {
-            let (col, id_str) = fields
-                .next()
-                .ok_or_else(|| parse_err(line_no, 1, "empty node line".into()))?;
-            let id: u64 = id_str.parse().map_err(|_| {
-                parse_err(
-                    line_no,
+            let id: u64 = parse_int(first)
+                .map_err(|_| err(col, format!("node id must be an integer, found '{first}'")))?;
+            let expected = b.node_count() as u64;
+            if id != expected {
+                return Err(err(
                     col,
-                    format!("node id must be an integer, found '{id_str}'"),
-                )
-            })?;
-            if id != expected_id {
-                return Err(parse_err(
-                    line_no,
-                    col,
-                    format!("node ids must be dense (expected {expected_id}, got {id})"),
+                    format!("node ids must be dense (expected {expected}, got {id})"),
                 ));
             }
-            expected_id += 1;
-            let (_, label) = fields
+            let (lcol, label) = fields
                 .next()
-                .ok_or_else(|| parse_err(line_no, col, "missing node label".into()))?;
-            let mut attrs: Vec<(&str, RawAttr<'_>)> = Vec::new();
+                .ok_or_else(|| err(col, "missing node label".into()))?;
+            tuple.clear();
             for (fcol, f) in fields {
-                let (name, value) = f.split_once('=').ok_or_else(|| {
-                    parse_err(line_no, fcol, format!("expected attr=value, found '{f}'"))
-                })?;
-                let raw = if let Some(s) = value.strip_prefix("s:") {
-                    RawAttr::Str(s)
-                } else {
-                    RawAttr::Int(value.parse().map_err(|_| {
-                        parse_err(
-                            line_no,
+                let (name, value) = f
+                    .split_once('=')
+                    .ok_or_else(|| err(fcol, format!("expected attr=value, found '{f}'")))?;
+                // Interning order (module docs): the string value, then
+                // the attribute name; the node label after the loop.
+                let value = match value.strip_prefix("s:") {
+                    Some(s) => AttrValue::Str(b.schema_mut().symbol(s)),
+                    None => AttrValue::Int(parse_int(value).map_err(|_| {
+                        err(
                             fcol + name.len() + 1,
                             format!("expected integer or s:string value, found '{value}'"),
                         )
-                    })?)
+                    })?),
                 };
-                attrs.push((name, raw));
+                let attr = b.schema_mut().try_attr(name);
+                tuple.push((attr.map_err(|e| err(fcol, e.to_string()))?, value));
             }
-            sink.node(label, &attrs)?;
+            let label = b.schema_mut().try_node_label(label);
+            b.add_node(label.map_err(|e| err(lcol, e.to_string()))?, &tuple);
         } else {
-            let (col, src_str) = fields
-                .next()
-                .ok_or_else(|| parse_err(line_no, 1, "empty edge line".into()))?;
-            let src: u32 = src_str.parse().map_err(|_| {
-                parse_err(
-                    line_no,
+            let src: u32 = parse_int(first).map_err(|_| {
+                err(
                     col,
-                    format!("edge source must be an integer, found '{src_str}'"),
+                    format!("edge source must be an integer, found '{first}'"),
                 )
             })?;
             let (lcol, label) = fields
                 .next()
-                .ok_or_else(|| parse_err(line_no, col, "missing edge label".into()))?;
+                .ok_or_else(|| err(col, "missing edge label".into()))?;
             let (dcol, dst_str) = fields
                 .next()
-                .ok_or_else(|| parse_err(line_no, lcol, "missing edge target".into()))?;
-            let dst: u32 = dst_str.parse().map_err(|_| {
-                parse_err(
-                    line_no,
+                .ok_or_else(|| err(lcol, "missing edge target".into()))?;
+            let dst: u32 = parse_int(dst_str).map_err(|_| {
+                err(
                     dcol,
                     format!("edge target must be an integer, found '{dst_str}'"),
                 )
             })?;
-            if src as usize >= sink.node_count() || dst as usize >= sink.node_count() {
-                let col = if src as usize >= sink.node_count() {
-                    col
-                } else {
-                    dcol
-                };
-                return Err(parse_err(
-                    line_no,
-                    col,
-                    format!(
-                        "edge endpoint out of range (graph has {} nodes)",
-                        sink.node_count()
-                    ),
+            if let Some((xcol, extra)) = fields.next() {
+                return Err(err(
+                    xcol,
+                    format!("unexpected field '{extra}' after the edge target"),
                 ));
             }
-            sink.edge(NodeId(src), label, NodeId(dst))?;
+            let n = b.node_count();
+            if src as usize >= n || dst as usize >= n {
+                let col = if src as usize >= n { col } else { dcol };
+                return Err(err(
+                    col,
+                    format!("edge endpoint out of range (graph has {n} nodes)"),
+                ));
+            }
+            let label = b.schema_mut().try_edge_label(label);
+            b.add_edge(
+                NodeId(src),
+                NodeId(dst),
+                label.map_err(|e| err(lcol, e.to_string()))?,
+            );
         }
     }
-    Ok(())
 }
 
 /// Reads a graph from the TSV format.
@@ -355,11 +345,7 @@ pub fn read_tsv<R: BufRead>(input: R) -> Result<Graph, IoError> {
         };
         return Err(IoError::Io(std::io::Error::other(message)));
     }
-    let mut sink = BuilderSink {
-        builder: GraphBuilder::new(),
-    };
-    parse_tsv(input, &mut sink)?;
-    Ok(sink.builder.finish())
+    Ok(parse_tsv(input)?.finish())
 }
 
 /// Reads a graph from a TSV file, attaching the file path to any parse
@@ -373,6 +359,7 @@ pub fn read_tsv_path(path: &Path) -> Result<Graph, IoError> {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::ids::AttrId;
     use std::io::BufReader;
 
     fn sample() -> Graph {
@@ -431,6 +418,64 @@ mod tests {
         let text = "0\ta\tbroken\n\n";
         let err = read_tsv(BufReader::new(text.as_bytes())).unwrap_err();
         assert!(matches!(err, IoError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn rejects_trailing_edge_fields() {
+        let text = "0\ta\n1\ta\n\n0\tknows\t1\tjunk\n";
+        let err = read_tsv(BufReader::new(text.as_bytes())).unwrap_err();
+        // The first extra field starts at byte 11 of line 4.
+        assert_eq!(err.position(), Some((4, 11)));
+        assert!(err.to_string().contains("unexpected field 'junk'"));
+        // An empty trailing field is still a field.
+        let text = "0\ta\n\n0\tknows\t0\t\tx\n";
+        let err = read_tsv(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.position(), Some((3, 11)));
+        // Trailing blanks are not: the line is trimmed first.
+        let text = "0\ta\n\n0\tknows\t0 \t\r\n";
+        assert_eq!(
+            read_tsv(BufReader::new(text.as_bytes()))
+                .unwrap()
+                .edge_count(),
+            1
+        );
+    }
+
+    #[test]
+    fn the_65537th_name_is_a_parse_error_not_an_alias() {
+        // One node carrying 65 537 distinct attributes: the last one has
+        // no id left. It used to wrap onto id 0 and load a wrong graph.
+        let mut text = String::from("0\tn");
+        for i in 0..=(u16::MAX as u32 + 1) {
+            text.push_str(&format!("\ta{i}={i}"));
+        }
+        text.push_str("\n\n");
+        let column = text.find("\ta65536=").unwrap() + 2;
+        let err = read_tsv(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.position(), Some((1, column)));
+        assert!(err.to_string().contains("65536 distinct attribute names"));
+        // One name fewer fills the id space exactly and loads.
+        let text = text.replace("\ta65536=65536", "");
+        let g = read_tsv(BufReader::new(text.as_bytes())).unwrap();
+        assert_eq!(g.schema().attr_count(), 1 << 16);
+        let last = g.schema().find_attr("a65535").unwrap();
+        assert_eq!(g.attr(NodeId(0), last), Some(AttrValue::Int(65535)));
+        assert_eq!(g.attr(NodeId(0), AttrId(0)), Some(AttrValue::Int(0)));
+
+        // Labels are refused the same way, at their own column.
+        let mut text = String::new();
+        for i in 0..=(u16::MAX as u32 + 1) {
+            text.push_str(&format!("{i}\tl{i}\n"));
+        }
+        let err = read_tsv(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.position(), Some((65537, "65536\t".len() + 1)));
+        let mut text = String::from("0\tn\n\n");
+        for i in 0..=(u16::MAX as u32 + 1) {
+            text.push_str(&format!("0\te{i}\t0\n"));
+        }
+        let err = read_tsv(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.position(), Some((65537 + 2, 3)));
+        assert!(err.to_string().contains("65536 distinct edge labels"));
     }
 
     #[test]

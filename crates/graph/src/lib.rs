@@ -49,9 +49,9 @@ pub use groups::{CoverageSpec, GroupSet};
 pub use ids::{AttrId, EdgeLabelId, GroupId, LabelId, NodeId, SymbolId};
 pub use index::{gallop_intersect, AttrIndex, NodeBitset, Postings};
 pub use interner::Interner;
-pub use io::{parse_tsv, read_tsv, read_tsv_path, write_tsv, IoError, RawAttr, TsvSink};
+pub use io::{parse_tsv, read_tsv, read_tsv_path, write_tsv, IoError};
 pub use partition::{shards_of, PartitionTable, Shard, DEFAULT_SHARD_TARGET};
-pub use schema::Schema;
+pub use schema::{Schema, SchemaFull};
 pub use seg::{Pod, Segment, SegmentError, StableBytes};
 pub use stats::{GraphStats, LabelStats};
 pub use value::{AttrValue, CmpOp};

@@ -1,33 +1,16 @@
-//! Streaming TSV → `.fsg` conversion.
+//! TSV → `.fsg` conversion.
 //!
-//! [`convert_tsv_path`] parses the TSV format event-by-event (one line in
-//! memory at a time) into a compact columnar sink and serializes the
-//! container directly — no [`Graph`](fairsqg_graph::Graph) is ever
-//! materialized, and peak memory is proportional to the *output* columns
-//! (2 bytes per label, 16 per attribute, 12 per pending edge) rather than
-//! to any intermediate text or per-node allocation.
-//!
-//! The sink replicates the in-memory load path exactly:
-//!
-//! * interning order matches `read_tsv`'s builder sink (per attribute the
-//!   string value then the attribute name, the node label after all
-//!   attributes, edge labels per line), so both paths assign identical
-//!   schema ids;
-//! * per-node attribute runs keep the **last** value of a duplicated
-//!   attribute id, like `GraphBuilder::add_node`;
-//! * finishing sorts and deduplicates edges and builds CSR adjacency, the
-//!   label index, domains and postings with the same deterministic
-//!   algorithms as `GraphBuilder::finish`.
-//!
-//! A graph loaded from the converted container is therefore semantically
-//! identical to the graph `read_tsv` builds from the same file — and the
-//! container bytes are identical to `write_graph` of that graph.
+//! Converting is loading and then writing: [`parse_tsv`] reads the text one
+//! line at a time into a [`GraphBuilder`](fairsqg_graph::GraphBuilder),
+//! `finish` builds the columns — the same call `read_tsv` makes, so there
+//! is no second build path to keep in step — and the container writer
+//! serializes them. The bytes are `write_graph` of the graph `read_tsv`
+//! builds from the same text, by construction. Peak memory is proportional
+//! to the *output* columns (2 bytes per label, 16 per attribute, 12 per
+//! pending edge), not to the text or to any per-node allocation.
 
-use crate::write::{write_container, ContainerSource};
-use fairsqg_graph::{
-    parse_tsv, ActiveDomains, Adj, AttrEntry, AttrId, AttrIndex, AttrValue, EdgeLabelId,
-    GraphColumns, IoError, NodeId, RawAttr, Schema, TsvSink, DEFAULT_SHARD_TARGET,
-};
+use crate::write::{write_container, write_container_to_path};
+use fairsqg_graph::{parse_tsv, Graph, IoError};
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -41,181 +24,37 @@ pub struct ConvertStats {
     /// Container bytes written.
     pub bytes: u64,
     /// Whole-file xxHash64 digest of the container. [`convert_tsv_path`]
-    /// stamps it into the header; [`convert_tsv`]'s generic sink keeps a
-    /// zero ("absent") header field, and the caller may patch this value
-    /// into [`crate::format::DIGEST_OFFSET`] itself.
+    /// stamps it into the header; [`convert_tsv`] writes to a sink that may
+    /// not seek and leaves the header field zero ("absent"), and the caller
+    /// may patch this value into [`crate::format::DIGEST_OFFSET`] itself.
     pub digest: u64,
 }
 
-/// Columnar accumulation sink for [`parse_tsv`].
-#[derive(Default)]
-struct ConvertSink {
-    schema: Schema,
-    node_labels: Vec<fairsqg_graph::LabelId>,
-    attr_offsets: Vec<u32>,
-    attr_entries: Vec<AttrEntry>,
-    edges: Vec<(NodeId, NodeId, EdgeLabelId)>,
-    tuple: Vec<(AttrId, AttrValue)>,
-}
-
-impl ConvertSink {
-    fn new() -> Self {
+impl ConvertStats {
+    fn of(graph: &Graph, (bytes, digest): (u64, u64)) -> Self {
         Self {
-            attr_offsets: vec![0],
-            ..Self::default()
-        }
-    }
-}
-
-impl TsvSink for ConvertSink {
-    fn node(&mut self, label: &str, attrs: &[(&str, RawAttr<'_>)]) -> std::io::Result<()> {
-        self.tuple.clear();
-        for &(name, raw) in attrs {
-            // Interning order matches read_tsv's builder sink: string
-            // value before attribute name, node label after all attributes.
-            let value = match raw {
-                RawAttr::Str(s) => AttrValue::Str(self.schema.symbol(s)),
-                RawAttr::Int(i) => AttrValue::Int(i),
-            };
-            let attr = self.schema.attr(name);
-            self.tuple.push((attr, value));
-        }
-        self.node_labels.push(self.schema.node_label(label));
-        // Sort by attribute id, keeping the last value of a duplicated id
-        // (same stable sort + reverse + dedup as GraphBuilder::add_node).
-        self.tuple.sort_by_key(|&(a, _)| a);
-        self.tuple.reverse();
-        self.tuple.dedup_by_key(|&mut (a, _)| a);
-        self.tuple.reverse();
-        self.attr_entries
-            .extend(self.tuple.iter().map(|&(a, v)| AttrEntry::new(a, v)));
-        self.attr_offsets.push(self.attr_entries.len() as u32);
-        Ok(())
-    }
-
-    fn edge(&mut self, src: NodeId, label: &str, dst: NodeId) -> std::io::Result<()> {
-        let label = self.schema.edge_label(label);
-        self.edges.push((src, dst, label));
-        Ok(())
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_labels.len()
-    }
-}
-
-impl ConvertSink {
-    /// Finishes the columns (CSR, label index, domains, postings — the
-    /// same deterministic algorithms as `GraphBuilder::finish`) and
-    /// serializes the container.
-    fn into_container<W: Write>(mut self, w: W) -> std::io::Result<ConvertStats> {
-        let n = self.node_labels.len();
-        self.edges.sort_unstable_by_key(|&(s, d, l)| (s, d, l));
-        self.edges.dedup();
-        let edges = self.edges;
-
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(s, _, _) in &edges {
-            out_offsets[s.index() + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let out_adj: Vec<Adj> = edges.iter().map(|&(_, d, l)| Adj::new(d, l)).collect();
-
-        // Stable counting sort by target; per-target runs stay
-        // (source, label)-sorted because the edge list is.
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, d, _) in &edges {
-            in_offsets[d.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_adj = vec![Adj::new(NodeId(0), EdgeLabelId(0)); edges.len()];
-        for &(s, d, l) in &edges {
-            let pos = cursor[d.index()] as usize;
-            in_adj[pos] = Adj::new(s, l);
-            cursor[d.index()] += 1;
-        }
-
-        let label_count = self.schema.node_label_count();
-        let mut label_offsets = vec![0u32; label_count + 1];
-        for &l in &self.node_labels {
-            label_offsets[l.index() + 1] += 1;
-        }
-        for i in 0..label_count {
-            label_offsets[i + 1] += label_offsets[i];
-        }
-        let mut cursor = label_offsets.clone();
-        let mut label_nodes = vec![NodeId(0); n];
-        for (i, &l) in self.node_labels.iter().enumerate() {
-            let pos = cursor[l.index()] as usize;
-            label_nodes[pos] = NodeId::from_index(i);
-            cursor[l.index()] += 1;
-        }
-
-        // Domains and postings from the flattened attribute runs — both
-        // builders are deterministic in the observation set.
-        let (node_labels, attr_offsets, attr_entries) =
-            (&self.node_labels, &self.attr_offsets, &self.attr_entries);
-        let observe = move |i: usize| {
-            let lo = attr_offsets[i] as usize;
-            let hi = attr_offsets[i + 1] as usize;
-            attr_entries[lo..hi]
-                .iter()
-                .map(move |e| (node_labels[i], e.attr(), e.value()))
-        };
-        let domains = ActiveDomains::build((0..n).flat_map(observe));
-        let attr_index = AttrIndex::build(
-            (0..n).flat_map(|i| observe(i).map(move |(l, a, v)| (l, a, v, NodeId::from_index(i)))),
-        );
-
-        let src = ContainerSource {
-            schema: &self.schema,
-            cols: GraphColumns {
-                node_labels: &self.node_labels,
-                attr_offsets: &self.attr_offsets,
-                attr_entries: &self.attr_entries,
-                out_offsets: &out_offsets,
-                out_adj: &out_adj,
-                in_offsets: &in_offsets,
-                in_adj: &in_adj,
-                label_offsets: &label_offsets,
-                label_nodes: &label_nodes,
-            },
-            attr_index: &attr_index,
-            domains: &domains,
-            shard_target: DEFAULT_SHARD_TARGET as u32,
-        };
-        let (bytes, digest) = write_container(&src, w)?;
-        Ok(ConvertStats {
-            nodes: n as u64,
-            edges: out_adj.len() as u64,
+            nodes: graph.node_count() as u64,
+            edges: graph.edge_count() as u64,
             bytes,
             digest,
-        })
+        }
     }
 }
 
 /// Converts TSV text from `input` into a container written to `out`.
 pub fn convert_tsv<R: BufRead, W: Write>(input: R, out: W) -> Result<ConvertStats, IoError> {
-    let mut sink = ConvertSink::new();
-    parse_tsv(input, &mut sink)?;
-    Ok(sink.into_container(out)?)
+    let graph = parse_tsv(input)?.finish();
+    Ok(ConvertStats::of(&graph, write_container(&graph, out)?))
 }
 
 /// Converts the TSV file at `src` into the `.fsg` container at `dst`,
-/// streaming the input one line at a time. Parse errors carry `src`'s
-/// path alongside their line/column position.
+/// reading the input one line at a time. Parse errors carry `src`'s path
+/// alongside their line/column position, and leave `dst` untouched.
 pub fn convert_tsv_path(src: &Path, dst: &Path) -> Result<ConvertStats, IoError> {
     let input = std::io::BufReader::new(std::fs::File::open(src)?);
-    let file = std::fs::File::create(dst)?;
-    let mut out = std::io::BufWriter::new(file);
-    let stats = convert_tsv(input, &mut out).map_err(|e| e.with_path(src))?;
-    let mut file = out.into_inner().map_err(|e| IoError::Io(e.into_error()))?;
-    crate::write::patch_digest(&mut file, stats.digest)?;
-    file.sync_all()?;
-    Ok(stats)
+    let graph = parse_tsv(input).map_err(|e| e.with_path(src))?.finish();
+    Ok(ConvertStats::of(
+        &graph,
+        write_container_to_path(&graph, dst)?,
+    ))
 }

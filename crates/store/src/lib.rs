@@ -11,8 +11,9 @@
 //!
 //! * [`write_graph`] / [`write_graph_to_path`] serialize a built
 //!   [`Graph`](fairsqg_graph::Graph);
-//! * [`convert_tsv_path`] streams a TSV file straight into a container
-//!   without ever materializing a `Graph`;
+//! * [`convert_tsv_path`] reads a TSV file one line at a time, builds the
+//!   columns once (the same `parse_tsv` + `GraphBuilder::finish` that
+//!   `read_tsv` runs) and writes them;
 //! * [`open_path`] memory-maps a container and returns a fully validated
 //!   graph whose large arrays are zero-copy views into the mapping;
 //!   [`load_bytes`] does the same over any
@@ -130,7 +131,7 @@ mod tests {
         let parsed = read_tsv(std::io::BufReader::new(tsv.as_slice())).unwrap();
         let mut via_graph = Vec::new();
         write_graph(&parsed, &mut via_graph).unwrap();
-        // Streaming path: TSV straight to container bytes.
+        // The converter: the same text to container bytes.
         let mut via_convert = Vec::new();
         let stats = convert_tsv(std::io::BufReader::new(tsv.as_slice()), &mut via_convert).unwrap();
         assert_eq!(via_graph, via_convert);
@@ -139,6 +140,31 @@ mod tests {
         assert_eq!(stats.bytes, via_convert.len() as u64);
         // And the loaded converted container equals the parsed graph.
         assert_same_graph(&parsed, &load_bytes(Arc::new(via_convert)).unwrap());
+    }
+
+    #[test]
+    fn converter_reports_parse_errors_with_position_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("fairsqg-convert-err-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (tsv, fsg) = (dir.join("bad.tsv"), dir.join("bad.fsg"));
+        // Trailing field on an edge line, and one attribute name too many
+        // for the 16-bit id space: both used to convert into a wrong graph.
+        let mut too_many = String::from("0\tn");
+        for i in 0..=(u16::MAX as u32 + 1) {
+            too_many.push_str(&format!("\ta{i}=1"));
+        }
+        let column = too_many.find("\ta65536=").unwrap() + 2;
+        for (text, position) in [
+            ("0\ta\n\n0\te\t0\tjunk\n".to_string(), (3, 7)),
+            (too_many + "\n", (1, column)),
+        ] {
+            std::fs::write(&tsv, text).unwrap();
+            let err = convert_tsv_path(&tsv, &fsg).unwrap_err();
+            assert_eq!(err.position(), Some(position), "{err}");
+            assert_eq!(err.path(), Some(tsv.display().to_string().as_str()));
+            assert!(!fsg.exists());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

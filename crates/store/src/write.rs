@@ -10,21 +10,9 @@ use crate::format::{
     section, Header, SectionEntry, DIGEST_OFFSET, HEADER_BYTES, SECTION_ALIGN, SECTION_ENTRY_BYTES,
 };
 use crate::xxhash::Xxh64;
-use fairsqg_graph::{
-    ActiveDomains, Adj, AttrEntry, AttrIndex, AttrValue, Graph, GraphColumns, PostEntry, Schema,
-};
+use fairsqg_graph::{Adj, AttrEntry, AttrValue, Graph, PostEntry, Schema};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-
-/// Everything the writer needs, borrowed. Built from a [`Graph`] by
-/// [`write_graph`] or from the streaming converter's accumulated columns.
-pub(crate) struct ContainerSource<'a> {
-    pub schema: &'a Schema,
-    pub cols: GraphColumns<'a>,
-    pub attr_index: &'a AttrIndex,
-    pub domains: &'a ActiveDomains,
-    pub shard_target: u32,
-}
 
 #[inline]
 fn encode(v: AttrValue) -> (u16, i64) {
@@ -176,24 +164,22 @@ fn pair_key(l: fairsqg_graph::LabelId, a: fairsqg_graph::AttrId) -> u64 {
     ((l.0 as u64) << 16) | a.0 as u64
 }
 
-/// Writes `src` as a container, returning `(bytes_written, digest)`. The
-/// emitted stream carries a **zero** digest field (a non-seekable sink
-/// cannot be patched; zero means "absent, skip verification"); path-based
-/// writers patch the returned digest into [`DIGEST_OFFSET`] afterwards.
-pub(crate) fn write_container<W: Write>(
-    src: &ContainerSource<'_>,
-    w: W,
-) -> std::io::Result<(u64, u64)> {
-    let cols = &src.cols;
+/// Writes `graph` as a container, returning `(bytes_written, digest)`.
+/// The emitted stream carries a **zero** digest field (a non-seekable sink
+/// cannot be patched; zero means "absent, skip verification");
+/// [`write_container_to_path`] patches the returned digest into
+/// [`DIGEST_OFFSET`] afterwards.
+pub(crate) fn write_container<W: Write>(graph: &Graph, w: W) -> std::io::Result<(u64, u64)> {
+    let cols = &graph.columns();
     let n = cols.node_labels.len();
     let m = cols.out_adj.len();
 
     // Directories and concatenated payloads of the postings/domain maps,
     // in deterministic (label, attr) order.
-    let strings = strings_blob(src.schema);
+    let strings = strings_blob(graph.schema());
     let mut postings_dir: Vec<u64> = Vec::new();
     let mut postings_total = 0u64;
-    for (l, a, p) in src.attr_index.iter_sorted() {
+    for (l, a, p) in graph.attr_index().iter_sorted() {
         let len = p.entries().len() as u64;
         postings_dir.extend_from_slice(&[pair_key(l, a), postings_total, len]);
         postings_total += len;
@@ -201,11 +187,11 @@ pub(crate) fn write_container<W: Write>(
     let mut global_dom_dir: Vec<u64> = Vec::new();
     let mut label_dom_dir: Vec<u64> = Vec::new();
     let mut dom_total = 0u64;
-    for (a, vals) in src.domains.iter_global_sorted() {
+    for (a, vals) in graph.domains().iter_global_sorted() {
         global_dom_dir.extend_from_slice(&[a.0 as u64, dom_total, vals.len() as u64]);
         dom_total += vals.len() as u64;
     }
-    for (l, a, vals) in src.domains.iter_per_label_sorted() {
+    for (l, a, vals) in graph.domains().iter_per_label_sorted() {
         label_dom_dir.extend_from_slice(&[pair_key(l, a), dom_total, vals.len() as u64]);
         dom_total += vals.len() as u64;
     }
@@ -271,7 +257,7 @@ pub(crate) fn write_container<W: Write>(
         node_count: n as u64,
         edge_count: m as u64,
         section_count: entries.len() as u32,
-        shard_target: src.shard_target,
+        shard_target: graph.partitions().target().max(1) as u32,
         digest: 0,
     };
     out.put(&header.to_bytes())?;
@@ -313,17 +299,17 @@ pub(crate) fn write_container<W: Write>(
             section::STRINGS => out.put(&strings)?,
             section::POSTINGS_DIR => put_u64s(&mut out, &postings_dir)?,
             section::POSTINGS => {
-                for (_, _, p) in src.attr_index.iter_sorted() {
+                for (_, _, p) in graph.attr_index().iter_sorted() {
                     put_post_entries(&mut out, p.entries())?;
                 }
             }
             section::GLOBAL_DOM_DIR => put_u64s(&mut out, &global_dom_dir)?,
             section::LABEL_DOM_DIR => put_u64s(&mut out, &label_dom_dir)?,
             section::DOM_VALUES => {
-                for (_, vals) in src.domains.iter_global_sorted() {
+                for (_, vals) in graph.domains().iter_global_sorted() {
                     put_raw_vals(&mut out, vals)?;
                 }
-                for (_, _, vals) in src.domains.iter_per_label_sorted() {
+                for (_, _, vals) in graph.domains().iter_per_label_sorted() {
                     put_raw_vals(&mut out, vals)?;
                 }
             }
@@ -334,7 +320,7 @@ pub(crate) fn write_container<W: Write>(
 }
 
 /// Patches a computed digest into an already-written container file.
-pub(crate) fn patch_digest<F: Write + Seek>(file: &mut F, digest: u64) -> std::io::Result<()> {
+fn patch_digest<F: Write + Seek>(file: &mut F, digest: u64) -> std::io::Result<()> {
     file.seek(SeekFrom::Start(DIGEST_OFFSET as u64))?;
     file.write_all(&digest.to_le_bytes())
 }
@@ -344,31 +330,23 @@ pub(crate) fn patch_digest<F: Write + Seek>(file: &mut F, digest: u64) -> std::i
 /// not be seekable; use [`write_graph_to_path`] to get a digest-stamped
 /// file.
 pub fn write_graph<W: Write>(graph: &Graph, w: W) -> std::io::Result<u64> {
-    let src = ContainerSource {
-        schema: graph.schema(),
-        cols: graph.columns(),
-        attr_index: graph.attr_index(),
-        domains: graph.domains(),
-        shard_target: graph.partitions().target().max(1) as u32,
-    };
-    write_container(&src, w).map(|(n, _)| n)
+    write_container(graph, w).map(|(n, _)| n)
+}
+
+/// Writes `graph` to `path` (buffered, synced) with the whole-file digest
+/// stamped into the header, returning `(bytes_written, digest)`.
+pub(crate) fn write_container_to_path(graph: &Graph, path: &Path) -> std::io::Result<(u64, u64)> {
+    let file = std::fs::File::create(path)?;
+    let mut w = std::io::BufWriter::new(file);
+    let (n, digest) = write_container(graph, &mut w)?;
+    let mut file = w.into_inner()?;
+    patch_digest(&mut file, digest)?;
+    file.sync_all()?;
+    Ok((n, digest))
 }
 
 /// Writes `graph` to `path` (buffered) with the whole-file digest stamped
 /// into the header, returning the bytes written.
 pub fn write_graph_to_path(graph: &Graph, path: &Path) -> std::io::Result<u64> {
-    let src = ContainerSource {
-        schema: graph.schema(),
-        cols: graph.columns(),
-        attr_index: graph.attr_index(),
-        domains: graph.domains(),
-        shard_target: graph.partitions().target().max(1) as u32,
-    };
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    let (n, digest) = write_container(&src, &mut w)?;
-    let mut file = w.into_inner()?;
-    patch_digest(&mut file, digest)?;
-    file.sync_all()?;
-    Ok(n)
+    write_container_to_path(graph, path).map(|(n, _)| n)
 }

@@ -21,8 +21,8 @@
 //! `serve --load`), a `.fsg` extension selects the zero-copy mmap load
 //! path instead of the TSV parser.
 //!
-//! `convert` turns TSV text into a `.fsg` container with the streaming
-//! converter (bounded memory); `datagen` emits a synthetic preset at a
+//! `convert` turns TSV text into a `.fsg` container (it reads the text
+//! one line at a time, builds the columns and writes them); `datagen` emits a synthetic preset at a
 //! chosen scale, directly as TSV or chained through the converter when
 //! the output path ends in `.fsg`.
 //!

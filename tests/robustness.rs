@@ -345,6 +345,19 @@ fn load_op_reports_typed_parse_positions() {
     assert_eq!(error.get("line").and_then(Value::as_u64), Some(1));
     assert!(error.get("column").and_then(Value::as_u64).unwrap() > 1);
 
+    // An edge line with a field after its target is positioned the same way.
+    std::fs::write(&bad, "0\tdirector\n\n0\tknows\t0\tjunk\n").unwrap();
+    let reply = request(&Value::object([
+        ("op", Value::from("load")),
+        ("name", Value::from("bad")),
+        ("path", Value::from(bad.to_string_lossy().to_string())),
+    ]));
+    let error = reply
+        .get("error")
+        .expect("trailing edge fields are refused");
+    assert_eq!(error.get("line").and_then(Value::as_u64), Some(3));
+    assert_eq!(error.get("column").and_then(Value::as_u64), Some(11));
+
     let reply = request(&Value::object([
         ("op", Value::from("load")),
         ("name", Value::from("gone")),
