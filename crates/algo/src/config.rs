@@ -280,6 +280,9 @@ pub struct GenStats {
     /// Candidate sets served from the matcher's cross-call memo instead
     /// of being recomputed.
     pub cand_memo_hits: u64,
+    /// Roots matched without a search: a cached ancestor's embedding
+    /// still satisfied every constraint of the refined instance.
+    pub witness_hits: u64,
 }
 
 impl GenStats {
@@ -292,5 +295,6 @@ impl GenStats {
         self.shard_skips += matcher.shard_skips;
         self.order_replans += matcher.order_replans;
         self.cand_memo_hits += matcher.cand_memo_hits;
+        self.witness_hits += matcher.witness_hits;
     }
 }

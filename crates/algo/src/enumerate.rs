@@ -290,6 +290,52 @@ mod tests {
         assert_eq!(unlimited.entries.len(), capped.entries.len());
     }
 
+    /// 75 steps is the smallest `max_steps` under which every generator
+    /// finishes the fixture by search alone (the reference path, which
+    /// reads no witnesses, trips at 74). A certified root is charged one
+    /// step per non-root query node, never more than the successful
+    /// search it replaces, and a skipped root nothing, so witnesses cannot
+    /// make that cap trip. (The fixture is too small for the re-planner,
+    /// whose timing is the one thing certified roots can shift.)
+    #[test]
+    fn witnesses_pass_the_step_cap_the_search_alone_passes() {
+        use crate::{biqgen, rfqgen, BiQGenOptions, RfQGenOptions};
+        use fairsqg_matcher::MatchBudget;
+        type Generator = dyn Fn(Configuration<'_>) -> Generated;
+        const SEARCH_ONLY_MIN_STEPS: u64 = 75;
+        let fx = talent_fixture();
+        let capped = |steps: u64| {
+            fx.configuration(0.3).with_budget(MatchBudget {
+                max_steps: Some(steps),
+                ..MatchBudget::UNLIMITED
+            })
+        };
+        let runs: [(&str, &Generator); 3] = [
+            ("enum_qgen", &|cfg| enum_qgen(cfg, false)),
+            ("rfqgen", &|cfg| rfqgen(cfg, RfQGenOptions::default())),
+            ("biqgen", &|cfg| biqgen(cfg, BiQGenOptions::default())),
+        ];
+        for (name, run) in runs {
+            let below = run(capped(SEARCH_ONLY_MIN_STEPS - 1).with_reference_path());
+            assert!(
+                below.truncated,
+                "{name}: the search alone fits a tighter cap"
+            );
+            assert!(!run(capped(SEARCH_ONLY_MIN_STEPS).with_reference_path()).truncated);
+            let out = run(capped(SEARCH_ONLY_MIN_STEPS));
+            assert!(!out.truncated, "{name}: witnesses tripped the cap");
+            assert!(out.stats.witness_hits > 0, "{name}: no witness fired");
+            let unlimited = run(fx.configuration(0.3));
+            let key = |g: &Generated| -> Vec<_> {
+                g.entries
+                    .iter()
+                    .map(|e| (e.inst.clone(), e.result.matches.clone()))
+                    .collect()
+            };
+            assert_eq!(key(&out), key(&unlimited), "{name}");
+        }
+    }
+
     #[test]
     fn enum_archive_boxes_form_an_antichain() {
         // The Update invariant: no archived box dominates another.

@@ -3,7 +3,8 @@
 use crate::config::{Configuration, GenStats};
 use fairsqg_graph::NodeId;
 use fairsqg_matcher::{
-    try_match_output_set_with, BudgetExceeded, MatchOptions, MatchScratch, MatcherStats,
+    try_match_output_set_with, try_match_witnessed, BudgetExceeded, MatchOptions, MatchScratch,
+    MatcherStats, Witnesses,
 };
 use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives};
 use fairsqg_query::{ConcreteQuery, Instantiation};
@@ -23,16 +24,35 @@ pub struct EvalResult {
     pub feasible: bool,
 }
 
+/// A verified instance as the cache holds it: the result handed out, and
+/// one embedding per match (a row per match, as
+/// [`Witnesses::rows`](fairsqg_matcher::Witnesses::rows); empty on the
+/// reference path, which neither records nor reads them).
+#[derive(Clone)]
+struct Verified {
+    result: Rc<EvalResult>,
+    rows: Rc<[NodeId]>,
+}
+
 /// Verifies instances against the graph with memoization.
 ///
-/// `incVerify` (Section IV): when the caller knows a verified lattice
-/// *ancestor* of the instance, the ancestor's match set bounds the
-/// instance's (Lemma 2 (2): refinement shrinks match sets), so only those
-/// nodes are re-checked as output candidates.
+/// `incVerify` (Section IV): a refinement is verified against its nearest
+/// cached lattice *ancestors*, one per axis, in two ways.
+///
+/// * **Pool (Lemma 2 (2)).** Refinement shrinks match sets, so the
+///   smallest ancestor match set bounds the instance's, and only those
+///   nodes are tried as output candidates; a root missing from any other
+///   ancestor's match set is skipped without a search. Both are sound only
+///   because the ancestors really are ancestors, which every use
+///   debug-asserts.
+/// * **Certificate.** Each ancestor's embedding of a root is re-checked
+///   against the instance's own constraints; if it passes, the root
+///   matches without a search. That check relies on nothing about where
+///   the embedding came from.
 pub struct Evaluator<'a> {
     cfg: Configuration<'a>,
     measure: DiversityMeasure<'a>,
-    cache: HashMap<Instantiation, Rc<EvalResult>>,
+    cache: HashMap<Instantiation, Verified>,
     verified: u64,
     cache_hits: u64,
     budget_tripped: Option<BudgetExceeded>,
@@ -93,52 +113,80 @@ impl<'a> Evaluator<'a> {
 
     /// Returns the cached result for `inst`, if already verified.
     pub fn cached(&self, inst: &Instantiation) -> Option<Rc<EvalResult>> {
-        self.cache.get(inst).cloned()
+        self.cache.get(inst).map(|v| Rc::clone(&v.result))
     }
 
     /// Verifies `inst` from scratch.
     pub fn verify(&mut self, inst: &Instantiation) -> Rc<EvalResult> {
-        self.verify_inc(inst, None)
+        self.verify_against(inst, &[])
     }
 
-    /// Verifies `inst`, optionally restricting output candidates to a
-    /// verified ancestor's match set (`incVerify`).
-    ///
-    /// Soundness requires `inst` to refine the ancestor; this is asserted in
-    /// debug builds via the cached ancestor lookup at call sites.
-    pub fn verify_inc(
+    /// Verifies `inst` against its nearest cached ancestors (`incVerify`;
+    /// see [`Evaluator`] and `nearest_ancestors`).
+    pub fn verify_with_best_parent(&mut self, inst: &Instantiation) -> Rc<EvalResult> {
+        if let Some(hit) = self.cache.get(inst) {
+            self.cache_hits += 1;
+            return Rc::clone(&hit.result);
+        }
+        let ancestors = self.nearest_ancestors(inst);
+        self.verify_against(inst, &ancestors)
+    }
+
+    /// Verifies `inst` with output candidates restricted to the smallest
+    /// ancestor match set, and every ancestor offered to the matcher as
+    /// witnesses (the reference path offers none and records no rows).
+    fn verify_against(
         &mut self,
         inst: &Instantiation,
-        ancestor_matches: Option<&[NodeId]>,
+        ancestors: &[(Instantiation, Verified)],
     ) -> Rc<EvalResult> {
         if let Some(hit) = self.cache.get(inst) {
             self.cache_hits += 1;
-            return Rc::clone(hit);
+            return Rc::clone(&hit.result);
         }
+        // The pool and the matcher's skip rely on Lemma 2; the certificate
+        // does not.
+        debug_assert!(ancestors.iter().all(|(a, _)| inst.refines(a)));
         self.verified += 1;
         let query = ConcreteQuery::materialize(self.cfg.template, self.cfg.domains, inst);
         // An ancestor's match set is already inside the configuration's
         // output restriction (the root was verified under it), so the
         // tighter of the two suffices.
-        let restriction = ancestor_matches.or(self.cfg.output_restriction);
-        let matches = match try_match_output_set_with(
-            self.cfg.graph,
-            &query,
-            MatchOptions {
-                restrict_output: restriction,
-                use_index: !self.cfg.reference_path,
-                plan: None,
-                stop: self.cfg.hard_stop_flag(),
-            },
-            &self.cfg.budget,
-            &mut self.scratch,
-        ) {
-            Ok(matches) => matches,
+        let restriction = smallest(ancestors)
+            .map(|v| v.result.matches.as_slice())
+            .or(self.cfg.output_restriction);
+        let opts = MatchOptions {
+            restrict_output: restriction,
+            use_index: !self.cfg.reference_path,
+            stop: self.cfg.hard_stop_flag(),
+            ..MatchOptions::default()
+        };
+        let (graph, budget) = (self.cfg.graph, &self.cfg.budget);
+        let outcome = if self.cfg.reference_path {
+            try_match_output_set_with(graph, &query, opts, budget, &mut self.scratch)
+                .map(|matches| (matches, Vec::new()))
+        } else {
+            let witnesses: Vec<Witnesses<'_>> = ancestors
+                .iter()
+                .map(|(_, v)| Witnesses {
+                    matches: &v.result.matches,
+                    rows: &v.rows,
+                })
+                .collect();
+            let opts = MatchOptions {
+                ancestors: &witnesses,
+                ..opts
+            };
+            try_match_witnessed(graph, &query, opts, budget, &mut self.scratch)
+        };
+        let (matches, rows) = match outcome {
+            Ok(found) => found,
             Err(tripped) => {
                 // The result is unknown, not infeasible: record the trip
                 // (stopping the run) and hand back a conservative
                 // empty/infeasible placeholder that is *not* cached, so it
-                // can never masquerade as a real verification later.
+                // can never masquerade as a real verification later — and
+                // no rows of it can certify anything.
                 self.budget_tripped.get_or_insert(tripped);
                 return Rc::new(EvalResult {
                     matches: Vec::new(),
@@ -158,7 +206,13 @@ impl<'a> Evaluator<'a> {
             objectives: Objectives::new(delta, fcov),
             feasible,
         });
-        self.cache.insert(inst.clone(), Rc::clone(&result));
+        self.cache.insert(
+            inst.clone(),
+            Verified {
+                result: Rc::clone(&result),
+                rows: rows.into(),
+            },
+        );
         result
     }
 
@@ -169,21 +223,21 @@ impl<'a> Evaluator<'a> {
     /// `false` is inconclusive. Costs `O(|V(u_o)|)` instead of `T_q`.
     pub fn quick_infeasible(&self, inst: &Instantiation) -> bool {
         if let Some(hit) = self.cache.get(inst) {
-            return !hit.feasible;
+            return !hit.result.feasible;
         }
         let query = ConcreteQuery::materialize(self.cfg.template, self.cfg.domains, inst);
-        // Tightest known output pool: the best cached ancestor's match
-        // set bounds this instance's matches (Lemma 2) and is never
-        // looser than the configured restriction (the ancestor was
-        // verified under it).
-        let parent_pool = if self.cfg.reference_path {
-            None
+        // Tightest known output pool: the smallest nearest ancestor's match
+        // set bounds this instance's matches (Lemma 2) and is never looser
+        // than the configured restriction (the ancestor was verified under
+        // it).
+        let ancestors = if self.cfg.reference_path {
+            Vec::new()
         } else {
-            self.best_cached_ancestor(inst).map(Rc::clone)
+            self.nearest_ancestors(inst)
         };
-        let pool = parent_pool
-            .as_ref()
-            .map(|r| r.matches.as_slice())
+        debug_assert!(ancestors.iter().all(|(a, _)| inst.refines(a)));
+        let pool = smallest(&ancestors)
+            .map(|v| v.result.matches.as_slice())
             .or(self.cfg.output_restriction);
         let cands = match pool {
             Some(pool) => fairsqg_matcher::candidates_from_pool(
@@ -201,41 +255,25 @@ impl<'a> Evaluator<'a> {
         !is_feasible(&counts, self.cfg.spec)
     }
 
-    /// The smallest match set among the nearest cached ancestors, one per
-    /// axis: on each axis the index is walked down to the first cached
-    /// instance. That is the direct lattice parent whenever it was
-    /// verified (one lookup, as before); after a template-refinement skip
-    /// (`Spawn` stepping a variable from `i` to `j > i + 1`) the direct
-    /// parent `j - 1` never was, and the walk reaches the spawning
-    /// instance instead of giving up the pool.
-    fn best_cached_ancestor(&self, inst: &Instantiation) -> Option<&Rc<EvalResult>> {
-        let mut best: Option<&Rc<EvalResult>> = None;
+    /// The nearest cached ancestor on each axis: on each axis the index is
+    /// walked down to the first cached instance. That is the direct lattice
+    /// parent whenever it was verified (one lookup); after a
+    /// template-refinement skip (`Spawn` stepping a variable from `i` to
+    /// `j > i + 1`) the direct parent `j - 1` never was, and the walk
+    /// reaches the spawning instance instead of giving up the pool.
+    fn nearest_ancestors(&self, inst: &Instantiation) -> Vec<(Instantiation, Verified)> {
+        let mut found = Vec::new();
         for x in 0..inst.var_count() {
             let mut ancestor = inst.relax_step(x);
             while let Some(a) = ancestor {
-                if let Some(r) = self.cache.get(&a) {
-                    if best.is_none_or(|b| r.matches.len() < b.matches.len()) {
-                        best = Some(r);
-                    }
+                if let Some(v) = self.cache.get(&a) {
+                    found.push((a, v.clone()));
                     break;
                 }
                 ancestor = a.relax_step(x);
             }
         }
-        best
-    }
-
-    /// Verifies `inst` using the best cached lattice ancestor (see
-    /// `best_cached_ancestor`) to restrict candidates.
-    pub fn verify_with_best_parent(&mut self, inst: &Instantiation) -> Rc<EvalResult> {
-        if let Some(hit) = self.cache.get(inst) {
-            self.cache_hits += 1;
-            return Rc::clone(hit);
-        }
-        match self.best_cached_ancestor(inst).map(Rc::clone) {
-            Some(parent) => self.verify_inc(inst, Some(&parent.matches)),
-            None => self.verify_inc(inst, None),
-        }
+        found
     }
 
     /// Folds this evaluator's hot-path counters (matcher candidate paths)
@@ -246,6 +284,15 @@ impl<'a> Evaluator<'a> {
         let matcher = fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline);
         stats.record_hot_path(matcher);
     }
+}
+
+/// The ancestor with the smallest match set (the first on a tie): the
+/// `incVerify` pool.
+fn smallest(ancestors: &[(Instantiation, Verified)]) -> Option<&Verified> {
+    ancestors
+        .iter()
+        .map(|(_, v)| v)
+        .min_by_key(|v| v.result.matches.len())
 }
 
 #[cfg(test)]
@@ -274,9 +321,10 @@ mod tests {
 
         let mut full = Evaluator::new(cfg);
         let mut inc = Evaluator::new(cfg);
-        let root_res = inc.verify(&root);
+        inc.verify(&root);
 
-        // Walk a refinement chain; verify children incrementally vs fresh.
+        // Walk a refinement chain; verify children incrementally (each
+        // against the previous link, its nearest cached ancestor) vs fresh.
         let mut chain = vec![root.clone()];
         let mut cur = root;
         loop {
@@ -293,17 +341,15 @@ mod tests {
                 break;
             }
         }
-        let mut parent_matches = root_res.matches.clone();
         for inst in &chain[1..] {
             let fresh = full.verify(inst);
-            let incremental = inc.verify_inc(inst, Some(&parent_matches));
+            let incremental = inc.verify_with_best_parent(inst);
             assert_eq!(fresh.matches, incremental.matches);
             assert_eq!(fresh.counts, incremental.counts);
             assert!(
                 (fresh.objectives.delta - incremental.objectives.delta).abs() < 1e-9
                     && (fresh.objectives.fcov - incremental.objectives.fcov).abs() < 1e-9
             );
-            parent_matches = incremental.matches.clone();
         }
     }
 

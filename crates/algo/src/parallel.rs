@@ -64,8 +64,8 @@ fn verify_standalone(
         MatchOptions {
             restrict_output: cfg.output_restriction,
             use_index: !cfg.reference_path,
-            plan: None,
             stop: cfg.hard_stop_flag(),
+            ..MatchOptions::default()
         },
         &cfg.budget,
         scratch,

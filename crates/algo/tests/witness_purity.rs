@@ -1,0 +1,176 @@
+//! Witness certificates are a pure substitution: `enum_qgen`, `rfqgen` and
+//! `biqgen` return, instance for instance, bit for bit and match set for
+//! match set, the archive their `with_reference_path()` runs return — and
+//! the reference path neither records nor reads a witness. Checked on the
+//! talent-search example and on three citation graphs with the `CITE_7`
+//! template shape (two range variables, one edge variable), where the
+//! witnesses must actually fire.
+
+use fairsqg_algo::{
+    biqgen, enum_qgen, rfqgen, BiQGenOptions, Configuration, Evaluator, GenStats, Generated,
+    RfQGenOptions,
+};
+use fairsqg_datagen::{citations_graph, CitationsConfig, TOPICS};
+use fairsqg_graph::{AttrValue, CoverageSpec, Graph, GraphBuilder, GroupSet, NodeId};
+use fairsqg_measures::DiversityConfig;
+use fairsqg_query::{
+    parse_template, DomainConfig, Instantiation, QueryTemplate, RefinementDomains,
+};
+
+/// The `CITE_7` shape, also the template CI generates with.
+const CITE_7: &str = include_str!("data/cite_7.dsl");
+
+type Generator = dyn Fn(Configuration<'_>) -> Generated;
+
+/// Everything a configuration borrows.
+struct Setting {
+    graph: Graph,
+    template: QueryTemplate,
+    domains: RefinementDomains,
+    groups: GroupSet,
+    spec: CoverageSpec,
+}
+
+impl Setting {
+    /// Parses `dsl` over `graph` with at most `values` constants per range
+    /// variable, and sets an equal-opportunity cover of half the root's
+    /// smallest group count, so the root is feasible and refinement runs
+    /// into infeasibility.
+    fn new(graph: Graph, dsl: &str, groups: GroupSet, values: usize) -> Self {
+        let template = parse_template(graph.schema(), dsl).unwrap();
+        let domains = RefinementDomains::build(
+            &template,
+            &graph,
+            DomainConfig {
+                max_values_per_range_var: values,
+            },
+        );
+        let spec = CoverageSpec::equal_opportunity(groups.len(), 0);
+        let mut setting = Self {
+            graph,
+            template,
+            domains,
+            groups,
+            spec,
+        };
+        let root = Evaluator::new(setting.cfg()).verify(&Instantiation::root(&setting.domains));
+        let least = root.counts.iter().copied().min().unwrap_or(0);
+        setting.spec = CoverageSpec::equal_opportunity(setting.groups.len(), (least / 2).max(1));
+        setting
+    }
+
+    fn cfg(&self) -> Configuration<'_> {
+        Configuration::new(
+            &self.graph,
+            &self.template,
+            &self.domains,
+            &self.groups,
+            &self.spec,
+            0.05,
+            DiversityConfig::default(),
+        )
+    }
+}
+
+/// Per archive entry: the instance, both objectives' bits, the match set.
+fn fingerprint(out: &Generated) -> Vec<(Instantiation, u64, u64, Vec<NodeId>)> {
+    out.entries
+        .iter()
+        .map(|e| {
+            (
+                e.inst.clone(),
+                e.objectives().delta.to_bits(),
+                e.objectives().fcov.to_bits(),
+                e.result.matches.clone(),
+            )
+        })
+        .collect()
+}
+
+/// Holds the three generators to their reference runs on `setting` and
+/// returns `enum_qgen`'s stats on the default path.
+fn generators_equal_reference(setting: &Setting, name: &str) -> GenStats {
+    let cfg = setting.cfg();
+    let runs: [(&str, &Generator); 3] = [
+        ("enum_qgen", &|cfg| enum_qgen(cfg, false)),
+        ("rfqgen", &|cfg| rfqgen(cfg, RfQGenOptions::default())),
+        ("biqgen", &|cfg| biqgen(cfg, BiQGenOptions::default())),
+    ];
+    let mut enum_stats = None;
+    for (algo, run) in runs {
+        let fast = run(cfg);
+        let slow = run(cfg.with_reference_path());
+        assert!(!fast.truncated && !slow.truncated, "{name}/{algo}");
+        assert!(!fast.entries.is_empty(), "{name}/{algo}: empty archive");
+        assert_eq!(fingerprint(&fast), fingerprint(&slow), "{name}/{algo}");
+        assert_eq!(slow.stats.witness_hits, 0, "{name}/{algo}: reference path");
+        enum_stats.get_or_insert(fast.stats);
+    }
+    enum_stats.unwrap()
+}
+
+#[test]
+fn talent_archives_equal_the_reference_path() {
+    // Example 1's shape: 12 directors, 6 users recommending 4 each, 3
+    // orgs; the second recommender is an optional edge.
+    let mut b = GraphBuilder::new();
+    let directors: Vec<NodeId> = (0..12)
+        .map(|i| {
+            b.add_named_node(
+                "director",
+                &[
+                    ("gender", AttrValue::Int(i % 2)),
+                    ("major", AttrValue::Int(i % 5)),
+                ],
+            )
+        })
+        .collect();
+    let orgs: Vec<NodeId> = [100, 500, 1000]
+        .map(|e| b.add_named_node("org", &[("employees", AttrValue::Int(e))]))
+        .to_vec();
+    for i in 0..6 {
+        let exp = AttrValue::Int(5 + 5 * (i as i64 % 3));
+        let user = b.add_named_node("user", &[("yearsOfExp", exp)]);
+        for j in 0..4 {
+            b.add_named_edge(user, directors[(i * 2 + j * 3) % 12], "recommend");
+        }
+        b.add_named_edge(user, orgs[i % 3], "worksAt");
+    }
+    let graph = b.finish();
+    let gender = graph.schema().find_attr("gender").unwrap();
+    let groups = GroupSet::by_attribute(&graph, gender, &[AttrValue::Int(0), AttrValue::Int(1)]);
+    let setting = Setting::new(
+        graph,
+        "node u0 : director\nnode u1 : user\nnode u2 : org\nnode u3 : user\n\
+         edge u1 -recommend-> u0\nedge u1 -worksAt-> u2\noptional u3 -recommend-> u0\n\
+         where u1.yearsOfExp >= ?\nwhere u2.employees >= ?\noutput u0\n",
+        groups,
+        8,
+    );
+    generators_equal_reference(&setting, "talent");
+}
+
+#[test]
+fn citation_archives_equal_the_reference_path() {
+    for seed in [7, 11, 2022] {
+        let graph = citations_graph(CitationsConfig { papers: 1000, seed });
+        // Machine-learning papers against all others.
+        let s = graph.schema();
+        let (paper, topic) = (
+            s.find_node_label("paper").unwrap(),
+            s.find_attr("topic").unwrap(),
+        );
+        let head = AttrValue::Str(s.find_symbol(TOPICS[0]).unwrap());
+        let (ml, others): (Vec<NodeId>, Vec<NodeId>) = graph
+            .nodes_with_label(paper)
+            .iter()
+            .partition(|&&v| graph.attr(v, topic) == Some(head));
+        let groups = GroupSet::from_members(
+            graph.node_count(),
+            vec![("ml".into(), ml), ("other".into(), others)],
+        );
+        let setting = Setting::new(graph, CITE_7, groups, 8);
+        let stats = generators_equal_reference(&setting, &format!("cite#{seed}"));
+        assert!(stats.witness_hits > 0, "cite#{seed}: no root certified");
+    }
+}

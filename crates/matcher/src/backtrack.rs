@@ -15,9 +15,19 @@
 //!
 //! [`MatchOptions::use_index`] is the only behavioural switch. Off, it is
 //! the reference path the differential tests compare against: candidates
-//! by scan, no memo, no bitsets, no re-plan. Results are bit-identical
-//! either way: the output node is always position 0, so no ordering
-//! decision can change which root candidates extend.
+//! by scan, no memo, no bitsets, no re-plan, no witnesses. Results are
+//! bit-identical either way: the output node is always position 0, so no
+//! ordering decision can change which root candidates extend.
+//!
+//! **Witnesses.** [`try_match_witnessed`] also returns one embedding per
+//! match, a *row* indexed by template node. Handed back through
+//! [`MatchOptions::ancestors`] when a refinement of the instance is
+//! verified, a row settles its root before any search runs: if it still
+//! satisfies every one of the refinement's own constraints it is an
+//! embedding of the refinement, so the root matches. That check is sound
+//! for any row at all. Only the separate skip of roots absent from an
+//! ancestor's match set relies on the ancestors being true ancestors
+//! (Lemma 2 (2)).
 
 use crate::budget::{BudgetExceeded, BudgetKind, MatchBudget};
 use crate::candidates::{candidates_from_pool_into, candidates_into, candidates_scan_into};
@@ -55,6 +65,13 @@ pub struct MatchOptions<'a> {
     /// verifications) cannot reach a verification wedged in a huge
     /// candidate product. `None` = never polled (zero cost).
     pub stop: Option<&'a AtomicBool>,
+    /// Verified ancestors of the instance, each with its rows (see
+    /// [`Witnesses`]). A root absent from any ancestor's match set is
+    /// skipped (Lemma 2 (2): sound only for true ancestors); a root whose
+    /// ancestor row passes all of this instance's checks matches without
+    /// a search (sound for any row). Ignored on the reference path
+    /// (`use_index: false`). Default: none.
+    pub ancestors: &'a [Witnesses<'a>],
 }
 
 impl Default for MatchOptions<'_> {
@@ -64,8 +81,25 @@ impl Default for MatchOptions<'_> {
             use_index: true,
             plan: None,
             stop: None,
+            ancestors: &[],
         }
     }
+}
+
+/// The row entry of a template node that is not active in the instance.
+pub const NO_NODE: NodeId = NodeId(u32::MAX);
+
+/// A verified instance's match set with one embedding per match, as
+/// [`try_match_witnessed`] returns them.
+#[derive(Debug, Clone, Copy)]
+pub struct Witnesses<'a> {
+    /// The match set, sorted ascending.
+    pub matches: &'a [NodeId],
+    /// One row per match, in `matches` order, laid end to end: each row
+    /// is as long as the template has nodes, holds the image of every
+    /// active template node at that node's index and [`NO_NODE`]
+    /// elsewhere.
+    pub rows: &'a [NodeId],
 }
 
 /// How many extension steps pass between hard-stop polls. Power of two so
@@ -192,6 +226,34 @@ pub fn try_match_output_set_with(
     budget: &MatchBudget,
     scratch: &mut MatchScratch,
 ) -> Result<Vec<NodeId>, BudgetExceeded> {
+    search(graph, query, opts, budget, scratch, None)
+}
+
+/// Like [`try_match_output_set_with`], and also returns the rows of the
+/// matches it finds (laid out as [`Witnesses::rows`]): `(matches, rows)`.
+/// Pass them as an ancestor of a refinement to let its verification
+/// certify roots instead of searching them. Match sets are identical.
+pub fn try_match_witnessed(
+    graph: &Graph,
+    query: &ConcreteQuery,
+    opts: MatchOptions,
+    budget: &MatchBudget,
+    scratch: &mut MatchScratch,
+) -> Result<(Vec<NodeId>, Vec<NodeId>), BudgetExceeded> {
+    let mut rows = Vec::new();
+    let matches = search(graph, query, opts, budget, scratch, Some(&mut rows))?;
+    Ok((matches, rows))
+}
+
+/// The one search path; `rows`, when given, receives a row per match.
+fn search(
+    graph: &Graph,
+    query: &ConcreteQuery,
+    opts: MatchOptions,
+    budget: &MatchBudget,
+    scratch: &mut MatchScratch,
+    mut rows: Option<&mut Vec<NodeId>>,
+) -> Result<Vec<NodeId>, BudgetExceeded> {
     let MatchScratch {
         cand: cand_pool,
         bitsets,
@@ -315,6 +377,13 @@ pub fn try_match_output_set_with(
                 });
             }
         }
+        if let Some(rows) = rows {
+            let width = query.nodes.len();
+            rows.resize(matches.len() * width, NO_NODE);
+            for (row, &v) in rows.chunks_mut(width).zip(&matches) {
+                row[query.output.index()] = v;
+            }
+        }
         return Ok(matches);
     }
 
@@ -436,48 +505,97 @@ pub fn try_match_output_set_with(
     fails.resize(order.len(), 0);
     let mut replans_attempted: u32 = 0;
     let mut roots_since_plan: u64 = 0;
+    let ancestors = if opts.use_index { opts.ancestors } else { &[] };
+    let mut cursors = vec![0; ancestors.len()];
     let root_cand = cand[root_slot].as_slice();
+    // At most one row per root: reserve once instead of regrowing.
+    if let Some(rows) = rows.as_deref_mut() {
+        rows.reserve(root_cand.len() * query.nodes.len());
+    }
     for &v in root_cand {
         check_stop(opts.stop)?;
-        // Adaptive reordering: when accumulated extension failures show
-        // the static order misjudged selectivity, re-plan the suffix
-        // fail-heaviest-first at this root-candidate boundary (each root
-        // candidate is an independent existence check, so the order may
-        // change between them without affecting results). The trigger is
-        // the failure *rate* per root processed, not the absolute count:
-        // a healthy order still backtracks a handful of times per root
-        // (deep positions accumulate failures by sheer try volume), and
-        // only a pathological order fails tens of times per root —
-        // re-planning on absolute counts thrashes dense workloads where
-        // nearly every root succeeds.
-        if opts.use_index && replans_attempted < MAX_REPLANS && order.len() > 2 {
-            let total: u64 = fails.iter().sum();
-            if total >= REPLAN_FAIL_THRESHOLD && total >= REPLAN_FAILS_PER_ROOT * roots_since_plan {
-                replans_attempted += 1;
-                if replan_suffix(query, &active, cand, order, fails) {
-                    stats::count_order_replans();
-                    for (pos, &slot) in order.iter().enumerate() {
-                        membership[pos] = membership_by_slot[slot];
-                    }
-                    build_constraints(query, &active, order, &mut constraints);
+        let verdict = if ancestors.is_empty() {
+            Verdict::Search
+        } else {
+            consult(
+                graph,
+                query,
+                &active,
+                &membership_by_slot,
+                ancestors,
+                &mut cursors,
+                v,
+            )
+        };
+        let matched = match verdict {
+            Verdict::Skip => false,
+            Verdict::Certified(row) => {
+                // No search ran. Charge what the shortest successful one
+                // costs, one step per non-root position, so no budget
+                // trips earlier than it would without the witness.
+                charge_steps(&mut steps, order.len() as u64 - 1, budget)?;
+                stats::count_witness_hits();
+                if let Some(rows) = rows.as_deref_mut() {
+                    rows.extend(
+                        query
+                            .active
+                            .iter()
+                            .zip(row)
+                            .map(|(&on, &w)| if on { w } else { NO_NODE }),
+                    );
                 }
-                fails.fill(0);
-                roots_since_plan = 0;
+                true
             }
-        }
-        roots_since_plan += 1;
-        assignment[0] = v;
-        if extend(
-            graph,
-            &membership,
-            &constraints,
-            assignment,
-            1,
-            &mut steps,
-            budget,
-            opts.stop,
-            fails,
-        )? {
+            Verdict::Search => {
+                // Adaptive reordering: when accumulated extension failures
+                // show the static order misjudged selectivity, re-plan the
+                // suffix fail-heaviest-first at this root-candidate
+                // boundary (each root candidate is an independent
+                // existence check, so the order may change between them
+                // without affecting results). The trigger is the failure
+                // *rate* per root searched, not the absolute count: a
+                // healthy order still backtracks a handful of times per
+                // root (deep positions accumulate failures by sheer try
+                // volume), and only a pathological order fails tens of
+                // times per root — re-planning on absolute counts thrashes
+                // dense workloads where nearly every root succeeds.
+                if opts.use_index && replans_attempted < MAX_REPLANS && order.len() > 2 {
+                    let total: u64 = fails.iter().sum();
+                    if total >= REPLAN_FAIL_THRESHOLD
+                        && total >= REPLAN_FAILS_PER_ROOT * roots_since_plan
+                    {
+                        replans_attempted += 1;
+                        if replan_suffix(query, &active, cand, order, fails) {
+                            stats::count_order_replans();
+                            for (pos, &slot) in order.iter().enumerate() {
+                                membership[pos] = membership_by_slot[slot];
+                            }
+                            build_constraints(query, &active, order, &mut constraints);
+                        }
+                        fails.fill(0);
+                        roots_since_plan = 0;
+                    }
+                }
+                roots_since_plan += 1;
+                assignment[0] = v;
+                let found = extend(
+                    graph,
+                    &membership,
+                    &constraints,
+                    assignment,
+                    1,
+                    &mut steps,
+                    budget,
+                    opts.stop,
+                    fails,
+                )?;
+                if let Some(rows) = rows.as_deref_mut().filter(|_| found) {
+                    push_row(rows, query.nodes.len(), &active, order, assignment);
+                }
+                found
+            }
+        };
+        if matched {
             result.push(v);
             if let Some(max) = budget.max_matches {
                 if result.len() as u64 > max {
@@ -541,6 +659,113 @@ fn check_stop(stop: Option<&AtomicBool>) -> Result<(), BudgetExceeded> {
         }),
         _ => Ok(()),
     }
+}
+
+/// Appends the row of the embedding in `assignment` (indexed by order
+/// position) to `rows`. Kept out of line, like [`consult`], so the search
+/// loop of a caller that asks for neither rows nor witnesses stays as
+/// small as it was without them.
+#[inline(never)]
+fn push_row(
+    rows: &mut Vec<NodeId>,
+    width: usize,
+    active: &[QNodeId],
+    order: &[usize],
+    assignment: &[NodeId],
+) {
+    let base = rows.len();
+    rows.resize(base + width, NO_NODE);
+    for (&slot, &w) in order.iter().zip(assignment) {
+        rows[base + active[slot].index()] = w;
+    }
+}
+
+/// What a root's verified ancestors say about it.
+enum Verdict<'w> {
+    /// Absent from an ancestor's match set: not a match (Lemma 2 (2)).
+    Skip,
+    /// This ancestor row embeds the instance with the root at the output.
+    Certified(&'w [NodeId]),
+    /// Nothing settles the root: search it.
+    Search,
+}
+
+/// Asks the ancestors about root `v`: first whether every one of them
+/// matched it at all, then whether one of their rows for it is still an
+/// embedding under this instance's constraints. Roots arrive in ascending
+/// order, so each ancestor's match set is walked by its own cursor rather
+/// than searched afresh per root.
+#[inline(never)]
+fn consult<'w>(
+    graph: &Graph,
+    query: &ConcreteQuery,
+    active: &[QNodeId],
+    membership_by_slot: &[Membership],
+    ancestors: &[Witnesses<'w>],
+    cursors: &mut [usize],
+    v: NodeId,
+) -> Verdict<'w> {
+    for (a, at) in ancestors.iter().zip(cursors.iter_mut()) {
+        *at = seek(a.matches, *at, v);
+        if a.matches.get(*at) != Some(&v) {
+            return Verdict::Skip;
+        }
+    }
+    let width = query.nodes.len();
+    for (a, &i) in ancestors.iter().zip(cursors.iter()) {
+        if let Some(row) = a.rows.get(i * width..(i + 1) * width) {
+            if certifies(graph, query, active, membership_by_slot, row, v) {
+                return Verdict::Certified(row);
+            }
+        }
+    }
+    Verdict::Search
+}
+
+/// The first index at or after `from` whose node is not below `v`, found
+/// by galloping: the cost is logarithmic in the distance moved.
+fn seek(sorted: &[NodeId], from: usize, v: NodeId) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= sorted.len() && sorted[lo + step - 1] < v {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&w| w < v)
+}
+
+/// Whether `row` embeds the instance with root `v` at the output node:
+/// every other active node's image lies in that node's candidate set
+/// (label, literals, degree), the images are distinct, and every template
+/// edge is in the graph. Nothing is assumed about where the row came from.
+fn certifies(
+    graph: &Graph,
+    query: &ConcreteQuery,
+    active: &[QNodeId],
+    membership_by_slot: &[Membership],
+    row: &[NodeId],
+    v: NodeId,
+) -> bool {
+    if row[query.output.index()] != v {
+        return false;
+    }
+    for (slot, &u) in active.iter().enumerate() {
+        let w = row[u.index()];
+        // `v` is a root candidate. Elsewhere `NO_NODE`, like anything
+        // else outside the graph, covers nothing.
+        if u != query.output
+            && (w.index() >= graph.node_count() || !membership_by_slot[slot].contains(w))
+        {
+            return false;
+        }
+        if active[..slot].iter().any(|p| row[p.index()] == w) {
+            return false;
+        }
+    }
+    query
+        .edges
+        .iter()
+        .all(|&(s, d, l)| graph.has_edge(row[s.index()], row[d.index()], l))
 }
 
 /// Constraints of each order position against earlier positions.

@@ -9,10 +9,13 @@
 //! memoised across calls) and connected backtracking with
 //! adjacency-driven extension under a greedy smallest-candidate-set-first
 //! matching order that adapts mid-enumeration when failure counts show it
-//! misjudged selectivity. [`MatchOptions::use_index`]` = false` is the
-//! reference path (scan, no memo, no bitsets, no re-plan), and a
-//! brute-force implementation ([`match_output_set_bruteforce`]) validates
-//! both in tests.
+//! misjudged selectivity. [`try_match_witnessed`] also returns one
+//! embedding per match; passed back as [`MatchOptions::ancestors`], those
+//! certify a refinement's roots without a search whenever they still hold.
+//! [`MatchOptions::use_index`]` = false` is the reference path (scan, no
+//! memo, no bitsets, no re-plan, no witnesses), and a brute-force
+//! implementation ([`match_output_set_bruteforce`]) validates both in
+//! tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +28,8 @@ mod reference;
 mod stats;
 
 pub use backtrack::{
-    match_output_set, try_match_output_set, try_match_output_set_with, MatchOptions, MatchScratch,
-    STOP_POLL_STEPS,
+    match_output_set, try_match_output_set, try_match_output_set_with, try_match_witnessed,
+    MatchOptions, MatchScratch, Witnesses, NO_NODE, STOP_POLL_STEPS,
 };
 pub use budget::{BudgetExceeded, BudgetKind, MatchBudget};
 pub use candidates::{candidates, candidates_from_pool, candidates_scan, satisfies_literals};
@@ -128,6 +131,135 @@ mod tests {
         );
         assert_eq!(full, restricted);
         assert_eq!(full, vec![NodeId(0), NodeId(1)]);
+    }
+
+    /// Matches of `q` with `parent`'s rows as the one ancestor (and its
+    /// match set as the pool), plus the rows and witness hits of the call.
+    fn witnessed(
+        g: &Graph,
+        q: &ConcreteQuery,
+        parent: (&[NodeId], &[NodeId]),
+        use_index: bool,
+    ) -> (Vec<NodeId>, Vec<NodeId>, u64) {
+        let ancestors = [Witnesses {
+            matches: parent.0,
+            rows: parent.1,
+        }];
+        let _ = take_stats();
+        let (m, rows) = try_match_witnessed(
+            g,
+            q,
+            MatchOptions {
+                restrict_output: Some(parent.0),
+                use_index,
+                ancestors: &ancestors,
+                ..MatchOptions::default()
+            },
+            &MatchBudget::UNLIMITED,
+            &mut MatchScratch::default(),
+        )
+        .unwrap();
+        (m, rows, take_stats().witness_hits)
+    }
+
+    /// The row of match `v` in a `(matches, rows)` pair.
+    fn row_of<'r>(q: &ConcreteQuery, m: &[NodeId], rows: &'r [NodeId], v: NodeId) -> &'r [NodeId] {
+        let i = m.binary_search(&v).unwrap();
+        &rows[i * q.nodes.len()..(i + 1) * q.nodes.len()]
+    }
+
+    #[test]
+    fn a_stale_witness_falls_back_to_the_search() {
+        // Director d2 (node 1) is recommended by r1 (12 years, node 3) and
+        // r2 (6 years, node 4). The root's search reaches r1 first; the
+        // child's `yearsOfExp <= 8` rejects r1, so d2's row is stale and the
+        // search must find its second embedding, through r2.
+        let g = talent_graph();
+        let s = g.schema();
+        let mut tb = TemplateBuilder::new();
+        let u0 = tb.node(s.find_node_label("director").unwrap());
+        let u1 = tb.node(s.find_node_label("user").unwrap());
+        tb.edge(u1, u0, s.find_edge_label("recommend").unwrap());
+        tb.range_literal(u1, s.find_attr("yearsOfExp").unwrap(), CmpOp::Le);
+        let t = tb.finish(u0).unwrap();
+        let d = RefinementDomains::with_range_values(&t, vec![vec![AttrValue::Int(8)]]);
+        let root = ConcreteQuery::materialize(&t, &d, &Instantiation::new(vec![0]));
+        let child = ConcreteQuery::materialize(&t, &d, &Instantiation::new(vec![1]));
+        let (rm, rrows) = try_match_witnessed(
+            &g,
+            &root,
+            MatchOptions::default(),
+            &MatchBudget::UNLIMITED,
+            &mut MatchScratch::default(),
+        )
+        .unwrap();
+        assert_eq!(rm, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(
+            row_of(&root, &rm, &rrows, NodeId(1)),
+            &[NodeId(1), NodeId(3)]
+        );
+
+        let (m, rows, hits) = witnessed(&g, &child, (&rm, &rrows), true);
+        assert_eq!(m, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(m, match_output_set_bruteforce(&g, &child));
+        assert_eq!(
+            row_of(&child, &m, &rows, NodeId(1)),
+            &[NodeId(1), NodeId(4)]
+        );
+        assert_eq!(hits, 1, "only d3's row (through r2) still holds");
+        // The reference path reads no witnesses.
+        let (reference, _, hits) = witnessed(&g, &child, (&rm, &rrows), false);
+        assert_eq!((reference, hits), (m, 0));
+    }
+
+    #[test]
+    fn a_grown_active_set_has_no_certificate() {
+        // The optional edge brings `u2` into the child; the root's rows
+        // hold `NO_NODE` there, so no root is certified and every one is
+        // searched.
+        let g = talent_graph();
+        let s = g.schema();
+        let mut tb = TemplateBuilder::new();
+        let u0 = tb.node(s.find_node_label("director").unwrap());
+        let u1 = tb.node(s.find_node_label("user").unwrap());
+        let u2 = tb.node(s.find_node_label("org").unwrap());
+        tb.edge(u1, u0, s.find_edge_label("recommend").unwrap());
+        tb.optional_edge(u1, u2, s.find_edge_label("worksAt").unwrap());
+        let t = tb.finish(u0).unwrap();
+        let d = RefinementDomains::with_range_values(&t, vec![]);
+        let root = ConcreteQuery::materialize(&t, &d, &Instantiation::new(vec![0]));
+        let child = ConcreteQuery::materialize(&t, &d, &Instantiation::new(vec![1]));
+        assert_eq!((root.active_count(), child.active_count()), (2, 3));
+        let (rm, rrows) = try_match_witnessed(
+            &g,
+            &root,
+            MatchOptions::default(),
+            &MatchBudget::UNLIMITED,
+            &mut MatchScratch::default(),
+        )
+        .unwrap();
+        assert!(rrows.chunks(3).all(|row| row[2] == NO_NODE));
+
+        let (m, rows, hits) = witnessed(&g, &child, (&rm, &rrows), true);
+        assert_eq!(hits, 0);
+        assert_eq!(m, match_output_set_bruteforce(&g, &child));
+        assert_eq!(m.len(), 3);
+        assert!(rows.chunks(3).all(|row| row[2] != NO_NODE));
+    }
+
+    #[test]
+    fn a_forged_row_certifies_nothing() {
+        // Rows that embed nothing — every template node on the match
+        // itself — under the true match set: each root is searched, and
+        // the result is the brute-force one.
+        let g = talent_graph();
+        let (t, d) = talent_template(&g);
+        let q = ConcreteQuery::materialize(&t, &d, &Instantiation::root(&d));
+        let m = match_output_set(&g, &q, MatchOptions::default());
+        let forged: Vec<NodeId> = m.iter().flat_map(|&v| [v; 3]).collect();
+        let (found, _, hits) = witnessed(&g, &q, (&m, &forged), true);
+        assert_eq!(hits, 0);
+        assert_eq!(found, match_output_set_bruteforce(&g, &q));
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub struct MatcherStats {
     /// and bound literals seen before on this graph) instead of being
     /// recomputed from the index or a scan.
     pub cand_memo_hits: u64,
+    /// Roots matched without a search because a verified ancestor's
+    /// embedding still satisfied every constraint of the instance.
+    pub witness_hits: u64,
 }
 
 impl MatcherStats {
@@ -47,6 +50,7 @@ impl MatcherStats {
         self.shard_skips += other.shard_skips;
         self.order_replans += other.order_replans;
         self.cand_memo_hits += other.cand_memo_hits;
+        self.witness_hits += other.witness_hits;
     }
 
     /// Field-wise difference from an earlier snapshot of the same
@@ -67,6 +71,7 @@ impl MatcherStats {
             shard_skips: self.shard_skips.saturating_sub(baseline.shard_skips),
             order_replans: self.order_replans.saturating_sub(baseline.order_replans),
             cand_memo_hits: self.cand_memo_hits.saturating_sub(baseline.cand_memo_hits),
+            witness_hits: self.witness_hits.saturating_sub(baseline.witness_hits),
         }
     }
 }
@@ -79,6 +84,7 @@ thread_local! {
     static SHARD_SKIPS: Cell<u64> = const { Cell::new(0) };
     static ORDER_REPLANS: Cell<u64> = const { Cell::new(0) };
     static CAND_MEMO_HITS: Cell<u64> = const { Cell::new(0) };
+    static WITNESS_HITS: Cell<u64> = const { Cell::new(0) };
 }
 
 #[inline]
@@ -118,6 +124,11 @@ pub(crate) fn count_cand_memo_hits() {
     CAND_MEMO_HITS.with(|c| c.set(c.get() + 1));
 }
 
+#[inline]
+pub(crate) fn count_witness_hits() {
+    WITNESS_HITS.with(|c| c.set(c.get() + 1));
+}
+
 /// Current thread's counters without resetting them.
 pub fn matcher_stats() -> MatcherStats {
     MatcherStats {
@@ -128,6 +139,7 @@ pub fn matcher_stats() -> MatcherStats {
         shard_skips: SHARD_SKIPS.with(Cell::get),
         order_replans: ORDER_REPLANS.with(Cell::get),
         cand_memo_hits: CAND_MEMO_HITS.with(Cell::get),
+        witness_hits: WITNESS_HITS.with(Cell::get),
     }
 }
 
@@ -142,6 +154,7 @@ pub fn take_stats() -> MatcherStats {
         shard_skips: SHARD_SKIPS.with(|c| c.replace(0)),
         order_replans: ORDER_REPLANS.with(|c| c.replace(0)),
         cand_memo_hits: CAND_MEMO_HITS.with(|c| c.replace(0)),
+        witness_hits: WITNESS_HITS.with(|c| c.replace(0)),
     }
 }
 
@@ -173,6 +186,7 @@ mod tests {
             shard_skips: 5,
             order_replans: 7,
             cand_memo_hits: 10,
+            witness_hits: 11,
         };
         a.merge(a);
         assert_eq!(a.index_candidates, 2);
@@ -182,6 +196,7 @@ mod tests {
         assert_eq!(a.shard_skips, 10);
         assert_eq!(a.order_replans, 14);
         assert_eq!(a.cand_memo_hits, 20);
+        assert_eq!(a.witness_hits, 22);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use fairsqg_graph::{AttrValue, CmpOp, Graph, GraphBuilder, NodeId};
 use fairsqg_matcher::{
     candidates, candidates_from_pool, candidates_scan, match_output_set,
     match_output_set_bruteforce, plan_matching_order, satisfies_literals, take_stats,
-    try_match_output_set, try_match_output_set_with, BudgetKind, MatchBudget, MatchOptions,
-    MatchScratch,
+    try_match_output_set, try_match_witnessed, BudgetKind, MatchBudget, MatchOptions, MatchScratch,
+    Witnesses, NO_NODE,
 };
 use fairsqg_query::{
     BoundLiteral, ConcreteNode, ConcreteQuery, Instantiation, QNodeId, QueryTemplate,
@@ -297,13 +297,12 @@ fn pick(rng: &mut TestRng, n: usize) -> usize {
     rng.below(n as u64) as usize
 }
 
-/// A graph of three labels with 150–189 nodes each (so label populations
-/// clear the matcher's bitset threshold), `a0`/`a1` in `0..8` on every
-/// node, and zero to two edges per source node for each label/edge-label
-/// combination [`chain_template`] asks for. Labels, attributes and edge
-/// labels are interned in a fixed order, so one `ConcreteQuery` addresses
-/// any two draws.
-fn chain_graph(rng: &mut TestRng) -> Graph {
+/// A graph of three labels with `per_label` plus up to `spread - 1` nodes
+/// each, `a0`/`a1` in `0..8` on every node, and zero to two edges per
+/// source node for each label/edge-label combination [`chain_template`]
+/// asks for. Labels, attributes and edge labels are interned in a fixed
+/// order, so one `ConcreteQuery` addresses any two draws.
+fn chain_graph(rng: &mut TestRng, per_label: usize, spread: usize) -> Graph {
     let mut b = GraphBuilder::new();
     let labels = ["l0", "l1", "l2"].map(|l| b.schema_mut().node_label(l));
     let attrs = ["a0", "a1"].map(|a| b.schema_mut().attr(a));
@@ -311,7 +310,7 @@ fn chain_graph(rng: &mut TestRng) -> Graph {
     let nodes: Vec<Vec<NodeId>> = labels
         .iter()
         .map(|&l| {
-            (0..150 + pick(rng, 40))
+            (0..per_label + pick(rng, spread))
                 .map(|_| {
                     let vals = attrs.map(|a| (a, AttrValue::Int(pick(rng, 8) as i64)));
                     b.add_node(l, &vals)
@@ -375,13 +374,23 @@ fn chain_template(graph: &Graph) -> (QueryTemplate, RefinementDomains) {
     (template, domains)
 }
 
-/// What one chain run produced: per verification the default path's match
-/// set (one scratch carried through the whole run) and the reference
-/// path's (fresh scratch, `use_index: false`), plus the run's memo hits.
+/// One verification of a chain run: which graph, which instance, what the
+/// default path returned (match set and rows) and what the reference path
+/// returned.
+struct ChainStep {
+    graph: usize,
+    query: ConcreteQuery,
+    fast: Vec<NodeId>,
+    rows: Vec<NodeId>,
+    slow: Vec<NodeId>,
+}
+
+/// What one chain run produced, plus the run's memo and witness hits.
 struct ChainRun {
-    fast: Vec<Vec<NodeId>>,
-    slow: Vec<Vec<NodeId>>,
+    graphs: [Graph; 2],
+    steps: Vec<ChainStep>,
     cand_memo_hits: u64,
+    witness_hits: u64,
 }
 
 /// Walks twelve instances of [`chain_template`] — each one refinement step
@@ -389,11 +398,16 @@ struct ChainRun {
 /// random variable — and verifies them on two graphs in alternating
 /// blocks of three: 24 verifications through **one** `MatchScratch`, the
 /// graph under it changing every third call. A refinement is verified as
-/// `incVerify` would, restricted to the previous instance's match set on
-/// the same graph; a relaxation from scratch.
-fn memo_chain_case(seed: u64) -> ChainRun {
+/// `incVerify` would: restricted to the previous instance's match set on
+/// the same graph, with that verification's rows as witnesses. A
+/// relaxation is verified from scratch. The reference path
+/// (`use_index: false`, fresh scratch) gets the same options.
+fn chain_case(seed: u64, per_label: usize, spread: usize) -> ChainRun {
     let rng = &mut TestRng::from_seed(seed);
-    let graphs = [chain_graph(rng), chain_graph(rng)];
+    let graphs = [
+        chain_graph(rng, per_label, spread),
+        chain_graph(rng, per_label, spread),
+    ];
     let (template, domains) = chain_template(&graphs[0]);
 
     let mut chain = vec![Instantiation::root(&domains)];
@@ -410,17 +424,22 @@ fn memo_chain_case(seed: u64) -> ChainRun {
 
     let _ = take_stats();
     let mut scratch = MatchScratch::default();
-    let mut previous: [Option<Vec<NodeId>>; 2] = [None, None];
-    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    let mut previous: [Option<(Vec<NodeId>, Vec<NodeId>)>; 2] = [None, None];
+    let mut steps = Vec::new();
     for block in 0..chain.len() / 3 {
-        for (graph, previous) in graphs.iter().zip(&mut previous) {
+        for (g, (graph, previous)) in graphs.iter().zip(&mut previous).enumerate() {
             for k in 3 * block..3 * block + 3 {
                 let query = ConcreteQuery::materialize(&template, &domains, &chain[k]);
-                let pool = previous
-                    .as_deref()
+                let parent = previous
+                    .as_ref()
                     .filter(|_| k > 0 && chain[k].refines(&chain[k - 1]));
+                let witnesses: Vec<Witnesses<'_>> = parent
+                    .iter()
+                    .map(|(matches, rows)| Witnesses { matches, rows })
+                    .collect();
                 let opts = MatchOptions {
-                    restrict_output: pool,
+                    restrict_output: parent.map(|(matches, _)| matches.as_slice()),
+                    ancestors: &witnesses,
                     ..MatchOptions::default()
                 };
                 let unlimited = &MatchBudget::UNLIMITED;
@@ -428,33 +447,141 @@ fn memo_chain_case(seed: u64) -> ChainRun {
                     use_index: false,
                     ..opts
                 };
-                fast.push(
-                    try_match_output_set_with(graph, &query, opts, unlimited, &mut scratch)
-                        .unwrap(),
-                );
-                slow.push(try_match_output_set(graph, &query, reference, unlimited).unwrap());
-                *previous = fast.last().cloned();
+                let (fast, rows) =
+                    try_match_witnessed(graph, &query, opts, unlimited, &mut scratch).unwrap();
+                let slow = try_match_output_set(graph, &query, reference, unlimited).unwrap();
+                *previous = Some((fast.clone(), rows.clone()));
+                steps.push(ChainStep {
+                    graph: g,
+                    query,
+                    fast,
+                    rows,
+                    slow,
+                });
             }
         }
     }
+    let stats = take_stats();
     ChainRun {
-        fast,
-        slow,
-        cand_memo_hits: take_stats().cand_memo_hits,
+        graphs,
+        steps,
+        cand_memo_hits: stats.cand_memo_hits,
+        witness_hits: stats.witness_hits,
     }
+}
+
+/// [`chain_case`] on 150–189 nodes per label, so label populations clear
+/// the matcher's bitset threshold and the memo's bitsets fire.
+fn memo_chain_case(seed: u64) -> ChainRun {
+    chain_case(seed, 150, 40)
+}
+
+/// Checks that `rows` holds one embedding per match of `query`, in match
+/// order: the output node's entry is the match, the images are distinct,
+/// every active node's image has its label, satisfies its literals and
+/// has at least its out/in degree in the query, every template edge is
+/// in the graph, and every inactive node's entry is [`NO_NODE`].
+fn check_rows(
+    graph: &Graph,
+    query: &ConcreteQuery,
+    matches: &[NodeId],
+    rows: &[NodeId],
+) -> Result<(), String> {
+    let width = query.nodes.len();
+    if rows.len() != matches.len() * width {
+        return Err(format!(
+            "{} rows entries for {} matches",
+            rows.len(),
+            matches.len()
+        ));
+    }
+    for (row, &v) in rows.chunks(width).zip(matches) {
+        if row[query.output.index()] != v {
+            return Err(format!("row {row:?} does not map the output to {v:?}"));
+        }
+        let mut images = Vec::new();
+        for (u, node) in query.nodes.iter().enumerate() {
+            let w = row[u];
+            if !query.active[u] {
+                if w != NO_NODE {
+                    return Err(format!("inactive u{u} holds {w:?} in {row:?}"));
+                }
+                continue;
+            }
+            if w.index() >= graph.node_count()
+                || graph.label(w) != node.label
+                || !satisfies_literals(graph, w, &node.literals)
+            {
+                return Err(format!(
+                    "u{u} -> {w:?} breaks a label or literal in {row:?}"
+                ));
+            }
+            let q = QNodeId(u as u8);
+            let out = query.edges.iter().filter(|e| e.0 == q).count();
+            let inc = query.edges.iter().filter(|e| e.1 == q).count();
+            if graph.out_degree(w) < out || graph.in_degree(w) < inc {
+                return Err(format!("u{u} -> {w:?} lacks degree in {row:?}"));
+            }
+            if images.contains(&w) {
+                return Err(format!("{w:?} is used twice in {row:?}"));
+            }
+            images.push(w);
+        }
+        for &(s, d, l) in &query.edges {
+            if !graph.has_edge(row[s.index()], row[d.index()], l) {
+                return Err(format!("edge {s:?}->{d:?} missing under {row:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every step of a run: the default path equals the reference path, and
+/// its rows are embeddings.
+fn check_chain(run: &ChainRun) -> Result<(), String> {
+    for (i, step) in run.steps.iter().enumerate() {
+        if step.fast != step.slow {
+            return Err(format!("step {i}: {:?} against {:?}", step.fast, step.slow));
+        }
+        check_rows(&run.graphs[step.graph], &step.query, &step.fast, &step.rows)
+            .map_err(|e| format!("step {i}: {e}"))?;
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A `MatchScratch` reused across refinement chains **and across
-    /// graphs** never changes a result, and its memo is actually hit.
+    /// graphs**, with each refinement certified from its parent's rows
+    /// where they still hold, never changes a result; its memo and its
+    /// witnesses are actually hit, and every row it emits is an embedding.
     #[test]
     fn reused_scratch_equals_reference_path(seed in 0u64..u64::MAX) {
         let run = memo_chain_case(seed);
-        prop_assert_eq!(&run.fast, &run.slow, "memo_chain_case({:#x})", seed);
-        prop_assert!(run.fast.iter().any(|m| !m.is_empty()), "memo_chain_case({:#x}) is vacuous", seed);
+        let checked = check_chain(&run);
+        prop_assert!(checked.is_ok(), "memo_chain_case({:#x}): {:?}", seed, checked);
+        prop_assert!(run.steps.iter().any(|s| !s.fast.is_empty()), "memo_chain_case({:#x}) is vacuous", seed);
         prop_assert!(run.cand_memo_hits > 0, "memo_chain_case({:#x}) never hit the memo", seed);
+        prop_assert!(run.witness_hits > 0, "memo_chain_case({:#x}) never certified a root", seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same chains on graphs of 2–4 nodes per label, small enough for
+    /// the brute-force oracle: certified, skipped and searched roots
+    /// together give exactly the brute-force match set.
+    #[test]
+    fn witnessed_chain_equals_bruteforce(seed in 0u64..u64::MAX) {
+        let run = chain_case(seed, 2, 3);
+        let checked = check_chain(&run);
+        prop_assert!(checked.is_ok(), "chain_case({:#x}, 2, 3): {:?}", seed, checked);
+        for (i, step) in run.steps.iter().enumerate() {
+            let oracle = match_output_set_bruteforce(&run.graphs[step.graph], &step.query);
+            prop_assert_eq!(&step.fast, &oracle, "chain_case({:#x}, 2, 3) step {}", seed, i);
+        }
     }
 }
 
@@ -462,7 +589,9 @@ proptest! {
 fn memo_chain_regression_seeds_still_agree() {
     for &seed in MEMO_CHAIN_REGRESSION_SEEDS {
         let run = memo_chain_case(seed);
-        assert_eq!(run.fast, run.slow, "memo_chain_case({seed:#x})");
+        if let Err(e) = check_chain(&run) {
+            panic!("memo_chain_case({seed:#x}): {e}");
+        }
     }
 }
 

@@ -541,6 +541,7 @@ pub fn generated_to_value_with(
                     "cand_memo_hits",
                     Value::from(out.stats.cand_memo_hits as i64),
                 ),
+                ("witness_hits", Value::from(out.stats.witness_hits as i64)),
                 (
                     "budget_tripped",
                     match out.stats.budget_tripped {
