@@ -132,9 +132,8 @@ impl<'a> Evaluator<'a> {
         self.verify_against(inst, &ancestors)
     }
 
-    /// Verifies `inst` with output candidates restricted to the smallest
-    /// ancestor match set, and every ancestor offered to the matcher as
-    /// witnesses (the reference path offers none and records no rows).
+    /// Verifies `inst` against `ancestors` through [`verify_instance`] and
+    /// caches what it finds.
     fn verify_against(
         &mut self,
         inst: &Instantiation,
@@ -148,39 +147,31 @@ impl<'a> Evaluator<'a> {
         // does not.
         debug_assert!(ancestors.iter().all(|(a, _)| inst.refines(a)));
         self.verified += 1;
-        let query = ConcreteQuery::materialize(self.cfg.template, self.cfg.domains, inst);
-        // An ancestor's match set is already inside the configuration's
-        // output restriction (the root was verified under it), so the
-        // tighter of the two suffices.
-        let restriction = smallest(ancestors)
-            .map(|v| v.result.matches.as_slice())
-            .or(self.cfg.output_restriction);
-        let opts = MatchOptions {
-            restrict_output: restriction,
-            use_index: !self.cfg.reference_path,
-            stop: self.cfg.hard_stop_flag(),
-            ..MatchOptions::default()
-        };
-        let (graph, budget) = (self.cfg.graph, &self.cfg.budget);
-        let outcome = if self.cfg.reference_path {
-            try_match_output_set_with(graph, &query, opts, budget, &mut self.scratch)
-                .map(|matches| (matches, Vec::new()))
-        } else {
-            let witnesses: Vec<Witnesses<'_>> = ancestors
-                .iter()
-                .map(|(_, v)| Witnesses {
-                    matches: &v.result.matches,
-                    rows: &v.rows,
-                })
-                .collect();
-            let opts = MatchOptions {
-                ancestors: &witnesses,
-                ..opts
-            };
-            try_match_witnessed(graph, &query, opts, budget, &mut self.scratch)
-        };
-        let (matches, rows) = match outcome {
-            Ok(found) => found,
+        let witnesses: Vec<Witnesses<'_>> = ancestors
+            .iter()
+            .map(|(_, v)| Witnesses {
+                matches: &v.result.matches,
+                rows: &v.rows,
+            })
+            .collect();
+        match verify_instance(
+            &self.cfg,
+            &self.measure,
+            inst,
+            &witnesses,
+            &mut self.scratch,
+        ) {
+            Ok((result, rows)) => {
+                let result = Rc::new(result);
+                self.cache.insert(
+                    inst.clone(),
+                    Verified {
+                        result: Rc::clone(&result),
+                        rows: rows.into(),
+                    },
+                );
+                result
+            }
             Err(tripped) => {
                 // The result is unknown, not infeasible: record the trip
                 // (stopping the run) and hand back a conservative
@@ -188,32 +179,14 @@ impl<'a> Evaluator<'a> {
                 // can never masquerade as a real verification later — and
                 // no rows of it can certify anything.
                 self.budget_tripped.get_or_insert(tripped);
-                return Rc::new(EvalResult {
+                Rc::new(EvalResult {
                     matches: Vec::new(),
                     counts: vec![0; self.cfg.groups.len()],
                     objectives: Objectives::new(0.0, 0.0),
                     feasible: false,
-                });
+                })
             }
-        };
-        let counts = self.cfg.groups.count_in_groups(&matches);
-        let delta = self.cfg.diversity_of(&self.measure, &matches);
-        let fcov = coverage_score(&counts, self.cfg.spec);
-        let feasible = is_feasible(&counts, self.cfg.spec);
-        let result = Rc::new(EvalResult {
-            matches,
-            counts,
-            objectives: Objectives::new(delta, fcov),
-            feasible,
-        });
-        self.cache.insert(
-            inst.clone(),
-            Verified {
-                result: Rc::clone(&result),
-                rows: rows.into(),
-            },
-        );
-        result
+        }
     }
 
     /// Cheap certain-infeasibility test **without subgraph matching**: the
@@ -284,6 +257,52 @@ impl<'a> Evaluator<'a> {
         let matcher = fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline);
         stats.record_hot_path(matcher);
     }
+}
+
+/// One `incVerify` verification, shared by [`Evaluator`] and
+/// `par_enum_qgen`'s workers: materialises `inst`, matches it with output
+/// candidates restricted to the smallest ancestor match set (the first on a
+/// tie) and every ancestor offered as witnesses, then counts, scores and
+/// tests feasibility. Returns the result and one row per match. The
+/// reference path keeps the pool but offers no witnesses and records no
+/// rows. Every ancestor must be a lattice ancestor of `inst` (Lemma 2),
+/// which callers debug-assert.
+pub(crate) fn verify_instance(
+    cfg: &Configuration<'_>,
+    measure: &DiversityMeasure<'_>,
+    inst: &Instantiation,
+    ancestors: &[Witnesses<'_>],
+    scratch: &mut MatchScratch,
+) -> Result<(EvalResult, Vec<NodeId>), BudgetExceeded> {
+    let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
+    // An ancestor's match set is already inside the configuration's output
+    // restriction (the root was verified under it), so the tighter of the
+    // two suffices.
+    let pool = ancestors.iter().map(|w| w.matches).min_by_key(|m| m.len());
+    let opts = MatchOptions {
+        restrict_output: pool.or(cfg.output_restriction),
+        use_index: !cfg.reference_path,
+        stop: cfg.hard_stop_flag(),
+        ..MatchOptions::default()
+    };
+    let (matches, rows) = if cfg.reference_path {
+        let matches = try_match_output_set_with(cfg.graph, &query, opts, &cfg.budget, scratch)?;
+        (matches, Vec::new())
+    } else {
+        let opts = MatchOptions { ancestors, ..opts };
+        try_match_witnessed(cfg.graph, &query, opts, &cfg.budget, scratch)?
+    };
+    let counts = cfg.groups.count_in_groups(&matches);
+    let delta = cfg.diversity_of(measure, &matches);
+    let fcov = coverage_score(&counts, cfg.spec);
+    let feasible = is_feasible(&counts, cfg.spec);
+    let result = EvalResult {
+        matches,
+        counts,
+        objectives: Objectives::new(delta, fcov),
+        feasible,
+    };
+    Ok((result, rows))
 }
 
 /// The ancestor with the smallest match set (the first on a tie): the

@@ -4,32 +4,31 @@
 //!
 //! Verification cost `T_q` varies wildly across the instance space (a
 //! relaxed instance matches far more nodes than a tight one), so static
-//! chunking leaves threads idle at the tail. Workers instead *claim* small
-//! batches of instances from a shared atomic cursor over the
-//! lexicographically enumerated space: fast workers drain whatever slow
-//! ones leave behind. Workers share the graph and one diversity measure
-//! immutably and collect results in private shards; the shards are merged
-//! by lattice index and folded into the ε-Pareto archive in ascending
-//! order — the same order the sequential fold uses, so the archive
+//! chunking leaves threads idle at the tail. Workers instead *claim*
+//! instances one at a time from a shared atomic cursor over the
+//! lexicographically enumerated space, and verify each incrementally
+//! (`incVerify`) against a shared table of finished instances indexed by
+//! lattice position: on every axis the nearest ancestor that is already
+//! *finished* — never one still in flight — gives its match set as a
+//! candidate pool and its embeddings as witnesses. Which ancestors a
+//! verification sees depends on the schedule, but its match set does not
+//! (Lemma 2, and a witness certifies only what it proves). After the pool
+//! joins, the table is folded into the ε-Pareto archive in ascending
+//! lattice order — the order the sequential fold uses — so the archive
 //! (including `Update`'s order-dependent same-box tie-breaks) is
 //! bit-identical to `enum_qgen`'s.
 
 use crate::archive::EpsParetoArchive;
 use crate::config::{Configuration, GenStats};
-use crate::evaluator::EvalResult;
+use crate::evaluator::{verify_instance, EvalResult};
 use crate::output::Generated;
-use fairsqg_matcher::{
-    take_stats, try_match_output_set_with, BudgetExceeded, MatchOptions, MatchScratch, MatcherStats,
-};
-use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives};
-use fairsqg_query::{ConcreteQuery, InstanceLattice, Instantiation};
+use fairsqg_graph::NodeId;
+use fairsqg_matcher::{take_stats, BudgetExceeded, MatchScratch, MatcherStats, Witnesses};
+use fairsqg_query::InstanceLattice;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Instances a worker claims per cursor bump — enough to amortize the
-/// atomic traffic, small enough that the tail stays balanced.
-const CLAIM_BATCH: usize = 8;
 
 /// Resolves a requested worker count: `0` means "one per hardware
 /// thread", and any request is clamped to
@@ -49,49 +48,13 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Verifies one instance without any cache (thread-friendly). `scratch`
-/// is the worker's reusable matcher working memory.
-fn verify_standalone(
-    cfg: &Configuration<'_>,
-    measure: &DiversityMeasure<'_>,
-    inst: &Instantiation,
-    scratch: &mut MatchScratch,
-) -> Result<EvalResult, BudgetExceeded> {
-    let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
-    let matches = try_match_output_set_with(
-        cfg.graph,
-        &query,
-        MatchOptions {
-            restrict_output: cfg.output_restriction,
-            use_index: !cfg.reference_path,
-            stop: cfg.hard_stop_flag(),
-            ..MatchOptions::default()
-        },
-        &cfg.budget,
-        scratch,
-    )?;
-    let counts = cfg.groups.count_in_groups(&matches);
-    let delta = cfg.diversity_of(measure, &matches);
-    let fcov = coverage_score(&counts, cfg.spec);
-    let feasible = is_feasible(&counts, cfg.spec);
-    Ok(EvalResult {
-        matches,
-        counts,
-        objectives: Objectives::new(delta, fcov),
-        feasible,
-    })
-}
-
-/// What one worker brings home: its result shard keyed by lattice index,
-/// the budget trip that stopped it (if any), and its hot-path counters.
-type Shard = (
-    Vec<(usize, EvalResult)>,
-    Option<BudgetExceeded>,
-    MatcherStats,
-);
+/// A finished verification as the shared table holds it: the result and
+/// one row per match, at exact size. A verification that tripped its
+/// budget leaves its slot empty, so it never serves as an ancestor.
+type Finished = OnceLock<(EvalResult, Box<[NodeId]>)>;
 
 /// Parallel `EnumQGen`: verifies the whole instance space on a pool of
-/// work-stealing workers and folds the results into an ε-Pareto archive
+/// self-scheduling workers and folds the results into an ε-Pareto archive
 /// identical to the sequential one. `threads` is a *request*: `0` means
 /// "all hardware threads", and any count is clamped to the hardware (see
 /// [`effective_threads`]); `GenStats::threads_used` reports the actual
@@ -101,8 +64,8 @@ pub fn par_enum_qgen(cfg: Configuration<'_>, threads: usize) -> Generated {
 }
 
 /// The pool itself, taking the worker count literally. Exposed for tests
-/// that must exercise multi-shard merging on machines with fewer cores
-/// than shards.
+/// that must run several workers on machines with fewer cores than
+/// workers.
 #[doc(hidden)]
 pub fn par_enum_qgen_exact(cfg: Configuration<'_>, workers: usize) -> Generated {
     run_par_enum(cfg, workers.max(1))
@@ -110,9 +73,15 @@ pub fn par_enum_qgen_exact(cfg: Configuration<'_>, workers: usize) -> Generated 
 
 fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
     let start = Instant::now();
-    let lat = InstanceLattice::new(cfg.domains);
-    let all = lat.enumerate();
+    let all = InstanceLattice::new(cfg.domains).enumerate();
     let total = all.len();
+    // Mixed-radix strides of the lexicographic enumeration: the parent of
+    // instance `i` on axis `x` is `i - strides[x]`.
+    let mut strides = vec![1; cfg.domains.var_count()];
+    for x in (1..strides.len()).rev() {
+        strides[x - 1] = strides[x] * cfg.domains.domain(x).len();
+    }
+    let table: Vec<Finished> = (0..total).map(|_| OnceLock::new()).collect();
 
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -121,45 +90,55 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
     // one — for the whole pool.
     let measure = cfg.diversity_measure();
 
-    let shards: Vec<Shard> = std::thread::scope(|scope| {
+    let workers: Vec<(Option<BudgetExceeded>, MatcherStats)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads {
-            let (cfg_ref, all_ref, cursor_ref, stop_ref) = (&cfg, &all, &cursor, &stop);
-            let measure = &measure;
+            let (cfg, all, strides, table) = (&cfg, &all, &strides, &table);
+            let (cursor, stop, measure) = (&cursor, &stop, &measure);
             handles.push(scope.spawn(move || {
                 // Matcher counters are thread-local; reset them so the
                 // final snapshot is exactly this worker's contribution
                 // even if the closure ever runs on a reused thread.
                 let _ = take_stats();
-                let mut out = Vec::new();
                 let mut tripped = None;
                 let mut scratch = MatchScratch::default();
-                'claim: while !stop_ref.load(Ordering::Relaxed) {
-                    let base = cursor_ref.fetch_add(CLAIM_BATCH, Ordering::Relaxed);
-                    if base >= total {
-                        break;
-                    }
-                    let end = (base + CLAIM_BATCH).min(total);
-                    for (i, inst) in (base..end).zip(&all_ref[base..end]) {
-                        // Every worker observes the shared token; a fired
-                        // token stops the whole pool within one T_q.
-                        if cfg_ref.cancelled() || stop_ref.load(Ordering::Relaxed) {
-                            break 'claim;
+                // Every worker observes the shared token; a fired token
+                // stops the whole pool within one T_q.
+                while !stop.load(Ordering::Relaxed) && !cfg.cancelled() {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(inst) = all.get(i) else { break };
+                    // On each axis, walk down to the nearest finished
+                    // ancestor; an axis with none offers nothing.
+                    let ancestors: Vec<Witnesses<'_>> = strides
+                        .iter()
+                        .zip(inst.indices())
+                        .filter_map(|(&stride, &k)| {
+                            (1..=usize::from(k)).find_map(|s| {
+                                let j = i - s * stride;
+                                let (result, rows) = table[j].get()?;
+                                debug_assert!(inst.refines(&all[j]));
+                                Some(Witnesses {
+                                    matches: &result.matches,
+                                    rows,
+                                })
+                            })
+                        })
+                        .collect();
+                    match verify_instance(cfg, measure, inst, &ancestors, &mut scratch) {
+                        Ok((result, rows)) => {
+                            let slot = table[i].set((result, rows.into_boxed_slice()));
+                            assert!(slot.is_ok(), "instance {i} claimed twice");
                         }
-                        match verify_standalone(cfg_ref, measure, inst, &mut scratch) {
-                            Ok(result) => out.push((i, result)),
-                            Err(e) => {
-                                // A tripped budget stops the pool; the
-                                // partial match set is discarded, never
-                                // reported.
-                                tripped = Some(e);
-                                stop_ref.store(true, Ordering::Relaxed);
-                                break 'claim;
-                            }
+                        Err(e) => {
+                            // A tripped budget stops the pool; the
+                            // partial match set is discarded, never
+                            // reported.
+                            tripped = Some(e);
+                            stop.store(true, Ordering::Relaxed);
                         }
                     }
                 }
-                (out, tripped, take_stats())
+                (tripped, take_stats())
             }));
         }
         handles
@@ -170,26 +149,25 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
 
     let mut budget_tripped = None;
     let mut matcher = MatcherStats::default();
-    let mut results: Vec<(usize, EvalResult)> = Vec::with_capacity(total);
-    for (shard, tripped, worker_matcher) in shards {
+    for (tripped, worker_matcher) in workers {
         budget_tripped = budget_tripped.or(tripped);
         matcher.merge(worker_matcher);
-        results.extend(shard);
     }
 
-    // Refold in lattice order: `Update` keeps the first representative of
-    // a box it sees, so only the sequential enumeration order reproduces
+    // Fold in lattice order: `Update` keeps the first representative of a
+    // box it sees, so only the sequential enumeration order reproduces
     // `enum_qgen`'s archive bit-for-bit.
-    results.sort_unstable_by_key(|&(i, _)| i);
-    let verified = results.len() as u64;
-    let truncated = verified < total as u64 || budget_tripped.is_some();
+    let mut verified = 0;
     let mut archive = EpsParetoArchive::new(cfg.eps);
-    for (i, result) in results {
-        if result.feasible {
-            let rc = Rc::new(result);
-            cfg.offer(&mut archive, &all[i], &rc);
+    for (inst, slot) in all.iter().zip(table) {
+        if let Some((result, _rows)) = slot.into_inner() {
+            verified += 1;
+            if result.feasible {
+                cfg.offer(&mut archive, inst, &Rc::new(result));
+            }
         }
     }
+    let truncated = verified < total as u64 || budget_tripped.is_some();
 
     let mut stats = GenStats {
         spawned: verified,
@@ -285,6 +263,43 @@ mod tests {
         // The reference path must not touch the index.
         assert_eq!(slow.stats.index_candidates, 0);
         assert!(fast.stats.index_candidates > 0 || fast.stats.scan_fallbacks > 0);
+    }
+
+    /// A verification that trips its budget leaves its table slot empty,
+    /// so no later instance takes its partial match set as a pool or its
+    /// rows as witnesses: whatever the pool did finish is exact. On the
+    /// fixture the root costs 45 steps and lattice instance 1 more than 74
+    /// whichever ancestors it sees, so every cap in between lets the root
+    /// finish and trips the pool on instance 1.
+    #[test]
+    fn a_tripped_verification_never_serves_as_an_ancestor() {
+        use crate::evaluator::Evaluator;
+        use fairsqg_matcher::{BudgetKind, MatchBudget};
+        let fx = talent_fixture();
+        let mut exact = Evaluator::new(fx.configuration(0.3));
+        for steps in [45, 60, 74] {
+            let cfg = fx.configuration(0.3).with_budget(MatchBudget {
+                max_steps: Some(steps),
+                ..MatchBudget::UNLIMITED
+            });
+            let out = par_enum_qgen_exact(cfg, 2);
+            assert!(out.truncated, "cap {steps}");
+            assert_eq!(
+                out.stats.budget_tripped.map(|b| b.kind),
+                Some(BudgetKind::Steps)
+            );
+            assert!(
+                out.stats.verified >= 1 && !out.entries.is_empty(),
+                "cap {steps}"
+            );
+            for e in &out.entries {
+                assert_eq!(
+                    e.result.matches,
+                    exact.verify(&e.inst).matches,
+                    "cap {steps}"
+                );
+            }
+        }
     }
 
     /// The archive fingerprint — instances, bit-level objectives, and

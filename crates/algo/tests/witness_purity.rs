@@ -1,14 +1,16 @@
-//! Witness certificates are a pure substitution: `enum_qgen`, `rfqgen` and
-//! `biqgen` return, instance for instance, bit for bit and match set for
-//! match set, the archive their `with_reference_path()` runs return — and
-//! the reference path neither records nor reads a witness. Checked on the
+//! Witness certificates are a pure substitution: `enum_qgen`, `rfqgen`,
+//! `biqgen` and `par_enum_qgen` return, instance for instance, bit for bit
+//! and match set for match set, the archive their `with_reference_path()`
+//! runs return — and the reference path neither records nor reads a
+//! witness. `par_enum_qgen` returns `enum_qgen`'s archive at any worker
+//! count, and at one worker does `enum_qgen`'s exact work. Checked on the
 //! talent-search example and on three citation graphs with the `CITE_7`
 //! template shape (two range variables, one edge variable), where the
 //! witnesses must actually fire.
 
 use fairsqg_algo::{
-    biqgen, enum_qgen, rfqgen, BiQGenOptions, Configuration, Evaluator, GenStats, Generated,
-    RfQGenOptions,
+    biqgen, enum_qgen, par_enum_qgen_exact, rfqgen, BiQGenOptions, Configuration, Evaluator,
+    GenStats, Generated, RfQGenOptions,
 };
 use fairsqg_datagen::{citations_graph, CitationsConfig, TOPICS};
 use fairsqg_graph::{AttrValue, CoverageSpec, Graph, GraphBuilder, GroupSet, NodeId};
@@ -87,26 +89,41 @@ fn fingerprint(out: &Generated) -> Vec<(Instantiation, u64, u64, Vec<NodeId>)> {
         .collect()
 }
 
-/// Holds the three generators to their reference runs on `setting` and
-/// returns `enum_qgen`'s stats on the default path.
-fn generators_equal_reference(setting: &Setting, name: &str) -> GenStats {
+/// Holds every generator to its reference run on `setting`, and
+/// `par_enum_qgen` at 1, 2 and 4 workers to `enum_qgen`'s archive as well;
+/// returns each generator's stats on the default path, `enum_qgen` first.
+fn generators_equal_reference(setting: &Setting, name: &str) -> Vec<(&'static str, GenStats)> {
     let cfg = setting.cfg();
-    let runs: [(&str, &Generator); 3] = [
+    let runs: [(&str, &Generator); 6] = [
         ("enum_qgen", &|cfg| enum_qgen(cfg, false)),
         ("rfqgen", &|cfg| rfqgen(cfg, RfQGenOptions::default())),
         ("biqgen", &|cfg| biqgen(cfg, BiQGenOptions::default())),
+        ("par_enum_qgen/1", &|cfg| par_enum_qgen_exact(cfg, 1)),
+        ("par_enum_qgen/2", &|cfg| par_enum_qgen_exact(cfg, 2)),
+        ("par_enum_qgen/4", &|cfg| par_enum_qgen_exact(cfg, 4)),
     ];
-    let mut enum_stats = None;
+    let mut stats = Vec::new();
+    let mut enum_archive = None;
     for (algo, run) in runs {
         let fast = run(cfg);
         let slow = run(cfg.with_reference_path());
         assert!(!fast.truncated && !slow.truncated, "{name}/{algo}");
         assert!(!fast.entries.is_empty(), "{name}/{algo}: empty archive");
-        assert_eq!(fingerprint(&fast), fingerprint(&slow), "{name}/{algo}");
+        let archive = fingerprint(&fast);
+        assert_eq!(archive, fingerprint(&slow), "{name}/{algo}");
         assert_eq!(slow.stats.witness_hits, 0, "{name}/{algo}: reference path");
-        enum_stats.get_or_insert(fast.stats);
+        if algo.starts_with("par_enum_qgen") {
+            assert_eq!(Some(&archive), enum_archive.as_ref(), "{name}/{algo}");
+        }
+        enum_archive.get_or_insert(archive);
+        stats.push((algo, fast.stats));
     }
-    enum_stats.unwrap()
+    // One worker claims the lattice in the sweep's order, so every
+    // instance sees exactly the ancestors `enum_qgen` gives it.
+    let (sequential, one_worker) = (&stats[0].1, &stats[3].1);
+    assert_eq!(one_worker.verified, sequential.verified, "{name}");
+    assert_eq!(one_worker.witness_hits, sequential.witness_hits, "{name}");
+    stats
 }
 
 #[test]
@@ -170,7 +187,13 @@ fn citation_archives_equal_the_reference_path() {
             vec![("ml".into(), ml), ("other".into(), others)],
         );
         let setting = Setting::new(graph, CITE_7, groups, 8);
-        let stats = generators_equal_reference(&setting, &format!("cite#{seed}"));
-        assert!(stats.witness_hits > 0, "cite#{seed}: no root certified");
+        for (algo, stats) in generators_equal_reference(&setting, &format!("cite#{seed}")) {
+            if algo == "enum_qgen" || algo.starts_with("par_enum_qgen") {
+                assert!(
+                    stats.witness_hits > 0,
+                    "cite#{seed}/{algo}: no root certified"
+                );
+            }
+        }
     }
 }

@@ -216,7 +216,10 @@ impl JobSpec {
     /// valid whatever deadline, priority, or submitter produced it, and
     /// `parenum`'s archive is identical at any thread count — but the
     /// resource caps are included because a tripped budget changes the
-    /// archive.
+    /// archive. With two or more `parenum` workers, where a budget trips
+    /// depends on the schedule (each instance is verified against whichever
+    /// ancestors had finished). That is harmless to the key: the engine's
+    /// settle path never caches a truncated result.
     pub fn fingerprint(&self, graph_epoch: u64) -> String {
         let cap = |o: Option<u64>| o.map_or_else(|| "-".to_string(), |v| v.to_string());
         format!(
