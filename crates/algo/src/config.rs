@@ -28,7 +28,7 @@ pub struct Configuration<'a> {
     pub spec: &'a CoverageSpec,
     /// ε-dominance tolerance (`ε > 0`).
     pub eps: f64,
-    /// Diversity measure parameters (λ, relevance, pair sampling).
+    /// Diversity measure parameters (λ, relevance).
     pub diversity: DiversityConfig,
     /// Optional **sorted** restriction of the output population: only these
     /// nodes may appear in any instance's answer. Use it to layer

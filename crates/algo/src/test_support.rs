@@ -40,9 +40,6 @@ impl Fixture {
             DiversityConfig {
                 lambda: 0.5,
                 relevance: Relevance::InDegreeNormalized,
-                pair_cap: 0,
-                seed: 7,
-                ..DiversityConfig::default()
             },
         )
     }

@@ -39,16 +39,11 @@ impl Algo {
     pub const LINEUP: [Algo; 4] = [Algo::Kungs, Algo::EnumQGen, Algo::RfQGen, Algo::BiQGen];
 }
 
-/// Default diversity configuration for experiments (λ = 0.5). `pair_cap`
-/// and `seed` only act on the measure's float fallback, which none of the
-/// generated graphs takes: every `δ` the experiments report is exact.
+/// Diversity configuration for experiments: λ = 0.5, in-degree relevance.
 pub fn exp_diversity() -> DiversityConfig {
     DiversityConfig {
         lambda: 0.5,
         relevance: Relevance::InDegreeNormalized,
-        pair_cap: 256,
-        seed: 0xD1F,
-        ..DiversityConfig::default()
     }
 }
 

@@ -5,16 +5,20 @@
 //! with relevance `r ∈ [0,1]` and pairwise difference `d ∈ [0,1]`. The
 //! pairwise term is normalized by `(|V_uo|-1)/2` so `δ ∈ [0, |V_uo|]`.
 //!
-//! `d` is a mean of per-attribute terms, so when every node of `V_uo`
-//! carries the same attributes the pair sum splits into one exact integer
-//! sum per attribute, each computable from one sort of the match set's
-//! values ([`DiversityMeasure::score`], `O(|A|·n log n)`). The pairwise
-//! walk survives as [`DiversityMeasure::score_pairwise`], the reference
-//! that accumulates the same integers pair by pair.
+//! `d` is a mean of per-attribute terms over the union of two tuples'
+//! attributes, so the pair sum splits by *schema class* (the set of
+//! `(attribute, kind)` a node carries): for two classes the denominator is
+//! fixed, an attribute on one side only (or of two kinds) adds 1 per pair,
+//! and each shared column adds one exact integer sum, computable from the
+//! match set's values sorted once per class ([`DiversityMeasure::score`],
+//! `O(|A|·(n log n + k·n))` for `k` classes). The pairwise walk survives
+//! as [`DiversityMeasure::score_pairwise`], the reference that accumulates
+//! the same integers pair by pair.
 
-use crate::sampling::sample_pairs;
-use fairsqg_graph::{AttrId, AttrValue, Graph, LabelId, NodeId};
-use rand_pcg::Pcg64Mcg;
+use fairsqg_graph::{AttrEntry, AttrId, AttrValue, Graph, LabelId, NodeId};
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
 
 /// Relevance function `r(u_o, v)` choices.
@@ -30,61 +34,28 @@ pub enum Relevance {
     Uniform(f64),
 }
 
-/// Which diversification objective the measure computes.
-///
-/// The paper's `δ(q, G)` is **max-sum** (Section III-A); max-min is the
-/// alternative studied in the diversification literature it cites [22, 34].
-/// Note that max-min is *not* monotone under match-set growth, so the
-/// pruning guarantees of Lemma 2 only hold for [`MaxSum`]
-/// (generation still works with max-min, but as a heuristic).
-///
-/// [`MaxSum`]: DiversityObjective::MaxSum
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiversityObjective {
-    /// `(1-λ) Σ r(u_o,v) + (2λ/(|V_uo|-1)) Σ_{v<v'} d(v,v')` (the paper).
-    #[default]
-    MaxSum,
-    /// `(1-λ) Σ r(u_o,v) + λ |q(G)| · min_{v<v'} d(v,v')`.
-    MaxMin,
-}
-
 /// Configuration of the diversity measure.
 #[derive(Debug, Clone, Copy)]
 pub struct DiversityConfig {
     /// Trade-off `λ ∈ [0, 1]` between relevance and pairwise diversity.
     pub lambda: f64,
-    /// Max-sum (paper default) or max-min dispersion.
-    pub objective: DiversityObjective,
     /// Relevance function.
     pub relevance: Relevance,
-    /// Only read where the pair term has no exact per-attribute form (a
-    /// population with mixed attribute schemas, a match outside `V_uo`,
-    /// max-min): when the match set has more than `pair_cap` nodes,
-    /// estimate the term from a seeded sample of `pair_cap²/2` pairs
-    /// instead of all `O(|q(G)|²)` pairs. `0` disables sampling.
-    pub pair_cap: usize,
-    /// Seed for pair sampling (determinism).
-    pub seed: u64,
 }
 
 impl Default for DiversityConfig {
     fn default() -> Self {
         Self {
             lambda: 0.5,
-            objective: DiversityObjective::MaxSum,
             relevance: Relevance::InDegreeNormalized,
-            pair_cap: 512,
-            seed: 0x5eed,
         }
     }
 }
 
-/// One attribute of a decomposable population.
+/// One `(attribute, kind)` that occurs in `V_uo`.
 #[derive(Debug)]
 struct Column {
-    /// Each node's value by rank in `V_uo`: the `Int` payload, or the
-    /// symbol id of a `Str`.
-    values: Vec<i64>,
+    attr: AttrId,
     /// `Some(hi − lo)` of the attribute's global integer range: the
     /// per-pair term is `|x−y|/range`. `None`: the term is `x ≠ y`
     /// (strings, and integers whose global range is a single value).
@@ -92,49 +63,130 @@ struct Column {
 }
 
 impl Column {
-    /// `Σ_{v<w} t(x_v, x_w)` over the nodes at `ranks`, `t` being
-    /// `|x−y|` (ranged) or `x ≠ y`, from one sort of their values.
-    fn sorted_sum(&self, ranks: &[u32], vals: &mut Vec<i64>) -> u128 {
-        vals.clear();
-        vals.extend(ranks.iter().map(|&r| self.values[r as usize]));
-        vals.sort_unstable();
-        let n = vals.len() as u128;
-        match self.range {
+    /// A sum of this column's per-pair terms, normalized by its range.
+    fn scaled(&self, sum: u128) -> f64 {
+        sum as f64 / self.range.unwrap_or(1) as f64
+    }
+}
+
+/// The nodes of `V_uo` that carry one set of columns.
+#[derive(Debug)]
+struct Class {
+    /// Column ids, ascending by attribute id.
+    cols: Vec<usize>,
+    /// Per column, its values on the class's nodes by index within the
+    /// class.
+    values: Vec<Vec<i64>>,
+    /// Nodes in the class.
+    len: u32,
+}
+
+/// How a column's per-pair terms `t(x, y)` (`|x−y|` if ranged, else
+/// `x ≠ y`) are added up. Both give the same integers.
+#[derive(Debug, Clone, Copy)]
+enum Summation {
+    /// From sorted values.
+    Sorted,
+    /// Pair by pair: the reference.
+    Pairwise,
+}
+
+impl Summation {
+    /// `Σ_{i<j} t(xs_i, xs_j)`; `Sorted` sorts `xs`.
+    fn within(self, ranged: bool, xs: &mut [i64]) -> u128 {
+        if let Self::Pairwise = self {
+            return (0..xs.len())
+                .map(|i| self.across(ranged, &xs[i..=i], &xs[i + 1..]))
+                .sum();
+        }
+        xs.sort_unstable();
+        let n = xs.len() as u128;
+        if ranged {
             // The gap between sorted neighbours `i-1` and `i` lies inside
             // `|x_v − x_w|` for each of the `i·(n−i)` pairs straddling it.
-            Some(_) => vals
-                .windows(2)
+            xs.windows(2)
                 .zip(1u128..)
                 .map(|(w, i)| u128::from(w[1].abs_diff(w[0])) * i * (n - i))
-                .sum(),
+                .sum()
+        } else {
             // `C(n,2) − Σ_val C(cnt_val,2)`: all pairs minus the equal ones.
-            None => vals
-                .chunk_by(|a, b| a == b)
+            xs.chunk_by(|a, b| a == b)
                 .map(|run| run.len() as u128)
-                .fold(pairs_of(n), |sum, cnt| sum - pairs_of(cnt)),
+                .fold(pairs_of(n), |sum, cnt| sum - pairs_of(cnt))
         }
     }
 
-    /// The same sum by walking every pair.
-    fn pairwise_sum(&self, ranks: &[u32]) -> u128 {
-        let mut sum = 0u128;
-        for (i, &rv) in ranks.iter().enumerate() {
-            let x = self.values[rv as usize];
-            for &rw in &ranks[i + 1..] {
-                let y = self.values[rw as usize];
-                sum += match self.range {
-                    Some(_) => u128::from(x.abs_diff(y)),
-                    None => u128::from(x != y),
-                };
+    /// `Σ_{x∈xs, y∈ys} t(x, y)`; `Sorted` needs both sorted, and walks the
+    /// pairs where they are fewer than the values.
+    fn across(self, ranged: bool, xs: &[i64], ys: &[i64]) -> u128 {
+        match self {
+            Self::Sorted if xs.len() * ys.len() <= xs.len() + ys.len() => {
+                Self::Pairwise.across(ranged, xs, ys)
+            }
+            Self::Pairwise => xs
+                .iter()
+                .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+                .map(|(x, y)| {
+                    if ranged {
+                        u128::from(x.abs_diff(y))
+                    } else {
+                        u128::from(x != y)
+                    }
+                })
+                .sum(),
+            // For each `y`, with the `k` values `x ≤ y` summing to `below`
+            // of `total`: `Σ_x |x−y| = y·(2k − n) + total − 2·below`.
+            Self::Sorted if ranged => {
+                let total: i128 = xs.iter().map(|&x| i128::from(x)).sum();
+                let (mut k, mut below) = (0, 0i128);
+                ys.iter()
+                    .map(|&y| {
+                        for &x in xs[k..].iter().take_while(|&&x| x <= y) {
+                            (k, below) = (k + 1, below + i128::from(x));
+                        }
+                        let two_k_minus_n = 2 * k as i128 - xs.len() as i128;
+                        (i128::from(y) * two_k_minus_n + total - 2 * below) as u128
+                    })
+                    .sum()
+            }
+            // All pairs minus the equal ones: each run of equal `y`s times
+            // the `x`s of its value.
+            Self::Sorted => {
+                let equal: usize = ys
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| {
+                        let lo = xs.partition_point(|&x| x < run[0]);
+                        run.len() * (xs.partition_point(|&x| x <= run[0]) - lo)
+                    })
+                    .sum();
+                (xs.len() * ys.len() - equal) as u128
             }
         }
-        sum
     }
 }
 
 /// `C(n, 2)`.
 fn pairs_of(n: u128) -> u128 {
     n * n.saturating_sub(1) / 2
+}
+
+/// The matches of one class, column by column.
+struct Group<'p> {
+    /// The class's column ids.
+    cols: &'p [usize],
+    /// Matches in the class.
+    len: usize,
+    /// Column `i`'s values on those matches at `values[i·len..][..len]`
+    /// (sorted, for [`Summation::Sorted`]).
+    values: Vec<i64>,
+    /// Each column's sum over the pairs within the group.
+    within: Vec<u128>,
+}
+
+impl Group<'_> {
+    fn column(&self, i: usize) -> &[i64] {
+        &self.values[i * self.len..][..self.len]
+    }
 }
 
 /// What the diversity measure derives once from `(graph, output label)`
@@ -147,11 +199,13 @@ pub struct DiversityProfile {
     max_in_degree: usize,
     /// Rank of each node within `V_uo` (`u32::MAX` = not in `V_uo`).
     rank: Vec<u32>,
-    /// One column per attribute, ascending by attribute id, when the
-    /// population is *decomposable*: every node of `V_uo` carries the
-    /// same attribute-id sequence and every attribute is all-`Int` or
-    /// all-`Str`. `None` otherwise.
-    columns: Option<Vec<Column>>,
+    /// Every `(attribute, kind)` some node of `V_uo` carries.
+    columns: Vec<Column>,
+    /// `V_uo` by schema class, each node's values stored with its class:
+    /// `Σ_v |T(v)|` values in all.
+    classes: Vec<Class>,
+    /// Each node's class and index within it, by rank.
+    slot: Vec<(u32, u32)>,
 }
 
 impl DiversityProfile {
@@ -162,74 +216,205 @@ impl DiversityProfile {
         for (i, &v) in pop.iter().enumerate() {
             rank[v.index()] = i as u32;
         }
+        let (columns, classes, slot) = schema_classes(graph, pop);
         Self {
             population: pop.len(),
             max_in_degree: pop.iter().map(|&v| graph.in_degree(v)).max().unwrap_or(0),
             rank,
-            columns: Self::columns(graph, pop),
+            columns,
+            classes,
+            slot,
         }
-    }
-
-    fn columns(graph: &Graph, pop: &[NodeId]) -> Option<Vec<Column>> {
-        let schema = graph.tuple(*pop.first()?);
-        let mut columns: Vec<Column> = schema
-            .iter()
-            .map(|e| Column {
-                values: Vec::with_capacity(pop.len()),
-                range: match e.value() {
-                    AttrValue::Int(_) => int_range(graph, e.attr()),
-                    AttrValue::Str(_) => None,
-                },
-            })
-            .collect();
-        for &v in pop {
-            let tuple = graph.tuple(v);
-            if tuple.len() != schema.len() {
-                return None;
-            }
-            for ((e, first), column) in tuple.iter().zip(schema).zip(&mut columns) {
-                if e.attr() != first.attr() {
-                    return None;
-                }
-                column.values.push(match (e.value(), first.value()) {
-                    (AttrValue::Int(x), AttrValue::Int(_)) => x,
-                    (AttrValue::Str(s), AttrValue::Str(_)) => i64::from(s.0),
-                    _ => return None,
-                });
-            }
-        }
-        Some(columns)
     }
 
     /// Approximate resident size in bytes, for the service's warm-state
     /// byte budget.
     pub fn approx_bytes(&self) -> usize {
-        let values: usize = self.columns.iter().flatten().map(|c| c.values.len()).sum();
-        self.rank.len() * std::mem::size_of::<u32>() + values * std::mem::size_of::<i64>()
+        let classes: usize = self
+            .classes
+            .iter()
+            .map(|c| {
+                size_of::<Class>()
+                    + c.cols.len() * (size_of::<usize>() + size_of::<Vec<i64>>())
+                    + c.len as usize * c.cols.len() * size_of::<i64>()
+            })
+            .sum();
+        self.rank.len() * size_of::<u32>()
+            + self.slot.len() * size_of::<(u32, u32)>()
+            + self.columns.len() * size_of::<Column>()
+            + classes
     }
 
-    /// `Σ_{v<w} d(v, w)` over `matches` from per-attribute integer sums
-    /// (`column_sum` computes one attribute's). `None` when the population
-    /// is not decomposable or a match lies outside `V_uo`.
-    fn exact_pair_sum(
-        &self,
-        matches: &[NodeId],
-        mut column_sum: impl FnMut(&Column, &[u32]) -> u128,
-    ) -> Option<f64> {
-        let columns = self.columns.as_ref()?;
-        let ranks: Vec<u32> = matches.iter().map(|v| self.rank[v.index()]).collect();
-        if ranks.contains(&u32::MAX) {
-            return None;
-        }
-        if columns.is_empty() {
-            return Some(0.0);
-        }
-        let total: f64 = columns
+    /// `Σ_{v<w} d(v, w)` over `matches`, one class pair at a time, from
+    /// integer sums per column.
+    ///
+    /// # Panics
+    ///
+    /// If a match lies outside `V_uo`: the matcher draws the output node's
+    /// candidates from its label, so no match set holds one.
+    fn pair_sum(&self, matches: &[NodeId], summation: Summation) -> f64 {
+        let ranks: Vec<u32> = matches
             .iter()
-            .map(|c| column_sum(c, &ranks) as f64 / c.range.unwrap_or(1) as f64)
-            .sum();
-        Some(total / columns.len() as f64)
+            .map(|&v| {
+                let r = self.rank[v.index()];
+                assert!(r != u32::MAX, "match {v:?} lies outside V_uo");
+                r
+            })
+            .collect();
+        let groups: Vec<Group<'_>> = if let [class] = self.classes.as_slice() {
+            // One class: a node's index within it is its rank.
+            vec![self.group(class, ranks.iter().copied(), summation)]
+        } else {
+            let mut slots: Vec<(u32, u32)> = ranks.iter().map(|&r| self.slot[r as usize]).collect();
+            slots.sort_unstable();
+            slots
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| {
+                    let class = &self.classes[run[0].0 as usize];
+                    self.group(class, run.iter().map(|&(_, at)| at), summation)
+                })
+                .collect()
+        };
+        let mut sum = 0.0;
+        for (g, s) in groups.iter().enumerate() {
+            if !s.cols.is_empty() {
+                let within: f64 = s
+                    .cols
+                    .iter()
+                    .zip(&s.within)
+                    .map(|(&c, &n)| self.columns[c].scaled(n))
+                    .sum();
+                sum += within / s.cols.len() as f64;
+            }
+            for t in &groups[g + 1..] {
+                // Merge the two column lists by attribute: a column both
+                // classes carry adds its sum over the cross pairs, every
+                // other attribute of the union adds 1 per cross pair.
+                let (mut i, mut j, mut common, mut shared) = (0, 0, 0, 0);
+                let mut shared_sum = 0.0;
+                while i < s.cols.len() && j < t.cols.len() {
+                    let (c, d) = (s.cols[i], t.cols[j]);
+                    match self.columns[c].attr.cmp(&self.columns[d].attr) {
+                        Ordering::Less => i += 1,
+                        Ordering::Greater => j += 1,
+                        Ordering::Equal => {
+                            if c == d {
+                                let column = &self.columns[c];
+                                let cross = summation.across(
+                                    column.range.is_some(),
+                                    s.column(i),
+                                    t.column(j),
+                                );
+                                shared_sum += column.scaled(cross);
+                                shared += 1;
+                            }
+                            common += 1;
+                            (i, j) = (i + 1, j + 1);
+                        }
+                    }
+                }
+                let union = s.cols.len() + t.cols.len() - common;
+                let unequal = (union - shared) as u128 * s.len as u128 * t.len as u128;
+                sum += (shared_sum + unequal as f64) / union as f64;
+            }
+        }
+        sum
     }
+
+    /// The matches of `class` at indices `at` within it: their values
+    /// gathered column by column, and each column summed within the group.
+    fn group<'p>(
+        &self,
+        class: &'p Class,
+        at: impl ExactSizeIterator<Item = u32> + Clone,
+        summation: Summation,
+    ) -> Group<'p> {
+        let (width, len) = (class.cols.len(), at.len());
+        let mut values = Vec::with_capacity(width * len);
+        for column in &class.values {
+            values.extend(at.clone().map(|i| column[i as usize]));
+        }
+        let within = class
+            .cols
+            .iter()
+            .zip(values.chunks_exact_mut(len))
+            .map(|(&c, xs)| summation.within(self.columns[c].range.is_some(), xs))
+            .collect();
+        Group {
+            cols: &class.cols,
+            len,
+            values,
+            within,
+        }
+    }
+}
+
+/// A tuple entry's column key `(attribute, is Int)` and `i64` payload.
+fn entry(e: &AttrEntry) -> ((AttrId, bool), i64) {
+    match e.value() {
+        AttrValue::Int(x) => ((e.attr(), true), x),
+        AttrValue::Str(s) => ((e.attr(), false), i64::from(s.0)),
+    }
+}
+
+/// The columns of `pop` (one per `(attribute, kind)`), its schema classes
+/// holding each node's values, and each node's slot in its class.
+/// Neighbouring nodes usually share a class, so a node is compared with the
+/// previous node first and its class looked up by hash only when they
+/// differ.
+fn schema_classes(graph: &Graph, pop: &[NodeId]) -> (Vec<Column>, Vec<Class>, Vec<(u32, u32)>) {
+    let mut columns: Vec<Column> = Vec::new();
+    let mut column_of: HashMap<(AttrId, bool), usize> = HashMap::new();
+    let mut classes: Vec<Class> = Vec::new();
+    let mut class_of: HashMap<Vec<usize>, u32> = HashMap::new();
+    let mut slot: Vec<(u32, u32)> = Vec::with_capacity(pop.len());
+    let mut prev: Option<(&[AttrEntry], u32)> = None;
+    for (r, &v) in pop.iter().enumerate() {
+        let tuple = graph.tuple(v);
+        let same = |p: &[AttrEntry]| {
+            let key = |e: &AttrEntry| (e.attr(), e.tag());
+            p.len() == tuple.len() && p.iter().zip(tuple).all(|(a, b)| key(a) == key(b))
+        };
+        let class = if let Some((_, c)) = prev.filter(|&(p, _)| same(p)) {
+            c
+        } else {
+            let sig: Vec<usize> = tuple
+                .iter()
+                .map(|e| {
+                    let (key @ (attr, int), _) = entry(e);
+                    *column_of.entry(key).or_insert_with(|| {
+                        columns.push(Column {
+                            attr,
+                            range: int_range(graph, attr).filter(|_| int),
+                        });
+                        columns.len() - 1
+                    })
+                })
+                .collect();
+            *class_of.entry(sig).or_insert_with_key(|sig| {
+                // Most populations are one class: the first reserves room
+                // for every node left.
+                let room = if classes.is_empty() { pop.len() - r } else { 0 };
+                classes.push(Class {
+                    cols: sig.clone(),
+                    values: sig.iter().map(|_| Vec::with_capacity(room)).collect(),
+                    len: 0,
+                });
+                (classes.len() - 1) as u32
+            })
+        };
+        let members = &mut classes[class as usize];
+        for (column, e) in members.values.iter_mut().zip(tuple) {
+            column.push(entry(e).1);
+        }
+        slot.push((class, members.len));
+        members.len += 1;
+        prev = Some((tuple, class));
+    }
+    for column in classes.iter_mut().flat_map(|c| &mut c.values) {
+        column.shrink_to_fit();
+    }
+    (columns, classes, slot)
 }
 
 /// `hi − lo` of `attr`'s global integer range, when it spans more than
@@ -311,7 +496,8 @@ impl<'g> DiversityMeasure<'g> {
     /// Normalized tuple difference `d(v, v') ∈ [0, 1]`: averaged
     /// per-attribute distance over the union of the two tuples' attributes
     /// (integers: absolute difference over the attribute's global range;
-    /// strings: 0/1; attribute present on one side only: 1).
+    /// strings: 0/1; attribute present on one side only: 1). The float
+    /// formula `score` is tested against; no score calls it.
     pub fn distance(&self, v: NodeId, w: NodeId) -> f64 {
         let tv = self.graph.tuple(v);
         let tw = self.graph.tuple(w);
@@ -361,92 +547,39 @@ impl<'g> DiversityMeasure<'g> {
         f64::from(a != b)
     }
 
-    /// Diversity `δ(q, G)` of a match set under the configured objective.
-    /// The max-sum pair term is exact, in `O(|A|·n log n)`, on a
-    /// decomposable population.
+    /// Diversity `δ(q, G)` of a match set, exact, in
+    /// `O(|A|·(n log n + k·n))` for the `k` schema classes among the
+    /// matches: `O(|A|·n log n)` on one class, `O(|A|·n²)` at worst, when
+    /// nearly every match is a class of its own.
+    ///
+    /// # Panics
+    ///
+    /// If a match lies outside `V_uo`.
     pub fn score(&self, matches: &[NodeId]) -> f64 {
-        let mut vals = Vec::new();
-        self.score_by(matches, |column, ranks| column.sorted_sum(ranks, &mut vals))
+        self.score_by(matches, Summation::Sorted)
     }
 
     /// [`score`](Self::score) by the `O(|A|·n²)` walk over all pairs: the
     /// reference `score` is tested against, and what the generation
     /// algorithms' reference path runs. Both accumulate the same
-    /// per-attribute integers and convert them by the same expression, so
+    /// per-class-pair integers and convert them by the same expression, so
     /// they agree to the bit.
     pub fn score_pairwise(&self, matches: &[NodeId]) -> f64 {
-        self.score_by(matches, Column::pairwise_sum)
+        self.score_by(matches, Summation::Pairwise)
     }
 
-    /// `δ` with the max-sum pair term from `column_sum` where the
-    /// per-attribute form applies. Where it does not — a population that
-    /// is not decomposable, a match outside `V_uo`, max-min — the pair
-    /// term is the float loop over [`distance`](Self::distance), sampled
-    /// above `pair_cap`.
-    fn score_by(&self, matches: &[NodeId], column_sum: impl FnMut(&Column, &[u32]) -> u128) -> f64 {
+    /// `δ` with the pair sum's per-column integers added up by `summation`.
+    fn score_by(&self, matches: &[NodeId], summation: Summation) -> f64 {
         if matches.is_empty() {
             return 0.0;
         }
         let lambda = self.config.lambda;
         let relevance_sum: f64 = matches.iter().map(|&v| self.relevance(v)).sum();
-        let pair_term = match self.config.objective {
-            DiversityObjective::MaxSum => {
-                let pair_sum = self
-                    .profile()
-                    .exact_pair_sum(matches, column_sum)
-                    .unwrap_or_else(|| self.float_pair_sum(matches));
-                let norm = match self.population() {
-                    0 | 1 => 0.0,
-                    pop => 2.0 * lambda / (pop as f64 - 1.0),
-                };
-                norm * pair_sum
-            }
-            // Singleton match sets have no pairs; their dispersion is 0.
-            DiversityObjective::MaxMin => {
-                let min_pair = self.fold_pairs(matches, f64::INFINITY, f64::min).0;
-                let min_pair = if min_pair.is_finite() { min_pair } else { 0.0 };
-                lambda * matches.len() as f64 * min_pair
-            }
+        let norm = match self.population() {
+            0 | 1 => 0.0,
+            pop => 2.0 * lambda / (pop as f64 - 1.0),
         };
-        (1.0 - lambda) * relevance_sum + pair_term
-    }
-
-    /// `Σ_{v<w} d(v, w)` in floats; above `pair_cap`, the sampled mean
-    /// scaled back to the full pair count.
-    fn float_pair_sum(&self, matches: &[NodeId]) -> f64 {
-        let n = matches.len();
-        match self.fold_pairs(matches, 0.0, |sum, d| sum + d) {
-            (sum, None) => sum,
-            (sum, Some(sampled)) => sum / sampled as f64 * (n * (n - 1) / 2) as f64,
-        }
-    }
-
-    /// Folds `d` over all pairs of `matches` in index order — or, with
-    /// more than `pair_cap` matches, over a seeded sample of `pair_cap²/2`
-    /// pairs, whose size is then returned alongside.
-    fn fold_pairs(
-        &self,
-        matches: &[NodeId],
-        init: f64,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> (f64, Option<usize>) {
-        let n = matches.len();
-        let cap = self.config.pair_cap;
-        let mut acc = init;
-        if cap > 0 && n > cap {
-            let mut rng = Pcg64Mcg::new(self.config.seed as u128 | 1);
-            let sample = sample_pairs(n, cap * cap / 2, &mut rng);
-            for &(i, j) in &sample {
-                acc = f(acc, self.distance(matches[i], matches[j]));
-            }
-            return (acc, Some(sample.len()));
-        }
-        for (i, &v) in matches.iter().enumerate() {
-            for &w in &matches[i + 1..] {
-                acc = f(acc, self.distance(v, w));
-            }
-        }
-        (acc, None)
+        (1.0 - lambda) * relevance_sum + norm * self.profile().pair_sum(matches, summation)
     }
 }
 
@@ -535,64 +668,8 @@ mod tests {
     }
 
     #[test]
-    fn sampling_approximates_exact() {
-        // Sampling only runs where the pair term has no per-attribute
-        // form: one movie without a year makes the population
-        // non-decomposable.
-        let mut b = GraphBuilder::new();
-        for i in 0..60 {
-            b.add_named_node("movie", &[("year", AttrValue::Int(1960 + i))]);
-        }
-        b.add_named_node("movie", &[]);
-        let g = b.finish();
-        let movie = g.schema().find_node_label("movie").unwrap();
-        let matches: Vec<NodeId> = g.nodes().take(60).collect();
-        let score_at = |pair_cap| {
-            DiversityMeasure::new(
-                &g,
-                movie,
-                DiversityConfig {
-                    lambda: 1.0,
-                    pair_cap,
-                    ..DiversityConfig::default()
-                },
-            )
-            .score(&matches)
-        };
-        let (exact, approx) = (score_at(0), score_at(30));
-        assert_ne!(exact, approx, "the fallback must sample above pair_cap");
-        let rel_err = (exact - approx).abs() / exact;
-        assert!(rel_err < 0.15, "rel err {rel_err} too large");
-    }
-
-    #[test]
-    fn max_min_objective() {
-        let g = graph();
-        let movie = g.schema().find_node_label("movie").unwrap();
-        let m = DiversityMeasure::new(
-            &g,
-            movie,
-            DiversityConfig {
-                lambda: 1.0,
-                objective: DiversityObjective::MaxMin,
-                pair_cap: 0,
-                ..DiversityConfig::default()
-            },
-        );
-        // min pairwise distance among {m1,m2,m3} is 0.5 ⇒ δ = 3·0.5 = 1.5.
-        let s = m.score(&[NodeId(0), NodeId(1), NodeId(2)]);
-        assert!((s - 1.5).abs() < 1e-12);
-        // Singleton: no dispersion.
-        assert_eq!(m.score(&[NodeId(0)]), 0.0);
-        // Max-min is NOT superset-monotone: a near-duplicate pair hurts.
-        let two = m.score(&[NodeId(0), NodeId(2)]); // distance 1.0 ⇒ 2.0
-        assert!(two > s);
-    }
-
-    #[test]
     fn closed_form_is_bit_identical_to_pairwise_on_nested_sets() {
-        // Nested match sets mimic a refinement chain (Lemma 2). `pair_cap`
-        // below the set sizes: a decomposable population never samples.
+        // Nested match sets mimic a refinement chain (Lemma 2).
         let mut b = GraphBuilder::new();
         for i in 0..40i64 {
             b.add_named_node(
@@ -604,25 +681,15 @@ mod tests {
             );
         }
         let g = b.finish();
-        let movie = g.schema().find_node_label("movie").unwrap();
-        let score_at = |pair_cap| {
-            DiversityMeasure::new(
-                &g,
-                movie,
-                DiversityConfig {
-                    lambda: 0.7,
-                    pair_cap,
-                    ..DiversityConfig::default()
-                },
-            )
-        };
-        let (capped, uncapped) = (score_at(8), score_at(0));
+        let m = measure(&g, 0.7);
         let all: Vec<NodeId> = g.nodes().collect();
         for len in (1..=all.len()).rev() {
             let set = &all[..len];
-            let closed = capped.score(set).to_bits();
-            assert_eq!(closed, capped.score_pairwise(set).to_bits(), "len {len}");
-            assert_eq!(closed, uncapped.score(set).to_bits(), "len {len}");
+            assert_eq!(
+                m.score(set).to_bits(),
+                m.score_pairwise(set).to_bits(),
+                "len {len}"
+            );
         }
     }
 
@@ -636,7 +703,6 @@ mod tests {
             DiversityConfig {
                 lambda: 0.0,
                 relevance: Relevance::Uniform(0.25),
-                ..DiversityConfig::default()
             },
         );
         let s = m.score(&[NodeId(0), NodeId(1)]);
@@ -660,12 +726,14 @@ mod tests {
                 private.relevance(v).to_bits()
             );
         }
-        // A director is outside `V_uo`: both take the float loop.
-        let mixed = [NodeId(0), NodeId(2), NodeId(3)];
-        assert_eq!(
-            with_shared.score(&mixed).to_bits(),
-            private.score_pairwise(&mixed).to_bits()
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(3)")]
+    fn match_outside_population_panics() {
+        // The director is not a movie.
+        let g = graph();
+        measure(&g, 0.5).score(&[NodeId(0), NodeId(2), NodeId(3)]);
     }
 
     #[test]

@@ -22,14 +22,10 @@ mod hypervolume;
 mod indicators;
 mod objectives;
 mod pareto;
-mod sampling;
 
 pub use coverage::{coverage_score, is_feasible};
-pub use diversity::{
-    DiversityConfig, DiversityMeasure, DiversityObjective, DiversityProfile, Relevance,
-};
+pub use diversity::{DiversityConfig, DiversityMeasure, DiversityProfile, Relevance};
 pub use hypervolume::{hypervolume, hypervolume_normalized};
 pub use indicators::{eps_indicator, min_eps, r_indicator};
 pub use objectives::{BoxCoord, Objectives};
 pub use pareto::{kung_pareto, sweep_pareto};
-pub use sampling::sample_pairs;

@@ -5,9 +5,9 @@
 //!
 //! * **Nominal** — every admitted job runs with its requested resources.
 //! * **Degraded** (brownout) — sustained pressure; jobs run with
-//!   axis-wise tightened [`MatchBudget`] caps and a smaller diversity
-//!   pair-sample, producing valid-but-smaller ε-Pareto fronts flagged in
-//!   `stats.brownout`. Degraded results are never cached.
+//!   axis-wise tightened [`MatchBudget`] caps, producing
+//!   valid-but-smaller ε-Pareto fronts flagged in `stats.brownout`.
+//!   Degraded results are never cached.
 //! * **Shedding** — the queue is nearly full; lowest-priority submissions
 //!   are rejected outright with a `retry_after_ms` hint, and a full queue
 //!   evicts its lowest-priority waiter in favor of a strictly
@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 /// How hard the engine is currently working to stay inside its bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PressureLevel {
-    /// No degradation: full budgets, full pair samples, all priorities.
+    /// No degradation: full budgets, all priorities.
     Nominal,
-    /// Brownout: tightened budgets and pair samples, results flagged.
+    /// Brownout: tightened budgets, results flagged.
     Degraded,
     /// Brownout plus priority-based load shedding.
     Shedding,

@@ -204,8 +204,6 @@ mod tests {
             director,
             &DiversityConfig {
                 relevance: Relevance::Uniform(0.5),
-                pair_cap: 64,
-                seed: 99,
                 ..DiversityConfig::default()
             },
         );

@@ -69,12 +69,7 @@ fn main() {
     let groups = GroupSet::by_attribute(&graph, topic, &[ml, db]);
     let spec = CoverageSpec::equal_opportunity(2, 1);
 
-    let fair = FairSqg::new(&graph)
-        .epsilon(0.25)
-        .diversity(DiversityConfig {
-            pair_cap: 0,
-            ..DiversityConfig::default()
-        });
+    let fair = FairSqg::new(&graph).epsilon(0.25);
     let domains = fair.domains_for(&template);
     let result = fair.generate(&template, &groups, &spec, Algorithm::BiQGen);
 

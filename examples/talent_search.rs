@@ -72,9 +72,6 @@ fn main() {
         .diversity(DiversityConfig {
             lambda: 0.5,
             relevance: Relevance::InDegreeNormalized,
-            pair_cap: 256,
-            seed: 7,
-            ..DiversityConfig::default()
         });
 
     for (name, algo) in [("RfQGen", Algorithm::RfQGen), ("BiQGen", Algorithm::BiQGen)] {

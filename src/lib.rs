@@ -130,7 +130,7 @@ impl<'g> FairSqg<'g> {
         self
     }
 
-    /// Sets the diversity-measure configuration (λ, relevance, sampling).
+    /// Sets the diversity-measure configuration (λ, relevance).
     pub fn diversity(mut self, config: DiversityConfig) -> Self {
         self.diversity = config;
         self

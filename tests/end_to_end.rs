@@ -21,10 +21,7 @@ fn cfg(w: &fairsqg::datagen::Workload, eps: f64) -> Configuration<'_> {
         &w.groups,
         &w.spec,
         eps,
-        DiversityConfig {
-            pair_cap: 0, // exact diversity for reproducible cross-checks
-            ..DiversityConfig::default()
-        },
+        DiversityConfig::default(),
     )
 }
 
@@ -123,10 +120,6 @@ fn facade_matches_direct_invocation() {
     let w = small_workload(DatasetKind::Dbp);
     let fair = FairSqg::new(&w.graph)
         .epsilon(0.1)
-        .diversity(DiversityConfig {
-            pair_cap: 0,
-            ..DiversityConfig::default()
-        })
         .domain_config(DomainConfig {
             max_values_per_range_var: 6,
         });

@@ -138,12 +138,7 @@ fn full_generation_on_fig1_graph() {
     let groups = GroupSet::by_attribute(&fx.graph, gender, &[AttrValue::Int(0), AttrValue::Int(1)]);
     let spec = CoverageSpec::equal_opportunity(2, 1);
 
-    let fair = FairSqg::new(&fx.graph)
-        .epsilon(0.3)
-        .diversity(DiversityConfig {
-            pair_cap: 0,
-            ..DiversityConfig::default()
-        });
+    let fair = FairSqg::new(&fx.graph).epsilon(0.3);
     let bi = fair.generate(&fx.template, &groups, &spec, Algorithm::BiQGen);
     let exact = fair.generate(&fx.template, &groups, &spec, Algorithm::Kungs);
     assert!(!bi.entries.is_empty());

@@ -80,7 +80,7 @@ proptest! {
             let measure = DiversityMeasure::new(
                 &graph,
                 t.output_label(),
-                DiversityConfig { pair_cap: 0, ..DiversityConfig::default() },
+                DiversityConfig::default(),
             );
             let lat = InstanceLattice::new(&d);
             for inst in lat.enumerate() {
@@ -142,10 +142,7 @@ proptest! {
             let groups = GroupSet::by_attribute(
                 &graph, a1, &[AttrValue::Int(0), AttrValue::Int(1)]);
             let spec = CoverageSpec::equal_opportunity(2, 1);
-            let fair = FairSqg::new(&graph).epsilon(eps).diversity(DiversityConfig {
-                pair_cap: 0,
-                ..DiversityConfig::default()
-            });
+            let fair = FairSqg::new(&graph).epsilon(eps);
             let bi = fair.generate(&t, &groups, &spec, Algorithm::BiQGen);
             let en = fair.generate(&t, &groups, &spec, Algorithm::EnumQGen);
             // Same feasible space ⇒ both empty or both non-empty.
@@ -177,7 +174,7 @@ proptest! {
             let spec = CoverageSpec::equal_opportunity(2, 1);
             let cfg = Configuration::new(
                 &graph, &t, &d, &groups, &spec, 0.1,
-                DiversityConfig { pair_cap: 0, ..DiversityConfig::default() });
+                DiversityConfig::default());
             let stream = ShuffledStream::new(&d, seed);
             let (out, trace) = online_qgen(
                 cfg,
