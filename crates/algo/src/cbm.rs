@@ -131,6 +131,7 @@ pub fn cbm(cfg: Configuration<'_>, opts: CbmOptions) -> Generated {
     // Matcher counters are thread-local and monotone, so the delta since
     // the *first* evaluator's baseline already spans both levels.
     anchor_ev.apply_hot_path_stats(&mut stats);
+    stats.warm_match_hits += ev.warm_match_hit_count();
     Generated {
         entries,
         eps: cfg.eps,

@@ -2,7 +2,7 @@
 
 use crate::archive::{ArchiveObserver, EpsParetoArchive, UpdateOutcome};
 use crate::cancel::CancelToken;
-use crate::evaluator::EvalResult;
+use crate::evaluator::{EvalResult, MatchTable};
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, NodeId};
 use fairsqg_matcher::{BudgetExceeded, MatchBudget, MatcherStats};
 use fairsqg_measures::{DiversityConfig, DiversityMeasure, DiversityProfile};
@@ -63,6 +63,15 @@ pub struct Configuration<'a> {
     /// it instead of deriving their own; a profile is immutable, so
     /// results are bit-identical with or without one.
     pub shared_diversity: Option<&'a Arc<DiversityProfile>>,
+    /// Optional table of verified match sets shared with other runs over
+    /// the same graph, template, domains and output restriction — the
+    /// service's warm-state layer keeps one per plan. Verification reads a
+    /// match set from it instead of searching, and publishes what it
+    /// searches; a match set depends on none of λ, ε or the algorithm, so
+    /// results are bit-identical with or without one. Runs on the
+    /// reference path or under a [`budget`](Self::budget) cap neither read
+    /// nor publish (see [`match_table`](Self::match_table)).
+    pub shared_matches: Option<&'a dyn MatchTable>,
     /// Optional in-run archive-mutation observer. When set, the anytime
     /// loops offer instances via [`offer`](Self::offer), which reports each
     /// accepted update's exact added/removed entries — the service layer's
@@ -111,6 +120,7 @@ impl<'a> Configuration<'a> {
             budget: MatchBudget::UNLIMITED,
             reference_path: false,
             shared_diversity: None,
+            shared_matches: None,
             progress: None,
         }
     }
@@ -162,6 +172,22 @@ impl<'a> Configuration<'a> {
     pub fn with_shared_diversity(mut self, shared: &'a Arc<DiversityProfile>) -> Self {
         self.shared_diversity = Some(shared);
         self
+    }
+
+    /// Attaches a shared table of verified match sets (see
+    /// [`shared_matches`](Self::shared_matches)).
+    pub fn with_shared_matches(mut self, table: &'a dyn MatchTable) -> Self {
+        self.shared_matches = Some(table);
+        self
+    }
+
+    /// The shared match table verification may use: none on the
+    /// reference path, which must stay an independent oracle, and none
+    /// under a budget cap, where a table hit would skip steps a cold run
+    /// charges and so move where the budget trips.
+    pub(crate) fn match_table(&self) -> Option<&'a dyn MatchTable> {
+        self.shared_matches
+            .filter(|_| !self.reference_path && !self.budget.is_limited())
     }
 
     /// The diversity measure of this configuration, over the shared
@@ -283,6 +309,10 @@ pub struct GenStats {
     /// Roots matched without a search: a cached ancestor's embedding
     /// still satisfied every constraint of the refined instance.
     pub witness_hits: u64,
+    /// Verifications whose match set came from the configuration's
+    /// [`shared_matches`](Configuration::shared_matches) table instead of
+    /// a search. Each is also counted in [`verified`](Self::verified).
+    pub warm_match_hits: u64,
 }
 
 impl GenStats {

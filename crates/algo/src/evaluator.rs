@@ -10,6 +10,7 @@ use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives
 use fairsqg_query::{ConcreteQuery, Instantiation};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The verified state of one query instance.
 #[derive(Debug, Clone)]
@@ -24,6 +25,35 @@ pub struct EvalResult {
     pub feasible: bool,
 }
 
+/// A verified instance's match set and witness rows, as a [`MatchTable`]
+/// holds them.
+#[derive(Debug)]
+pub struct MatchRecord {
+    /// The output match set `q(u_o, G)`, sorted ascending.
+    pub matches: Box<[NodeId]>,
+    /// One embedding per match, laid out as
+    /// [`Witnesses::rows`](fairsqg_matcher::Witnesses::rows).
+    pub rows: Arc<[NodeId]>,
+}
+
+/// Verified match sets shared across runs.
+///
+/// A match set `q(u_o, G)` depends on the graph, the template, the
+/// refinement domains, the output restriction and the instance's bindings
+/// — never on λ, ε, the coverage spec or the algorithm — so every run over
+/// the same four may reuse what another verified. Rows from another run
+/// are sound witnesses: a certificate is re-checked against the instance's
+/// own constraints. Attach a table with
+/// [`Configuration::with_shared_matches`]; it is consulted only inside
+/// verification, on an evaluator-cache miss.
+pub trait MatchTable: Sync {
+    /// The record of `inst`, if some run has published one.
+    fn get(&self, inst: &Instantiation) -> Option<Arc<MatchRecord>>;
+    /// Offers the exact match set and rows of `inst`, just searched. A
+    /// table may decline to keep them (over a byte budget, say).
+    fn publish(&self, inst: &Instantiation, matches: &[NodeId], rows: &Arc<[NodeId]>);
+}
+
 /// A verified instance as the cache holds it: the result handed out, and
 /// one embedding per match (a row per match, as
 /// [`Witnesses::rows`](fairsqg_matcher::Witnesses::rows); empty on the
@@ -31,7 +61,7 @@ pub struct EvalResult {
 #[derive(Clone)]
 struct Verified {
     result: Rc<EvalResult>,
-    rows: Rc<[NodeId]>,
+    rows: Arc<[NodeId]>,
 }
 
 /// Verifies instances against the graph with memoization.
@@ -55,6 +85,7 @@ pub struct Evaluator<'a> {
     cache: HashMap<Instantiation, Verified>,
     verified: u64,
     cache_hits: u64,
+    warm_match_hits: u64,
     budget_tripped: Option<BudgetExceeded>,
     /// The thread's matcher counters at construction time; the delta
     /// since then is what this evaluator's run contributed.
@@ -77,6 +108,7 @@ impl<'a> Evaluator<'a> {
             cache: HashMap::new(),
             verified: 0,
             cache_hits: 0,
+            warm_match_hits: 0,
             budget_tripped: None,
             matcher_baseline,
             scratch: MatchScratch::default(),
@@ -96,6 +128,12 @@ impl<'a> Evaluator<'a> {
     /// Number of cache hits.
     pub fn cache_hit_count(&self) -> u64 {
         self.cache_hits
+    }
+
+    /// Number of verifications served by the shared match table (see
+    /// [`GenStats::warm_match_hits`]).
+    pub fn warm_match_hit_count(&self) -> u64 {
+        self.warm_match_hits
     }
 
     /// The resource cap a verification tripped, if any. Once set, the
@@ -161,13 +199,14 @@ impl<'a> Evaluator<'a> {
             &witnesses,
             &mut self.scratch,
         ) {
-            Ok((result, rows)) => {
-                let result = Rc::new(result);
+            Ok(v) => {
+                self.warm_match_hits += u64::from(v.from_table);
+                let result = Rc::new(v.result);
                 self.cache.insert(
                     inst.clone(),
                     Verified {
                         result: Rc::clone(&result),
-                        rows: rows.into(),
+                        rows: v.rows,
                     },
                 );
                 result
@@ -249,48 +288,54 @@ impl<'a> Evaluator<'a> {
         found
     }
 
-    /// Folds this evaluator's hot-path counters (matcher candidate paths)
-    /// into a stats block. Counters are thread-local, so the matcher delta
-    /// is exact as long as no other evaluator ran on this thread since
-    /// construction.
+    /// Folds this evaluator's hot-path counters (matcher candidate paths
+    /// and shared-table hits) into a stats block. Matcher counters are
+    /// thread-local, so their delta is exact as long as no other evaluator
+    /// ran on this thread since construction.
     pub fn apply_hot_path_stats(&self, stats: &mut GenStats) {
         let matcher = fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline);
         stats.record_hot_path(matcher);
+        stats.warm_match_hits += self.warm_match_hits;
     }
 }
 
+/// What [`verify_instance`] found.
+pub(crate) struct Verification {
+    /// The instance's verified state.
+    pub result: EvalResult,
+    /// One row per match (empty on the reference path).
+    pub rows: Arc<[NodeId]>,
+    /// Whether the match set came from the shared match table.
+    pub from_table: bool,
+}
+
 /// One `incVerify` verification, shared by [`Evaluator`] and
-/// `par_enum_qgen`'s workers: materialises `inst`, matches it with output
-/// candidates restricted to the smallest ancestor match set (the first on a
-/// tie) and every ancestor offered as witnesses, then counts, scores and
-/// tests feasibility. Returns the result and one row per match. The
-/// reference path keeps the pool but offers no witnesses and records no
-/// rows. Every ancestor must be a lattice ancestor of `inst` (Lemma 2),
-/// which callers debug-assert.
+/// `par_enum_qgen`'s workers, and the only place the configuration's
+/// [`MatchTable`] is read. The match set and rows come from the table when
+/// it holds `inst`; otherwise [`match_instance`] searches them and the
+/// table is offered the outcome (never a tripped search's). Then the
+/// result is counted, scored under this run's λ and tested for
+/// feasibility, the same either way.
 pub(crate) fn verify_instance(
     cfg: &Configuration<'_>,
     measure: &DiversityMeasure<'_>,
     inst: &Instantiation,
     ancestors: &[Witnesses<'_>],
     scratch: &mut MatchScratch,
-) -> Result<(EvalResult, Vec<NodeId>), BudgetExceeded> {
-    let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
-    // An ancestor's match set is already inside the configuration's output
-    // restriction (the root was verified under it), so the tighter of the
-    // two suffices.
-    let pool = ancestors.iter().map(|w| w.matches).min_by_key(|m| m.len());
-    let opts = MatchOptions {
-        restrict_output: pool.or(cfg.output_restriction),
-        use_index: !cfg.reference_path,
-        stop: cfg.hard_stop_flag(),
-        ..MatchOptions::default()
-    };
-    let (matches, rows) = if cfg.reference_path {
-        let matches = try_match_output_set_with(cfg.graph, &query, opts, &cfg.budget, scratch)?;
-        (matches, Vec::new())
-    } else {
-        let opts = MatchOptions { ancestors, ..opts };
-        try_match_witnessed(cfg.graph, &query, opts, &cfg.budget, scratch)?
+) -> Result<Verification, BudgetExceeded> {
+    let table = cfg.match_table();
+    let shared = table.and_then(|t| t.get(inst));
+    let from_table = shared.is_some();
+    let (matches, rows) = match shared {
+        Some(record) => (record.matches.to_vec(), Arc::clone(&record.rows)),
+        None => {
+            let (matches, rows) = match_instance(cfg, inst, ancestors, scratch)?;
+            let rows: Arc<[NodeId]> = rows.into();
+            if let Some(table) = table {
+                table.publish(inst, &matches, &rows);
+            }
+            (matches, rows)
+        }
     };
     let counts = cfg.groups.count_in_groups(&matches);
     let delta = cfg.diversity_of(measure, &matches);
@@ -302,7 +347,43 @@ pub(crate) fn verify_instance(
         objectives: Objectives::new(delta, fcov),
         feasible,
     };
-    Ok((result, rows))
+    Ok(Verification {
+        result,
+        rows,
+        from_table,
+    })
+}
+
+/// The search behind one verification: materialises `inst` and matches it
+/// with output candidates restricted to the smallest ancestor match set
+/// (the first on a tie) and every ancestor offered as witnesses. Returns
+/// the match set and one row per match. The reference path keeps the pool
+/// but offers no witnesses and records no rows. Every ancestor must be a
+/// lattice ancestor of `inst` (Lemma 2), which callers debug-assert.
+fn match_instance(
+    cfg: &Configuration<'_>,
+    inst: &Instantiation,
+    ancestors: &[Witnesses<'_>],
+    scratch: &mut MatchScratch,
+) -> Result<(Vec<NodeId>, Vec<NodeId>), BudgetExceeded> {
+    let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
+    // An ancestor's match set is already inside the configuration's output
+    // restriction (the root was verified under it), so the tighter of the
+    // two suffices.
+    let pool = ancestors.iter().map(|w| w.matches).min_by_key(|m| m.len());
+    let opts = MatchOptions {
+        restrict_output: pool.or(cfg.output_restriction),
+        use_index: !cfg.reference_path,
+        stop: cfg.hard_stop_flag(),
+        ..MatchOptions::default()
+    };
+    if cfg.reference_path {
+        let matches = try_match_output_set_with(cfg.graph, &query, opts, &cfg.budget, scratch)?;
+        Ok((matches, Vec::new()))
+    } else {
+        let opts = MatchOptions { ancestors, ..opts };
+        try_match_witnessed(cfg.graph, &query, opts, &cfg.budget, scratch)
+    }
 }
 
 /// The ancestor with the smallest match set (the first on a tie): the
@@ -317,7 +398,7 @@ fn smallest(ancestors: &[(Instantiation, Verified)]) -> Option<&Verified> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::talent_fixture;
+    use crate::test_support::{talent_fixture, CountingTable};
 
     #[test]
     fn verify_caches() {
@@ -472,5 +553,84 @@ mod tests {
         assert_eq!(inc.counts, fresh.counts);
         assert_eq!(inc.objectives, fresh.objectives);
         assert_eq!(inc.feasible, fresh.feasible);
+    }
+
+    /// `(instance, δ bits, f bits, matches, counts)` of an archive entry.
+    type EntryBits = (Instantiation, u64, u64, Vec<NodeId>, Vec<u32>);
+
+    fn archive(out: &crate::Generated) -> Vec<EntryBits> {
+        out.entries
+            .iter()
+            .map(|e| {
+                (
+                    e.inst.clone(),
+                    e.objectives().delta.to_bits(),
+                    e.objectives().fcov.to_bits(),
+                    e.result.matches.clone(),
+                    e.result.counts.clone(),
+                )
+            })
+            .collect()
+    }
+
+    /// A table filled under one λ serves every verification of a run under
+    /// another, and the archive is the cold run's bit for bit.
+    #[test]
+    fn a_shared_match_table_serves_other_lambdas_bit_identically() {
+        use crate::{biqgen, enum_qgen, BiQGenOptions};
+        let fx = talent_fixture();
+        let table = CountingTable::default();
+        let first = enum_qgen(
+            fx.configuration_at(0.3, 0.5).with_shared_matches(&table),
+            false,
+        );
+        assert_eq!(first.stats.warm_match_hits, 0);
+        let (_, published, held) = table.counts();
+        assert_eq!(published, first.stats.verified);
+        assert_eq!(held as u64, first.stats.verified);
+        for lambda in [0.0, 0.2, 0.9] {
+            let cfg = fx.configuration_at(0.2, lambda);
+            let cold = enum_qgen(cfg, false);
+            let warm = enum_qgen(cfg.with_shared_matches(&table), false);
+            assert_eq!(archive(&warm), archive(&cold), "enum at λ {lambda}");
+            assert_eq!(warm.stats.verified, cold.stats.verified);
+            assert_eq!(warm.stats.warm_match_hits, warm.stats.verified);
+            let cold = biqgen(cfg, BiQGenOptions::default());
+            let warm = biqgen(cfg.with_shared_matches(&table), BiQGenOptions::default());
+            assert_eq!(archive(&warm), archive(&cold), "biqgen at λ {lambda}");
+            assert_eq!(warm.stats.verified, cold.stats.verified);
+            assert!(warm.stats.warm_match_hits > 0);
+        }
+    }
+
+    /// The reference path is the oracle the table is checked against: it
+    /// neither reads a filled table nor publishes into it. Neither does a
+    /// budget-capped run, whose step accounting a hit would change.
+    #[test]
+    fn the_reference_path_and_budgeted_runs_never_consult_the_match_table() {
+        use crate::enum_qgen;
+        use fairsqg_matcher::MatchBudget;
+        let fx = talent_fixture();
+        let table = CountingTable::default();
+        enum_qgen(fx.configuration(0.3).with_shared_matches(&table), false);
+        let filled = table.counts();
+        assert!(filled.2 > 0);
+
+        let reference = fx.configuration(0.3).with_reference_path();
+        let mut ev = Evaluator::new(reference.with_shared_matches(&table));
+        for inst in fairsqg_query::InstanceLattice::new(fx.domains()).enumerate() {
+            ev.verify_with_best_parent(&inst);
+        }
+        let out = enum_qgen(reference.with_shared_matches(&table), false);
+        assert_eq!(out.stats.warm_match_hits, 0);
+        assert_eq!(table.counts(), filled, "the reference path read or wrote");
+
+        let capped = fx.configuration(0.3).with_budget(MatchBudget {
+            max_steps: Some(1_000_000),
+            ..MatchBudget::UNLIMITED
+        });
+        let out = enum_qgen(capped.with_shared_matches(&table), false);
+        assert_eq!(out.stats.warm_match_hits, 0);
+        assert_eq!(table.counts(), filled, "a budgeted run read or wrote");
     }
 }

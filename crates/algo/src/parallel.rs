@@ -20,14 +20,14 @@
 
 use crate::archive::EpsParetoArchive;
 use crate::config::{Configuration, GenStats};
-use crate::evaluator::{verify_instance, EvalResult};
+use crate::evaluator::{verify_instance, EvalResult, Verification};
 use crate::output::Generated;
 use fairsqg_graph::NodeId;
 use fairsqg_matcher::{take_stats, BudgetExceeded, MatchScratch, MatcherStats, Witnesses};
 use fairsqg_query::InstanceLattice;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Resolves a requested worker count: `0` means "one per hardware
@@ -49,9 +49,9 @@ pub fn effective_threads(requested: usize) -> usize {
 }
 
 /// A finished verification as the shared table holds it: the result and
-/// one row per match, at exact size. A verification that tripped its
+/// one row per match. A verification that tripped its
 /// budget leaves its slot empty, so it never serves as an ancestor.
-type Finished = OnceLock<(EvalResult, Box<[NodeId]>)>;
+type Finished = OnceLock<(EvalResult, Arc<[NodeId]>)>;
 
 /// Parallel `EnumQGen`: verifies the whole instance space on a pool of
 /// self-scheduling workers and folds the results into an ε-Pareto archive
@@ -90,7 +90,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
     // one — for the whole pool.
     let measure = cfg.diversity_measure();
 
-    let workers: Vec<(Option<BudgetExceeded>, MatcherStats)> = std::thread::scope(|scope| {
+    let workers: Vec<(Option<BudgetExceeded>, MatcherStats, u64)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads {
             let (cfg, all, strides, table) = (&cfg, &all, &strides, &table);
@@ -101,6 +101,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
                 // even if the closure ever runs on a reused thread.
                 let _ = take_stats();
                 let mut tripped = None;
+                let mut warm_match_hits = 0;
                 let mut scratch = MatchScratch::default();
                 // Every worker observes the shared token; a fired token
                 // stops the whole pool within one T_q.
@@ -125,8 +126,13 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
                         })
                         .collect();
                     match verify_instance(cfg, measure, inst, &ancestors, &mut scratch) {
-                        Ok((result, rows)) => {
-                            let slot = table[i].set((result, rows.into_boxed_slice()));
+                        Ok(Verification {
+                            result,
+                            rows,
+                            from_table,
+                        }) => {
+                            warm_match_hits += u64::from(from_table);
+                            let slot = table[i].set((result, rows));
                             assert!(slot.is_ok(), "instance {i} claimed twice");
                         }
                         Err(e) => {
@@ -138,7 +144,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
                         }
                     }
                 }
-                (tripped, take_stats())
+                (tripped, take_stats(), warm_match_hits)
             }));
         }
         handles
@@ -149,9 +155,11 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
 
     let mut budget_tripped = None;
     let mut matcher = MatcherStats::default();
-    for (tripped, worker_matcher) in workers {
+    let mut warm_match_hits = 0;
+    for (tripped, worker_matcher, hits) in workers {
         budget_tripped = budget_tripped.or(tripped);
         matcher.merge(worker_matcher);
+        warm_match_hits += hits;
     }
 
     // Fold in lattice order: `Update` keeps the first representative of a
@@ -175,6 +183,7 @@ fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
         elapsed: start.elapsed(),
         budget_tripped,
         threads_used: threads as u64,
+        warm_match_hits,
         ..GenStats::default()
     };
     stats.record_hot_path(matcher);
@@ -341,6 +350,37 @@ mod tests {
                     "archive diverged at {workers} workers (reference={reference})"
                 );
             }
+        }
+    }
+
+    /// Workers read and publish one shared table concurrently: a second
+    /// run under another λ takes every match set from it, and both runs'
+    /// archives are the cold pool's.
+    #[test]
+    fn a_shared_match_table_leaves_the_pool_archive_unchanged() {
+        use crate::test_support::CountingTable;
+        let fx = talent_fixture();
+        let table = CountingTable::default();
+        for lambda in [0.5, 0.1] {
+            let cfg = fx.configuration_at(0.3, lambda);
+            let cold = par_enum_qgen_exact(cfg, 2);
+            let warm = par_enum_qgen_exact(cfg.with_shared_matches(&table), 2);
+            assert_eq!(warm.entries.len(), cold.entries.len());
+            for (a, b) in warm.entries.iter().zip(&cold.entries) {
+                assert_eq!(a.inst, b.inst);
+                assert_eq!(
+                    a.objectives().delta.to_bits(),
+                    b.objectives().delta.to_bits()
+                );
+                assert_eq!(a.objectives().fcov.to_bits(), b.objectives().fcov.to_bits());
+                assert_eq!(a.result.matches, b.result.matches);
+            }
+            let expected_hits = if lambda == 0.5 {
+                0
+            } else {
+                warm.stats.verified
+            };
+            assert_eq!(warm.stats.warm_match_hits, expected_hits, "λ {lambda}");
         }
     }
 }

@@ -3,9 +3,57 @@
 //! configurations. Only compiled for tests.
 
 use crate::config::Configuration;
-use fairsqg_graph::{AttrValue, CmpOp, CoverageSpec, Graph, GraphBuilder, GroupSet};
+use crate::evaluator::{MatchRecord, MatchTable};
+use fairsqg_graph::{AttrValue, CmpOp, CoverageSpec, Graph, GraphBuilder, GroupSet, NodeId};
 use fairsqg_measures::{DiversityConfig, Relevance};
-use fairsqg_query::{DomainConfig, QueryTemplate, RefinementDomains, TemplateBuilder};
+use fairsqg_query::{
+    DomainConfig, Instantiation, QueryTemplate, RefinementDomains, TemplateBuilder,
+};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// A plain [`MatchTable`] that counts how often it is read and written.
+#[derive(Default)]
+pub struct CountingTable {
+    records: Mutex<HashMap<Instantiation, Arc<MatchRecord>>>,
+    /// Reads, hit or miss.
+    pub gets: AtomicU64,
+    /// Publications, stored or not.
+    pub publishes: AtomicU64,
+}
+
+impl CountingTable {
+    /// `(reads, publications, records held)`.
+    pub fn counts(&self) -> (u64, u64, usize) {
+        (
+            self.gets.load(Ordering::Relaxed),
+            self.publishes.load(Ordering::Relaxed),
+            self.records.lock().unwrap().len(),
+        )
+    }
+}
+
+impl MatchTable for CountingTable {
+    fn get(&self, inst: &Instantiation) -> Option<Arc<MatchRecord>> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.records.lock().unwrap().get(inst).cloned()
+    }
+
+    fn publish(&self, inst: &Instantiation, matches: &[NodeId], rows: &Arc<[NodeId]>) {
+        self.publishes.fetch_add(1, Ordering::Relaxed);
+        self.records
+            .lock()
+            .unwrap()
+            .entry(inst.clone())
+            .or_insert_with(|| {
+                Arc::new(MatchRecord {
+                    matches: matches.into(),
+                    rows: Arc::clone(rows),
+                })
+            });
+    }
+}
 
 /// Owns every piece of a small, fully deterministic configuration.
 pub struct Fixture {
@@ -30,6 +78,11 @@ impl Fixture {
 
     /// A configuration over the fixture with the given ε.
     pub fn configuration(&self, eps: f64) -> Configuration<'_> {
+        self.configuration_at(eps, 0.5)
+    }
+
+    /// A configuration over the fixture with the given ε and λ.
+    pub fn configuration_at(&self, eps: f64, lambda: f64) -> Configuration<'_> {
         Configuration::new(
             &self.graph,
             &self.template,
@@ -38,7 +91,7 @@ impl Fixture {
             &self.spec,
             eps,
             DiversityConfig {
-                lambda: 0.5,
+                lambda,
                 relevance: Relevance::InDegreeNormalized,
             },
         )

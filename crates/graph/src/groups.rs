@@ -107,6 +107,18 @@ impl GroupSet {
         &self.names[g.index()]
     }
 
+    /// Approximate heap bytes: dominated by the membership column, one
+    /// `u16` per graph node.
+    pub fn approx_bytes(&self) -> usize {
+        self.membership.len() * size_of::<u16>()
+            + self.sizes.len() * size_of::<u32>()
+            + self
+                .names
+                .iter()
+                .map(|n| n.len() + size_of::<String>())
+                .sum::<usize>()
+    }
+
     /// Counts how many nodes of `set` fall in each group:
     /// `counts[i] = |set ∩ P_i|`.
     pub fn count_in_groups(&self, set: &[NodeId]) -> Vec<u32> {

@@ -1,7 +1,7 @@
 //! Cross-request LRU result cache.
 //!
 //! Keyed by a *fingerprint* string covering the graph epoch, the template
-//! hash, and every generation parameter (ε, λ, coverage, algorithm, …) —
+//! text, and every generation parameter (ε, λ, coverage, algorithm, …) —
 //! see [`crate::job::JobSpec::fingerprint`]. Graph reloads bump the epoch,
 //! so stale entries become unreachable and age out by LRU pressure rather
 //! than requiring eager invalidation.
@@ -72,9 +72,11 @@ impl<V: Clone> LruCache<V> {
         let tick = self.next_tick();
         match self.map.get_mut(key) {
             Some((t, v)) => {
-                self.recency.remove(&*t);
+                // The stored key moves to its new tick; a hit copies no
+                // key (a fingerprint carries the whole template text).
+                let stored = self.recency.remove(&*t).expect("every entry has a tick");
                 *t = tick;
-                self.recency.insert(tick, key.to_string());
+                self.recency.insert(tick, stored);
                 self.hits += 1;
                 Some(v.clone())
             }

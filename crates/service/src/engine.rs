@@ -799,6 +799,9 @@ impl Engine {
                 ("diversity_misses", Value::from(ws.diversity_misses)),
                 ("plan_hits", Value::from(ws.plan_hits)),
                 ("plan_misses", Value::from(ws.plan_misses)),
+                ("match_hits", Value::from(ws.match_hits)),
+                ("match_misses", Value::from(ws.match_misses)),
+                ("budget_refusals", Value::from(ws.budget_refusals)),
             ])
         } else {
             Value::object([("enabled", Value::from(false))])

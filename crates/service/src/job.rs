@@ -7,7 +7,7 @@
 //! workers and the CLI's JSON output, so the served results and
 //! `fairsqg generate --format json` render identically.
 
-use crate::warm::{WarmPlan, WarmState};
+use crate::warm::{PlanKey, WarmPlan, WarmState};
 use fairsqg_algo::{
     biqgen, cbm, enum_qgen, kungs, par_enum_qgen, rfqgen, ArchiveEntry, ArchiveObserver,
     BiQGenOptions, CancelToken, CbmOptions, Configuration, Generated, MatchBudget, RfQGenOptions,
@@ -209,8 +209,11 @@ impl JobSpec {
         Value::object(pairs)
     }
 
-    /// Cache fingerprint: graph epoch + template hash + every parameter
-    /// that affects the result. Deadlines, the idempotency key, the
+    /// Cache fingerprint: graph epoch + template text + every parameter
+    /// that affects the result. The free-text fields (graph name, template,
+    /// group attribute) are length-prefixed, so no two specs share a key:
+    /// a digest of the template would let a crafted colliding template be
+    /// served another tenant's archive. Deadlines, the idempotency key, the
     /// thread count, the priority, the client identity, and the
     /// `subscribe` flag are deliberately excluded — a completed (non-truncated) result is
     /// valid whatever deadline, priority, or submitter produced it, and
@@ -221,21 +224,25 @@ impl JobSpec {
     /// ancestors had finished). That is harmless to the key: the engine's
     /// settle path never caches a truncated result.
     pub fn fingerprint(&self, graph_epoch: u64) -> String {
+        use std::fmt::Write as _;
         let cap = |o: Option<u64>| o.map_or_else(|| "-".to_string(), |v| v.to_string());
-        format!(
-            "g={}#{};t={:016x};a={};ga={};c={};e={};l={};mc={};ms={};mm={}",
-            self.graph,
-            graph_epoch,
-            fnv1a(self.template.as_bytes()),
+        let (g, t, ga) = (&self.graph, &self.template, &self.group_attr);
+        let mut key = String::with_capacity(g.len() + t.len() + ga.len() + 128);
+        let _ = write!(
+            key,
+            "g={}:{g}#{graph_epoch};t={}:{t};a={};ga={}:{ga};c={};e={};l={};mc={};ms={};mm={}",
+            g.len(),
+            t.len(),
             self.algo.name(),
-            self.group_attr,
+            ga.len(),
             self.cover,
             self.eps,
             self.lambda,
             cap(self.budget.max_candidates),
             cap(self.budget.max_steps),
             cap(self.budget.max_matches),
-        )
+        );
+        key
     }
 }
 
@@ -272,9 +279,10 @@ impl Plan<'_> {
     }
 }
 
-/// The warm-pool key of a spec's planning inputs: everything
-/// [`plan_spec`] reads. Generation parameters (eps, λ, budget, …) don't
-/// influence planning, so jobs differing only in them share one plan.
+/// A 64-bit digest of a spec's planning inputs: the overload model's job
+/// class id, where a collision only blurs an estimate. It identifies
+/// nothing served — the warm plan pool keys on the inputs themselves
+/// ([`PlanKey`]) and the result cache on the template text.
 pub fn plan_key(spec: &JobSpec) -> u64 {
     let mut key = fnv1a(spec.template.as_bytes());
     key ^= fnv1a(spec.group_attr.as_bytes()).rotate_left(17);
@@ -282,7 +290,15 @@ pub fn plan_key(spec: &JobSpec) -> u64 {
 }
 
 /// Parses and plans `spec` against `graph` (no verification happens yet).
+/// The plan carries no match table.
 pub fn plan_spec<'g>(graph: &'g Graph, spec: &JobSpec) -> Result<Plan<'g>, String> {
+    Ok(Plan {
+        warm: Arc::new(plan_skeleton(graph, spec)?),
+        graph,
+    })
+}
+
+fn plan_skeleton(graph: &Graph, spec: &JobSpec) -> Result<WarmPlan, String> {
     let template = parse_template(graph.schema(), &spec.template).map_err(|e| e.to_string())?;
     let attr = graph
         .schema()
@@ -310,36 +326,34 @@ pub fn plan_spec<'g>(graph: &'g Graph, spec: &JobSpec) -> Result<Plan<'g>, Strin
     let groups = GroupSet::by_attribute(graph, attr, &values);
     let coverage = CoverageSpec::equal_opportunity(groups.len(), spec.cover);
     let domains = RefinementDomains::build(&template, graph, DomainConfig::default());
-    Ok(Plan {
-        warm: Arc::new(WarmPlan {
-            template,
-            domains,
-            groups,
-            spec: coverage,
-        }),
-        graph,
+    Ok(WarmPlan {
+        template,
+        domains,
+        groups,
+        spec: coverage,
+        matches: None,
     })
 }
 
 /// Like [`plan_spec`], but consults (and feeds) `warm`'s plan pool:
 /// repeated templates on the same graph epoch skip parsing and domain
-/// construction entirely. Planning *errors* are not memoized — they are
-/// cheap to re-derive and a pooled error could outlive its cause.
+/// construction entirely, and share the pooled plan's match table.
+/// Planning *errors* are not memoized — they are cheap to re-derive and a
+/// pooled error could outlive its cause.
 pub fn plan_spec_cached<'g>(
     graph: &'g Graph,
     spec: &JobSpec,
     warm: &WarmState,
 ) -> Result<Plan<'g>, String> {
-    let key = plan_key(spec);
-    if let Some(shared) = warm.plan(key) {
-        return Ok(Plan {
-            warm: shared,
-            graph,
-        });
-    }
-    let plan = plan_spec(graph, spec)?;
-    warm.store_plan(key, Arc::clone(&plan.warm));
-    Ok(plan)
+    let key = PlanKey::of(spec);
+    let shared = match warm.plan(&key) {
+        Some(shared) => shared,
+        None => warm.store_plan(key, plan_skeleton(graph, spec)?),
+    };
+    Ok(Plan {
+        warm: shared,
+        graph,
+    })
 }
 
 /// The diversity configuration a spec runs under.
@@ -373,7 +387,8 @@ pub fn run_plan_shared(
 /// and an optional [`ArchiveObserver`] watching the anytime loop's
 /// archive — the streaming path. Observation is passive: the archive, and
 /// therefore the final result, is bit-identical with or without an
-/// observer attached.
+/// observer attached. A pooled plan's match table is attached too, so the
+/// run reuses every instance an earlier job on the plan verified.
 pub fn run_plan_observed(
     plan: &Plan<'_>,
     spec: &JobSpec,
@@ -395,6 +410,11 @@ pub fn run_plan_observed(
     .with_budget(budget.unwrap_or(spec.budget));
     if let Some(shared) = shared {
         cfg = cfg.with_shared_diversity(shared);
+    }
+    // A budget-capped run (a job's own caps or brownout's) neither reads
+    // nor publishes: `Configuration::match_table` bypasses it.
+    if let Some(table) = &plan.matches {
+        cfg = cfg.with_shared_matches(table);
     }
     if let Some(obs) = observer {
         cfg = cfg.with_progress(obs);
@@ -546,6 +566,10 @@ pub fn generated_to_value_with(
                 ),
                 ("witness_hits", Value::from(out.stats.witness_hits as i64)),
                 (
+                    "warm_match_hits",
+                    Value::from(out.stats.warm_match_hits as i64),
+                ),
+                (
                     "budget_tripped",
                     match out.stats.budget_tripped {
                         Some(t) => Value::object([
@@ -562,7 +586,7 @@ pub fn generated_to_value_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fairsqg_datagen::{social_graph, SocialConfig};
 
@@ -581,7 +605,7 @@ mod tests {
         })
     }
 
-    fn spec() -> JobSpec {
+    pub(crate) fn spec() -> JobSpec {
         JobSpec {
             graph: "g".into(),
             template: TEMPLATE.into(),
@@ -749,6 +773,39 @@ mod tests {
         let a = run_plan(&hot, &s, &CancelToken::new());
         let b = run_plan(&direct, &s, &CancelToken::new());
         assert_eq!(a.entries.len(), b.entries.len());
+    }
+
+    /// Templates are identified by their text, never by a digest: a plan
+    /// stored for one template is not returned for another, and two specs
+    /// that differ in their template never share a fingerprint.
+    #[test]
+    fn a_plan_stored_for_one_template_is_never_returned_for_another() {
+        let g = graph();
+        let a = spec();
+        let b = JobSpec {
+            template: TEMPLATE.replace(">=", "<="),
+            ..spec()
+        };
+        let warm = crate::warm::WarmState::new(1, Arc::new(Default::default()));
+        let plan_a = plan_spec_cached(&g, &a, &warm).unwrap();
+        assert!(warm.plan(&PlanKey::of(&b)).is_none());
+        let plan_b = plan_spec_cached(&g, &b, &warm).unwrap();
+        assert!(!Arc::ptr_eq(plan_a.warm_plan(), plan_b.warm_plan()));
+        let parsed = |p: &Plan<'_>| format!("{:?}", p.template);
+        assert_ne!(parsed(&plan_a), parsed(&plan_b));
+        assert_eq!(parsed(&plan_b), parsed(&plan_spec(&g, &b).unwrap()));
+        assert_ne!(a.fingerprint(1), b.fingerprint(1));
+        // Free text cannot forge another spec's fields: a template that
+        // carries the next field's text still keys apart.
+        let forged = JobSpec {
+            template: format!("{TEMPLATE};a=biqgen;ga=gender"),
+            group_attr: "x".into(),
+            ..spec()
+        };
+        assert!(forged
+            .fingerprint(1)
+            .contains(&format!("t={}:", forged.template.len())));
+        assert_ne!(forged.fingerprint(1), a.fingerprint(1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   admission control ([`SubmitError::Overloaded`]), per-job deadlines
 //!   and cooperative cancellation (partial results come back flagged
 //!   `truncated`), and a cross-request LRU result cache keyed by
-//!   `(graph epoch, template hash, parameters)`;
+//!   `(graph epoch, template text, parameters)`;
 //! * [`MuxServer`] — a newline-delimited JSON TCP wire surface
 //!   (`submit`/`status`/`result`/`cancel`/`stats`/`graphs`/`shutdown`)
 //!   served by one readiness-driven event loop (Unix only; see [`mux`]),

@@ -201,6 +201,13 @@ pub struct WarmPoolStats {
     pub plan_hits: u64,
     /// Plan requests planned cold.
     pub plan_misses: u64,
+    /// Verifications served from a warm plan's match table.
+    pub match_hits: u64,
+    /// Verifications a warm plan's match table could not serve.
+    pub match_misses: u64,
+    /// Profiles, plans and match records not stored because they would
+    /// have taken their state past the budget.
+    pub budget_refusals: u64,
 }
 
 /// Thread-safe registry of named graphs.
@@ -251,7 +258,8 @@ impl GraphRegistry {
         epoch
     }
 
-    /// Sets the warm pool's byte budget and enforces it immediately.
+    /// Sets the warm pool's byte budget and enforces it immediately. Warm
+    /// states created from now on also store nothing past it.
     pub fn set_warm_budget(&self, bytes: usize) {
         let mut pool = crate::sync::lock(&self.warm);
         pool.budget_bytes = bytes;
@@ -274,7 +282,11 @@ impl GraphRegistry {
                 return Arc::clone(&slot.state);
             }
         }
-        let state = Arc::new(WarmState::new(epoch, Arc::clone(&self.warm_counters)));
+        let state = Arc::new(WarmState::with_budget(
+            epoch,
+            Arc::clone(&self.warm_counters),
+            pool.budget_bytes,
+        ));
         let current_epoch = crate::sync::read(&self.inner).get(name).map(|e| e.epoch);
         if current_epoch == Some(epoch) {
             pool.entries.insert(
@@ -302,15 +314,20 @@ impl GraphRegistry {
     /// Occupancy and hit counters of the warm pool.
     pub fn warm_stats(&self) -> WarmPoolStats {
         let pool = crate::sync::lock(&self.warm);
+        let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let c = &self.warm_counters;
         WarmPoolStats {
             graphs: pool.entries.len(),
             approx_bytes: pool.entries.values().map(|s| s.state.approx_bytes()).sum(),
             budget_bytes: pool.budget_bytes,
             evictions: pool.evictions,
-            diversity_hits: self.warm_counters.diversity_hits.load(Ordering::Relaxed),
-            diversity_misses: self.warm_counters.diversity_misses.load(Ordering::Relaxed),
-            plan_hits: self.warm_counters.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.warm_counters.plan_misses.load(Ordering::Relaxed),
+            diversity_hits: counter(&c.diversity_hits),
+            diversity_misses: counter(&c.diversity_misses),
+            plan_hits: counter(&c.plan_hits),
+            plan_misses: counter(&c.plan_misses),
+            match_hits: counter(&c.match_hits),
+            match_misses: counter(&c.match_misses),
+            budget_refusals: counter(&c.budget_refusals),
         }
     }
 
@@ -657,8 +674,11 @@ mod tests {
         let reg = GraphRegistry::new();
         let ea = reg.insert("a", tiny());
         let eb = reg.insert("b", tiny());
-        reg.set_warm_budget(0);
+        // "a" is created under the default budget, so it may still grow
+        // after the pool's budget drops to zero; a state created later
+        // stores nothing past zero bytes.
         let wa = reg.warm_state("a", ea);
+        reg.set_warm_budget(0);
         let label = reg
             .get("a")
             .unwrap()

@@ -1,11 +1,18 @@
 //! Integration tests for the cross-request warm layer: epoch invalidation
 //! on reload, coalescing semantics across reloads, follower distribution,
-//! and the stats surface.
+//! the stats surface, the per-plan match tables a λ sweep shares, and the
+//! byte budget.
 
+use fairsqg_algo::{ArchiveDelta, ArchiveObserver, CancelToken, Generated, MatchBudget};
 use fairsqg_datagen::{social_graph, SocialConfig};
-use fairsqg_service::{AlgoKind, Engine, EngineConfig, GraphRegistry, JobSpec, JobState};
+use fairsqg_service::warm::{PlanKey, WarmCounters, WarmState};
+use fairsqg_service::{
+    diversity_for_spec, plan_spec, plan_spec_cached, run_plan_observed, AlgoKind, BrownoutConfig,
+    Engine, EngineConfig, GraphRegistry, JobSpec, JobState,
+};
 use fairsqg_wire::Value;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const TEMPLATE: &str = "node u0 : director\nnode u1 : user\nedge u1 -recommend-> u0\n\
@@ -268,4 +275,331 @@ fn stats_expose_warm_state_block() {
     let warm = warm.get("warm_state").expect("warm_state block");
     assert_eq!(warm.get("enabled").and_then(Value::as_bool), Some(false));
     assert!(warm.get("diversity_hits").is_none());
+}
+
+/// Records every streamed archive delta as text: version, then each added
+/// entry's instance and objective bits, then each removed instance.
+#[derive(Default)]
+struct Deltas(Mutex<Vec<String>>);
+
+impl ArchiveObserver for Deltas {
+    fn archive_updated(&self, d: &ArchiveDelta) {
+        let added: Vec<String> = d
+            .added
+            .iter()
+            .map(|e| {
+                format!(
+                    "{:?}/{:016x}/{:016x}",
+                    e.inst,
+                    e.objectives().delta.to_bits(),
+                    e.objectives().fcov.to_bits()
+                )
+            })
+            .collect();
+        let removed: Vec<String> = d.removed.iter().map(|e| format!("{:?}", e.inst)).collect();
+        self.0
+            .lock()
+            .unwrap()
+            .push(format!("v{} +{added:?} -{removed:?}", d.version));
+    }
+}
+
+/// What a warm run must share bit for bit with a cold one: per entry the
+/// instance, δ and `f` bits, match set and group counts, then the flags.
+fn bits(out: &Generated) -> String {
+    let entries: Vec<String> = out
+        .entries
+        .iter()
+        .map(|e| {
+            format!(
+                "{:?}|{:016x}|{:016x}|{:?}|{:?}",
+                e.inst,
+                e.objectives().delta.to_bits(),
+                e.objectives().fcov.to_bits(),
+                e.result.matches,
+                e.result.counts,
+            )
+        })
+        .collect();
+    format!(
+        "{entries:?} truncated={} tripped={:?}",
+        out.truncated, out.stats.budget_tripped
+    )
+}
+
+/// One job in process, the way an engine worker runs it: on `warm`'s
+/// pooled plan and profile when given, else cold. Returns the run and its
+/// streamed deltas.
+fn run_in_process(
+    g: &fairsqg_graph::Graph,
+    spec: &JobSpec,
+    warm: Option<&WarmState>,
+    budget: Option<MatchBudget>,
+) -> (Generated, Vec<String>) {
+    let deltas = Deltas::default();
+    let out = match warm {
+        Some(w) => {
+            let plan = plan_spec_cached(g, spec, w).unwrap();
+            let profile =
+                w.diversity_cache(g, plan.template.output_label(), &diversity_for_spec(spec));
+            let token = CancelToken::new();
+            run_plan_observed(&plan, spec, &token, Some(&profile), budget, Some(&deltas))
+        }
+        None => {
+            let plan = plan_spec(g, spec).unwrap();
+            let token = CancelToken::new();
+            run_plan_observed(&plan, spec, &token, None, budget, Some(&deltas))
+        }
+    };
+    (out, deltas.0.into_inner().unwrap())
+}
+
+/// The instances `warm`'s pooled plan for `spec` holds in its table.
+fn table_len(warm: &WarmState, spec: &JobSpec) -> usize {
+    let plan = warm.plan(&PlanKey::of(spec)).expect("a pooled plan");
+    plan.matches
+        .as_ref()
+        .expect("a pooled plan has a table")
+        .len()
+}
+
+fn sweep_spec(algo: AlgoKind, lambda: f64, eps: f64) -> JobSpec {
+    JobSpec {
+        algo,
+        threads: 2,
+        eps,
+        ..spec(lambda)
+    }
+}
+
+/// Acceptance: a λ sweep and an ε change through one warm plan, under
+/// every served search algorithm, give archives, match sets, counts and
+/// streamed deltas bit-identical to cold runs, and every job after the
+/// first takes match sets from the table.
+#[test]
+fn lambda_and_eps_sweeps_through_one_warm_plan_match_cold_runs_bit_for_bit() {
+    let g = graph(120, 4);
+    let sweep = [
+        (0.5, 0.05),
+        (0.1, 0.05),
+        (0.3, 0.05),
+        (0.7, 0.05),
+        (0.9, 0.05),
+        (0.3, 0.2),
+    ];
+    for algo in [
+        AlgoKind::EnumQGen,
+        AlgoKind::RfQGen,
+        AlgoKind::BiQGen,
+        AlgoKind::ParEnum,
+    ] {
+        let counters = Arc::new(WarmCounters::default());
+        let warm = WarmState::new(1, Arc::clone(&counters));
+        for (i, &(lambda, eps)) in sweep.iter().enumerate() {
+            let s = sweep_spec(algo, lambda, eps);
+            let (cold, cold_deltas) = run_in_process(&g, &s, None, None);
+            let (hot, hot_deltas) = run_in_process(&g, &s, Some(&warm), None);
+            let at = format!("{} λ={lambda} ε={eps}", algo.name());
+            assert!(!cold.entries.is_empty(), "{at}");
+            assert_eq!(bits(&hot), bits(&cold), "{at}");
+            assert_eq!(hot_deltas, cold_deltas, "{at}");
+            assert_eq!(hot.stats.verified, cold.stats.verified, "{at}");
+            if i == 0 {
+                assert_eq!(hot.stats.warm_match_hits, 0, "{at}");
+            } else {
+                assert!(hot.stats.warm_match_hits > 0, "{at}");
+            }
+        }
+        assert!(counters.match_hits.load(Ordering::Relaxed) > 0);
+        assert!(counters.match_misses.load(Ordering::Relaxed) > 0);
+    }
+}
+
+/// Acceptance: a served λ sweep on a warm engine renders the archives a
+/// `--warm off` engine renders, and the `stats` op counts table hits.
+#[test]
+fn served_lambda_sweep_matches_a_warm_off_engine() {
+    let registry = Arc::new(GraphRegistry::new());
+    registry.insert("g", graph(120, 4));
+    let warm = Engine::start(Arc::clone(&registry), config(1));
+    let cold = Engine::start(
+        Arc::clone(&registry),
+        EngineConfig {
+            warm_state: false,
+            ..config(1)
+        },
+    );
+    for algo in [AlgoKind::BiQGen, AlgoKind::ParEnum] {
+        for lambda in [0.2, 0.4, 0.6, 0.8, 1.0] {
+            let s = sweep_spec(algo, lambda, 0.05);
+            let a = wait(&warm, warm.submit(s.clone()).unwrap());
+            let b = wait(&cold, cold.submit(s).unwrap());
+            assert_eq!(archive(&a), archive(&b), "{} λ={lambda}", algo.name());
+        }
+    }
+    let stats = warm.stats_value();
+    assert!(stat(&stats, &["warm_state", "match_hits"]) > 0);
+    assert!(stat(&stats, &["warm_state", "match_misses"]) > 0);
+    assert_eq!(stat(&stats, &["warm_state", "budget_refusals"]), 0);
+    let text = fairsqg_service::proto::metrics_text(&warm);
+    assert!(text.contains("fairsqg_warm_state_match_hits "), "{text}");
+}
+
+/// Acceptance: a `max_steps`-capped job and a brownout-tightened job
+/// neither read nor publish, so they trip exactly where a cold run trips
+/// and leave the table as they found it.
+#[test]
+fn capped_and_brownout_runs_trip_like_cold_runs_and_leave_the_table_untouched() {
+    let g = graph(120, 4);
+    let counters = Arc::new(WarmCounters::default());
+    let warm = WarmState::new(1, Arc::clone(&counters));
+    let nominal = sweep_spec(AlgoKind::BiQGen, 0.5, 0.05);
+    run_in_process(&g, &nominal, Some(&warm), None);
+    let held = table_len(&warm, &nominal);
+    assert!(held > 0);
+    let lookups = || {
+        (
+            counters.match_hits.load(Ordering::Relaxed),
+            counters.match_misses.load(Ordering::Relaxed),
+        )
+    };
+    let before = lookups();
+
+    let mut capped = sweep_spec(AlgoKind::BiQGen, 0.3, 0.05);
+    capped.budget.max_steps = Some(400);
+    let brownout = MatchBudget {
+        max_steps: Some(400),
+        ..BrownoutConfig::default().degraded_budget
+    };
+    for (s, budget) in [
+        (capped, None),
+        (sweep_spec(AlgoKind::RfQGen, 0.3, 0.05), Some(brownout)),
+    ] {
+        let (cold, cold_deltas) = run_in_process(&g, &s, None, budget);
+        let (hot, hot_deltas) = run_in_process(&g, &s, Some(&warm), budget);
+        assert!(cold.truncated && cold.stats.budget_tripped.is_some());
+        assert_eq!(bits(&hot), bits(&cold));
+        assert_eq!(hot_deltas, cold_deltas);
+        assert_eq!(hot.stats.verified, cold.stats.verified);
+        assert_eq!(hot.stats.witness_hits, cold.stats.witness_hits);
+        assert_eq!(hot.stats.warm_match_hits, 0);
+    }
+    assert_eq!(table_len(&warm, &nominal), held);
+    assert_eq!(lookups(), before, "a capped run consulted the table");
+}
+
+/// Acceptance: a reload's new epoch starts with an empty table — its
+/// first job takes nothing from the old epoch's match sets.
+#[test]
+fn reload_starts_the_new_epoch_with_an_empty_match_table() {
+    let registry = Arc::new(GraphRegistry::new());
+    registry.insert("g", graph(60, 1));
+    let engine = Engine::start(Arc::clone(&registry), config(1));
+    let _ = wait(&engine, engine.submit(spec(0.5)).unwrap());
+    let _ = wait(&engine, engine.submit(spec(0.6)).unwrap());
+    let hits_before = registry.warm_stats().match_hits;
+    assert!(
+        hits_before > 0,
+        "the second job of an epoch reuses the first's"
+    );
+
+    registry.insert("g", graph(90, 2));
+    let after = wait(&engine, engine.submit(spec(0.7)).unwrap());
+    assert_eq!(registry.warm_stats().match_hits, hits_before);
+    let state = registry.warm_snapshot("g").expect("the new epoch's state");
+    assert_eq!(state.epoch(), 2);
+    assert!(table_len(&state, &spec(0.7)) > 0);
+
+    let cold_registry = Arc::new(GraphRegistry::new());
+    cold_registry.insert("g", graph(90, 2));
+    let cold = Engine::start(
+        cold_registry,
+        EngineConfig {
+            warm_state: false,
+            ..config(1)
+        },
+    );
+    let reference = wait(&cold, cold.submit(spec(0.7)).unwrap());
+    assert_eq!(archive(&after), archive(&reference));
+}
+
+/// Acceptance: two workers racing on one plan, each reading what the
+/// other publishes mid-run, both compute the cold archives. A barrier
+/// starts each round's two jobs together; `parenum` adds its own two
+/// workers' races on the same table.
+#[test]
+fn two_workers_racing_on_one_plan_agree() {
+    let g = graph(120, 4);
+    let counters = Arc::new(WarmCounters::default());
+    let warm = WarmState::new(1, Arc::clone(&counters));
+    let start = std::sync::Barrier::new(2);
+    let algos = [AlgoKind::BiQGen, AlgoKind::ParEnum, AlgoKind::EnumQGen];
+    for round in 0..6 {
+        let specs = [0, 1].map(|side| {
+            let lambda = 0.05 + 0.15 * round as f64 + 0.07 * side as f64;
+            sweep_spec(algos[(round + side) % algos.len()], lambda, 0.05)
+        });
+        // A run's archive holds `Rc`s; each thread hands back its text.
+        let runs: Vec<(String, Vec<String>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|s| {
+                    let (g, warm, start) = (&g, &warm, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let (out, deltas) = run_in_process(g, s, Some(warm), None);
+                        (bits(&out), deltas)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (s, (hot, hot_deltas)) in specs.iter().zip(runs) {
+            let (cold, cold_deltas) = run_in_process(&g, s, None, None);
+            assert_eq!(hot, bits(&cold), "round {round} λ={}", s.lambda);
+            assert_eq!(hot_deltas, cold_deltas, "round {round} λ={}", s.lambda);
+        }
+    }
+    assert!(counters.match_hits.load(Ordering::Relaxed) > 0);
+}
+
+/// Satellite: the byte budget holds while a live state takes in plans and
+/// match records — a hundred distinct templates on one graph under a tiny
+/// budget — and what it refuses the jobs still run with privately.
+#[test]
+fn a_tiny_budget_bounds_a_live_state_and_leaves_archives_unchanged() {
+    let budget = 96 * 1024;
+    let registry = Arc::new(GraphRegistry::new());
+    registry.insert("g", graph(60, 1));
+    let warm = Engine::start(
+        Arc::clone(&registry),
+        EngineConfig {
+            warm_budget_bytes: budget,
+            ..config(1)
+        },
+    );
+    let cold = Engine::start(
+        Arc::clone(&registry),
+        EngineConfig {
+            warm_state: false,
+            ..config(1)
+        },
+    );
+    for i in 0..100 {
+        let s = JobSpec {
+            template: format!("# tenant {i}\n{TEMPLATE}"),
+            ..spec(0.5)
+        };
+        let a = wait(&warm, warm.submit(s.clone()).unwrap());
+        if i % 10 == 0 {
+            let b = wait(&cold, cold.submit(s).unwrap());
+            assert_eq!(archive(&a), archive(&b), "template {i}");
+        }
+        let state = registry.warm_snapshot("g").expect("pooled state");
+        assert!(state.approx_bytes() <= budget, "template {i}");
+    }
+    let stats = registry.warm_stats();
+    assert!(stats.approx_bytes <= budget);
+    assert!(stats.budget_refusals > 0, "a hundred plans cannot fit");
+    assert_eq!(stats.plan_misses, 100);
 }
