@@ -66,7 +66,7 @@ impl Default for SpawnOptions {
 /// the cheapest case (it settles at the seeds), so cost no longer justifies
 /// it. It stays because removing it changes which children large match sets
 /// produce, and with them the archives — a decision that belongs to the
-/// coverage question of ROADMAP item 2(a), not to a performance change.
+/// coverage question of ROADMAP item 1(a), not to a performance change.
 const NEIGHBORHOOD_SEED_CAP: usize = 4096;
 
 /// Spawns the refined children of `inst` (one per refinable variable),

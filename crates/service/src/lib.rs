@@ -13,9 +13,9 @@
 //!   (`submit`/`status`/`result`/`cancel`/`stats`/`graphs`/`shutdown`)
 //!   served by one readiness-driven event loop (Unix only; see [`mux`]),
 //!   with [`proto`] holding the protocol table and error codes;
-//! * [`Client`] (one request in flight, reconnects and retries) and
-//!   [`MuxClient`] (many `rid`-tagged requests and streaming
-//!   subscriptions on one connection) — the two ways to talk to it.
+//! * [`MuxClient`] — the client: many `rid`-tagged requests and streaming
+//!   subscriptions on one connection, shared across threads, with
+//!   connect retry, reconnect and idempotent replay ([`RetryPolicy`]).
 //!
 //! ```
 //! use fairsqg_service::{Engine, EngineConfig, GraphRegistry, JobSpec, AlgoKind, JobState};
@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod client;
 mod engine;
 pub mod job;
 #[cfg(unix)]
@@ -68,7 +67,6 @@ pub mod sync;
 pub mod warm;
 
 pub use cache::{CacheStats, LruCache};
-pub use client::{Client, ClientError, RetryPolicy};
 pub use engine::{Engine, EngineConfig, EventSink, JobEvent, JobState, JobStatus, SubmitError};
 pub use job::{
     diversity_for_spec, entry_bindings, entry_to_value, generated_to_value,
@@ -77,7 +75,7 @@ pub use job::{
 };
 #[cfg(unix)]
 pub use mux::{spawn_mux, spawn_mux_with, MuxOptions, MuxServer, MuxStopHandle};
-pub use mux_client::{MuxClient, StreamedResult, Subscription};
+pub use mux_client::{ClientError, MuxClient, RetryPolicy, StreamedResult, Subscription};
 pub use overload::{
     BrownoutConfig, Ewma, PressureController, PressureInputs, PressureLevel, ServiceModel,
 };

@@ -29,16 +29,17 @@
 //! `serve` runs the concurrent generation server (`fairsqg::service`,
 //! Unix only): one event-loop thread serves every connection and many
 //! requests can ride one connection via `rid`-tagged frames. `client`
-//! speaks its newline-delimited JSON protocol with reconnect and retry;
-//! `--op submit --subscribe on` instead streams Pareto archive deltas as
-//! the job runs, and `--op metrics` scrapes the Prometheus text
-//! exposition. See `docs/service.md` for the full protocol.
+//! speaks its newline-delimited JSON protocol over one `MuxClient`, with
+//! reconnect and retry; `--op submit --subscribe on` streams Pareto
+//! archive deltas as the job runs, and `--op metrics` scrapes the
+//! Prometheus text exposition. See `docs/service.md` for the full
+//! protocol.
 
 use fairsqg::algo::MatchBudget;
 use fairsqg::prelude::*;
 use fairsqg::query::{render_concrete_query, render_instance, ConcreteQuery};
 use fairsqg::service::{
-    plan_spec, run_plan, AlgoKind, Client, Engine, EngineConfig, GraphRegistry, JobSpec,
+    plan_spec, run_plan, AlgoKind, Engine, EngineConfig, GraphRegistry, JobSpec, MuxClient,
     RetryPolicy,
 };
 use fairsqg::wire::Value;
@@ -515,9 +516,6 @@ fn serve(_addr: &str, _engine: Arc<Engine>, _manifest: Option<String>) -> Result
 fn cmd_client(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let op = args.get("op").ok_or("--op is required")?;
-    if op == "submit" && args.get_switch("subscribe", false)? {
-        return cmd_client_subscribe(args, addr);
-    }
     let mut policy = RetryPolicy::default();
     if let Some(retries) = args.get_opt_u64("retries")? {
         policy.max_attempts = (retries.max(1)).min(u64::from(u32::MAX)) as u32;
@@ -532,7 +530,7 @@ fn cmd_client(args: &Args) -> Result<(), String> {
         // `retry_after_ms` waits); 0 disables retry sleeps entirely.
         policy.retry_budget = Some(Duration::from_millis(ms));
     }
-    let mut client = Client::connect_with(addr, policy).map_err(|e| e.to_string())?;
+    let client = MuxClient::connect_with(addr, policy).map_err(|e| e.to_string())?;
     let id_arg = || -> Result<u64, String> {
         args.get("id")
             .ok_or("--id is required for this op")?
@@ -575,14 +573,18 @@ fn cmd_client(args: &Args) -> Result<(), String> {
                 .get("graph")
                 .ok_or("--graph (registry name) is required")?;
             let spec = job_spec_from_args(args, graph)?;
-            let id = client.submit_idempotent(&spec).map_err(|e| e.to_string())?;
             let wait_ms = args.get_usize("wait-ms", 60_000)?;
-            if wait_ms == 0 {
-                Value::object([("id", Value::from(id))])
+            if args.get_switch("subscribe", false)? {
+                subscribed(&client, &spec, wait_ms)?
             } else {
-                client
-                    .wait(id, Duration::from_millis(wait_ms as u64))
-                    .map_err(|e| e.to_string())?
+                let id = client.submit_idempotent(&spec).map_err(|e| e.to_string())?;
+                if wait_ms == 0 {
+                    Value::object([("id", Value::from(id))])
+                } else {
+                    client
+                        .wait(id, Duration::from_millis(wait_ms as u64))
+                        .map_err(|e| e.to_string())?
+                }
             }
         }
         other => return Err(format!("unknown op '{other}'")),
@@ -592,16 +594,9 @@ fn cmd_client(args: &Args) -> Result<(), String> {
 }
 
 /// `client --op submit --subscribe on`: streams the job's Pareto archive
-/// as delta frames over a multiplexed connection and prints the assembled
-/// outcome.
-fn cmd_client_subscribe(args: &Args, addr: &str) -> Result<(), String> {
-    let client = fairsqg::service::MuxClient::connect(addr).map_err(|e| e.to_string())?;
-    let graph = args
-        .get("graph")
-        .ok_or("--graph (registry name) is required")?;
-    let spec = job_spec_from_args(args, graph)?;
-    let wait_ms = args.get_usize("wait-ms", 60_000)?;
-    let sub = client.submit_streaming(&spec).map_err(|e| e.to_string())?;
+/// as delta frames and returns the assembled outcome.
+fn subscribed(client: &MuxClient, spec: &JobSpec, wait_ms: usize) -> Result<Value, String> {
+    let sub = client.submit_streaming(spec).map_err(|e| e.to_string())?;
     let streamed = sub
         .wait(Duration::from_millis(wait_ms.max(1) as u64))
         .map_err(|e| e.to_string())?;
@@ -619,14 +614,14 @@ fn cmd_client_subscribe(args: &Args, addr: &str) -> Result<(), String> {
     match streamed.result {
         Some(result) => pairs.push(("result", result)),
         // Backpressure shed deltas: fall back to the result op.
-        None if streamed.lossy => pairs.push((
-            "result",
-            client.result(streamed.id).map_err(|e| e.to_string())?,
-        )),
+        None if streamed.lossy => {
+            let reply = client.result(streamed.id).map_err(|e| e.to_string())?;
+            let result = reply.get("result").ok_or("result reply missing 'result'")?;
+            pairs.push(("result", result.clone()));
+        }
         None => {}
     }
-    println!("{}", fairsqg::wire::to_string_pretty(&Value::object(pairs)));
-    Ok(())
+    Ok(Value::object(pairs))
 }
 
 fn cmd_demo() -> Result<(), String> {

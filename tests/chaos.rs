@@ -14,8 +14,8 @@ use fairsqg::algo::MatchBudget;
 use fairsqg::datagen::{social_graph, SocialConfig};
 use fairsqg::faults::Guard;
 use fairsqg::service::{
-    AlgoKind, Client, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, RetryPolicy,
-    SubmitError,
+    AlgoKind, ClientError, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, MuxClient,
+    RetryPolicy, SubmitError,
 };
 use fairsqg::wire::Value;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -210,7 +210,7 @@ fn client_connect_retries_through_transient_refusals() {
         max_backoff: Duration::from_millis(5),
         ..RetryPolicy::default()
     };
-    let mut client = Client::connect_with(&addr.to_string(), policy).unwrap();
+    let client = MuxClient::connect_with(&addr.to_string(), policy).unwrap();
     assert_eq!(fairsqg::faults::hits("client.connect"), 2);
     client.ping().unwrap();
 
@@ -222,7 +222,7 @@ fn client_connect_retries_through_transient_refusals() {
         max_backoff: Duration::from_millis(2),
         ..RetryPolicy::default()
     };
-    assert!(Client::connect_with(&addr.to_string(), strict).is_err());
+    assert!(MuxClient::connect_with(&addr.to_string(), strict).is_err());
     drop(_fp2);
 
     client.shutdown().unwrap();
@@ -231,10 +231,10 @@ fn client_connect_retries_through_transient_refusals() {
     server.join().unwrap().unwrap();
 }
 
-/// A mid-stream transport fault (the server's read errors out, killing the
-/// connection) is absorbed by the retrying client: it reconnects, resends,
-/// and — because the submit carries a request key — the server dedups the
-/// replay onto the original job instead of running it twice.
+/// A write fault after a keyed submit reached the engine loses only the
+/// ack, and kills the connection mid-request. The same client reconnects
+/// and replays the submit; because it carries a request key, the server
+/// dedups the replay onto the original job instead of running it twice.
 #[cfg(unix)]
 #[test]
 fn idempotent_submit_survives_a_killed_connection() {
@@ -246,17 +246,9 @@ fn idempotent_submit_survives_a_killed_connection() {
     ));
     let (addr, stop, server) =
         fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
-    let policy = RetryPolicy {
-        max_attempts: 5,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(10),
-        ..RetryPolicy::default()
-    };
-    let mut client = Client::connect_with(&addr.to_string(), policy).unwrap();
+    let client = MuxClient::connect_with(&addr.to_string(), fast_retries()).unwrap();
     client.ping().unwrap();
 
-    // First submit reaches the engine, but the response write is dropped:
-    // the client sees a dead connection mid-request.
     let _fp = Guard::arm("server.write", "1*error(wire cut)").unwrap();
     let mut keyed = spec("g");
     keyed.request_key = Some("chaos-replay".into());
@@ -272,13 +264,7 @@ fn idempotent_submit_survives_a_killed_connection() {
     // Exactly one job ran: the replay was deduped, not re-executed.
     let stats = client.stats().unwrap();
     assert_eq!(stats.get("submitted").and_then(Value::as_u64), Some(1));
-    assert_eq!(
-        stats
-            .get("robustness")
-            .and_then(|r| r.get("dedup_hits"))
-            .and_then(Value::as_u64),
-        Some(1)
-    );
+    assert_eq!(robustness_counter(&engine, "dedup_hits"), 1);
 
     client.shutdown().unwrap();
     drop(client);
@@ -299,13 +285,7 @@ fn client_reconnects_after_server_read_fault() {
     ));
     let (addr, stop, server) =
         fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
-    let policy = RetryPolicy {
-        max_attempts: 5,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(10),
-        ..RetryPolicy::default()
-    };
-    let mut client = Client::connect_with(&addr.to_string(), policy).unwrap();
+    let client = MuxClient::connect_with(&addr.to_string(), fast_retries()).unwrap();
     client.ping().unwrap();
 
     let _fp = Guard::arm("server.read", "1*error(read torn down)").unwrap();
@@ -333,7 +313,7 @@ fn graph_load_fault_is_typed_and_non_fatal() {
     ));
     let (addr, stop, server) =
         fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
-    let mut client = Client::connect_with(&addr.to_string(), RetryPolicy::none()).unwrap();
+    let client = MuxClient::connect_with(&addr.to_string(), RetryPolicy::none()).unwrap();
 
     // A perfectly valid file, failed by injection: callers see the same
     // typed error a real I/O fault would produce.
@@ -344,7 +324,7 @@ fn graph_load_fault_is_typed_and_non_fatal() {
 
     let _fp = Guard::arm("graph.load", "1*error(disk detached)").unwrap();
     match client.load("fresh", &ok_file.to_string_lossy()) {
-        Err(fairsqg::service::ClientError::Server { code, message, .. }) => {
+        Err(ClientError::Server { code, message, .. }) => {
             assert_eq!(code, "load_failed");
             assert!(message.contains("disk detached"));
         }
@@ -711,12 +691,12 @@ fn manifest_faults_are_typed_and_recovery_survives_a_kill() {
 }
 
 /// A read fault on a multiplexed connection kills only that connection:
-/// the client on it sees a typed stream error, while a fresh connection
-/// to the same event loop works immediately.
+/// a client that never retries sees a typed stream error, while a fresh
+/// connection to the same event loop works immediately.
 #[cfg(unix)]
 #[test]
 fn mux_read_fault_kills_only_that_connection() {
-    use fairsqg::service::{spawn_mux, MuxClient};
+    use fairsqg::service::spawn_mux;
 
     let _serial = serial();
     let registry = registry("g", 31);
@@ -726,7 +706,7 @@ fn mux_read_fault_kills_only_that_connection() {
     ));
     let (addr, stop, server) = spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
 
-    let victim = MuxClient::connect(&addr.to_string()).unwrap();
+    let victim = MuxClient::connect_with(&addr.to_string(), RetryPolicy::none()).unwrap();
     victim.ping().unwrap();
 
     let _fp = Guard::arm("server.read", "1*error(read torn down)").unwrap();
@@ -740,7 +720,8 @@ fn mux_read_fault_kills_only_that_connection() {
     fresh.ping().unwrap();
     let id = fresh.submit(&spec("g")).unwrap();
     assert_eq!(wait_settled(&engine, id), JobState::Done);
-    assert!(fresh.result(id).unwrap().get("entries").is_some());
+    let reply = fresh.result(id).unwrap();
+    assert!(reply.get("result").and_then(|r| r.get("entries")).is_some());
 
     drop(victim);
     drop(fresh);
@@ -748,51 +729,123 @@ fn mux_read_fault_kills_only_that_connection() {
     server.join().unwrap().unwrap();
 }
 
-/// A write fault after a keyed submit reached the engine loses only the
-/// ack: replaying the same `request_key` over a fresh multiplexed
-/// connection dedupes to the original job instead of re-executing it —
-/// the PR 2 idempotency contract holds on the async server.
+/// A reply that arrives after its call timed out is dropped: it neither
+/// breaks the connection for a subscription in flight on it nor for the
+/// next call.
 #[cfg(unix)]
 #[test]
-fn mux_idempotent_submit_survives_a_killed_connection() {
-    use fairsqg::service::{spawn_mux, MuxClient};
-
+fn late_reply_leaves_the_connection_usable() {
     let _serial = serial();
-    let registry = registry("g", 32);
+    let registry = registry("g", 33);
     let engine = Arc::new(Engine::start(
         Arc::clone(&registry),
         EngineConfig::default(),
     ));
-    let (addr, stop, server) = spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let policy = RetryPolicy {
+        read_timeout: Some(Duration::from_millis(50)),
+        ..RetryPolicy::default()
+    };
+    let client = MuxClient::connect_with(&addr.to_string(), policy).unwrap();
 
-    let mut keyed = spec("g");
-    keyed.request_key = Some("mux-chaos-replay".into());
+    // The subscribed job stalls in its worker, so it is still in flight
+    // when the late reply lands.
+    let _stall = Guard::arm("worker.run", "1*sleep(1000)").unwrap();
+    let sub = client.submit_streaming(&spec("g")).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while fairsqg::faults::hits("worker.run") < 1 {
+        assert!(Instant::now() < deadline, "the job never started");
+        std::thread::yield_now();
+    }
 
-    // The submit reaches the engine but the ack write is dropped: the
-    // client sees a dead connection mid-request.
-    let _fp = Guard::arm("server.write", "1*error(wire cut)").unwrap();
-    let victim = MuxClient::connect(&addr.to_string()).unwrap();
-    victim
-        .submit(&keyed)
-        .expect_err("the lost ack is a typed error on the dead connection");
-    assert_eq!(
-        fairsqg::faults::hits("server.write"),
-        1,
-        "the fault did fire mid-submit"
-    );
+    // The event loop stalls 300 ms before writing the pong.
+    let _slow = Guard::arm("server.write", "1*sleep(300)").unwrap();
+    assert!(matches!(client.ping(), Err(ClientError::Timeout)));
 
-    let replay = MuxClient::connect(&addr.to_string()).unwrap();
-    let id = replay.submit(&keyed).unwrap();
-    assert_eq!(wait_settled(&engine, id), JobState::Done);
-    assert!(replay.result(id).unwrap().get("entries").is_some());
+    let streamed = sub.wait(Duration::from_secs(60)).unwrap();
+    assert_eq!(streamed.state, "done");
+    assert_eq!(fairsqg::faults::hits("server.write"), 1);
+    client
+        .ping()
+        .expect("the connection survives the late reply");
 
-    // Exactly one job ran: the replay was deduped, not re-executed.
-    let stats = engine.stats_value();
-    assert_eq!(stats.get("submitted").and_then(Value::as_u64), Some(1));
-    assert_eq!(robustness_counter(&engine, "dedup_hits"), 1);
-
-    drop(victim);
-    drop(replay);
+    drop(client);
     stop.stop();
     server.join().unwrap().unwrap();
+}
+
+/// Four threads share one client through a killed connection: every
+/// idempotent call completes on the one redialed connection, and no
+/// unkeyed submit runs twice — the engine counts exactly the submits that
+/// returned `Ok`, and one whose connection died is not replayed.
+#[cfg(unix)]
+#[test]
+fn shared_client_rides_out_a_killed_connection() {
+    let _serial = serial();
+    let registry = registry("g", 34);
+    let engine = Arc::new(Engine::start(
+        Arc::clone(&registry),
+        EngineConfig::default(),
+    ));
+    let (addr, stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let client = Arc::new(MuxClient::connect_with(&addr.to_string(), fast_retries()).unwrap());
+
+    // The server's first read on the shared connection kills it: the
+    // threads start together, and each one's first call is a ping on it.
+    let _fp = Guard::arm("server.read", "1*error(read torn down)").unwrap();
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let threads: Vec<_> = (0..4u32)
+        .map(|t| {
+            let client = Arc::clone(&client);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut ok = 0u64;
+                for round in 0..3u32 {
+                    client.ping().unwrap();
+                    client.stats().unwrap();
+                    let mut unkeyed = spec("g");
+                    unkeyed.eps = 0.05 + f64::from(t * 3 + round) * 0.001;
+                    if let Ok(id) = client.submit(&unkeyed) {
+                        ok += 1;
+                        client.wait(id, Duration::from_secs(60)).unwrap();
+                    }
+                }
+                ok
+            })
+        })
+        .collect();
+    let ok: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+    assert_eq!(fairsqg::faults::hits("server.read"), 1);
+    let submitted = |client: &MuxClient| {
+        client
+            .stats()
+            .unwrap()
+            .get("submitted")
+            .and_then(Value::as_u64)
+    };
+    assert_eq!(submitted(&client), Some(ok));
+
+    // An unkeyed submit whose connection dies is sent once: it fails.
+    let _fp = Guard::arm("server.read", "1*error(read torn down)").unwrap();
+    client
+        .submit(&spec("g"))
+        .expect_err("an unkeyed submit is not replayed");
+    assert_eq!(submitted(&client), Some(ok));
+
+    drop(client);
+    stop.stop();
+    server.join().unwrap().unwrap();
+}
+
+/// Retries fast enough for a test: five attempts, 1–10 ms apart.
+fn fast_retries() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 5,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(10),
+        ..RetryPolicy::default()
+    }
 }

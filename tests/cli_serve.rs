@@ -1,10 +1,10 @@
 //! Smoke test of the `fairsqg serve` binary: there is one serving path,
-//! with or without the retired `--mux` switch, and both client types talk
-//! to it.
+//! with or without the retired `--mux` switch, and the client talks to it
+//! in-process and through `fairsqg client`.
 
 #![cfg(unix)]
 
-use fairsqg::service::{Client, MuxClient};
+use fairsqg::service::MuxClient;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStderr, Command, Stdio};
 
@@ -45,7 +45,7 @@ fn serve(graph: &std::path::Path, extra: &[&str]) -> (Served, String) {
 }
 
 #[test]
-fn serve_answers_both_clients_with_and_without_the_mux_flag() {
+fn serve_answers_the_client_with_and_without_the_mux_flag() {
     let dir = std::env::temp_dir().join(format!("fairsqg-cli-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let graph = dir.join("g.tsv");
@@ -54,9 +54,16 @@ fn serve_answers_both_clients_with_and_without_the_mux_flag() {
     for extra in [&[][..], &["--mux", "on"][..]] {
         let (mut served, addr) = serve(&graph, extra);
         MuxClient::connect(&addr).unwrap().ping().unwrap();
-        let mut client = Client::connect(&addr).unwrap();
-        client.ping().unwrap();
-        client.shutdown().unwrap();
+        let ping = Command::new(env!("CARGO_BIN_EXE_fairsqg"))
+            .args(["client", "--addr", &addr, "--op", "ping"])
+            .output()
+            .expect("run fairsqg client");
+        assert!(ping.status.success(), "client --op ping exits 0");
+        assert_eq!(
+            String::from_utf8_lossy(&ping.stdout),
+            "{\n  \"pong\": true\n}\n"
+        );
+        MuxClient::connect(&addr).unwrap().shutdown().unwrap();
         assert!(
             served.0.wait().unwrap().success(),
             "serve {extra:?} exits 0"

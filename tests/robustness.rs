@@ -5,7 +5,7 @@
 use fairsqg::algo::MatchBudget;
 use fairsqg::datagen::{social_graph, SocialConfig};
 use fairsqg::service::{
-    AlgoKind, Client, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, RetryPolicy,
+    AlgoKind, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, MuxClient, RetryPolicy,
     SubmitError,
 };
 use fairsqg::wire::Value;
@@ -238,7 +238,7 @@ fn server_answers_garbage_with_structured_errors() {
     assert_eq!(pong.get("ok").and_then(Value::as_bool), Some(true));
 
     // And a fresh protocol client works end to end.
-    let mut client = Client::connect_with(&addr.to_string(), RetryPolicy::default()).unwrap();
+    let client = MuxClient::connect_with(&addr.to_string(), RetryPolicy::default()).unwrap();
     client.ping().unwrap();
     let id = client.submit_idempotent(&spec("g")).unwrap();
     let result = client.wait(id, Duration::from_secs(60)).unwrap();
@@ -250,7 +250,7 @@ fn server_answers_garbage_with_structured_errors() {
 }
 
 /// Requests without a `rid` are answered in request order, without one —
-/// the contract the one-request-in-flight [`Client`] relies on — however
+/// the contract a line client such as `nc` relies on — however
 /// the bytes of a pipelined burst are split across reads, and a peer that
 /// half-closes right after its last request (no terminator) still gets
 /// that request answered before the server closes its side.

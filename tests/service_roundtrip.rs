@@ -4,7 +4,7 @@
 
 use fairsqg::datagen::{social_graph, SocialConfig};
 use fairsqg::service::{
-    AlgoKind, Client, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, SubmitError,
+    AlgoKind, Engine, EngineConfig, GraphRegistry, JobSpec, JobState, MuxClient, SubmitError,
 };
 use fairsqg::wire::Value;
 use std::sync::Arc;
@@ -89,7 +89,7 @@ fn wire_roundtrip_cache_deadline_cancel() {
     ));
     let (addr, _stop, server) =
         fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
-    let mut client = Client::connect(&addr.to_string()).unwrap();
+    let client = MuxClient::connect(&addr.to_string()).unwrap();
     client.ping().unwrap();
 
     // Round trip: submit, wait, inspect the result body.

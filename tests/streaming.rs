@@ -9,6 +9,7 @@
 use fairsqg::datagen::{social_graph, SocialConfig};
 use fairsqg::service::{
     spawn_mux, AlgoKind, ClientError, Engine, EngineConfig, GraphRegistry, JobSpec, MuxClient,
+    RetryPolicy,
 };
 use fairsqg::wire::Value;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -84,7 +85,7 @@ fn streamed_deltas_reconstruct_result_bit_identically() {
     let fetched = client.result(id).unwrap();
     assert_eq!(
         reconstructed.to_string(),
-        fetched.to_string(),
+        fetched.get("result").unwrap().to_string(),
         "delta reconstruction must be bit-identical to the result op"
     );
     assert!(
@@ -117,7 +118,10 @@ fn truncated_stream_reconstructs_partial_archive() {
     );
 
     let fetched = client.result(id).unwrap();
-    assert_eq!(reconstructed.to_string(), fetched.to_string());
+    assert_eq!(
+        reconstructed.to_string(),
+        fetched.get("result").unwrap().to_string()
+    );
 }
 
 /// A cache-hit replay streams the whole archive as one settlement
@@ -142,7 +146,12 @@ fn cached_replay_streams_identical_archive() {
     let reconstructed = replay.result.expect("cached stream has a result");
     assert_eq!(
         reconstructed.to_string(),
-        client.result(id).unwrap().to_string()
+        client
+            .result(id)
+            .unwrap()
+            .get("result")
+            .unwrap()
+            .to_string()
     );
 }
 
@@ -168,7 +177,12 @@ fn concurrent_requests_share_one_connection() {
             let reconstructed = out.result.expect("lossless stream");
             assert_eq!(
                 reconstructed.to_string(),
-                client.result(id).unwrap().to_string()
+                client
+                    .result(id)
+                    .unwrap()
+                    .get("result")
+                    .unwrap()
+                    .to_string()
             );
             id
         }));
@@ -219,7 +233,8 @@ fn http_metrics_scrape() {
 }
 
 /// A reply with an unknown `rid` is a typed [`ClientError::UnexpectedFrame`]
-/// — the connection is desynchronized, not silently wrong.
+/// — the connection is desynchronized, not silently wrong — and the client
+/// discards that connection: the next call redials.
 #[test]
 fn unknown_rid_is_a_typed_error() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -233,17 +248,33 @@ fn unknown_rid_is_a_typed_error() {
         // Echo a response correlated to a rid nobody asked for.
         sock.write_all(b"{\"ok\":true,\"pong\":true,\"rid\":424242}\n")
             .unwrap();
-        sock
+        // The redial gets an honest answer.
+        let (mut again, _) = listener.accept().unwrap();
+        line.clear();
+        BufReader::new(again.try_clone().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        let rid = fairsqg::wire::parse(&line)
+            .unwrap()
+            .get("rid")
+            .and_then(Value::as_u64)
+            .unwrap();
+        again
+            .write_all(format!("{{\"ok\":true,\"pong\":true,\"rid\":{rid}}}\n").as_bytes())
+            .unwrap();
+        (sock, again)
     });
-    let client = MuxClient::connect(&addr.to_string()).unwrap();
+    let once = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    let client = MuxClient::connect_with(&addr.to_string(), once).unwrap();
     let err = client.ping().unwrap_err();
     assert!(
         matches!(err, ClientError::UnexpectedFrame(_)),
         "want UnexpectedFrame, got {err:?}"
     );
-    // The poison is sticky: later calls fail the same way without I/O.
-    let err = client.stats().unwrap_err();
-    assert!(matches!(err, ClientError::UnexpectedFrame(_)));
+    client.ping().expect("the next call redials");
     drop(fake.join().unwrap());
 }
 
