@@ -300,9 +300,8 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{enum_qgen, evaluate_universe};
-    use crate::test_support::talent_fixture;
-    use fairsqg_measures::Objectives;
+    use crate::enumerate::enum_qgen;
+    use crate::test_support::{feasible_universe, talent_fixture};
 
     #[test]
     fn biqgen_produces_valid_eps_pareto_set() {
@@ -310,12 +309,7 @@ mod tests {
         let cfg = fx.configuration(0.3);
         let out = biqgen(cfg, BiQGenOptions::default());
         assert!(!out.entries.is_empty());
-        let mut ev = Evaluator::new(cfg);
-        let feasible: Vec<Objectives> = evaluate_universe(&mut ev)
-            .into_iter()
-            .filter(|(_, r)| r.feasible)
-            .map(|(_, r)| r.objectives)
-            .collect();
+        let feasible = feasible_universe(cfg);
         let mut a = EpsParetoArchive::new(cfg.eps);
         for e in &out.entries {
             a.update(&e.inst, &e.result);
@@ -356,12 +350,7 @@ mod tests {
     fn backward_slack_does_not_affect_quality() {
         let fx = talent_fixture();
         let cfg = fx.configuration(0.3);
-        let mut ev = Evaluator::new(cfg);
-        let feasible: Vec<Objectives> = evaluate_universe(&mut ev)
-            .into_iter()
-            .filter(|(_, r)| r.feasible)
-            .map(|(_, r)| r.objectives)
-            .collect();
+        let feasible = feasible_universe(cfg);
         for slack in [0usize, 1, 3, usize::MAX] {
             let out = biqgen(
                 cfg,

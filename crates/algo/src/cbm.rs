@@ -15,10 +15,9 @@
 
 use crate::archive::ArchiveEntry;
 use crate::config::{Configuration, GenStats};
-use crate::evaluator::{EvalResult, Evaluator};
+use crate::enumerate::evaluate_universe;
 use crate::output::Generated;
-use fairsqg_query::Instantiation;
-use std::rc::Rc;
+use fairsqg_matcher::matcher_stats;
 use std::time::Instant;
 
 /// Options of the CBM baseline.
@@ -37,66 +36,42 @@ impl Default for CbmOptions {
 /// Runs CBM on a configuration.
 pub fn cbm(cfg: Configuration<'_>, opts: CbmOptions) -> Generated {
     let start = Instant::now();
+    let matcher_baseline = matcher_stats();
     // CBM is a *bi-level* method: the anchor solves and the ε-constraint
     // sweep are independent single-objective optimizations [10]. Ported
     // faithfully, each level evaluates the instance space with its own
-    // verifier (no shared memoization across levels), which is why the
+    // sweep (no shared memoization across levels), which is why the
     // paper reports Kungs outperforming CBM (~1.2×) despite equal fronts.
-    let mut anchor_ev = Evaluator::new(cfg);
-    let (_anchor_pass, cut_anchor) =
-        crate::enumerate::evaluate_universe_cancellable(&mut anchor_ev);
-    let mut ev = Evaluator::new(cfg);
-    let (universe, cut_sweep) = crate::enumerate::evaluate_universe_cancellable(&mut ev);
-    let truncated = cut_anchor || cut_sweep;
-    let feasible: Vec<(Instantiation, Rc<EvalResult>)> =
-        universe.into_iter().filter(|(_, r)| r.feasible).collect();
+    let anchor_pass = evaluate_universe(cfg);
+    let universe = evaluate_universe(cfg);
+    let feasible: Vec<&ArchiveEntry> = universe
+        .entries
+        .iter()
+        .filter(|e| e.result.feasible)
+        .collect();
 
-    let mut selected: Vec<(Instantiation, Rc<EvalResult>)> = Vec::new();
+    let mut selected: Vec<&ArchiveEntry> = Vec::new();
     if !feasible.is_empty() {
         // Anchor points.
-        let max_delta = feasible
-            .iter()
-            .max_by(|a, b| {
-                a.1.objectives
-                    .delta
-                    .partial_cmp(&b.1.objectives.delta)
-                    .unwrap()
-            })
-            .unwrap();
-        let max_f = feasible
-            .iter()
-            .max_by(|a, b| {
-                a.1.objectives
-                    .fcov
-                    .partial_cmp(&b.1.objectives.fcov)
-                    .unwrap()
-            })
-            .unwrap();
-        selected.push(max_delta.clone());
-        if max_f.0 != max_delta.0 {
-            selected.push(max_f.clone());
+        let max_delta = argmax(feasible.iter().copied(), delta).unwrap();
+        let max_f = argmax(feasible.iter().copied(), fcov).unwrap();
+        selected.push(max_delta);
+        if max_f.inst != max_delta.inst {
+            selected.push(max_f);
         }
 
         // ε-constraint subproblems at evenly spaced coverage thresholds
         // (the "fixed vertical separation distance" of [10]). Each
         // subproblem re-scans the feasible space — CBM's bi-level cost.
-        let f_lo = max_delta.1.objectives.fcov;
-        let f_hi = max_f.1.objectives.fcov;
+        let f_lo = fcov(max_delta);
+        let f_hi = fcov(max_f);
         if f_hi > f_lo && opts.subproblems > 0 {
             for s in 1..=opts.subproblems {
                 let theta = f_lo + (f_hi - f_lo) * s as f64 / (opts.subproblems + 1) as f64;
-                if let Some(best) = feasible
-                    .iter()
-                    .filter(|(_, r)| r.objectives.fcov >= theta)
-                    .max_by(|a, b| {
-                        a.1.objectives
-                            .delta
-                            .partial_cmp(&b.1.objectives.delta)
-                            .unwrap()
-                    })
-                {
-                    if !selected.iter().any(|(i, _)| *i == best.0) {
-                        selected.push(best.clone());
+                let eligible = feasible.iter().copied().filter(|e| fcov(e) >= theta);
+                if let Some(best) = argmax(eligible, delta) {
+                    if !selected.iter().any(|e| e.inst == best.inst) {
+                        selected.push(best);
                     }
                 }
             }
@@ -105,40 +80,49 @@ pub fn cbm(cfg: Configuration<'_>, opts: CbmOptions) -> Generated {
 
     // Keep only mutually non-dominated picks (the anchors can dominate
     // interior subproblem optima).
-    let objectives: Vec<_> = selected.iter().map(|(_, r)| r.objectives).collect();
-    let front = fairsqg_measures::kung_pareto(&objectives);
-    let entries = front
+    let objectives: Vec<_> = selected.iter().map(|e| e.objectives()).collect();
+    let entries = fairsqg_measures::kung_pareto(&objectives)
         .into_iter()
-        .map(|i| {
-            let (inst, r) = &selected[i];
-            ArchiveEntry {
-                inst: inst.clone(),
-                result: Rc::clone(r),
-                bx: r.objectives.boxed(cfg.eps),
-            }
-        })
+        .map(|i| selected[i].clone())
         .collect();
 
     let mut stats = GenStats {
         spawned: feasible.len() as u64,
-        verified: anchor_ev.verified_count() + ev.verified_count(),
-        cache_hits: anchor_ev.cache_hit_count() + ev.cache_hit_count(),
+        verified: anchor_pass.stats.verified + universe.stats.verified,
         elapsed: start.elapsed(),
-        budget_tripped: anchor_ev.budget_tripped().or(ev.budget_tripped()),
+        budget_tripped: anchor_pass
+            .stats
+            .budget_tripped
+            .or(universe.stats.budget_tripped),
         threads_used: 1,
+        warm_match_hits: anchor_pass.stats.warm_match_hits + universe.stats.warm_match_hits,
         ..GenStats::default()
     };
-    // Matcher counters are thread-local and monotone, so the delta since
-    // the *first* evaluator's baseline already spans both levels.
-    anchor_ev.apply_hot_path_stats(&mut stats);
-    stats.warm_match_hits += ev.warm_match_hit_count();
+    // Both levels ran on this thread, so the thread-local delta spans them.
+    stats.record_hot_path(matcher_stats().delta_since(matcher_baseline));
     Generated {
         entries,
         eps: cfg.eps,
         stats,
         anytime: Vec::new(),
-        truncated,
+        truncated: anchor_pass.truncated || universe.truncated,
     }
+}
+
+fn delta(e: &ArchiveEntry) -> f64 {
+    e.objectives().delta
+}
+
+fn fcov(e: &ArchiveEntry) -> f64 {
+    e.objectives().fcov
+}
+
+/// The last entry maximising `f`, as [`Iterator::max_by`] breaks ties.
+fn argmax<'e>(
+    entries: impl Iterator<Item = &'e ArchiveEntry>,
+    f: fn(&ArchiveEntry) -> f64,
+) -> Option<&'e ArchiveEntry> {
+    entries.max_by(|a, b| f(a).partial_cmp(&f(b)).unwrap())
 }
 
 #[cfg(test)]

@@ -32,9 +32,8 @@ pub struct Configuration<'a> {
     pub diversity: DiversityConfig,
     /// Optional **sorted** restriction of the output population: only these
     /// nodes may appear in any instance's answer. Use it to layer
-    /// constraints the template language cannot express — e.g. a regular
-    /// path query evaluated with `fairsqg-rpq` ("papers citing-transitively
-    /// a seminal paper"). `None` = the full label population.
+    /// constraints the template language cannot express — e.g. a node set
+    /// an external query computed. `None` = the full label population.
     pub output_restriction: Option<&'a [NodeId]>,
     /// Optional cooperative cancellation/deadline token. Checked by the
     /// search loops before each verification; when it fires, the algorithm
@@ -274,7 +273,7 @@ pub struct GenStats {
     /// result is then flagged truncated).
     pub budget_tripped: Option<BudgetExceeded>,
     /// Worker threads the run actually used (1 for the sequential
-    /// algorithms; the effective thread count for `par_enum_qgen`).
+    /// algorithms; the pool size for `par_enum_qgen`).
     pub threads_used: u64,
     /// Candidate sets served from the sorted value index.
     pub index_candidates: u64,

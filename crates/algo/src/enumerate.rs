@@ -1,67 +1,76 @@
 //! Enumeration baselines: `EnumQGen` (naive ε-Pareto, Theorem 1's Δ₂ᵖ
-//! algorithm) and `Kungs` (exact Pareto set via Kung's algorithm [13]).
+//! algorithm) and `Kungs` (exact Pareto set via Kung's algorithm [13]),
+//! both folds of the one lattice sweep.
 
 use crate::archive::{ArchiveEntry, EpsParetoArchive};
 use crate::config::{Configuration, GenStats};
-use crate::evaluator::{EvalResult, Evaluator};
 use crate::output::{AnytimePoint, Generated};
+use crate::parallel::sweep;
 use fairsqg_measures::kung_pareto;
-use fairsqg_query::{InstanceLattice, Instantiation};
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Evaluates the entire instance space `I(Q)` in lexicographic order.
+/// Verifies the entire instance space `I(Q)` in lexicographic order.
 ///
 /// Lexicographic order visits every lattice parent before its children, so
-/// incremental verification (`incVerify`) is used throughout. Returns all
-/// instances with their results (feasible and infeasible alike) — this is
-/// the evaluated universe the indicators are computed against.
-pub fn evaluate_universe(ev: &mut Evaluator<'_>) -> Vec<(Instantiation, Rc<EvalResult>)> {
-    evaluate_universe_cancellable(ev).0
-}
-
-/// Like [`evaluate_universe`], but stops early when the configuration's
+/// incremental verification (`incVerify`) is used throughout. The entries
+/// are every verified instance, feasible and infeasible alike, in that
+/// order — the evaluated universe the indicators are computed against.
+/// The sweep stops early when the configuration's
 /// [`CancelToken`](crate::CancelToken) fires or a verification trips its
-/// resource budget; the second component is `true` iff the sweep was cut
-/// short.
-pub fn evaluate_universe_cancellable(
-    ev: &mut Evaluator<'_>,
-) -> (Vec<(Instantiation, Rc<EvalResult>)>, bool) {
-    let cfg = *ev.config();
-    let lat = InstanceLattice::new(cfg.domains);
-    let mut out = Vec::new();
-    for inst in lat.enumerate() {
-        if ev.should_stop() {
-            return (out, true);
-        }
-        let r = ev.verify_with_best_parent(&inst);
-        out.push((inst, r));
+/// resource budget, and then flags the result truncated.
+pub fn evaluate_universe(cfg: Configuration<'_>) -> Generated {
+    let start = Instant::now();
+    let swept = sweep(&cfg, 1, |_, _| {});
+    let entries = swept
+        .all
+        .into_iter()
+        .zip(swept.table)
+        .filter_map(|(inst, slot)| {
+            let (result, _rows) = slot.into_inner()?;
+            Some(ArchiveEntry {
+                bx: result.objectives.boxed(cfg.eps),
+                inst,
+                result: Rc::new(result),
+            })
+        })
+        .collect();
+    Generated {
+        entries,
+        eps: cfg.eps,
+        stats: GenStats {
+            elapsed: start.elapsed(),
+            ..swept.stats
+        },
+        anytime: Vec::new(),
+        truncated: swept.truncated,
     }
-    (out, ev.should_stop())
 }
 
 /// `EnumQGen`: enumerate `I(Q)`, verify every instance, and maintain the
 /// ε-Pareto archive with a pairwise (`Update`) comparison.
 pub fn enum_qgen(cfg: Configuration<'_>, collect_anytime: bool) -> Generated {
+    archive_sweep(cfg, 1, collect_anytime)
+}
+
+/// `EnumQGen` on `workers` workers: every finished instance is offered to
+/// the archive in lattice order as the sweep verifies it.
+pub(crate) fn archive_sweep(
+    cfg: Configuration<'_>,
+    workers: usize,
+    collect_anytime: bool,
+) -> Generated {
     let start = Instant::now();
-    let mut ev = Evaluator::new(cfg);
     let mut archive = EpsParetoArchive::new(cfg.eps);
     let mut anytime = Vec::new();
-    let lat = InstanceLattice::new(cfg.domains);
-    let mut spawned = 0u64;
-    let mut truncated = false;
-    for inst in lat.enumerate() {
-        if ev.should_stop() {
-            truncated = true;
-            break;
-        }
-        spawned += 1;
-        let r = ev.verify_with_best_parent(&inst);
-        if r.feasible {
-            cfg.offer(&mut archive, &inst, &r);
+    let mut folded = 0;
+    let swept = sweep(&cfg, workers, |inst, result| {
+        folded += 1;
+        if result.feasible {
+            cfg.offer(&mut archive, inst, &Rc::new(result.clone()));
             if collect_anytime {
                 anytime.push(AnytimePoint {
-                    verified: ev.verified_count(),
+                    verified: folded,
                     delta_star: archive
                         .entries()
                         .iter()
@@ -75,95 +84,63 @@ pub fn enum_qgen(cfg: Configuration<'_>, collect_anytime: bool) -> Generated {
                 });
             }
         }
-    }
-    truncated |= ev.budget_tripped().is_some();
-    let mut stats = GenStats {
-        spawned,
-        verified: ev.verified_count(),
-        cache_hits: ev.cache_hit_count(),
-        elapsed: start.elapsed(),
-        budget_tripped: ev.budget_tripped(),
-        threads_used: 1,
-        ..GenStats::default()
-    };
-    ev.apply_hot_path_stats(&mut stats);
+    });
     Generated {
         entries: archive.entries().to_vec(),
         eps: cfg.eps,
-        stats,
+        stats: GenStats {
+            elapsed: start.elapsed(),
+            ..swept.stats
+        },
         anytime,
-        truncated,
+        truncated: swept.truncated,
     }
 }
 
 /// `Kungs`: enumerate + verify everything, then compute the **exact** Pareto
 /// set of the feasible instances with Kung's algorithm. Scores `I_ε = 1` by
-/// construction and serves as the quality reference of Exp-1.
+/// construction and serves as the quality reference of Exp-1. The Kung
+/// front of a truncated universe is only exact for what was verified.
 pub fn kungs(cfg: Configuration<'_>) -> Generated {
     let start = Instant::now();
-    let mut ev = Evaluator::new(cfg);
-    // Inline the universe sweep so a cancellation/deadline token can stop
-    // it; the Kung front of a partial universe is only exact for what was
-    // seen, which `truncated` signals to the caller.
-    let mut universe: Vec<(Instantiation, Rc<EvalResult>)> = Vec::new();
-    let mut truncated = false;
-    for inst in InstanceLattice::new(cfg.domains).enumerate() {
-        if ev.should_stop() {
-            truncated = true;
-            break;
-        }
-        let r = ev.verify_with_best_parent(&inst);
-        universe.push((inst, r));
-    }
-    truncated |= ev.budget_tripped().is_some();
-    let feasible: Vec<&(Instantiation, Rc<EvalResult>)> =
-        universe.iter().filter(|(_, r)| r.feasible).collect();
-    let objectives: Vec<_> = feasible.iter().map(|(_, r)| r.objectives).collect();
-    let front = kung_pareto(&objectives);
-    let entries = front
-        .into_iter()
-        .map(|i| {
-            let (inst, r) = feasible[i];
-            ArchiveEntry {
-                inst: inst.clone(),
-                result: Rc::clone(r),
-                bx: r.objectives.boxed(cfg.eps),
-            }
-        })
+    let universe = evaluate_universe(cfg);
+    let feasible: Vec<&ArchiveEntry> = universe
+        .entries
+        .iter()
+        .filter(|e| e.result.feasible)
         .collect();
-    let mut stats = GenStats {
-        spawned: universe.len() as u64,
-        verified: ev.verified_count(),
-        cache_hits: ev.cache_hit_count(),
-        elapsed: start.elapsed(),
-        budget_tripped: ev.budget_tripped(),
-        threads_used: 1,
-        ..GenStats::default()
-    };
-    ev.apply_hot_path_stats(&mut stats);
+    let objectives: Vec<_> = feasible.iter().map(|e| e.objectives()).collect();
+    let entries = kung_pareto(&objectives)
+        .into_iter()
+        .map(|i| feasible[i].clone())
+        .collect();
     Generated {
         entries,
-        eps: cfg.eps,
-        stats,
-        anytime: Vec::new(),
-        truncated,
+        stats: GenStats {
+            elapsed: start.elapsed(),
+            ..universe.stats
+        },
+        ..universe
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::talent_fixture;
-    use fairsqg_measures::{eps_indicator, min_eps, Objectives};
+    use crate::test_support::{feasible_universe, talent_fixture};
+    use fairsqg_measures::{eps_indicator, min_eps};
 
     #[test]
     fn universe_is_fully_evaluated() {
         let fx = talent_fixture();
         let cfg = fx.configuration(0.3);
-        let mut ev = Evaluator::new(cfg);
-        let universe = evaluate_universe(&mut ev);
-        assert_eq!(universe.len() as u64, fx.domains().instance_space_size());
-        assert!(universe.iter().any(|(_, r)| r.feasible));
+        let universe = evaluate_universe(cfg);
+        assert_eq!(
+            universe.entries.len() as u64,
+            fx.domains().instance_space_size()
+        );
+        assert!(!universe.truncated);
+        assert!(universe.entries.iter().any(|e| e.result.feasible));
     }
 
     #[test]
@@ -173,12 +150,7 @@ mod tests {
         let out = kungs(cfg);
         assert!(!out.entries.is_empty());
         // Nothing in the front is dominated by any feasible instance.
-        let mut ev = Evaluator::new(cfg);
-        let feasible: Vec<Objectives> = evaluate_universe(&mut ev)
-            .into_iter()
-            .filter(|(_, r)| r.feasible)
-            .map(|(_, r)| r.objectives)
-            .collect();
+        let feasible = feasible_universe(cfg);
         for e in &out.entries {
             assert!(feasible.iter().all(|o| !o.dominates(&e.objectives())));
         }
@@ -193,12 +165,7 @@ mod tests {
         let cfg = fx.configuration(0.3);
         let out = enum_qgen(cfg, false);
         assert!(!out.entries.is_empty());
-        let mut ev = Evaluator::new(cfg);
-        let feasible: Vec<Objectives> = evaluate_universe(&mut ev)
-            .into_iter()
-            .filter(|(_, r)| r.feasible)
-            .map(|(_, r)| r.objectives)
-            .collect();
+        let feasible = feasible_universe(cfg);
         // Box-shifted ε-coverage of the whole feasible universe.
         let archive = {
             let mut a = EpsParetoArchive::new(cfg.eps);
@@ -225,9 +192,8 @@ mod tests {
             .filter(|v| v.index() % 2 == 0)
             .collect();
         let cfg = base.with_output_restriction(&pool);
-        let mut ev = Evaluator::new(cfg);
-        for (_, r) in evaluate_universe(&mut ev) {
-            for m in &r.matches {
+        for e in evaluate_universe(cfg).entries {
+            for m in &e.result.matches {
                 assert!(pool.binary_search(m).is_ok(), "match outside restriction");
             }
         }
@@ -349,6 +315,46 @@ mod tests {
                     assert_ne!(a.bx, b.bx, "two representatives of one box");
                 }
             }
+        }
+    }
+
+    /// `kungs` and `wsm` verify `I(Q)` once and `cbm` twice, one sweep per
+    /// level, each picking the same front it always has; a token fired
+    /// beforehand truncates each.
+    #[test]
+    fn universe_sweeps_verify_the_lattice_once_per_level() {
+        use crate::{cbm, wsm, CancelToken, CbmOptions, WsmOptions};
+        type Sweeper = fn(Configuration<'_>) -> Generated;
+        let fx = talent_fixture();
+        let size = fx.domains().instance_space_size();
+        let runs: [(&str, Sweeper, u64, [[u16; 3]; 2]); 3] = [
+            ("kungs", kungs, size, [[0, 0, 0], [0, 3, 0]]),
+            (
+                "wsm",
+                |c| wsm(c, WsmOptions::default()),
+                size,
+                [[3, 3, 1], [1, 1, 1]],
+            ),
+            (
+                "cbm",
+                |c| cbm(c, CbmOptions::default()),
+                2 * size,
+                [[1, 1, 1], [3, 3, 1]],
+            ),
+        ];
+        for (name, run, verified, front) in runs {
+            let out = run(fx.configuration(0.3));
+            assert!(!out.truncated, "{name}");
+            assert_eq!(out.stats.verified, verified, "{name}");
+            let picked: Vec<&[u16]> = out.entries.iter().map(|e| e.inst.indices()).collect();
+            assert_eq!(picked, front, "{name}");
+
+            let token = CancelToken::new();
+            token.cancel();
+            let out = run(fx.configuration(0.3).with_cancel(&token));
+            assert!(out.truncated, "{name}");
+            assert_eq!(out.stats.verified, 0, "{name}");
+            assert!(out.entries.is_empty(), "{name}");
         }
     }
 }

@@ -115,11 +115,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The configuration this evaluator serves.
-    pub fn config(&self) -> &Configuration<'a> {
-        &self.cfg
-    }
-
     /// Number of instances actually verified (not served from cache).
     pub fn verified_count(&self) -> u64 {
         self.verified
@@ -128,12 +123,6 @@ impl<'a> Evaluator<'a> {
     /// Number of cache hits.
     pub fn cache_hit_count(&self) -> u64 {
         self.cache_hits
-    }
-
-    /// Number of verifications served by the shared match table (see
-    /// [`GenStats::warm_match_hits`]).
-    pub fn warm_match_hit_count(&self) -> u64 {
-        self.warm_match_hits
     }
 
     /// The resource cap a verification tripped, if any. Once set, the
@@ -147,11 +136,6 @@ impl<'a> Evaluator<'a> {
     /// every search loop performs between verifications.
     pub fn should_stop(&self) -> bool {
         self.budget_tripped.is_some() || self.cfg.cancelled()
-    }
-
-    /// Returns the cached result for `inst`, if already verified.
-    pub fn cached(&self, inst: &Instantiation) -> Option<Rc<EvalResult>> {
-        self.cache.get(inst).map(|v| Rc::clone(&v.result))
     }
 
     /// Verifies `inst` from scratch.
@@ -309,8 +293,8 @@ pub(crate) struct Verification {
     pub from_table: bool,
 }
 
-/// One `incVerify` verification, shared by [`Evaluator`] and
-/// `par_enum_qgen`'s workers, and the only place the configuration's
+/// One `incVerify` verification, shared by [`Evaluator`] and the lattice
+/// sweep's workers, and the only place the configuration's
 /// [`MatchTable`] is read. The match set and rows come from the table when
 /// it holds `inst`; otherwise [`match_instance`] searches them and the
 /// table is offered the outcome (never a tripped search's). Then the

@@ -16,9 +16,14 @@
 //! * [`par_enum_qgen`] — parallel verification (the paper's future-work
 //!   extension).
 //!
-//! All algorithms share the [`Evaluator`] (verification with memoization
-//! and `incVerify`) and the [`EpsParetoArchive`] implementing procedure
-//! `Update` (Fig. 5).
+//! The algorithms that verify all of `I(Q)` — `EnumQGen`, `Kungs`, `CBM`,
+//! `WSM` and the parallel pool — are folds of one lattice sweep (the
+//! pool in `parallel.rs`, at one worker for the sequential ones). The
+//! drivers that pick their next instance from the last result — RfQGen,
+//! BiQGen and OnlineQGen — verify through the [`Evaluator`]
+//! (memoization and `incVerify` by nearest cached ancestor). Every
+//! verification goes through one function, and every algorithm updates
+//! the [`EpsParetoArchive`] implementing procedure `Update` (Fig. 5).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +56,7 @@ pub use evaluator::{EvalResult, Evaluator, MatchRecord, MatchTable};
 pub use fairsqg_matcher::{BudgetExceeded, BudgetKind, MatchBudget};
 pub use online::{online_qgen, EpsTrace, OnlineOptions, OnlineQGen};
 pub use output::{AnytimePoint, Generated};
-pub use parallel::{effective_threads, par_enum_qgen, par_enum_qgen_exact};
+pub use parallel::{effective_threads, par_enum_qgen};
 pub use rfqgen::{rfqgen, RfQGenOptions};
 pub use spawn::{plain_refinements, spawn_refinements, spawn_relaxations, SpawnOptions};
 pub use stream::{RandomStream, ShuffledStream};

@@ -20,7 +20,8 @@ pub struct AnytimePoint {
 #[derive(Debug, Clone)]
 pub struct Generated {
     /// The returned instance set (ε-Pareto set, or the exact Pareto set for
-    /// the `Kungs` baseline).
+    /// the `Kungs` baseline; every verified instance, in lattice order, for
+    /// [`evaluate_universe`](crate::evaluate_universe)).
     pub entries: Vec<ArchiveEntry>,
     /// The ε the set conforms to (may have grown for the online algorithm).
     pub eps: f64,

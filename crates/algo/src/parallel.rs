@@ -1,6 +1,7 @@
-//! Parallel query generation — the paper's stated future-work extension
-//! ("a future topic is to study parallel query generation over large
-//! graphs").
+//! The lattice sweep: every algorithm that verifies all of `I(Q)` —
+//! `EnumQGen`, `Kungs`, `CBM`, `WSM` and their parallel form, the paper's
+//! stated future-work extension ("a future topic is to study parallel
+//! query generation over large graphs") — runs this one pool.
 //!
 //! Verification cost `T_q` varies wildly across the instance space (a
 //! relaxed instance matches far more nodes than a tight one), so static
@@ -12,25 +13,28 @@
 //! *finished* — never one still in flight — gives its match set as a
 //! candidate pool and its embeddings as witnesses. Which ancestors a
 //! verification sees depends on the schedule, but its match set does not
-//! (Lemma 2, and a witness certifies only what it proves). After the pool
-//! joins, the table is folded into the ε-Pareto archive in ascending
-//! lattice order — the order the sequential fold uses — so the archive
-//! (including `Update`'s order-dependent same-box tie-breaks) is
-//! bit-identical to `enum_qgen`'s.
+//! (Lemma 2, and a witness certifies only what it proves).
+//!
+//! The calling thread is worker 0, so one worker spawns no thread and
+//! claims the lattice in exactly the sequential order. After each of its
+//! own verifications it folds the longest finished prefix of the table in
+//! lattice order — the order `Update`'s same-box tie-breaks depend on — so
+//! an archive grows as the sweep verifies and is bit-identical at any
+//! worker count. Slots a budget trip or a cancellation left empty are
+//! skipped only after the join.
 
-use crate::archive::EpsParetoArchive;
 use crate::config::{Configuration, GenStats};
+use crate::enumerate::archive_sweep;
 use crate::evaluator::{verify_instance, EvalResult, Verification};
 use crate::output::Generated;
 use fairsqg_graph::NodeId;
-use fairsqg_matcher::{take_stats, BudgetExceeded, MatchScratch, MatcherStats, Witnesses};
-use fairsqg_query::InstanceLattice;
-use std::rc::Rc;
+use fairsqg_matcher::{matcher_stats, BudgetExceeded, MatchScratch, MatcherStats, Witnesses};
+use fairsqg_query::{InstanceLattice, Instantiation};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
-/// Resolves a requested worker count: `0` means "one per hardware
+/// Resolves a worker count that arrives from outside the program (a
+/// served job, `fairsqg generate --threads`): `0` means "one per hardware
 /// thread", and any request is clamped to
 /// `std::thread::available_parallelism`. Verification is CPU-bound, so
 /// workers beyond the core count add nothing but preemption — measured on
@@ -48,168 +52,199 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
+/// Parallel `EnumQGen`: the sweep on `workers` self-scheduling workers,
+/// folded into an ε-Pareto archive identical to [`enum_qgen`]'s, as it
+/// verifies. `workers` is taken literally, except that `0` means one per
+/// hardware thread; [`effective_threads`] clamps a count from outside the
+/// program. `GenStats::threads_used` reports the pool size.
+///
+/// [`enum_qgen`]: crate::enum_qgen
+pub fn par_enum_qgen(cfg: Configuration<'_>, workers: usize) -> Generated {
+    let workers = if workers == 0 {
+        effective_threads(0)
+    } else {
+        workers
+    };
+    archive_sweep(cfg, workers, false)
+}
+
 /// A finished verification as the shared table holds it: the result and
 /// one row per match. A verification that tripped its
 /// budget leaves its slot empty, so it never serves as an ancestor.
 type Finished = OnceLock<(EvalResult, Arc<[NodeId]>)>;
 
-/// Parallel `EnumQGen`: verifies the whole instance space on a pool of
-/// self-scheduling workers and folds the results into an ε-Pareto archive
-/// identical to the sequential one. `threads` is a *request*: `0` means
-/// "all hardware threads", and any count is clamped to the hardware (see
-/// [`effective_threads`]); `GenStats::threads_used` reports the actual
-/// pool size.
-pub fn par_enum_qgen(cfg: Configuration<'_>, threads: usize) -> Generated {
-    run_par_enum(cfg, effective_threads(threads))
+/// A finished sweep.
+pub(crate) struct Sweep {
+    /// `I(Q)` in lexicographic order.
+    pub all: Vec<Instantiation>,
+    /// One slot per instance of `all`, empty where a trip or a
+    /// cancellation left it unverified.
+    pub table: Vec<Finished>,
+    /// Every counter of the run but `elapsed`, which is the caller's.
+    pub stats: GenStats,
+    /// Whether some instance was left unverified.
+    pub truncated: bool,
 }
 
-/// The pool itself, taking the worker count literally. Exposed for tests
-/// that must run several workers on machines with fewer cores than
-/// workers.
-#[doc(hidden)]
-pub fn par_enum_qgen_exact(cfg: Configuration<'_>, workers: usize) -> Generated {
-    run_par_enum(cfg, workers.max(1))
-}
-
-fn run_par_enum(cfg: Configuration<'_>, threads: usize) -> Generated {
-    let start = Instant::now();
+/// Verifies all of `I(Q)` on `workers` workers (at least one: the calling
+/// thread), calling `fold` on every finished instance exactly once, in
+/// lattice order, on the calling thread.
+pub(crate) fn sweep(
+    cfg: &Configuration<'_>,
+    workers: usize,
+    mut fold: impl FnMut(&Instantiation, &EvalResult),
+) -> Sweep {
     let all = InstanceLattice::new(cfg.domains).enumerate();
-    let total = all.len();
     // Mixed-radix strides of the lexicographic enumeration: the parent of
     // instance `i` on axis `x` is `i - strides[x]`.
     let mut strides = vec![1; cfg.domains.var_count()];
     for x in (1..strides.len()).rev() {
         strides[x - 1] = strides[x] * cfg.domains.domain(x).len();
     }
-    let table: Vec<Finished> = (0..total).map(|_| OnceLock::new()).collect();
-
+    let table: Vec<Finished> = (0..all.len()).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-
     // One measure — one `O(|V|)` profile, the caller's when it brought
     // one — for the whole pool.
     let measure = cfg.diversity_measure();
 
-    let workers: Vec<(Option<BudgetExceeded>, MatcherStats, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let (cfg, all, strides, table) = (&cfg, &all, &strides, &table);
-            let (cursor, stop, measure) = (&cursor, &stop, &measure);
-            handles.push(scope.spawn(move || {
-                // Matcher counters are thread-local; reset them so the
-                // final snapshot is exactly this worker's contribution
-                // even if the closure ever runs on a reused thread.
-                let _ = take_stats();
-                let mut tripped = None;
-                let mut warm_match_hits = 0;
-                let mut scratch = MatchScratch::default();
-                // Every worker observes the shared token; a fired token
-                // stops the whole pool within one T_q.
-                while !stop.load(Ordering::Relaxed) && !cfg.cancelled() {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(inst) = all.get(i) else { break };
-                    // On each axis, walk down to the nearest finished
-                    // ancestor; an axis with none offers nothing.
-                    let ancestors: Vec<Witnesses<'_>> = strides
-                        .iter()
-                        .zip(inst.indices())
-                        .filter_map(|(&stride, &k)| {
-                            (1..=usize::from(k)).find_map(|s| {
-                                let j = i - s * stride;
-                                let (result, rows) = table[j].get()?;
-                                debug_assert!(inst.refines(&all[j]));
-                                Some(Witnesses {
-                                    matches: &result.matches,
-                                    rows,
-                                })
-                            })
-                        })
-                        .collect();
-                    match verify_instance(cfg, measure, inst, &ancestors, &mut scratch) {
-                        Ok(Verification {
-                            result,
+    // One worker: claims and verifies instances until the lattice runs
+    // out, the token fires or a verification trips its budget, calling
+    // `after_each` after each of its own verifications.
+    let work = |after_each: &mut dyn FnMut()| {
+        // Matcher counters are thread-local: the delta since here is this
+        // worker's, and the calling thread's own counters stay intact.
+        let baseline = matcher_stats();
+        let mut tally = Tally::default();
+        let mut scratch = MatchScratch::default();
+        // Every worker observes the shared token; a fired token stops the
+        // whole pool within one T_q.
+        while !stop.load(Ordering::Relaxed) && !cfg.cancelled() {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(inst) = all.get(i) else { break };
+            // On each axis, walk down to the nearest finished ancestor; an
+            // axis with none offers nothing.
+            let ancestors: Vec<Witnesses<'_>> = strides
+                .iter()
+                .zip(inst.indices())
+                .filter_map(|(&stride, &k)| {
+                    (1..=usize::from(k)).find_map(|s| {
+                        let j = i - s * stride;
+                        let (result, rows) = table[j].get()?;
+                        debug_assert!(inst.refines(&all[j]));
+                        Some(Witnesses {
+                            matches: &result.matches,
                             rows,
-                            from_table,
-                        }) => {
-                            warm_match_hits += u64::from(from_table);
-                            let slot = table[i].set((result, rows));
-                            assert!(slot.is_ok(), "instance {i} claimed twice");
-                        }
-                        Err(e) => {
-                            // A tripped budget stops the pool; the
-                            // partial match set is discarded, never
-                            // reported.
-                            tripped = Some(e);
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
+                        })
+                    })
+                })
+                .collect();
+            tally.verified += 1;
+            match verify_instance(cfg, &measure, inst, &ancestors, &mut scratch) {
+                Ok(Verification {
+                    result,
+                    rows,
+                    from_table,
+                }) => {
+                    tally.warm_match_hits += u64::from(from_table);
+                    let slot = table[i].set((result, rows));
+                    assert!(slot.is_ok(), "instance {i} claimed twice");
+                    after_each();
                 }
-                (tripped, take_stats(), warm_match_hits)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verification worker panicked"))
-            .collect()
-    });
-
-    let mut budget_tripped = None;
-    let mut matcher = MatcherStats::default();
-    let mut warm_match_hits = 0;
-    for (tripped, worker_matcher, hits) in workers {
-        budget_tripped = budget_tripped.or(tripped);
-        matcher.merge(worker_matcher);
-        warm_match_hits += hits;
-    }
-
-    // Fold in lattice order: `Update` keeps the first representative of a
-    // box it sees, so only the sequential enumeration order reproduces
-    // `enum_qgen`'s archive bit-for-bit.
-    let mut verified = 0;
-    let mut archive = EpsParetoArchive::new(cfg.eps);
-    for (inst, slot) in all.iter().zip(table) {
-        if let Some((result, _rows)) = slot.into_inner() {
-            verified += 1;
-            if result.feasible {
-                cfg.offer(&mut archive, inst, &Rc::new(result));
+                Err(e) => {
+                    // A tripped budget stops the pool; the partial match
+                    // set is discarded, never reported.
+                    tally.tripped = Some(e);
+                    stop.store(true, Ordering::Relaxed);
+                }
             }
         }
+        tally.matcher = matcher_stats().delta_since(baseline);
+        tally
+    };
+
+    let mut folded = 0;
+    let tallies: Vec<Tally> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(|| work(&mut || {})))
+            .collect();
+        let own = work(&mut || {
+            while let Some((result, _rows)) = table.get(folded).and_then(OnceLock::get) {
+                fold(&all[folded], result);
+                folded += 1;
+            }
+        });
+        let helpers = helpers
+            .into_iter()
+            .map(|h| h.join().expect("verification worker panicked"));
+        std::iter::once(own).chain(helpers).collect()
+    });
+    for (inst, slot) in all.iter().zip(&table).skip(folded) {
+        if let Some((result, _rows)) = slot.get() {
+            fold(inst, result);
+        }
     }
-    let truncated = verified < total as u64 || budget_tripped.is_some();
 
     let mut stats = GenStats {
-        spawned: verified,
-        verified,
-        elapsed: start.elapsed(),
-        budget_tripped,
-        threads_used: threads as u64,
-        warm_match_hits,
+        threads_used: workers as u64,
         ..GenStats::default()
     };
-    stats.record_hot_path(matcher);
-    Generated {
-        entries: archive.entries().to_vec(),
-        eps: cfg.eps,
+    for tally in tallies {
+        stats.verified += tally.verified;
+        stats.warm_match_hits += tally.warm_match_hits;
+        stats.budget_tripped = stats.budget_tripped.or(tally.tripped);
+        stats.record_hot_path(tally.matcher);
+    }
+    stats.spawned = stats.verified;
+    let truncated = table.iter().any(|slot| slot.get().is_none());
+    Sweep {
+        all,
+        table,
         stats,
-        anytime: Vec::new(),
         truncated,
     }
+}
+
+/// One worker's share of a sweep's counters.
+#[derive(Default)]
+struct Tally {
+    verified: u64,
+    tripped: Option<BudgetExceeded>,
+    matcher: MatcherStats,
+    warm_match_hits: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enum_qgen;
+    use crate::archive::{ArchiveDelta, ArchiveEntry, ArchiveObserver, EpsParetoArchive};
+    use crate::enumerate::{enum_qgen, evaluate_universe};
     use crate::test_support::talent_fixture;
+    use crate::CancelToken;
+
+    /// Per entry: the instance, both objectives' bits and the match set.
+    fn fingerprint(entries: &[ArchiveEntry]) -> Vec<(Instantiation, u64, u64, Vec<NodeId>)> {
+        entries
+            .iter()
+            .map(|e| {
+                (
+                    e.inst.clone(),
+                    e.objectives().delta.to_bits(),
+                    e.objectives().fcov.to_bits(),
+                    e.result.matches.clone(),
+                )
+            })
+            .collect()
+    }
 
     #[test]
     fn parallel_matches_sequential_enum() {
         let fx = talent_fixture();
         let cfg = fx.configuration(0.3);
         let seq = enum_qgen(cfg, false);
-        // Exact worker count: 4 shards must merge correctly even on
+        // The count is literal: 4 workers must merge correctly even on
         // machines with fewer than 4 cores.
-        let par = par_enum_qgen_exact(cfg, 4);
+        let par = par_enum_qgen(cfg, 4);
         // The index-ordered refold makes the archive *identical*, entry
         // for entry — same instances, same order, bit-equal objectives.
         assert_eq!(seq.entries.len(), par.entries.len());
@@ -236,17 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_requests_are_clamped_to_hardware() {
-        let fx = talent_fixture();
-        let cfg = fx.configuration(0.3);
-        let hw = effective_threads(0);
-        let out = par_enum_qgen(cfg, 1024);
-        assert_eq!(out.stats.threads_used, hw as u64);
-        assert_eq!(effective_threads(1024), hw);
-        assert_eq!(effective_threads(1), 1);
-    }
-
-    #[test]
     fn single_thread_degenerates_gracefully() {
         let fx = talent_fixture();
         let cfg = fx.configuration(0.3);
@@ -258,8 +282,8 @@ mod tests {
     fn reference_path_gives_identical_entries() {
         let fx = talent_fixture();
         let cfg = fx.configuration(0.3);
-        let fast = par_enum_qgen_exact(cfg, 2);
-        let slow = par_enum_qgen_exact(cfg.with_reference_path(), 2);
+        let fast = par_enum_qgen(cfg, 2);
+        let slow = par_enum_qgen(cfg.with_reference_path(), 2);
         assert_eq!(fast.entries.len(), slow.entries.len());
         for (a, b) in fast.entries.iter().zip(slow.entries.iter()) {
             assert_eq!(a.inst, b.inst);
@@ -291,7 +315,7 @@ mod tests {
                 max_steps: Some(steps),
                 ..MatchBudget::UNLIMITED
             });
-            let out = par_enum_qgen_exact(cfg, 2);
+            let out = par_enum_qgen(cfg, 2);
             assert!(out.truncated, "cap {steps}");
             assert_eq!(
                 out.stats.budget_tripped.map(|b| b.kind),
@@ -326,27 +350,14 @@ mod tests {
             } else {
                 cfg
             };
-            let fingerprint = |out: &Generated| -> Vec<_> {
-                out.entries
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.inst.clone(),
-                            e.objectives().delta.to_bits(),
-                            e.objectives().fcov.to_bits(),
-                            e.result.matches.clone(),
-                        )
-                    })
-                    .collect()
-            };
-            let one = par_enum_qgen_exact(cfg, 1);
-            let base = fingerprint(&one);
+            let one = par_enum_qgen(cfg, 1);
+            let base = fingerprint(&one.entries);
             assert!(!base.is_empty());
             for workers in [2, 4] {
-                let out = par_enum_qgen_exact(cfg, workers);
+                let out = par_enum_qgen(cfg, workers);
                 assert_eq!(
                     base,
-                    fingerprint(&out),
+                    fingerprint(&out.entries),
                     "archive diverged at {workers} workers (reference={reference})"
                 );
             }
@@ -363,8 +374,8 @@ mod tests {
         let table = CountingTable::default();
         for lambda in [0.5, 0.1] {
             let cfg = fx.configuration_at(0.3, lambda);
-            let cold = par_enum_qgen_exact(cfg, 2);
-            let warm = par_enum_qgen_exact(cfg.with_shared_matches(&table), 2);
+            let cold = par_enum_qgen(cfg, 2);
+            let warm = par_enum_qgen(cfg.with_shared_matches(&table), 2);
             assert_eq!(warm.entries.len(), cold.entries.len());
             for (a, b) in warm.entries.iter().zip(&cold.entries) {
                 assert_eq!(a.inst, b.inst);
@@ -381,6 +392,45 @@ mod tests {
                 warm.stats.verified
             };
             assert_eq!(warm.stats.warm_match_hits, expected_hits, "λ {lambda}");
+        }
+    }
+
+    /// The sweep folds as it verifies: an observer that fires the token on
+    /// the archive's first delta stops the run before the next claim, and
+    /// the archive is exactly the fold of the verified prefix.
+    #[test]
+    fn the_sweep_folds_as_it_verifies() {
+        struct CancelOnFirstDelta<'t>(&'t CancelToken);
+        impl ArchiveObserver for CancelOnFirstDelta<'_> {
+            fn archive_updated(&self, _delta: &ArchiveDelta) {
+                self.0.cancel();
+            }
+        }
+        type Generator = fn(Configuration<'_>) -> Generated;
+        let fx = talent_fixture();
+        let universe = evaluate_universe(fx.configuration(0.3)).entries;
+        let runs: [(&str, Generator); 2] = [
+            ("enum_qgen", |cfg| enum_qgen(cfg, false)),
+            ("par_enum_qgen/1", |cfg| par_enum_qgen(cfg, 1)),
+        ];
+        for (name, run) in runs {
+            let token = CancelToken::new();
+            let observer = CancelOnFirstDelta(&token);
+            let cfg = fx.configuration(0.3);
+            let out = run(cfg.with_cancel(&token).with_progress(&observer));
+            assert!(out.truncated, "{name}");
+            assert!(out.stats.verified < universe.len() as u64, "{name}");
+            let mut prefix = EpsParetoArchive::new(cfg.eps);
+            for e in &universe[..out.stats.verified as usize] {
+                if e.result.feasible {
+                    prefix.update(&e.inst, &e.result);
+                }
+            }
+            assert_eq!(
+                fingerprint(&out.entries),
+                fingerprint(prefix.entries()),
+                "{name}"
+            );
         }
     }
 }

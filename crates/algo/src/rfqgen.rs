@@ -119,9 +119,8 @@ pub fn rfqgen(cfg: Configuration<'_>, opts: RfQGenOptions) -> Generated {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{enum_qgen, evaluate_universe};
-    use crate::test_support::talent_fixture;
-    use fairsqg_measures::Objectives;
+    use crate::enumerate::enum_qgen;
+    use crate::test_support::{feasible_universe, talent_fixture};
 
     #[test]
     fn rfqgen_produces_valid_eps_pareto_set() {
@@ -133,12 +132,7 @@ mod tests {
         // Validity over the whole feasible universe (stronger than the
         // paper's per-generated-instance claim, possible here because the
         // fixture's universe is small).
-        let mut ev = Evaluator::new(cfg);
-        let feasible: Vec<Objectives> = evaluate_universe(&mut ev)
-            .into_iter()
-            .filter(|(_, r)| r.feasible)
-            .map(|(_, r)| r.objectives)
-            .collect();
+        let feasible = feasible_universe(cfg);
         let mut a = EpsParetoArchive::new(cfg.eps);
         for e in &out.entries {
             a.update(&e.inst, &e.result);

@@ -2,10 +2,12 @@
 //! paper) with gender groups, a 3-variable template, and helpers to build
 //! configurations. Only compiled for tests.
 
+use crate::archive::ArchiveEntry;
 use crate::config::Configuration;
+use crate::enumerate::evaluate_universe;
 use crate::evaluator::{MatchRecord, MatchTable};
 use fairsqg_graph::{AttrValue, CmpOp, CoverageSpec, Graph, GraphBuilder, GroupSet, NodeId};
-use fairsqg_measures::{DiversityConfig, Relevance};
+use fairsqg_measures::{DiversityConfig, Objectives, Relevance};
 use fairsqg_query::{
     DomainConfig, Instantiation, QueryTemplate, RefinementDomains, TemplateBuilder,
 };
@@ -53,6 +55,16 @@ impl MatchTable for CountingTable {
                 })
             });
     }
+}
+
+/// The objectives of every feasible instance of `I(Q)`.
+pub fn feasible_universe(cfg: Configuration<'_>) -> Vec<Objectives> {
+    evaluate_universe(cfg)
+        .entries
+        .iter()
+        .filter(|e| e.result.feasible)
+        .map(ArchiveEntry::objectives)
+        .collect()
 }
 
 /// Owns every piece of a small, fully deterministic configuration.

@@ -11,10 +11,8 @@
 
 use crate::archive::ArchiveEntry;
 use crate::config::{Configuration, GenStats};
-use crate::evaluator::{EvalResult, Evaluator};
+use crate::enumerate::evaluate_universe;
 use crate::output::Generated;
-use fairsqg_query::Instantiation;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Options of the weighted-sum baseline.
@@ -33,67 +31,51 @@ impl Default for WsmOptions {
 /// Runs the weighted-sum baseline on a configuration.
 pub fn wsm(cfg: Configuration<'_>, opts: WsmOptions) -> Generated {
     let start = Instant::now();
-    let mut ev = Evaluator::new(cfg);
-    let (universe, truncated) = crate::enumerate::evaluate_universe_cancellable(&mut ev);
-    let feasible: Vec<(Instantiation, Rc<EvalResult>)> =
-        universe.into_iter().filter(|(_, r)| r.feasible).collect();
+    let universe = evaluate_universe(cfg);
+    let feasible: Vec<&ArchiveEntry> = universe
+        .entries
+        .iter()
+        .filter(|e| e.result.feasible)
+        .collect();
 
-    let mut selected: Vec<(Instantiation, Rc<EvalResult>)> = Vec::new();
+    // Weighted-sum optima are always Pareto-optimal; dedupe is enough.
+    let mut entries: Vec<ArchiveEntry> = Vec::new();
     if !feasible.is_empty() {
         let delta_max = feasible
             .iter()
-            .map(|(_, r)| r.objectives.delta)
+            .map(|e| e.objectives().delta)
             .fold(0.0f64, f64::max)
             .max(1e-9);
         let f_max = feasible
             .iter()
-            .map(|(_, r)| r.objectives.fcov)
+            .map(|e| e.objectives().fcov)
             .fold(0.0f64, f64::max)
             .max(1e-9);
         let n_weights = opts.weights.max(2);
         for k in 0..n_weights {
             let w = k as f64 / (n_weights - 1) as f64;
+            let score = |e: &ArchiveEntry| {
+                let o = e.objectives();
+                w * o.delta / delta_max + (1.0 - w) * o.fcov / f_max
+            };
             let best = feasible
                 .iter()
-                .max_by(|a, b| {
-                    let score = |r: &EvalResult| {
-                        w * r.objectives.delta / delta_max + (1.0 - w) * r.objectives.fcov / f_max
-                    };
-                    score(&a.1).partial_cmp(&score(&b.1)).unwrap()
-                })
+                .max_by(|a, b| score(a).partial_cmp(&score(b)).unwrap())
                 .expect("nonempty feasible set");
-            if !selected.iter().any(|(i, _)| *i == best.0) {
-                selected.push(best.clone());
+            if !entries.iter().any(|e| e.inst == best.inst) {
+                entries.push((*best).clone());
             }
         }
     }
 
-    // Weighted-sum optima are always Pareto-optimal; dedupe is enough.
-    let entries = selected
-        .into_iter()
-        .map(|(inst, r)| ArchiveEntry {
-            bx: r.objectives.boxed(cfg.eps),
-            inst,
-            result: r,
-        })
-        .collect();
-
-    let mut stats = GenStats {
-        spawned: feasible.len() as u64,
-        verified: ev.verified_count(),
-        cache_hits: ev.cache_hit_count(),
-        elapsed: start.elapsed(),
-        budget_tripped: ev.budget_tripped(),
-        threads_used: 1,
-        ..GenStats::default()
-    };
-    ev.apply_hot_path_stats(&mut stats);
     Generated {
         entries,
-        eps: cfg.eps,
-        stats,
-        anytime: Vec::new(),
-        truncated,
+        stats: GenStats {
+            spawned: feasible.len() as u64,
+            elapsed: start.elapsed(),
+            ..universe.stats
+        },
+        ..universe
     }
 }
 

@@ -12,7 +12,8 @@
 use crate::common::{configuration, universe, Algo};
 use crate::scales::ExpScale;
 use fairsqg_algo::{
-    biqgen, enum_qgen, par_enum_qgen, rfqgen, BiQGenOptions, Generated, RfQGenOptions, SpawnOptions,
+    biqgen, effective_threads, enum_qgen, par_enum_qgen, rfqgen, BiQGenOptions, Generated,
+    RfQGenOptions, SpawnOptions,
 };
 use fairsqg_datagen::{workload, CoverageMode, DatasetKind, WorkloadParams};
 use fairsqg_measures::hypervolume_normalized;
@@ -45,7 +46,7 @@ pub fn ablation(scale: &ExpScale) -> String {
     // Enumeration: sequential vs parallel.
     let seq = enum_qgen(cfg, false);
     rows.push(row("EnumQGen (sequential)", &seq, hv(&seq)));
-    let par = par_enum_qgen(cfg, 4);
+    let par = par_enum_qgen(cfg, effective_threads(4));
     rows.push(row("EnumQGen (parallel x4)", &par, hv(&par)));
 
     // RfQGen grid.

@@ -10,10 +10,11 @@
 use crate::common::{exp_diversity, run, Algo};
 use crate::render::{render_instance, render_template};
 use crate::scales::ExpScale;
-use fairsqg_algo::{ArchiveEntry, Evaluator};
+use fairsqg_algo::ArchiveEntry;
 use fairsqg_datagen::{movies_graph, MoviesConfig};
 use fairsqg_graph::{AttrValue, CmpOp, CoverageSpec, GroupSet};
 use fairsqg_matcher::{match_output_set, MatchOptions};
+use fairsqg_measures::coverage_score;
 use fairsqg_query::{
     ConcreteQuery, DomainConfig, Instantiation, RefinementDomains, TemplateBuilder,
 };
@@ -138,11 +139,7 @@ pub fn case_study(scale: &ExpScale) -> String {
     }
 
     // Sanity: the best-coverage instances must reduce the skew of the root.
-    let mut ev = Evaluator::new(cfg);
-    let root_f = {
-        let r = ev.verify(&root);
-        r.objectives.fcov
-    };
+    let root_f = coverage_score(&root_counts, &spec);
     if let Some(e) = best_by(&biq, true) {
         out.push_str(&format!(
             "\nroot f = {root_f:.1} vs BiQGen best f = {:.1} (higher is better)\n",

@@ -2,8 +2,8 @@
 //! and text-table rendering.
 
 use fairsqg_algo::{
-    biqgen, cbm, enum_qgen, evaluate_universe, kungs, rfqgen, BiQGenOptions, CbmOptions,
-    Configuration, Evaluator, Generated, RfQGenOptions,
+    biqgen, cbm, enum_qgen, evaluate_universe, kungs, rfqgen, ArchiveEntry, BiQGenOptions,
+    CbmOptions, Configuration, Generated, RfQGenOptions,
 };
 use fairsqg_datagen::Workload;
 use fairsqg_measures::{eps_indicator, r_indicator, DiversityConfig, Objectives, Relevance};
@@ -98,13 +98,13 @@ pub struct Universe {
 
 /// Evaluates the full instance universe of a configuration.
 pub fn universe(cfg: Configuration<'_>) -> Universe {
-    let mut ev = Evaluator::new(cfg);
-    let all = evaluate_universe(&mut ev);
-    let total_instances = all.len() as u64;
+    let all = evaluate_universe(cfg);
+    let total_instances = all.entries.len() as u64;
     let feasible = all
+        .entries
         .iter()
-        .filter(|(_, r)| r.feasible)
-        .map(|(_, r)| r.objectives)
+        .filter(|e| e.result.feasible)
+        .map(ArchiveEntry::objectives)
         .collect::<Vec<_>>();
     // Normalize δ by the best achieved diversity (the universe optimum),
     // which keeps I_R in a meaningful range across graph scales.

@@ -1,11 +1,13 @@
 //! Exp-3 (RQ3): online generation — Fig. 11(a) (delay time) and
 //! Fig. 11(b) (anytime effectiveness).
 
-use crate::common::{configuration, universe};
+use crate::common::configuration;
 use crate::scales::ExpScale;
-use fairsqg_algo::{OnlineOptions, OnlineQGen, ShuffledStream};
+use fairsqg_algo::{evaluate_universe, EvalResult, OnlineOptions, OnlineQGen, ShuffledStream};
 use fairsqg_datagen::{workload, CoverageMode, DatasetKind, WorkloadParams};
 use fairsqg_measures::{min_eps, Objectives};
+use fairsqg_query::Instantiation;
+use std::collections::HashMap;
 use std::time::Instant;
 
 fn lki_workload(scale: &ExpScale) -> fairsqg_datagen::Workload {
@@ -74,7 +76,13 @@ pub fn fig11a(scale: &ExpScale) -> String {
 pub fn fig11b(scale: &ExpScale) -> String {
     let w = lki_workload(scale);
     let cfg = configuration(&w, 0.01);
-    let uni = universe(cfg); // evaluates objectives for the whole space
+    // Every instance's result, looked up as the online algorithm sees it.
+    let universe = evaluate_universe(cfg);
+    let results: HashMap<&Instantiation, &EvalResult> = universe
+        .entries
+        .iter()
+        .map(|e| (&e.inst, &*e.result))
+        .collect();
     let eps_ref = 1.0;
 
     let mut rows = Vec::new();
@@ -91,12 +99,9 @@ pub fn fig11b(scale: &ExpScale) -> String {
             let stream: Vec<_> = ShuffledStream::new(&w.domains, 0xF11B).collect();
             let mut seen: Vec<Objectives> = Vec::new();
             let checkpoint = (stream.len() / 5).max(1);
-            // Reuse the universe evaluation to avoid re-verifying: look up
-            // each instance's objectives as the online algorithm sees it.
-            let mut lookup_cfg = fairsqg_algo::Evaluator::new(cfg);
             for (i, inst) in stream.iter().enumerate() {
                 gen.push(inst);
-                let r = lookup_cfg.verify(inst);
+                let r = results[inst];
                 if r.feasible {
                     seen.push(r.objectives);
                 }
@@ -123,7 +128,7 @@ pub fn fig11b(scale: &ExpScale) -> String {
     }
     format!(
         "Fig 11(b) — anytime I_eps of OnlineQGen (LKI, eps_ref = 1.0); universe |I(Q)| = {}\n{}",
-        uni.total_instances,
+        universe.entries.len(),
         crate::common::render_table(
             &["k", "w", "seen", "I_eps", "maintained_eps", "|set|"],
             &rows

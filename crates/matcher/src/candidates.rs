@@ -158,8 +158,8 @@ pub(crate) fn candidates_scan_into(
 /// The pool must be label-homogeneous with `u`'s label — incVerify pools
 /// are the parent's output match set, which matched the same output node
 /// — so the label is asserted in debug builds rather than re-checked per
-/// node on the hot path. Callers passing user-supplied pools (e.g. RPQ
-/// reachable sets) must label-filter them first.
+/// node on the hot path. Callers passing user-supplied pools (a
+/// configured output restriction) must label-filter them first.
 pub fn candidates_from_pool(
     graph: &Graph,
     query: &ConcreteQuery,

@@ -9,8 +9,9 @@
 
 use crate::warm::{PlanKey, WarmPlan, WarmState};
 use fairsqg_algo::{
-    biqgen, cbm, enum_qgen, kungs, par_enum_qgen, rfqgen, ArchiveEntry, ArchiveObserver,
-    BiQGenOptions, CancelToken, CbmOptions, Configuration, Generated, MatchBudget, RfQGenOptions,
+    biqgen, cbm, effective_threads, enum_qgen, kungs, par_enum_qgen, rfqgen, ArchiveEntry,
+    ArchiveObserver, BiQGenOptions, CancelToken, CbmOptions, Configuration, Generated, MatchBudget,
+    RfQGenOptions,
 };
 use fairsqg_graph::{AttrValue, CoverageSpec, Graph, GroupSet};
 use fairsqg_measures::{DiversityConfig, DiversityProfile};
@@ -425,7 +426,7 @@ pub fn run_plan_observed(
         AlgoKind::Cbm => cbm(cfg, CbmOptions::default()),
         AlgoKind::RfQGen => rfqgen(cfg, RfQGenOptions::default()),
         AlgoKind::BiQGen => biqgen(cfg, BiQGenOptions::default()),
-        AlgoKind::ParEnum => par_enum_qgen(cfg, spec.threads),
+        AlgoKind::ParEnum => par_enum_qgen(cfg, effective_threads(spec.threads)),
     }
 }
 
@@ -754,6 +755,28 @@ pub(crate) mod tests {
         };
         let out = run_plan_observed(&plan, &s, &CancelToken::new(), None, Some(budget), None);
         assert!(out.truncated, "a one-step budget must trip");
+    }
+
+    /// A served job's worker count comes from outside the program, so it
+    /// is clamped to the hardware: `0` means every hardware thread and an
+    /// oversubscribed request gets no more.
+    #[test]
+    fn oversubscribed_requests_are_clamped_to_hardware() {
+        let g = graph();
+        let hw = effective_threads(0);
+        assert_eq!(effective_threads(1024), hw);
+        assert_eq!(effective_threads(1), 1);
+        for (threads, used) in [(1024, hw), (0, hw), (1, 1)] {
+            let s = JobSpec {
+                algo: AlgoKind::ParEnum,
+                threads,
+                ..spec()
+            };
+            let plan = plan_spec(&g, &s).unwrap();
+            let out = run_plan(&plan, &s, &CancelToken::new());
+            assert_eq!(out.stats.threads_used, used as u64, "threads {threads}");
+            assert!(!out.entries.is_empty());
+        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub use fairsqg_graph as graph;
 pub use fairsqg_matcher as matcher;
 pub use fairsqg_measures as measures;
 pub use fairsqg_query as query;
-pub use fairsqg_rpq as rpq;
 pub use fairsqg_service as service;
 pub use fairsqg_store as store;
 pub use fairsqg_wire as wire;
@@ -114,8 +113,8 @@ impl<'g> FairSqg<'g> {
     }
 
     /// Restricts the output population: only these nodes may appear in any
-    /// suggested query's answer. Use with `fairsqg::rpq` to layer regular
-    /// path constraints over the template (sorted/deduplicated internally).
+    /// suggested query's answer — a way to layer constraints the template
+    /// language cannot express (sorted/deduplicated internally).
     pub fn restrict_output(mut self, mut pool: Vec<fairsqg_graph::NodeId>) -> Self {
         pool.sort_unstable();
         pool.dedup();
@@ -183,8 +182,8 @@ impl<'g> FairSqg<'g> {
     ) -> Generated {
         let domains = self.domains_for(template);
         // The matcher requires restriction pools to be label-homogeneous
-        // with the template's output node; user pools (e.g. RPQ reachable
-        // sets) may contain anything, so drop foreign-label nodes here —
+        // with the template's output node; user pools may contain
+        // anything, so drop foreign-label nodes here —
         // they could never be output matches anyway.
         let sanitized: Option<Vec<fairsqg_graph::NodeId>> =
             self.output_restriction.as_ref().map(|pool| {

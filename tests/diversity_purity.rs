@@ -9,7 +9,7 @@
 //! `.fsg` as a real knowledge graph would be.
 
 use fairsqg::algo::{
-    biqgen, enum_qgen, par_enum_qgen_exact, rfqgen, BiQGenOptions, Configuration, Generated,
+    biqgen, enum_qgen, par_enum_qgen, rfqgen, BiQGenOptions, Configuration, Generated,
     RfQGenOptions,
 };
 use fairsqg::datagen::{social_graph, SocialConfig};
@@ -24,8 +24,8 @@ type Algo = (&'static str, fn(Configuration<'_>) -> Generated);
 
 const ALGOS: [Algo; 5] = [
     ("enum", |c| enum_qgen(c, false)),
-    ("par-1", |c| par_enum_qgen_exact(c, 1)),
-    ("par-2", |c| par_enum_qgen_exact(c, 2)),
+    ("par-1", |c| par_enum_qgen(c, 1)),
+    ("par-2", |c| par_enum_qgen(c, 2)),
     ("rf", |c| rfqgen(c, RfQGenOptions::default())),
     ("bi", |c| biqgen(c, BiQGenOptions::default())),
 ];
