@@ -160,8 +160,8 @@ impl EpsParetoArchive {
     }
 
     /// Procedure `Update` (Fig. 5). Only feasible instances may be offered.
-    pub fn update(&mut self, inst: &Instantiation, result: &Rc<EvalResult>) -> UpdateOutcome {
-        self.update_collect(inst, result, false).0
+    pub fn update(&mut self, inst: &Instantiation, result: &EvalResult) -> UpdateOutcome {
+        self.update_collect(inst, result, None, false).0
     }
 
     /// [`update`](Self::update), additionally reporting the exact mutation
@@ -171,15 +171,18 @@ impl EpsParetoArchive {
     pub fn update_observed(
         &mut self,
         inst: &Instantiation,
-        result: &Rc<EvalResult>,
+        result: &EvalResult,
     ) -> (UpdateOutcome, Option<ArchiveDelta>) {
-        self.update_collect(inst, result, true)
+        self.update_collect(inst, result, None, true)
     }
 
+    /// The one `Update`. An accepted entry shares `shared` (a re-offered
+    /// entry's own result) or, without one, copies `result`.
     fn update_collect(
         &mut self,
         inst: &Instantiation,
-        result: &Rc<EvalResult>,
+        result: &EvalResult,
+        shared: Option<&Rc<EvalResult>>,
         collect: bool,
     ) -> (UpdateOutcome, Option<ArchiveDelta>) {
         debug_assert!(
@@ -189,7 +192,7 @@ impl EpsParetoArchive {
         let bx = result.objectives.boxed(self.eps);
         let new_entry = || ArchiveEntry {
             inst: inst.clone(),
-            result: Rc::clone(result),
+            result: shared.map_or_else(|| Rc::new(result.clone()), Rc::clone),
             bx,
         };
         let delta = |version: u64, added: Vec<ArchiveEntry>, removed: Vec<ArchiveEntry>| {
@@ -266,7 +269,7 @@ impl EpsParetoArchive {
         self.eps = new_eps;
         self.version += 1;
         for e in old {
-            self.update(&e.inst, &e.result);
+            self.update_collect(&e.inst, &e.result, Some(&e.result), false);
         }
     }
 

@@ -160,11 +160,11 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
                     // the refinement subtree is dead (Lemma 2).
                     stats.pruned_infeasible += 1;
                 } else {
-                    let r = ev.verify_with_best_parent(&q);
+                    let r = &ev.verify_with_best_parent(&q).result;
                     if !r.feasible {
                         stats.pruned_infeasible += 1;
                     } else {
-                        cfg.offer(&mut archive, &q, &r);
+                        cfg.offer(&mut archive, &q, r);
                         if opts.collect_anytime {
                             record(&archive, &ev, &mut anytime);
                         }
@@ -180,7 +180,7 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
                             }
                             fwd_feasible.push((q.clone(), bx));
                         }
-                        for (_, child) in spawn_refinements(&cfg, &q, &r, opts.spawn) {
+                        for (_, child) in spawn_refinements(&cfg, &q, r, opts.spawn) {
                             if !seen_f.contains(&child) {
                                 stats.spawned += 1;
                                 s_f.push_back(child);
@@ -228,9 +228,9 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
                         }
                     }
                 } else {
-                    let r = ev.verify_with_best_parent(&q);
+                    let r = &ev.verify_with_best_parent(&q).result;
                     if r.feasible {
-                        cfg.offer(&mut archive, &q, &r);
+                        cfg.offer(&mut archive, &q, r);
                         if opts.collect_anytime {
                             record(&archive, &ev, &mut anytime);
                         }
@@ -281,12 +281,9 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
         }
     }
 
-    stats.verified = ev.verified_count();
-    stats.cache_hits = ev.cache_hit_count();
     stats.elapsed = start.elapsed();
-    stats.budget_tripped = ev.budget_tripped();
     stats.threads_used = 1;
-    ev.apply_hot_path_stats(&mut stats);
+    ev.add_to(&mut stats);
     truncated |= stats.budget_tripped.is_some();
     Generated {
         entries: archive.entries().to_vec(),

@@ -6,9 +6,7 @@ use crate::evaluator::{EvalResult, MatchTable};
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, NodeId};
 use fairsqg_matcher::{BudgetExceeded, MatchBudget, MatcherStats};
 use fairsqg_measures::{DiversityConfig, DiversityMeasure, DiversityProfile};
-use fairsqg_query::Instantiation;
-use fairsqg_query::{QueryTemplate, RefinementDomains};
-use std::rc::Rc;
+use fairsqg_query::{Instantiation, LatticeIndex, QueryTemplate, RefinementDomains};
 use std::sync::Arc;
 
 /// Everything a generation algorithm needs: the graph, the template with its
@@ -84,8 +82,9 @@ impl<'a> Configuration<'a> {
     /// Creates a configuration, validating basic coherence.
     ///
     /// # Panics
-    /// Panics if `eps <= 0` or the coverage spec's group count does not
-    /// match the group set.
+    /// Panics if `eps <= 0`, if the coverage spec's group count does not
+    /// match the group set, or if `|I(Q)|` overflows `usize` (the lattice
+    /// could not be indexed; planners refuse such a template first).
     pub fn new(
         graph: &'a Graph,
         template: &'a QueryTemplate,
@@ -105,6 +104,10 @@ impl<'a> Configuration<'a> {
             domains.var_count(),
             template.var_count(),
             "domains must cover every template variable"
+        );
+        assert!(
+            LatticeIndex::new(domains).is_some(),
+            "|I(Q)| overflows usize"
         );
         Self {
             graph,
@@ -226,7 +229,7 @@ impl<'a> Configuration<'a> {
         &self,
         archive: &mut EpsParetoArchive,
         inst: &Instantiation,
-        result: &Rc<EvalResult>,
+        result: &EvalResult,
     ) -> UpdateOutcome {
         match self.progress {
             None => archive.update(inst, result),
@@ -261,7 +264,7 @@ pub struct GenStats {
     pub spawned: u64,
     /// Instances actually verified against the graph (match set computed).
     pub verified: u64,
-    /// Evaluator cache hits (instance reached by multiple lattice paths).
+    /// Verifications served from the run's store (an instance reached twice).
     pub cache_hits: u64,
     /// Subtrees cut because an instance was infeasible (Lemma 2 pruning).
     pub pruned_infeasible: u64,
@@ -305,7 +308,7 @@ pub struct GenStats {
     /// Candidate sets served from the matcher's cross-call memo instead
     /// of being recomputed.
     pub cand_memo_hits: u64,
-    /// Roots matched without a search: a cached ancestor's embedding
+    /// Roots matched without a search: a verified ancestor's embedding
     /// still satisfied every constraint of the refined instance.
     pub witness_hits: u64,
     /// Verifications whose match set came from the configuration's

@@ -8,6 +8,7 @@ use crate::output::{AnytimePoint, Generated};
 use crate::parallel::sweep;
 use fairsqg_measures::kung_pareto;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Verifies the entire instance space `I(Q)` in lexicographic order.
@@ -20,30 +21,19 @@ use std::time::Instant;
 /// [`CancelToken`](crate::CancelToken) fires or a verification trips its
 /// resource budget, and then flags the result truncated.
 pub fn evaluate_universe(cfg: Configuration<'_>) -> Generated {
-    let start = Instant::now();
-    let swept = sweep(&cfg, 1, |_, _| {});
-    let entries = swept
-        .all
-        .into_iter()
-        .zip(swept.table)
-        .filter_map(|(inst, slot)| {
-            let (result, _rows) = slot.into_inner()?;
-            Some(ArchiveEntry {
-                bx: result.objectives.boxed(cfg.eps),
-                inst,
-                result: Rc::new(result),
-            })
-        })
-        .collect();
+    let mut verified = Vec::new();
+    let swept = sweep(&cfg, 1, |inst, v| verified.push((inst, Arc::clone(v))));
+    let entries = verified.into_iter().map(|(inst, v)| {
+        let result = Arc::into_inner(v)
+            .expect("the sweep's store is gone")
+            .result;
+        let bx = result.objectives.boxed(cfg.eps);
+        let result = Rc::new(result);
+        ArchiveEntry { inst, result, bx }
+    });
     Generated {
-        entries,
-        eps: cfg.eps,
-        stats: GenStats {
-            elapsed: start.elapsed(),
-            ..swept.stats
-        },
-        anytime: Vec::new(),
-        truncated: swept.truncated,
+        entries: entries.collect(),
+        ..swept
     }
 }
 
@@ -60,14 +50,14 @@ pub(crate) fn archive_sweep(
     workers: usize,
     collect_anytime: bool,
 ) -> Generated {
-    let start = Instant::now();
     let mut archive = EpsParetoArchive::new(cfg.eps);
     let mut anytime = Vec::new();
     let mut folded = 0;
-    let swept = sweep(&cfg, workers, |inst, result| {
+    let swept = sweep(&cfg, workers, |inst, v| {
+        let result = &v.result;
         folded += 1;
         if result.feasible {
-            cfg.offer(&mut archive, inst, &Rc::new(result.clone()));
+            cfg.offer(&mut archive, &inst, result);
             if collect_anytime {
                 anytime.push(AnytimePoint {
                     verified: folded,
@@ -87,13 +77,8 @@ pub(crate) fn archive_sweep(
     });
     Generated {
         entries: archive.entries().to_vec(),
-        eps: cfg.eps,
-        stats: GenStats {
-            elapsed: start.elapsed(),
-            ..swept.stats
-        },
         anytime,
-        truncated: swept.truncated,
+        ..swept
     }
 }
 

@@ -1,15 +1,15 @@
-//! Instance verification: matching, measuring, caching, and `incVerify`.
+//! Instance verification: matching, measuring, and `incVerify` through
+//! the run's verified-instance store.
 
 use crate::config::{Configuration, GenStats};
+use crate::store::Store;
 use fairsqg_graph::NodeId;
 use fairsqg_matcher::{
     try_match_output_set_with, try_match_witnessed, BudgetExceeded, MatchOptions, MatchScratch,
     MatcherStats, Witnesses,
 };
-use fairsqg_measures::{coverage_score, is_feasible, DiversityMeasure, Objectives};
+use fairsqg_measures::{coverage_score, is_feasible, Objectives};
 use fairsqg_query::{ConcreteQuery, Instantiation};
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// The verified state of one query instance.
@@ -36,7 +36,8 @@ pub struct MatchRecord {
     pub rows: Arc<[NodeId]>,
 }
 
-/// Verified match sets shared across runs.
+/// Verified match sets shared across runs, keyed by the instance's lattice
+/// index ([`LatticeIndex`](fairsqg_query::LatticeIndex)).
 ///
 /// A match set `q(u_o, G)` depends on the graph, the template, the
 /// refinement domains, the output restriction and the instance's bindings
@@ -45,52 +46,55 @@ pub struct MatchRecord {
 /// are sound witnesses: a certificate is re-checked against the instance's
 /// own constraints. Attach a table with
 /// [`Configuration::with_shared_matches`]; it is consulted only inside
-/// verification, on an evaluator-cache miss.
+/// verification, on a miss in the run's own store.
 pub trait MatchTable: Sync {
-    /// The record of `inst`, if some run has published one.
-    fn get(&self, inst: &Instantiation) -> Option<Arc<MatchRecord>>;
-    /// Offers the exact match set and rows of `inst`, just searched. A
-    /// table may decline to keep them (over a byte budget, say).
-    fn publish(&self, inst: &Instantiation, matches: &[NodeId], rows: &Arc<[NodeId]>);
+    /// The record of instance `index`, if some run has published one.
+    fn get(&self, index: usize) -> Option<Arc<MatchRecord>>;
+    /// Offers the exact match set and rows of instance `index`, just
+    /// searched. A table may decline to keep them (over a byte budget,
+    /// say).
+    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>);
 }
 
-/// A verified instance as the cache holds it: the result handed out, and
-/// one embedding per match (a row per match, as
+/// A verified instance as the run's store holds it: the result, and one
+/// embedding per match (a row per match, as
 /// [`Witnesses::rows`](fairsqg_matcher::Witnesses::rows); empty on the
 /// reference path, which neither records nor reads them).
-#[derive(Clone)]
-struct Verified {
-    result: Rc<EvalResult>,
-    rows: Arc<[NodeId]>,
+#[derive(Debug)]
+pub struct Verification {
+    /// The instance's verified state.
+    pub result: EvalResult,
+    /// One row per match.
+    pub rows: Arc<[NodeId]>,
 }
 
-/// Verifies instances against the graph with memoization.
+/// One run's view over its verified-instance store: the counters, the
+/// budget state and the matcher scratch of whoever verifies through it.
 ///
-/// `incVerify` (Section IV): a refinement is verified against its nearest
-/// cached lattice *ancestors*, one per axis, in two ways.
+/// `incVerify` (Section IV): an instance is verified against its nearest
+/// verified lattice *ancestors*, one per axis (the store's one walk), in
+/// two ways.
 ///
 /// * **Pool (Lemma 2 (2)).** Refinement shrinks match sets, so the
 ///   smallest ancestor match set bounds the instance's, and only those
 ///   nodes are tried as output candidates; a root missing from any other
 ///   ancestor's match set is skipped without a search. Both are sound only
-///   because the ancestors really are ancestors, which every use
+///   because the ancestors really are ancestors, which the walk
 ///   debug-asserts.
 /// * **Certificate.** Each ancestor's embedding of a root is re-checked
 ///   against the instance's own constraints; if it passes, the root
 ///   matches without a search. That check relies on nothing about where
 ///   the embedding came from.
 pub struct Evaluator<'a> {
-    cfg: Configuration<'a>,
-    measure: DiversityMeasure<'a>,
-    cache: HashMap<Instantiation, Verified>,
+    store: Arc<Store<'a>>,
     verified: u64,
     cache_hits: u64,
     warm_match_hits: u64,
     budget_tripped: Option<BudgetExceeded>,
     /// The thread's matcher counters at construction time; the delta
-    /// since then is what this evaluator's run contributed.
+    /// since then is what this view's verifications contributed.
     matcher_baseline: MatcherStats,
-    /// Reusable matcher working memory: one evaluator issues thousands of
+    /// Reusable matcher working memory: one view issues thousands of
     /// verify calls over the same template shape, so candidate vectors,
     /// membership bitsets, and the assignment buffer are allocated once
     /// here instead of per call.
@@ -98,115 +102,90 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator for a configuration.
+    /// Creates an evaluator for a configuration, over a store of its own.
     pub fn new(cfg: Configuration<'a>) -> Self {
-        let measure = cfg.diversity_measure();
-        let matcher_baseline = fairsqg_matcher::matcher_stats();
+        Self::over(Arc::new(Store::new(cfg)))
+    }
+
+    /// A fresh view over `store`, counting from zero on this thread.
+    pub(crate) fn over(store: Arc<Store<'a>>) -> Self {
         Self {
-            cfg,
-            measure,
-            cache: HashMap::new(),
+            store,
             verified: 0,
             cache_hits: 0,
             warm_match_hits: 0,
             budget_tripped: None,
-            matcher_baseline,
+            matcher_baseline: fairsqg_matcher::matcher_stats(),
             scratch: MatchScratch::default(),
         }
     }
 
-    /// Number of instances actually verified (not served from cache).
+    /// Number of instances actually verified (not served from the store).
     pub fn verified_count(&self) -> u64 {
         self.verified
     }
 
-    /// Number of cache hits.
-    pub fn cache_hit_count(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// The resource cap a verification tripped, if any. Once set, the
-    /// search loops stop and flag their partial archive truncated.
-    pub fn budget_tripped(&self) -> Option<BudgetExceeded> {
-        self.budget_tripped
-    }
-
     /// Whether the run should stop: the cancel token fired, or a
-    /// verification tripped its resource budget. This is the single check
+    /// verification tripped its resource budget (the search loops then
+    /// flag their partial archive truncated). This is the single check
     /// every search loop performs between verifications.
     pub fn should_stop(&self) -> bool {
-        self.budget_tripped.is_some() || self.cfg.cancelled()
+        self.budget_tripped.is_some() || self.store.cfg.cancelled()
     }
 
     /// Verifies `inst` from scratch.
-    pub fn verify(&mut self, inst: &Instantiation) -> Rc<EvalResult> {
-        self.verify_against(inst, &[])
+    pub fn verify(&mut self, inst: &Instantiation) -> Arc<Verification> {
+        self.verify_against(inst, false)
     }
 
-    /// Verifies `inst` against its nearest cached ancestors (`incVerify`;
-    /// see [`Evaluator`] and `nearest_ancestors`).
-    pub fn verify_with_best_parent(&mut self, inst: &Instantiation) -> Rc<EvalResult> {
-        if let Some(hit) = self.cache.get(inst) {
-            self.cache_hits += 1;
-            return Rc::clone(&hit.result);
-        }
-        let ancestors = self.nearest_ancestors(inst);
-        self.verify_against(inst, &ancestors)
+    /// Verifies `inst` against its nearest verified ancestors (`incVerify`;
+    /// see [`Evaluator`]).
+    pub fn verify_with_best_parent(&mut self, inst: &Instantiation) -> Arc<Verification> {
+        self.verify_against(inst, true)
     }
 
-    /// Verifies `inst` against `ancestors` through [`verify_instance`] and
-    /// caches what it finds.
-    fn verify_against(
-        &mut self,
-        inst: &Instantiation,
-        ancestors: &[(Instantiation, Verified)],
-    ) -> Rc<EvalResult> {
-        if let Some(hit) = self.cache.get(inst) {
+    /// The one verify-and-publish step: a store hit is served as is;
+    /// otherwise `inst` is verified through [`verify_instance`] (against
+    /// its nearest verified ancestors when `walk`) and published to the
+    /// store on `Ok` only.
+    fn verify_against(&mut self, inst: &Instantiation, walk: bool) -> Arc<Verification> {
+        let store = &*self.store;
+        let index = store.lattice.index_of(inst);
+        if let Some(hit) = store.verified.get(index) {
             self.cache_hits += 1;
-            return Rc::clone(&hit.result);
+            return hit;
         }
-        // The pool and the matcher's skip rely on Lemma 2; the certificate
-        // does not.
-        debug_assert!(ancestors.iter().all(|(a, _)| inst.refines(a)));
-        self.verified += 1;
+        let ancestors = walk.then(|| store.ancestors(index, inst));
         let witnesses: Vec<Witnesses<'_>> = ancestors
             .iter()
-            .map(|(_, v)| Witnesses {
+            .flatten()
+            .map(|v| Witnesses {
                 matches: &v.result.matches,
                 rows: &v.rows,
             })
             .collect();
-        match verify_instance(
-            &self.cfg,
-            &self.measure,
-            inst,
-            &witnesses,
-            &mut self.scratch,
-        ) {
-            Ok(v) => {
-                self.warm_match_hits += u64::from(v.from_table);
-                let result = Rc::new(v.result);
-                self.cache.insert(
-                    inst.clone(),
-                    Verified {
-                        result: Rc::clone(&result),
-                        rows: v.rows,
-                    },
-                );
-                result
+        self.verified += 1;
+        match verify_instance(store, index, inst, &witnesses, &mut self.scratch) {
+            Ok((verification, from_table)) => {
+                self.warm_match_hits += u64::from(from_table);
+                let held = store.verified.insert_with(index, || Some(verification));
+                held.expect("an offered entry is held")
             }
             Err(tripped) => {
                 // The result is unknown, not infeasible: record the trip
                 // (stopping the run) and hand back a conservative
-                // empty/infeasible placeholder that is *not* cached, so it
-                // can never masquerade as a real verification later — and
-                // no rows of it can certify anything.
+                // empty/infeasible placeholder that is *not* published, so
+                // it can never masquerade as a real verification later —
+                // and no rows of it can certify anything.
                 self.budget_tripped.get_or_insert(tripped);
-                Rc::new(EvalResult {
-                    matches: Vec::new(),
-                    counts: vec![0; self.cfg.groups.len()],
-                    objectives: Objectives::new(0.0, 0.0),
-                    feasible: false,
+                Arc::new(Verification {
+                    result: EvalResult {
+                        matches: Vec::new(),
+                        counts: vec![0; store.cfg.groups.len()],
+                        objectives: Objectives::new(0.0, 0.0),
+                        feasible: false,
+                    },
+                    rows: Arc::from([]),
                 })
             }
         }
@@ -218,97 +197,66 @@ impl<'a> Evaluator<'a> {
     /// instance cannot be feasible. `true` means *certainly infeasible*;
     /// `false` is inconclusive. Costs `O(|V(u_o)|)` instead of `T_q`.
     pub fn quick_infeasible(&self, inst: &Instantiation) -> bool {
-        if let Some(hit) = self.cache.get(inst) {
+        let store = &*self.store;
+        let cfg = &store.cfg;
+        let index = store.lattice.index_of(inst);
+        if let Some(hit) = store.verified.get(index) {
             return !hit.result.feasible;
         }
-        let query = ConcreteQuery::materialize(self.cfg.template, self.cfg.domains, inst);
+        let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
         // Tightest known output pool: the smallest nearest ancestor's match
-        // set bounds this instance's matches (Lemma 2) and is never looser
-        // than the configured restriction (the ancestor was verified under
-        // it).
-        let ancestors = if self.cfg.reference_path {
-            Vec::new()
-        } else {
-            self.nearest_ancestors(inst)
-        };
-        debug_assert!(ancestors.iter().all(|(a, _)| inst.refines(a)));
-        let pool = smallest(&ancestors)
+        // set (the first on a tie) bounds this instance's matches (Lemma 2)
+        // and is never looser than the configured restriction (the
+        // ancestor was verified under it).
+        let ancestors = (!cfg.reference_path).then(|| store.ancestors(index, inst));
+        let pool = ancestors
+            .iter()
+            .flatten()
             .map(|v| v.result.matches.as_slice())
-            .or(self.cfg.output_restriction);
+            .min_by_key(|m| m.len())
+            .or(cfg.output_restriction);
+        let output = cfg.template.output();
         let cands = match pool {
-            Some(pool) => fairsqg_matcher::candidates_from_pool(
-                self.cfg.graph,
-                &query,
-                self.cfg.template.output(),
-                pool,
-            ),
-            None if self.cfg.reference_path => {
-                fairsqg_matcher::candidates_scan(self.cfg.graph, &query, self.cfg.template.output())
+            Some(pool) => fairsqg_matcher::candidates_from_pool(cfg.graph, &query, output, pool),
+            None if cfg.reference_path => {
+                fairsqg_matcher::candidates_scan(cfg.graph, &query, output)
             }
-            None => fairsqg_matcher::candidates(self.cfg.graph, &query, self.cfg.template.output()),
+            None => fairsqg_matcher::candidates(cfg.graph, &query, output),
         };
-        let counts = self.cfg.groups.count_in_groups(&cands);
-        !is_feasible(&counts, self.cfg.spec)
+        let counts = cfg.groups.count_in_groups(&cands);
+        !is_feasible(&counts, cfg.spec)
     }
 
-    /// The nearest cached ancestor on each axis: on each axis the index is
-    /// walked down to the first cached instance. That is the direct lattice
-    /// parent whenever it was verified (one lookup); after a
-    /// template-refinement skip (`Spawn` stepping a variable from `i` to
-    /// `j > i + 1`) the direct parent `j - 1` never was, and the walk
-    /// reaches the spawning instance instead of giving up the pool.
-    fn nearest_ancestors(&self, inst: &Instantiation) -> Vec<(Instantiation, Verified)> {
-        let mut found = Vec::new();
-        for x in 0..inst.var_count() {
-            let mut ancestor = inst.relax_step(x);
-            while let Some(a) = ancestor {
-                if let Some(v) = self.cache.get(&a) {
-                    found.push((a, v.clone()));
-                    break;
-                }
-                ancestor = a.relax_step(x);
-            }
-        }
-        found
-    }
-
-    /// Folds this evaluator's hot-path counters (matcher candidate paths
-    /// and shared-table hits) into a stats block. Matcher counters are
-    /// thread-local, so their delta is exact as long as no other evaluator
-    /// ran on this thread since construction.
-    pub fn apply_hot_path_stats(&self, stats: &mut GenStats) {
-        let matcher = fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline);
-        stats.record_hot_path(matcher);
+    /// Adds this view's counters to `stats`: verifications, store and
+    /// shared-table hits, the tripped budget, and the matcher's hot-path
+    /// counters since construction. Matcher counters are thread-local, so
+    /// call this on the thread that verified.
+    pub fn add_to(&self, stats: &mut GenStats) {
+        stats.verified += self.verified;
+        stats.cache_hits += self.cache_hits;
         stats.warm_match_hits += self.warm_match_hits;
+        stats.budget_tripped = stats.budget_tripped.or(self.budget_tripped);
+        stats.record_hot_path(fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline));
     }
 }
 
-/// What [`verify_instance`] found.
-pub(crate) struct Verification {
-    /// The instance's verified state.
-    pub result: EvalResult,
-    /// One row per match (empty on the reference path).
-    pub rows: Arc<[NodeId]>,
-    /// Whether the match set came from the shared match table.
-    pub from_table: bool,
-}
-
-/// One `incVerify` verification, shared by [`Evaluator`] and the lattice
-/// sweep's workers, and the only place the configuration's
-/// [`MatchTable`] is read. The match set and rows come from the table when
-/// it holds `inst`; otherwise [`match_instance`] searches them and the
-/// table is offered the outcome (never a tripped search's). Then the
-/// result is counted, scored under this run's λ and tested for
-/// feasibility, the same either way.
-pub(crate) fn verify_instance(
-    cfg: &Configuration<'_>,
-    measure: &DiversityMeasure<'_>,
+/// One `incVerify` verification under the store's configuration, and the
+/// only place its [`MatchTable`] is read. The match set and rows come from the table when
+/// it holds instance `index`; otherwise [`match_instance`] searches them
+/// and the table is offered the outcome (never a tripped search's). Then
+/// the result is counted, scored under this run's λ and tested for
+/// feasibility, the same either way. Also returns whether the match set
+/// came from the table.
+fn verify_instance(
+    store: &Store<'_>,
+    index: usize,
     inst: &Instantiation,
     ancestors: &[Witnesses<'_>],
     scratch: &mut MatchScratch,
-) -> Result<Verification, BudgetExceeded> {
+) -> Result<(Verification, bool), BudgetExceeded> {
+    let cfg = &store.cfg;
     let table = cfg.match_table();
-    let shared = table.and_then(|t| t.get(inst));
+    let shared = table.and_then(|t| t.get(index));
     let from_table = shared.is_some();
     let (matches, rows) = match shared {
         Some(record) => (record.matches.to_vec(), Arc::clone(&record.rows)),
@@ -316,13 +264,13 @@ pub(crate) fn verify_instance(
             let (matches, rows) = match_instance(cfg, inst, ancestors, scratch)?;
             let rows: Arc<[NodeId]> = rows.into();
             if let Some(table) = table {
-                table.publish(inst, &matches, &rows);
+                table.publish(index, &matches, &rows);
             }
             (matches, rows)
         }
     };
     let counts = cfg.groups.count_in_groups(&matches);
-    let delta = cfg.diversity_of(measure, &matches);
+    let delta = cfg.diversity_of(&store.measure, &matches);
     let fcov = coverage_score(&counts, cfg.spec);
     let feasible = is_feasible(&counts, cfg.spec);
     let result = EvalResult {
@@ -331,11 +279,7 @@ pub(crate) fn verify_instance(
         objectives: Objectives::new(delta, fcov),
         feasible,
     };
-    Ok(Verification {
-        result,
-        rows,
-        from_table,
-    })
+    Ok((Verification { result, rows }, from_table))
 }
 
 /// The search behind one verification: materialises `inst` and matches it
@@ -343,7 +287,7 @@ pub(crate) fn verify_instance(
 /// (the first on a tie) and every ancestor offered as witnesses. Returns
 /// the match set and one row per match. The reference path keeps the pool
 /// but offers no witnesses and records no rows. Every ancestor must be a
-/// lattice ancestor of `inst` (Lemma 2), which callers debug-assert.
+/// lattice ancestor of `inst` (Lemma 2), which the walk debug-asserts.
 fn match_instance(
     cfg: &Configuration<'_>,
     inst: &Instantiation,
@@ -370,15 +314,6 @@ fn match_instance(
     }
 }
 
-/// The ancestor with the smallest match set (the first on a tie): the
-/// `incVerify` pool.
-fn smallest(ancestors: &[(Instantiation, Verified)]) -> Option<&Verified> {
-    ancestors
-        .iter()
-        .map(|(_, v)| v)
-        .min_by_key(|v| v.result.matches.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,9 +327,10 @@ mod tests {
         let root = Instantiation::root(fx.domains());
         let a = ev.verify(&root);
         let b = ev.verify(&root);
-        assert!(Rc::ptr_eq(&a, &b));
-        assert_eq!(ev.verified_count(), 1);
-        assert_eq!(ev.cache_hit_count(), 1);
+        assert!(Arc::ptr_eq(&a, &b));
+        let mut stats = GenStats::default();
+        ev.add_to(&mut stats);
+        assert_eq!((stats.verified, stats.cache_hits), (1, 1));
     }
 
     #[test]
@@ -408,7 +344,7 @@ mod tests {
         inc.verify(&root);
 
         // Walk a refinement chain; verify children incrementally (each
-        // against the previous link, its nearest cached ancestor) vs fresh.
+        // against the previous link, its nearest verified ancestor) vs fresh.
         let mut chain = vec![root.clone()];
         let mut cur = root;
         loop {
@@ -426,8 +362,8 @@ mod tests {
             }
         }
         for inst in &chain[1..] {
-            let fresh = full.verify(inst);
-            let incremental = inc.verify_with_best_parent(inst);
+            let fresh = &full.verify(inst).result;
+            let incremental = &inc.verify_with_best_parent(inst).result;
             assert_eq!(fresh.matches, incremental.matches);
             assert_eq!(fresh.counts, incremental.counts);
             assert!(
@@ -446,8 +382,9 @@ mod tests {
         let lat = fairsqg_query::InstanceLattice::new(fx.domains());
         for inst in lat.enumerate() {
             let r = ev.verify(&inst);
+            let r = &r.result;
             for (_, child) in lat.children(&inst) {
-                let rc = ev.verify(&child);
+                let rc = &ev.verify(&child).result;
                 assert!(
                     rc.matches.iter().all(|m| r.matches.contains(m)),
                     "match-set containment violated"
@@ -472,7 +409,7 @@ mod tests {
         for inst in lat.enumerate() {
             let a = plain.verify(&inst);
             let b = smart.verify_with_best_parent(&inst);
-            assert_eq!(a.matches, b.matches, "mismatch at {inst:?}");
+            assert_eq!(a.result.matches, b.result.matches, "mismatch at {inst:?}");
         }
     }
 
@@ -518,7 +455,7 @@ mod tests {
         let at = |i: u16| Instantiation::new(vec![i]);
         let spawned = |ev: &mut Evaluator<'_>, i: u16| {
             let r = ev.verify_with_best_parent(&at(i));
-            spawn_refinements(&cfg, &at(i), &r, SpawnOptions::default())
+            spawn_refinements(&cfg, &at(i), &r.result, SpawnOptions::default())
         };
         assert_eq!(spawned(&mut ev, 0), vec![(0, at(1))]);
         assert_eq!(spawned(&mut ev, 1), vec![(0, at(3))], "Spawn skips 2");
@@ -528,10 +465,10 @@ mod tests {
         // from scratch.
         let before = fairsqg_matcher::matcher_stats().pool_restrictions;
         assert!(!ev.quick_infeasible(&at(3)));
-        let inc = ev.verify_with_best_parent(&at(3));
+        let inc = &ev.verify_with_best_parent(&at(3)).result;
         let pooled = fairsqg_matcher::matcher_stats().pool_restrictions - before;
         assert_eq!(pooled, 2, "the quick check and the verification");
-        let fresh = Evaluator::new(cfg).verify(&at(3));
+        let fresh = &Evaluator::new(cfg).verify(&at(3)).result;
         assert_eq!(inc.matches, fresh.matches);
         assert_eq!(inc.matches.len(), 2);
         assert_eq!(inc.counts, fresh.counts);

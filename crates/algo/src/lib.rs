@@ -16,14 +16,14 @@
 //! * [`par_enum_qgen`] — parallel verification (the paper's future-work
 //!   extension).
 //!
-//! The algorithms that verify all of `I(Q)` — `EnumQGen`, `Kungs`, `CBM`,
-//! `WSM` and the parallel pool — are folds of one lattice sweep (the
-//! pool in `parallel.rs`, at one worker for the sequential ones). The
-//! drivers that pick their next instance from the last result — RfQGen,
-//! BiQGen and OnlineQGen — verify through the [`Evaluator`]
-//! (memoization and `incVerify` by nearest cached ancestor). Every
-//! verification goes through one function, and every algorithm updates
-//! the [`EpsParetoArchive`] implementing procedure `Update` (Fig. 5).
+//! Every verification goes through one verified-instance store keyed by
+//! lattice index, with one nearest-ancestor walk (`incVerify`); an
+//! [`Evaluator`] is a per-run view over it. `EnumQGen`, `Kungs`, `CBM`,
+//! `WSM` and the parallel pool fold one lattice sweep (`parallel.rs`, one
+//! worker for the sequential ones) whose workers share a store; RfQGen,
+//! BiQGen and OnlineQGen verify through a view of their own. Every
+//! algorithm updates the [`EpsParetoArchive`] implementing procedure
+//! `Update` (Fig. 5).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +40,7 @@ mod output;
 mod parallel;
 mod rfqgen;
 mod spawn;
+mod store;
 mod stream;
 mod wsm;
 
@@ -52,12 +53,13 @@ pub use cancel::CancelToken;
 pub use cbm::{cbm, CbmOptions};
 pub use config::{Configuration, GenStats};
 pub use enumerate::{enum_qgen, evaluate_universe, kungs};
-pub use evaluator::{EvalResult, Evaluator, MatchRecord, MatchTable};
+pub use evaluator::{EvalResult, Evaluator, MatchRecord, MatchTable, Verification};
 pub use fairsqg_matcher::{BudgetExceeded, BudgetKind, MatchBudget};
 pub use online::{online_qgen, EpsTrace, OnlineOptions, OnlineQGen};
 pub use output::{AnytimePoint, Generated};
 pub use parallel::{effective_threads, par_enum_qgen};
 pub use rfqgen::{rfqgen, RfQGenOptions};
 pub use spawn::{plain_refinements, spawn_refinements, spawn_relaxations, SpawnOptions};
+pub use store::LatticeTable;
 pub use stream::{RandomStream, ShuffledStream};
 pub use wsm::{wsm, WsmOptions};

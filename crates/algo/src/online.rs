@@ -9,11 +9,11 @@
 
 use crate::archive::{ArchiveEntry, EpsParetoArchive, UpdateOutcome};
 use crate::config::{Configuration, GenStats};
-use crate::evaluator::{EvalResult, Evaluator};
+use crate::evaluator::{EvalResult, Evaluator, Verification};
 use crate::output::Generated;
 use fairsqg_query::Instantiation;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Options of the online generator.
@@ -55,7 +55,7 @@ pub struct OnlineQGen<'a> {
     archive: EpsParetoArchive,
     options: OnlineOptions,
     /// `W_Q`: (timestamp, instance, result) of cached rejected instances.
-    window: VecDeque<(u64, Instantiation, Rc<EvalResult>)>,
+    window: VecDeque<(u64, Instantiation, Arc<Verification>)>,
     t: u64,
     trace: Vec<EpsTrace>,
 }
@@ -114,7 +114,7 @@ impl<'a> OnlineQGen<'a> {
             }
         }
 
-        if result.feasible {
+        if result.result.feasible {
             self.offer(inst.clone(), result);
         }
         self.trace.push(EpsTrace {
@@ -125,9 +125,9 @@ impl<'a> OnlineQGen<'a> {
     }
 
     /// Offers a feasible instance to the size-capped archive.
-    fn offer(&mut self, inst: Instantiation, result: Rc<EvalResult>) {
+    fn offer(&mut self, inst: Instantiation, result: Arc<Verification>) {
         if self.archive.len() < self.options.k {
-            let outcome = self.archive.update(&inst, &result);
+            let outcome = self.archive.update(&inst, &result.result);
             if !outcome.accepted() {
                 self.cache(inst, result);
             }
@@ -137,7 +137,7 @@ impl<'a> OnlineQGen<'a> {
         // |Q| = k. Cases (1)/(2) of Update replace without growth; apply
         // directly. Case (3) would grow past k: grow ε via the nearest
         // neighbor's distance, which merges boxes and makes room.
-        let outcome = self.archive.update(&inst, &result);
+        let outcome = self.archive.update(&inst, &result.result);
         match outcome {
             UpdateOutcome::ReplacedBoxes(_)
             | UpdateOutcome::ReplacedInstance
@@ -155,7 +155,7 @@ impl<'a> OnlineQGen<'a> {
                 // new instance and its nearest neighbor, rescale, and keep
                 // growing geometrically until the size bound holds again.
                 let mut eps = self
-                    .nearest_neighbor_distance(&result)
+                    .nearest_neighbor_distance(&result.result)
                     .max(self.archive.eps());
                 loop {
                     // Strictly grow to guarantee progress.
@@ -191,13 +191,13 @@ impl<'a> OnlineQGen<'a> {
     /// Lines 18–20: re-offer cached instances that can now join without
     /// growing the set past `k`.
     fn refill_from_window(&mut self) {
-        let mut kept: VecDeque<(u64, Instantiation, Rc<EvalResult>)> = VecDeque::new();
+        let mut kept = VecDeque::new();
         while let Some((ts, inst, result)) = self.window.pop_front() {
             if self.archive.len() >= self.options.k {
                 kept.push_back((ts, inst, result));
                 continue;
             }
-            let outcome = self.archive.update(&inst, &result);
+            let outcome = self.archive.update(&inst, &result.result);
             if !outcome.accepted() {
                 kept.push_back((ts, inst, result));
             }
@@ -205,7 +205,7 @@ impl<'a> OnlineQGen<'a> {
         self.window = kept;
     }
 
-    fn cache(&mut self, inst: Instantiation, result: Rc<EvalResult>) {
+    fn cache(&mut self, inst: Instantiation, result: Arc<Verification>) {
         if self.options.window == 0 {
             return;
         }
@@ -223,23 +223,19 @@ impl<'a> OnlineQGen<'a> {
 
     /// Finalizes the run into a [`Generated`] report.
     pub fn finish(self, started: Instant) -> Generated {
-        let truncated = self.evaluator.budget_tripped().is_some();
         let mut stats = GenStats {
             spawned: self.t,
-            verified: self.evaluator.verified_count(),
-            cache_hits: self.evaluator.cache_hit_count(),
             elapsed: started.elapsed(),
-            budget_tripped: self.evaluator.budget_tripped(),
             threads_used: 1,
             ..GenStats::default()
         };
-        self.evaluator.apply_hot_path_stats(&mut stats);
+        self.evaluator.add_to(&mut stats);
         Generated {
             entries: self.archive.entries().to_vec(),
             eps: self.archive.eps(),
             stats,
             anytime: Vec::new(),
-            truncated,
+            truncated: stats.budget_tripped.is_some(),
         }
     }
 }

@@ -6,32 +6,32 @@
 //! Verification cost `T_q` varies wildly across the instance space (a
 //! relaxed instance matches far more nodes than a tight one), so static
 //! chunking leaves threads idle at the tail. Workers instead *claim*
-//! instances one at a time from a shared atomic cursor over the
-//! lexicographically enumerated space, and verify each incrementally
-//! (`incVerify`) against a shared table of finished instances indexed by
-//! lattice position: on every axis the nearest ancestor that is already
-//! *finished* — never one still in flight — gives its match set as a
-//! candidate pool and its embeddings as witnesses. Which ancestors a
+//! lattice indices one at a time from a shared atomic cursor, decode each
+//! into its instance, and verify it incrementally (`incVerify`) through an
+//! [`Evaluator`] view over one shared verified-instance store: on every
+//! axis the nearest ancestor that is already *finished* — never one still
+//! in flight — gives its match set as a candidate pool and its embeddings
+//! as witnesses. The store holds only what was verified. Which ancestors a
 //! verification sees depends on the schedule, but its match set does not
 //! (Lemma 2, and a witness certifies only what it proves).
 //!
 //! The calling thread is worker 0, so one worker spawns no thread and
 //! claims the lattice in exactly the sequential order. After each of its
-//! own verifications it folds the longest finished prefix of the table in
+//! own verifications it folds the longest finished prefix of the store in
 //! lattice order — the order `Update`'s same-box tie-breaks depend on — so
 //! an archive grows as the sweep verifies and is bit-identical at any
-//! worker count. Slots a budget trip or a cancellation left empty are
-//! skipped only after the join.
+//! worker count. Instances a budget trip or a cancellation left
+//! unverified are skipped only after the join.
 
 use crate::config::{Configuration, GenStats};
 use crate::enumerate::archive_sweep;
-use crate::evaluator::{verify_instance, EvalResult, Verification};
+use crate::evaluator::{Evaluator, Verification};
 use crate::output::Generated;
-use fairsqg_graph::NodeId;
-use fairsqg_matcher::{matcher_stats, BudgetExceeded, MatchScratch, MatcherStats, Witnesses};
-use fairsqg_query::{InstanceLattice, Instantiation};
+use crate::store::Store;
+use fairsqg_query::Instantiation;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Resolves a worker count that arrives from outside the program (a
 /// served job, `fairsqg generate --threads`): `0` means "one per hardware
@@ -68,150 +68,85 @@ pub fn par_enum_qgen(cfg: Configuration<'_>, workers: usize) -> Generated {
     archive_sweep(cfg, workers, false)
 }
 
-/// A finished verification as the shared table holds it: the result and
-/// one row per match. A verification that tripped its
-/// budget leaves its slot empty, so it never serves as an ancestor.
-type Finished = OnceLock<(EvalResult, Arc<[NodeId]>)>;
-
-/// A finished sweep.
-pub(crate) struct Sweep {
-    /// `I(Q)` in lexicographic order.
-    pub all: Vec<Instantiation>,
-    /// One slot per instance of `all`, empty where a trip or a
-    /// cancellation left it unverified.
-    pub table: Vec<Finished>,
-    /// Every counter of the run but `elapsed`, which is the caller's.
-    pub stats: GenStats,
-    /// Whether some instance was left unverified.
-    pub truncated: bool,
-}
-
 /// Verifies all of `I(Q)` on `workers` workers (at least one: the calling
-/// thread), calling `fold` on every finished instance exactly once, in
-/// lattice order, on the calling thread.
+/// thread), calling `fold` on every verified instance exactly once, in
+/// lattice order, on the calling thread. The run's report is returned
+/// without entries: they are what the caller folds.
 pub(crate) fn sweep(
     cfg: &Configuration<'_>,
     workers: usize,
-    mut fold: impl FnMut(&Instantiation, &EvalResult),
-) -> Sweep {
-    let all = InstanceLattice::new(cfg.domains).enumerate();
-    // Mixed-radix strides of the lexicographic enumeration: the parent of
-    // instance `i` on axis `x` is `i - strides[x]`.
-    let mut strides = vec![1; cfg.domains.var_count()];
-    for x in (1..strides.len()).rev() {
-        strides[x - 1] = strides[x] * cfg.domains.domain(x).len();
-    }
-    let table: Vec<Finished> = (0..all.len()).map(|_| OnceLock::new()).collect();
+    mut fold: impl FnMut(Instantiation, &Arc<Verification>),
+) -> Generated {
+    let start = Instant::now();
+    let store = Arc::new(Store::new(*cfg));
+    let size = store.lattice.size();
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    // One measure — one `O(|V|)` profile, the caller's when it brought
-    // one — for the whole pool.
-    let measure = cfg.diversity_measure();
+    let stats = Mutex::new(GenStats {
+        threads_used: workers as u64,
+        ..GenStats::default()
+    });
 
-    // One worker: claims and verifies instances until the lattice runs
-    // out, the token fires or a verification trips its budget, calling
-    // `after_each` after each of its own verifications.
+    // One worker: a view over the shared store that claims and verifies
+    // instances until the lattice runs out, the token fires or a
+    // verification trips its budget (either stops the whole pool), calling
+    // `after_each` after each of its own verifications that did not.
     let work = |after_each: &mut dyn FnMut()| {
-        // Matcher counters are thread-local: the delta since here is this
-        // worker's, and the calling thread's own counters stay intact.
-        let baseline = matcher_stats();
-        let mut tally = Tally::default();
-        let mut scratch = MatchScratch::default();
-        // Every worker observes the shared token; a fired token stops the
-        // whole pool within one T_q.
-        while !stop.load(Ordering::Relaxed) && !cfg.cancelled() {
+        let mut ev = Evaluator::over(Arc::clone(&store));
+        while !stop.load(Ordering::Relaxed) && !ev.should_stop() {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(inst) = all.get(i) else { break };
-            // On each axis, walk down to the nearest finished ancestor; an
-            // axis with none offers nothing.
-            let ancestors: Vec<Witnesses<'_>> = strides
-                .iter()
-                .zip(inst.indices())
-                .filter_map(|(&stride, &k)| {
-                    (1..=usize::from(k)).find_map(|s| {
-                        let j = i - s * stride;
-                        let (result, rows) = table[j].get()?;
-                        debug_assert!(inst.refines(&all[j]));
-                        Some(Witnesses {
-                            matches: &result.matches,
-                            rows,
-                        })
-                    })
-                })
-                .collect();
-            tally.verified += 1;
-            match verify_instance(cfg, &measure, inst, &ancestors, &mut scratch) {
-                Ok(Verification {
-                    result,
-                    rows,
-                    from_table,
-                }) => {
-                    tally.warm_match_hits += u64::from(from_table);
-                    let slot = table[i].set((result, rows));
-                    assert!(slot.is_ok(), "instance {i} claimed twice");
-                    after_each();
-                }
-                Err(e) => {
-                    // A tripped budget stops the pool; the partial match
-                    // set is discarded, never reported.
-                    tally.tripped = Some(e);
-                    stop.store(true, Ordering::Relaxed);
-                }
+            if i >= size {
+                break;
+            }
+            ev.verify_with_best_parent(&store.lattice.instance(i));
+            if ev.should_stop() {
+                stop.store(true, Ordering::Relaxed);
+            } else {
+                after_each();
             }
         }
-        tally.matcher = matcher_stats().delta_since(baseline);
-        tally
+        ev.add_to(&mut stats.lock().unwrap_or_else(PoisonError::into_inner));
     };
 
     let mut folded = 0;
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
+    // Folds instance `i` if it was verified.
+    let mut fold_at = |i: usize| {
+        let v = store.verified.get(i)?;
+        fold(store.lattice.instance(i), &v);
+        Some(())
+    };
+    std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers)
             .map(|_| scope.spawn(|| work(&mut || {})))
             .collect();
-        let own = work(&mut || {
-            while let Some((result, _rows)) = table.get(folded).and_then(OnceLock::get) {
-                fold(&all[folded], result);
+        work(&mut || {
+            while folded < size && fold_at(folded).is_some() {
                 folded += 1;
             }
         });
-        let helpers = helpers
-            .into_iter()
-            .map(|h| h.join().expect("verification worker panicked"));
-        std::iter::once(own).chain(helpers).collect()
-    });
-    for (inst, slot) in all.iter().zip(&table).skip(folded) {
-        if let Some((result, _rows)) = slot.get() {
-            fold(inst, result);
+        for helper in helpers {
+            helper.join().expect("verification worker panicked");
         }
+    });
+    // Instances a trip or a cancellation left unverified are skipped only
+    // now, when nothing more will be verified.
+    let mut rest = store.verified.indices();
+    rest.retain(|&i| i >= folded);
+    rest.sort_unstable();
+    for i in rest {
+        fold_at(i);
     }
 
-    let mut stats = GenStats {
-        threads_used: workers as u64,
-        ..GenStats::default()
-    };
-    for tally in tallies {
-        stats.verified += tally.verified;
-        stats.warm_match_hits += tally.warm_match_hits;
-        stats.budget_tripped = stats.budget_tripped.or(tally.tripped);
-        stats.record_hot_path(tally.matcher);
-    }
+    let mut stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
     stats.spawned = stats.verified;
-    let truncated = table.iter().any(|slot| slot.get().is_none());
-    Sweep {
-        all,
-        table,
+    stats.elapsed = start.elapsed();
+    Generated {
+        entries: Vec::new(),
+        eps: cfg.eps,
         stats,
-        truncated,
+        anytime: Vec::new(),
+        truncated: store.verified.len() < size,
     }
-}
-
-/// One worker's share of a sweep's counters.
-#[derive(Default)]
-struct Tally {
-    verified: u64,
-    tripped: Option<BudgetExceeded>,
-    matcher: MatcherStats,
-    warm_match_hits: u64,
 }
 
 #[cfg(test)]
@@ -221,6 +156,7 @@ mod tests {
     use crate::enumerate::{enum_qgen, evaluate_universe};
     use crate::test_support::talent_fixture;
     use crate::CancelToken;
+    use fairsqg_graph::NodeId;
 
     /// Per entry: the instance, both objectives' bits and the match set.
     fn fingerprint(entries: &[ArchiveEntry]) -> Vec<(Instantiation, u64, u64, Vec<NodeId>)> {
@@ -328,7 +264,7 @@ mod tests {
             for e in &out.entries {
                 assert_eq!(
                     e.result.matches,
-                    exact.verify(&e.inst).matches,
+                    exact.verify(&e.inst).result.matches,
                     "cap {steps}"
                 );
             }

@@ -64,18 +64,19 @@ pub fn rfqgen(cfg: Configuration<'_>, opts: RfQGenOptions) -> Generated {
             stats.pruned_infeasible += 1;
             continue;
         }
-        let result = if opts.inc_verify {
+        let verified = if opts.inc_verify {
             ev.verify_with_best_parent(&inst)
         } else {
             ev.verify(&inst)
         };
+        let result = &verified.result;
         if !result.feasible {
             // Lemma 2: every refinement of an infeasible instance is
             // infeasible — backtrack.
             stats.pruned_infeasible += 1;
             continue;
         }
-        cfg.offer(&mut archive, &inst, &result);
+        cfg.offer(&mut archive, &inst, result);
         if opts.collect_anytime {
             anytime.push(AnytimePoint {
                 verified: ev.verified_count(),
@@ -92,7 +93,7 @@ pub fn rfqgen(cfg: Configuration<'_>, opts: RfQGenOptions) -> Generated {
             });
         }
         // Spawn the front set Q_F and continue depth-first.
-        for (_, child) in spawn_refinements(&cfg, &inst, &result, opts.spawn) {
+        for (_, child) in spawn_refinements(&cfg, &inst, result, opts.spawn) {
             if !visited.contains(&child) {
                 stats.spawned += 1;
                 stack.push(child);
@@ -100,12 +101,9 @@ pub fn rfqgen(cfg: Configuration<'_>, opts: RfQGenOptions) -> Generated {
         }
     }
 
-    stats.verified = ev.verified_count();
-    stats.cache_hits = ev.cache_hit_count();
     stats.elapsed = start.elapsed();
-    stats.budget_tripped = ev.budget_tripped();
     stats.threads_used = 1;
-    ev.apply_hot_path_stats(&mut stats);
+    ev.add_to(&mut stats);
     truncated |= stats.budget_tripped.is_some();
     Generated {
         entries: archive.entries().to_vec(),

@@ -326,8 +326,8 @@ mod tests {
         let mut ev = Evaluator::new(cfg);
         let root = Instantiation::root(fx.domains());
         let r = ev.verify(&root);
-        assert!(r.feasible);
-        let kids = spawn_refinements(&cfg, &root, &r, SpawnOptions::default());
+        assert!(r.result.feasible);
+        let kids = spawn_refinements(&cfg, &root, &r.result, SpawnOptions::default());
         assert!(!kids.is_empty());
         // Every proposed child's match behavior must match a plain child
         // chain: spawning skips only objective-equivalent bindings, so each
@@ -358,7 +358,7 @@ mod tests {
         let mut ev = Evaluator::new(cfg);
         let root = Instantiation::root(fx.domains());
         let r = ev.verify(&root);
-        let kids = spawn_refinements(&cfg, &root, &r, SpawnOptions::default());
+        let kids = spawn_refinements(&cfg, &root, &r.result, SpawnOptions::default());
         for (x, child) in kids {
             let target_idx = child.indices()[x];
             // Walk intermediate indices (if any were skipped).
@@ -369,7 +369,7 @@ mod tests {
                 let mid_r = ev.verify(&mid_inst);
                 let child_r = ev.verify(&child);
                 assert_eq!(
-                    mid_r.matches, child_r.matches,
+                    mid_r.result.matches, child_r.result.matches,
                     "skipped binding changed the match set"
                 );
             }

@@ -6,19 +6,17 @@ use crate::archive::ArchiveEntry;
 use crate::config::Configuration;
 use crate::enumerate::evaluate_universe;
 use crate::evaluator::{MatchRecord, MatchTable};
+use crate::store::LatticeTable;
 use fairsqg_graph::{AttrValue, CmpOp, CoverageSpec, Graph, GraphBuilder, GroupSet, NodeId};
 use fairsqg_measures::{DiversityConfig, Objectives, Relevance};
-use fairsqg_query::{
-    DomainConfig, Instantiation, QueryTemplate, RefinementDomains, TemplateBuilder,
-};
-use std::collections::HashMap;
+use fairsqg_query::{DomainConfig, QueryTemplate, RefinementDomains, TemplateBuilder};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A plain [`MatchTable`] that counts how often it is read and written.
 #[derive(Default)]
 pub struct CountingTable {
-    records: Mutex<HashMap<Instantiation, Arc<MatchRecord>>>,
+    records: LatticeTable<MatchRecord>,
     /// Reads, hit or miss.
     pub gets: AtomicU64,
     /// Publications, stored or not.
@@ -31,29 +29,25 @@ impl CountingTable {
         (
             self.gets.load(Ordering::Relaxed),
             self.publishes.load(Ordering::Relaxed),
-            self.records.lock().unwrap().len(),
+            self.records.len(),
         )
     }
 }
 
 impl MatchTable for CountingTable {
-    fn get(&self, inst: &Instantiation) -> Option<Arc<MatchRecord>> {
+    fn get(&self, index: usize) -> Option<Arc<MatchRecord>> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        self.records.lock().unwrap().get(inst).cloned()
+        self.records.get(index)
     }
 
-    fn publish(&self, inst: &Instantiation, matches: &[NodeId], rows: &Arc<[NodeId]>) {
+    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>) {
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.records
-            .lock()
-            .unwrap()
-            .entry(inst.clone())
-            .or_insert_with(|| {
-                Arc::new(MatchRecord {
-                    matches: matches.into(),
-                    rows: Arc::clone(rows),
-                })
-            });
+        self.records.insert_with(index, || {
+            Some(MatchRecord {
+                matches: matches.into(),
+                rows: Arc::clone(rows),
+            })
+        });
     }
 }
 

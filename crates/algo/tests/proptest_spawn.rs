@@ -322,7 +322,7 @@ fn random_case(seed: u64) -> (Children, Children) {
             .collect(),
     );
     let population = graph.nodes_with_label(setting.template.output_label());
-    let real = Evaluator::new(cfg).verify(&inst).matches.clone();
+    let real = Evaluator::new(cfg).verify(&inst).result.matches.clone();
     let matches = match pick(rng, 3) {
         0 if !real.is_empty() => real,
         1 => population
@@ -495,7 +495,7 @@ fn whole_lattice_agrees(graph: Graph, dsl: &str) {
     let lattice = InstanceLattice::new(&setting.domains).enumerate();
     let mut searched = 0;
     for inst in &lattice {
-        let matches = ev.verify_with_best_parent(inst).matches.clone();
+        let matches = ev.verify_with_best_parent(inst).result.matches.clone();
         searched += usize::from(!matches.is_empty());
         let (new, old) = both(&cfg, inst, matches, true);
         assert_eq!(new, old, "at {inst:?}");

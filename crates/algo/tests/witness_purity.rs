@@ -1,16 +1,21 @@
-//! Witness certificates are a pure substitution: `enum_qgen`, `rfqgen`,
-//! `biqgen` and `par_enum_qgen` return, instance for instance, bit for bit
-//! and match set for match set, the archive their `with_reference_path()`
-//! runs return — and the reference path neither records nor reads a
-//! witness. `par_enum_qgen` returns `enum_qgen`'s archive at any worker
-//! count, and at one worker does `enum_qgen`'s exact work. Checked on the
-//! talent-search example and on three citation graphs with the `CITE_7`
-//! template shape (two range variables, one edge variable), where the
-//! witnesses must actually fire.
+//! Witness certificates and shared match tables are a pure substitution:
+//! every generator that verifies through the verified-instance store —
+//! `enum_qgen`, `rfqgen`, `biqgen`, `par_enum_qgen`, `online_qgen` and
+//! `kungs` — returns, instance for instance, bit for bit and match set for
+//! match set, the archive its `with_reference_path()` run returns, also
+//! when a match table filled under another λ serves its verifications —
+//! and the reference path neither records nor reads a witness.
+//! `par_enum_qgen` returns `enum_qgen`'s archive at any worker count, and
+//! at one worker does `enum_qgen`'s exact work. The work each generator
+//! does is pinned: which ancestors the store's walk hands a verification
+//! shows in its counters. Checked on the talent-search example and on
+//! three citation graphs with the `CITE_7` template shape (two range
+//! variables, one edge variable), where the witnesses must actually fire.
 
 use fairsqg_algo::{
-    biqgen, enum_qgen, par_enum_qgen, rfqgen, BiQGenOptions, Configuration, Evaluator, GenStats,
-    Generated, RfQGenOptions,
+    biqgen, enum_qgen, kungs, online_qgen, par_enum_qgen, rfqgen, BiQGenOptions, Configuration,
+    Evaluator, GenStats, Generated, LatticeTable, MatchRecord, MatchTable, OnlineOptions,
+    RandomStream, RfQGenOptions,
 };
 use fairsqg_datagen::{citations_graph, CitationsConfig, TOPICS};
 use fairsqg_graph::{AttrValue, CoverageSpec, Graph, GraphBuilder, GroupSet, NodeId};
@@ -18,6 +23,7 @@ use fairsqg_measures::DiversityConfig;
 use fairsqg_query::{
     parse_template, DomainConfig, Instantiation, QueryTemplate, RefinementDomains,
 };
+use std::sync::Arc;
 
 /// The `CITE_7` shape, also the template CI generates with.
 const CITE_7: &str = include_str!("data/cite_7.dsl");
@@ -56,12 +62,16 @@ impl Setting {
             spec,
         };
         let root = Evaluator::new(setting.cfg()).verify(&Instantiation::root(&setting.domains));
-        let least = root.counts.iter().copied().min().unwrap_or(0);
+        let least = root.result.counts.iter().copied().min().unwrap_or(0);
         setting.spec = CoverageSpec::equal_opportunity(setting.groups.len(), (least / 2).max(1));
         setting
     }
 
     fn cfg(&self) -> Configuration<'_> {
+        self.cfg_at(DiversityConfig::default().lambda)
+    }
+
+    fn cfg_at(&self, lambda: f64) -> Configuration<'_> {
         Configuration::new(
             &self.graph,
             &self.template,
@@ -69,9 +79,46 @@ impl Setting {
             &self.groups,
             &self.spec,
             0.05,
-            DiversityConfig::default(),
+            DiversityConfig {
+                lambda,
+                ..DiversityConfig::default()
+            },
         )
     }
+}
+
+/// A plain shared match table.
+#[derive(Default)]
+struct Table(LatticeTable<MatchRecord>);
+
+impl MatchTable for Table {
+    fn get(&self, index: usize) -> Option<Arc<MatchRecord>> {
+        self.0.get(index)
+    }
+
+    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>) {
+        self.0.insert_with(index, || {
+            Some(MatchRecord {
+                matches: matches.into(),
+                rows: Arc::clone(rows),
+            })
+        });
+    }
+}
+
+/// `(verified, cache_hits, pruned_infeasible, witness_hits,
+/// pool_restrictions)` of `enum_qgen`, `rfqgen`, `biqgen` and
+/// `par_enum_qgen` at one worker, in that order.
+type Pins = [(u64, u64, u64, u64, u64); 4];
+
+fn pinned(stats: &GenStats) -> (u64, u64, u64, u64, u64) {
+    (
+        stats.verified,
+        stats.cache_hits,
+        stats.pruned_infeasible,
+        stats.witness_hits,
+        stats.pool_restrictions,
+    )
 }
 
 /// Per archive entry: the instance, both objectives' bits, the match set.
@@ -89,40 +136,56 @@ fn fingerprint(out: &Generated) -> Vec<(Instantiation, u64, u64, Vec<NodeId>)> {
         .collect()
 }
 
-/// Holds every generator to its reference run on `setting`, and
-/// `par_enum_qgen` at 1, 2 and 4 workers to `enum_qgen`'s archive as well;
-/// returns each generator's stats on the default path, `enum_qgen` first.
-fn generators_equal_reference(setting: &Setting, name: &str) -> Vec<(&'static str, GenStats)> {
+/// Holds every generator to its reference run on `setting`, cold and over
+/// a match table filled under another λ, `par_enum_qgen` at 1, 2 and 4
+/// workers to `enum_qgen`'s archive as well, and the default path's
+/// counters to `pins`; returns each generator's stats on the default
+/// path, `enum_qgen` first.
+fn generators_equal_reference(
+    setting: &Setting,
+    name: &str,
+    pins: Pins,
+) -> Vec<(&'static str, GenStats)> {
     let cfg = setting.cfg();
-    let runs: [(&str, &Generator); 6] = [
+    let runs: [(&str, &Generator); 8] = [
         ("enum_qgen", &|cfg| enum_qgen(cfg, false)),
         ("rfqgen", &|cfg| rfqgen(cfg, RfQGenOptions::default())),
         ("biqgen", &|cfg| biqgen(cfg, BiQGenOptions::default())),
         ("par_enum_qgen/1", &|cfg| par_enum_qgen(cfg, 1)),
         ("par_enum_qgen/2", &|cfg| par_enum_qgen(cfg, 2)),
         ("par_enum_qgen/4", &|cfg| par_enum_qgen(cfg, 4)),
+        ("online_qgen", &|cfg| {
+            let stream = RandomStream::new(cfg.domains, 7).take(200);
+            online_qgen(cfg, OnlineOptions::default(), stream).0
+        }),
+        ("kungs", &kungs),
     ];
+    let table = Table::default();
+    enum_qgen(setting.cfg_at(0.9).with_shared_matches(&table), false);
     let mut stats = Vec::new();
     let mut enum_archive = None;
     for (algo, run) in runs {
         let fast = run(cfg);
         let slow = run(cfg.with_reference_path());
+        let warm = run(cfg.with_shared_matches(&table));
         assert!(!fast.truncated && !slow.truncated, "{name}/{algo}");
         assert!(!fast.entries.is_empty(), "{name}/{algo}: empty archive");
         let archive = fingerprint(&fast);
         assert_eq!(archive, fingerprint(&slow), "{name}/{algo}");
+        assert_eq!(archive, fingerprint(&warm), "{name}/{algo}: shared table");
         assert_eq!(slow.stats.witness_hits, 0, "{name}/{algo}: reference path");
+        assert_eq!(
+            warm.stats.warm_match_hits, warm.stats.verified,
+            "{name}/{algo}"
+        );
         if algo.starts_with("par_enum_qgen") {
             assert_eq!(Some(&archive), enum_archive.as_ref(), "{name}/{algo}");
         }
         enum_archive.get_or_insert(archive);
         stats.push((algo, fast.stats));
     }
-    // One worker claims the lattice in the sweep's order, so every
-    // instance sees exactly the ancestors `enum_qgen` gives it.
-    let (sequential, one_worker) = (&stats[0].1, &stats[3].1);
-    assert_eq!(one_worker.verified, sequential.verified, "{name}");
-    assert_eq!(one_worker.witness_hits, sequential.witness_hits, "{name}");
+    let at_one_worker = [0, 1, 2, 3].map(|i| pinned(&stats[i].1));
+    assert_eq!(at_one_worker, pins, "{name}: enum, rfqgen, biqgen, par/1");
     stats
 }
 
@@ -164,12 +227,47 @@ fn talent_archives_equal_the_reference_path() {
         groups,
         8,
     );
-    generators_equal_reference(&setting, "talent");
+    let pins = [
+        (32, 0, 0, 208, 31),
+        (26, 0, 12, 184, 54),
+        (19, 2, 12, 104, 34),
+        (32, 0, 0, 208, 31),
+    ];
+    generators_equal_reference(&setting, "talent", pins);
 }
 
 #[test]
 fn citation_archives_equal_the_reference_path() {
-    for seed in [7, 11, 2022] {
+    let pins: [(u64, Pins); 3] = [
+        (
+            7,
+            [
+                (162, 0, 0, 5261, 161),
+                (84, 0, 22, 3240, 174),
+                (29, 1, 24, 717, 58),
+                (162, 0, 0, 5261, 161),
+            ],
+        ),
+        (
+            11,
+            [
+                (162, 0, 0, 5057, 161),
+                (94, 0, 22, 3668, 192),
+                (83, 5, 22, 3207, 147),
+                (162, 0, 0, 5057, 161),
+            ],
+        ),
+        (
+            2022,
+            [
+                (162, 0, 0, 6048, 161),
+                (114, 0, 28, 4939, 236),
+                (48, 4, 28, 1543, 90),
+                (162, 0, 0, 6048, 161),
+            ],
+        ),
+    ];
+    for (seed, pins) in pins {
         let graph = citations_graph(CitationsConfig { papers: 1000, seed });
         // Machine-learning papers against all others.
         let s = graph.schema();
@@ -187,7 +285,8 @@ fn citation_archives_equal_the_reference_path() {
             vec![("ml".into(), ml), ("other".into(), others)],
         );
         let setting = Setting::new(graph, CITE_7, groups, 8);
-        for (algo, stats) in generators_equal_reference(&setting, &format!("cite#{seed}")) {
+        let name = format!("cite#{seed}");
+        for (algo, stats) in generators_equal_reference(&setting, &name, pins) {
             if algo == "enum_qgen" || algo.starts_with("par_enum_qgen") {
                 assert!(
                     stats.witness_hits > 0,

@@ -55,31 +55,66 @@ impl<'a> InstanceLattice<'a> {
     }
 
     /// Enumerates **all** instantiations in lexicographic order. Exponential
-    /// in `|X|`; used by the enumeration baselines (`EnumQGen`, `Kungs`) and
-    /// by tests on small templates.
+    /// in `|X|`, and panics if `|I(Q)|` overflows `usize`: for tests and
+    /// offline harnesses on small templates. The generators walk the
+    /// lattice by [`LatticeIndex`] instead.
     pub fn enumerate(&self) -> Vec<Instantiation> {
-        let sizes: Vec<usize> = self.domains.domains().iter().map(|d| d.len()).collect();
-        let total: usize = sizes.iter().product();
-        let mut out = Vec::with_capacity(total);
-        let mut idx = vec![0u16; sizes.len()];
-        loop {
-            out.push(Instantiation::new(idx.clone()));
-            // Odometer increment.
-            let mut pos = sizes.len();
-            loop {
-                if pos == 0 {
-                    return out;
-                }
-                pos -= 1;
-                if (idx[pos] as usize) + 1 < sizes[pos] {
-                    idx[pos] += 1;
-                    for slot in idx.iter_mut().skip(pos + 1) {
-                        *slot = 0;
-                    }
-                    break;
-                }
-            }
+        let index = LatticeIndex::new(self.domains).expect("|I(Q)| overflows usize");
+        (0..index.size()).map(|i| index.instance(i)).collect()
+    }
+}
+
+/// The mixed-radix numbering of `I(Q)`: instance `i` is the `i`-th in
+/// lexicographic order (the last variable varies fastest, as
+/// [`InstanceLattice::enumerate`] lists them), and its direct parent on
+/// axis `x` is `i - stride(x)`. The one place strides are computed.
+#[derive(Debug, Clone)]
+pub struct LatticeIndex {
+    strides: Box<[usize]>,
+    size: usize,
+}
+
+impl LatticeIndex {
+    /// The numbering of `domains`' lattice, or `None` when `|I(Q)|`
+    /// overflows `usize`.
+    pub fn new(domains: &RefinementDomains) -> Option<Self> {
+        let mut strides = vec![0; domains.var_count()].into_boxed_slice();
+        let mut size = 1usize;
+        for x in (0..strides.len()).rev() {
+            strides[x] = size;
+            size = size.checked_mul(domains.domain(x).len())?;
         }
+        Some(Self { strides, size })
+    }
+
+    /// `|I(Q)|`.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// How far an instance's index is from its direct parent's on axis `x`.
+    pub fn stride(&self, x: usize) -> usize {
+        self.strides[x]
+    }
+
+    /// The index of `inst`.
+    pub fn index_of(&self, inst: &Instantiation) -> usize {
+        inst.indices()
+            .iter()
+            .zip(self.strides.iter())
+            .map(|(&k, &stride)| usize::from(k) * stride)
+            .sum()
+    }
+
+    /// The instance at index `i < size()`.
+    pub fn instance(&self, mut i: usize) -> Instantiation {
+        debug_assert!(i < self.size);
+        let digit = |&stride: &usize| {
+            let k = i / stride;
+            i %= stride;
+            k as u16
+        };
+        Instantiation::new(self.strides.iter().map(digit).collect())
     }
 }
 
@@ -134,6 +169,41 @@ mod tests {
         assert_eq!(set.len(), all.len());
         assert_eq!(all[0], lat.root());
         assert_eq!(*all.last().unwrap(), lat.bottom());
+    }
+
+    #[test]
+    fn the_index_numbers_the_enumeration_and_steps_parents_by_stride() {
+        let d = domains();
+        let index = LatticeIndex::new(&d).unwrap();
+        let lat = InstanceLattice::new(&d);
+        for (i, inst) in lat.enumerate().iter().enumerate() {
+            assert_eq!(index.index_of(inst), i);
+            assert_eq!(&index.instance(i), inst);
+            for (x, parent) in lat.parents(inst) {
+                assert_eq!(index.index_of(&parent), i - index.stride(x));
+            }
+        }
+    }
+
+    #[test]
+    fn an_overflowing_lattice_has_no_index() {
+        let mut b = GraphBuilder::new();
+        for v in 0..9i64 {
+            b.add_named_node("n", &[("a", AttrValue::Int(v))]);
+        }
+        let g = b.finish();
+        let n = g.schema().find_node_label("n").unwrap();
+        let a = g.schema().find_attr("a").unwrap();
+        let mut tb = TemplateBuilder::new();
+        let u0 = tb.node(n);
+        // 9 values per range variable (8 constants and the wildcard):
+        // 9^21 > u64::MAX.
+        for _ in 0..21 {
+            tb.range_literal(u0, a, CmpOp::Ge);
+        }
+        let t = tb.finish(u0).unwrap();
+        let d = RefinementDomains::build(&t, &g, DomainConfig::default());
+        assert!(LatticeIndex::new(&d).is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod to_dsl;
 pub use display::{explain_revision, render_concrete_query, render_instance, render_template};
 pub use domain::{DomainConfig, DomainValue, RefinementDomains, VarDomain, VarKind};
 pub use instance::{BoundLiteral, ConcreteNode, ConcreteQuery, Instantiation};
-pub use lattice::InstanceLattice;
+pub use lattice::{InstanceLattice, LatticeIndex};
 pub use parser::{parse_template, ParseError};
 pub use template::{
     ConstLiteral, QNodeId, QueryTemplate, RangeLiteral, TemplateBuilder, TemplateEdge,

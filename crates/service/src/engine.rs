@@ -44,8 +44,8 @@
 
 use crate::cache::{CacheStats, LruCache};
 use crate::job::{
-    diversity_for_spec, entry_bindings, entry_to_value, generated_to_value_with, plan_key,
-    plan_spec, plan_spec_cached, run_plan_observed, BrownoutMark, JobSpec, Plan,
+    check_lattice, diversity_for_spec, entry_bindings, entry_to_value, generated_to_value_with,
+    plan_key, plan_spec, plan_spec_cached, run_plan_observed, BrownoutMark, JobSpec, Plan,
 };
 use crate::overload::{
     BrownoutConfig, Ewma, PressureController, PressureInputs, PressureLevel, ServiceModel,
@@ -165,6 +165,9 @@ pub enum SubmitError {
     },
     /// The referenced graph is not in the registry.
     UnknownGraph(String),
+    /// The spec cannot run on its graph: its instance lattice overflows
+    /// `usize`.
+    BadRequest(String),
     /// The engine is draining: it completes what it has but accepts
     /// nothing new. Clients replay via their request keys elsewhere.
     Draining,
@@ -557,6 +560,7 @@ impl Engine {
             return Ok(id);
         }
 
+        check_lattice(&entry.graph, &spec).map_err(SubmitError::BadRequest)?;
         let deadline = spec
             .deadline_ms
             .map(Duration::from_millis)

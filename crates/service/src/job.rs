@@ -17,7 +17,7 @@ use fairsqg_graph::{AttrValue, CoverageSpec, Graph, GroupSet};
 use fairsqg_measures::{DiversityConfig, DiversityProfile};
 use fairsqg_query::{
     parse_template, render_concrete_query, render_instance, ConcreteQuery, DomainConfig,
-    RefinementDomains,
+    LatticeIndex, RefinementDomains,
 };
 use fairsqg_wire::Value;
 use std::collections::BTreeSet;
@@ -36,7 +36,8 @@ pub enum AlgoKind {
     RfQGen,
     /// Bi-directional generation with sandwich pruning.
     BiQGen,
-    /// Work-stealing parallel enumeration (archive identical to `enum`).
+    /// The lattice sweep on several self-scheduling workers (archive
+    /// identical to `enum`).
     ParEnum,
 }
 
@@ -299,6 +300,32 @@ pub fn plan_spec<'g>(graph: &'g Graph, spec: &JobSpec) -> Result<Plan<'g>, Strin
     })
 }
 
+/// Refuses a spec whose instance lattice `I(Q)` has more instances than a
+/// `usize` can index: nothing could verify it, and the generators'
+/// configuration panics on it. Cheap (a parse and the graph's cached
+/// active domains), so admission runs it and answers `bad_request`; a
+/// template that does not parse passes here and fails its planning.
+pub(crate) fn check_lattice(graph: &Graph, spec: &JobSpec) -> Result<(), String> {
+    match parse_template(graph.schema(), &spec.template) {
+        Ok(template) => indexable(&RefinementDomains::build(
+            &template,
+            graph,
+            DomainConfig::default(),
+        )),
+        Err(_) => Ok(()),
+    }
+}
+
+fn indexable(domains: &RefinementDomains) -> Result<(), String> {
+    match LatticeIndex::new(domains) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "the template has more than {} instances; drop a range variable",
+            usize::MAX
+        )),
+    }
+}
+
 fn plan_skeleton(graph: &Graph, spec: &JobSpec) -> Result<WarmPlan, String> {
     let template = parse_template(graph.schema(), &spec.template).map_err(|e| e.to_string())?;
     let attr = graph
@@ -327,6 +354,7 @@ fn plan_skeleton(graph: &Graph, spec: &JobSpec) -> Result<WarmPlan, String> {
     let groups = GroupSet::by_attribute(graph, attr, &values);
     let coverage = CoverageSpec::equal_opportunity(groups.len(), spec.cover);
     let domains = RefinementDomains::build(&template, graph, DomainConfig::default());
+    indexable(&domains)?;
     Ok(WarmPlan {
         template,
         domains,

@@ -129,6 +129,7 @@ pub(crate) fn submit_error_response(err: &SubmitError) -> Value {
             "server is draining; replay via your request key elsewhere",
         ),
         SubmitError::ShuttingDown => error_response("shutting_down", "engine is draining"),
+        SubmitError::BadRequest(m) => error_response("bad_request", m),
         SubmitError::Internal(m) => error_response("internal", m),
     }
 }

@@ -29,13 +29,13 @@
 //! graphs with LRU eviction (see `GraphRegistry::warm_state`).
 
 use crate::job::JobSpec;
-use fairsqg_algo::{MatchRecord, MatchTable};
+use fairsqg_algo::{LatticeTable, MatchRecord, MatchTable};
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, LabelId, NodeId};
 use fairsqg_measures::{DiversityConfig, DiversityProfile};
-use fairsqg_query::{Instantiation, QueryTemplate, RefinementDomains};
+use fairsqg_query::{QueryTemplate, RefinementDomains};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// A parsed, planning-complete job skeleton: everything `plan_spec`
 /// derives from `(graph, template text, group_attr, cover)` that does not
@@ -152,16 +152,18 @@ impl Ledger {
 }
 
 /// Bookkeeping charged per match record on top of its node ids: the map
-/// slot, the instantiation's and the record's headers, the two `Arc`
-/// headers and allocator rounding.
+/// slot, the record's header, the two `Arc` headers and allocator
+/// rounding.
 const RECORD_OVERHEAD: usize = 128;
 
-/// A pooled plan's table of verified instances: each maps to the `Arc` of
-/// its match set and witness rows. The service's [`MatchTable`]: jobs read
-/// it on an evaluator-cache miss and publish every search they finish.
+/// A pooled plan's table of verified instances, keyed by lattice index
+/// (the plan's domains fix the numbering): each maps to the `Arc` of its
+/// match set and witness rows. The service's [`MatchTable`]: jobs read it
+/// on a miss in their own run's store and publish every search they
+/// finish.
 #[derive(Debug)]
 pub struct WarmMatches {
-    records: RwLock<HashMap<Instantiation, Arc<MatchRecord>>>,
+    records: LatticeTable<MatchRecord>,
     bytes: AtomicUsize,
     ledger: Arc<Ledger>,
 }
@@ -169,12 +171,12 @@ pub struct WarmMatches {
 impl WarmMatches {
     /// Instances held.
     pub fn len(&self) -> usize {
-        crate::sync::read(&self.records).len()
+        self.records.len()
     }
 
     /// Whether the table holds no instance.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
     /// Bytes charged for the records held.
@@ -184,8 +186,8 @@ impl WarmMatches {
 }
 
 impl MatchTable for WarmMatches {
-    fn get(&self, inst: &Instantiation) -> Option<Arc<MatchRecord>> {
-        let hit = crate::sync::read(&self.records).get(inst).cloned();
+    fn get(&self, index: usize) -> Option<Arc<MatchRecord>> {
+        let hit = self.records.get(index);
         let counters = &self.ledger.counters;
         WarmCounters::bump(match hit {
             Some(_) => &counters.match_hits,
@@ -194,27 +196,19 @@ impl MatchTable for WarmMatches {
         hit
     }
 
-    fn publish(&self, inst: &Instantiation, matches: &[NodeId], rows: &Arc<[NodeId]>) {
-        let mut records = crate::sync::write(&self.records);
+    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>) {
         // A job racing on the same instance got there first: the match
-        // set is the same, so keep the record already charged.
-        if records.contains_key(inst) {
-            return;
-        }
-        let bytes = RECORD_OVERHEAD
-            + inst.var_count() * size_of::<u16>()
-            + (matches.len() + rows.len()) * size_of::<NodeId>();
-        if !self.ledger.try_charge(bytes) {
-            return;
-        }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        records.insert(
-            inst.clone(),
-            Arc::new(MatchRecord {
-                matches: matches.into(),
-                rows: Arc::clone(rows),
-            }),
-        );
+        // set is the same, so the record already charged stays.
+        self.records.insert_with(index, || {
+            let bytes = RECORD_OVERHEAD + (matches.len() + rows.len()) * size_of::<NodeId>();
+            self.ledger.try_charge(bytes).then(|| {
+                self.bytes.fetch_add(bytes, Ordering::Relaxed);
+                MatchRecord {
+                    matches: matches.into(),
+                    rows: Arc::clone(rows),
+                }
+            })
+        });
     }
 }
 
@@ -315,7 +309,7 @@ impl WarmState {
             return Arc::new(plan);
         }
         plan.matches = Some(WarmMatches {
-            records: RwLock::new(HashMap::new()),
+            records: LatticeTable::default(),
             bytes: AtomicUsize::new(0),
             ledger: Arc::clone(&self.ledger),
         });

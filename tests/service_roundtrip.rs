@@ -291,3 +291,93 @@ fn engine_overload_is_structured() {
     engine.cancel(queued);
     engine.shutdown();
 }
+
+/// `item` nodes with 21 integer attributes `a0`..`a20` of 16 distinct
+/// values each, so every range variable's default domain holds 9 values
+/// (8 constants and the wildcard), and two genders.
+fn wide_graph() -> fairsqg::graph::Graph {
+    use fairsqg::graph::{AttrValue, GraphBuilder};
+    let names: Vec<String> = (0..21).map(|k| format!("a{k}")).collect();
+    let mut b = GraphBuilder::new();
+    for i in 0..64i64 {
+        let mut attrs: Vec<(&str, AttrValue)> = names
+            .iter()
+            .zip(0..)
+            .map(|(name, k)| (name.as_str(), AttrValue::Int((i * 5 + k) % 16)))
+            .collect();
+        attrs.push(("gender", AttrValue::Int(i % 2)));
+        b.add_named_node("item", &attrs);
+    }
+    b.finish()
+}
+
+/// A template with `vars` range literals on its one node: `|I(Q)| = 9^vars`.
+fn wide_spec(vars: usize, algo: AlgoKind) -> JobSpec {
+    let mut template = "node u0 : item\n".to_string();
+    for k in 0..vars {
+        template += &format!("where u0.a{k} >= ?\n");
+    }
+    JobSpec {
+        template: template + "output u0\n",
+        algo,
+        threads: 2,
+        ..spec("wide", Some(300))
+    }
+}
+
+/// A job over a lattice far too large to verify (`9^12 ≈ 2.8·10^11`
+/// instances) runs until its deadline and settles truncated, whichever
+/// full-lattice algorithm it names: nothing allocates per instance of
+/// `I(Q)` up front, so the server stays up. A lattice whose size
+/// overflows `usize` is refused with `bad_request` at admission, and by
+/// planning.
+#[cfg(unix)]
+#[test]
+fn a_full_lattice_job_settles_truncated_and_the_server_stays_up() {
+    let registry = Arc::new(GraphRegistry::new());
+    registry.insert("wide", wide_graph());
+    let engine = Arc::new(Engine::start(
+        Arc::clone(&registry),
+        EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        },
+    ));
+    let (addr, _stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let client = MuxClient::connect(&addr.to_string()).unwrap();
+    for algo in [
+        AlgoKind::EnumQGen,
+        AlgoKind::Kungs,
+        AlgoKind::Cbm,
+        AlgoKind::ParEnum,
+    ] {
+        let id = client.submit(&wide_spec(12, algo)).unwrap();
+        let result = client.wait(id, Duration::from_secs(60)).unwrap();
+        let body = result.get("result").expect("result body");
+        assert_eq!(
+            body.get("truncated").and_then(Value::as_bool),
+            Some(true),
+            "{algo:?}"
+        );
+    }
+    client.ping().unwrap();
+    assert!(client.stats().unwrap().get("result_cache").is_some());
+
+    let overflowing = wide_spec(21, AlgoKind::EnumQGen);
+    let graph = wide_graph();
+    let planned = fairsqg::service::plan_spec(&graph, &overflowing);
+    let refusal = planned.err().expect("an overflowing lattice is refused");
+    assert!(refusal.contains("instances"), "{refusal}");
+    let err = client.submit(&overflowing).unwrap_err();
+    assert!(err.to_string().contains("bad_request"), "{err}");
+    assert!(err.to_string().contains(&refusal), "{err}");
+    assert_eq!(
+        engine.submit(overflowing),
+        Err(SubmitError::BadRequest(refusal))
+    );
+    client.ping().unwrap();
+
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
