@@ -19,7 +19,7 @@ use crate::archive::EpsParetoArchive;
 use crate::config::{Configuration, GenStats};
 use crate::evaluator::Evaluator;
 use crate::output::{AnytimePoint, Generated};
-use crate::spawn::{plain_refinements, spawn_refinements, spawn_relaxations, SpawnOptions};
+use crate::spawn::{plain_refinements, spawn_relaxations, SpawnOptions};
 use fairsqg_measures::BoxCoord;
 use fairsqg_query::Instantiation;
 use std::collections::{HashSet, VecDeque};
@@ -160,7 +160,8 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
                     // the refinement subtree is dead (Lemma 2).
                     stats.pruned_infeasible += 1;
                 } else {
-                    let r = &ev.verify_with_best_parent(&q).result;
+                    let verified = ev.verify_with_best_parent(&q);
+                    let r = &verified.result;
                     if !r.feasible {
                         stats.pruned_infeasible += 1;
                     } else {
@@ -180,7 +181,7 @@ pub fn biqgen(cfg: Configuration<'_>, opts: BiQGenOptions) -> Generated {
                             }
                             fwd_feasible.push((q.clone(), bx));
                         }
-                        for (_, child) in spawn_refinements(&cfg, &q, r, opts.spawn) {
+                        for (_, child) in ev.spawn(&q, &verified, opts.spawn) {
                             if !seen_f.contains(&child) {
                                 stats.spawned += 1;
                                 s_f.push_back(child);

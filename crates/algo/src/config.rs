@@ -63,8 +63,9 @@ pub struct Configuration<'a> {
     /// Optional table of verified match sets shared with other runs over
     /// the same graph, template, domains and output restriction — the
     /// service's warm-state layer keeps one per plan. Verification reads a
-    /// match set from it instead of searching, and publishes what it
-    /// searches; a match set depends on none of λ, ε or the algorithm, so
+    /// match set (and `δ`'s λ-free pair sum) from it instead of searching,
+    /// and publishes what it searches; `Spawn` keeps its children in the
+    /// records. None of these depends on λ, ε or the algorithm, so
     /// results are bit-identical with or without one. Runs on the
     /// reference path or under a [`budget`](Self::budget) cap neither read
     /// nor publish (see [`match_table`](Self::match_table)).
@@ -203,13 +204,23 @@ impl<'a> Configuration<'a> {
         }
     }
 
-    /// `δ` of a verified match set: the closed form, or the walk over all
-    /// pairs on the reference path.
-    pub(crate) fn diversity_of(&self, measure: &DiversityMeasure<'_>, matches: &[NodeId]) -> f64 {
+    /// `δ` of a verified match set: the closed form, from the match set's
+    /// pair sum when one is known, or the walk over all pairs on the
+    /// reference path. All three give the same bits.
+    pub(crate) fn diversity_of(
+        &self,
+        measure: &DiversityMeasure<'_>,
+        matches: &[NodeId],
+        pair_sum: Option<f64>,
+    ) -> f64 {
         if self.reference_path {
-            measure.score_pairwise(matches)
-        } else {
-            measure.score(matches)
+            return measure.score_pairwise(matches);
+        }
+        match pair_sum {
+            Some(pair_sum) if !matches.is_empty() => {
+                measure.combine(measure.relevance_sum(matches), pair_sum)
+            }
+            _ => measure.score(matches),
         }
     }
 
@@ -315,6 +326,9 @@ pub struct GenStats {
     /// [`shared_matches`](Configuration::shared_matches) table instead of
     /// a search. Each is also counted in [`verified`](Self::verified).
     pub warm_match_hits: u64,
+    /// `Spawn` calls whose template-refined children were read from a
+    /// shared table's record instead of being recomputed.
+    pub warm_spawn_hits: u64,
 }
 
 impl GenStats {

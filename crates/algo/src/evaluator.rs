@@ -2,6 +2,7 @@
 //! the run's verified-instance store.
 
 use crate::config::{Configuration, GenStats};
+use crate::spawn::{spawn_refinements, stepped, SpawnOptions};
 use crate::store::Store;
 use fairsqg_graph::NodeId;
 use fairsqg_matcher::{
@@ -10,7 +11,7 @@ use fairsqg_matcher::{
 };
 use fairsqg_measures::{coverage_score, is_feasible, Objectives};
 use fairsqg_query::{ConcreteQuery, Instantiation};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The verified state of one query instance.
 #[derive(Debug, Clone)]
@@ -26,7 +27,8 @@ pub struct EvalResult {
 }
 
 /// A verified instance's match set and witness rows, as a [`MatchTable`]
-/// holds them.
+/// holds them, with the two things a run would otherwise recompute from
+/// them: `δ`'s λ-free pair sum, and `Spawn`'s template-refined children.
 #[derive(Debug)]
 pub struct MatchRecord {
     /// The output match set `q(u_o, G)`, sorted ascending.
@@ -34,6 +36,31 @@ pub struct MatchRecord {
     /// One embedding per match, laid out as
     /// [`Witnesses::rows`](fairsqg_matcher::Witnesses::rows).
     pub rows: Arc<[NodeId]>,
+    /// `Σ_{v<w} d(v, w)` over `matches`
+    /// ([`DiversityMeasure::pair_sum`](fairsqg_measures::DiversityMeasure::pair_sum)),
+    /// which the publishing verification computed.
+    pub pair_sum: f64,
+    /// What [`spawn_refinements`] with template refinement returns for the
+    /// instance, as `(variable, steps)` pairs in variable order; filled by
+    /// the first run that spawns from the record (see
+    /// [`MatchTable::remember_children`]).
+    pub children: OnceLock<Box<[SpawnStep]>>,
+}
+
+/// One child of a [`MatchRecord`]'s `Spawn` memo: variable `.0` refined by
+/// `.1` domain steps.
+pub type SpawnStep = (u32, u16);
+
+impl MatchRecord {
+    /// A record with no `Spawn` memo yet.
+    pub fn new(matches: &[NodeId], rows: &Arc<[NodeId]>, pair_sum: f64) -> Self {
+        Self {
+            matches: matches.into(),
+            rows: Arc::clone(rows),
+            pair_sum,
+            children: OnceLock::new(),
+        }
+    }
 }
 
 /// Verified match sets shared across runs, keyed by the instance's lattice
@@ -45,15 +72,29 @@ pub struct MatchRecord {
 /// the same four may reuse what another verified. Rows from another run
 /// are sound witnesses: a certificate is re-checked against the instance's
 /// own constraints. Attach a table with
-/// [`Configuration::with_shared_matches`]; it is consulted only inside
-/// verification, on a miss in the run's own store.
+/// [`Configuration::with_shared_matches`]; it is read only inside
+/// verification, on a miss in the run's own store, and a record's `Spawn`
+/// memo only by [`Evaluator::spawn`].
 pub trait MatchTable: Sync {
     /// The record of instance `index`, if some run has published one.
     fn get(&self, index: usize) -> Option<Arc<MatchRecord>>;
-    /// Offers the exact match set and rows of instance `index`, just
-    /// searched. A table may decline to keep them (over a byte budget,
-    /// say).
-    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>);
+    /// Offers the exact match set, rows and pair sum of instance `index`,
+    /// just searched, and returns the record held for `index` afterwards:
+    /// this one, or the one a racing run published first (the same match
+    /// set). `None` when the table declines to keep it (over a byte
+    /// budget, say).
+    fn publish(
+        &self,
+        index: usize,
+        matches: &[NodeId],
+        rows: &Arc<[NodeId]>,
+        pair_sum: f64,
+    ) -> Option<Arc<MatchRecord>>;
+    /// Offers `children` as `record`'s `Spawn` memo. A table may decline
+    /// (over a byte budget, say); the caller keeps its children either way.
+    fn remember_children(&self, record: &MatchRecord, children: Box<[SpawnStep]>) {
+        let _ = record.children.set(children);
+    }
 }
 
 /// A verified instance as the run's store holds it: the result, and one
@@ -66,6 +107,9 @@ pub struct Verification {
     pub result: EvalResult,
     /// One row per match.
     pub rows: Arc<[NodeId]>,
+    /// The shared table's record of the instance, when the match set came
+    /// from the table or was published to it.
+    pub record: Option<Arc<MatchRecord>>,
 }
 
 /// One run's view over its verified-instance store: the counters, the
@@ -90,6 +134,7 @@ pub struct Evaluator<'a> {
     verified: u64,
     cache_hits: u64,
     warm_match_hits: u64,
+    warm_spawn_hits: u64,
     budget_tripped: Option<BudgetExceeded>,
     /// The thread's matcher counters at construction time; the delta
     /// since then is what this view's verifications contributed.
@@ -114,6 +159,7 @@ impl<'a> Evaluator<'a> {
             verified: 0,
             cache_hits: 0,
             warm_match_hits: 0,
+            warm_spawn_hits: 0,
             budget_tripped: None,
             matcher_baseline: fairsqg_matcher::matcher_stats(),
             scratch: MatchScratch::default(),
@@ -186,9 +232,51 @@ impl<'a> Evaluator<'a> {
                         feasible: false,
                     },
                     rows: Arc::from([]),
+                    record: None,
                 })
             }
         }
+    }
+
+    /// `Spawn` (Section IV-A) from the verified instance `inst`:
+    /// [`spawn_refinements`] under `opts`. With template refinement on and
+    /// the match set in the shared table, the children are read from the
+    /// record's memo, or computed once and offered to it; they are a pure
+    /// function of the instance and its match set, so either way they are
+    /// the ones computed here. [`plain_refinements`](crate::plain_refinements)
+    /// and the reference path never touch the memo.
+    pub fn spawn(
+        &mut self,
+        inst: &Instantiation,
+        verified: &Verification,
+        opts: SpawnOptions,
+    ) -> Vec<(usize, Instantiation)> {
+        let cfg = &self.store.cfg;
+        let memo = verified
+            .record
+            .as_ref()
+            .filter(|_| opts.template_refinement)
+            .zip(self.store.table);
+        let Some((record, table)) = memo else {
+            return spawn_refinements(cfg, inst, &verified.result, opts);
+        };
+        if let Some(steps) = record.children.get() {
+            self.warm_spawn_hits += 1;
+            return steps
+                .iter()
+                .map(|&(var, k)| (var as usize, stepped(inst, var as usize, k)))
+                .collect();
+        }
+        let children = spawn_refinements(cfg, inst, &verified.result, opts);
+        let steps = children
+            .iter()
+            .map(|(var, child)| {
+                let var32 = u32::try_from(*var).expect("a template has fewer than 2^32 variables");
+                (var32, child.indices()[*var] - inst.indices()[*var])
+            })
+            .collect();
+        table.remember_children(record, steps);
+        children
     }
 
     /// Cheap certain-infeasibility test **without subgraph matching**: the
@@ -235,18 +323,19 @@ impl<'a> Evaluator<'a> {
         stats.verified += self.verified;
         stats.cache_hits += self.cache_hits;
         stats.warm_match_hits += self.warm_match_hits;
+        stats.warm_spawn_hits += self.warm_spawn_hits;
         stats.budget_tripped = stats.budget_tripped.or(self.budget_tripped);
         stats.record_hot_path(fairsqg_matcher::matcher_stats().delta_since(self.matcher_baseline));
     }
 }
 
 /// One `incVerify` verification under the store's configuration, and the
-/// only place its [`MatchTable`] is read. The match set and rows come from the table when
-/// it holds instance `index`; otherwise [`match_instance`] searches them
-/// and the table is offered the outcome (never a tripped search's). Then
-/// the result is counted, scored under this run's λ and tested for
-/// feasibility, the same either way. Also returns whether the match set
-/// came from the table.
+/// only place its [`MatchTable`] is read. The match set, rows and pair sum
+/// come from the table when it holds instance `index`; otherwise
+/// [`match_instance`] searches them and the table is offered the outcome
+/// (never a tripped search's). Then the result is counted, scored under
+/// this run's λ and tested for feasibility, the same either way. Also
+/// returns whether the match set came from the table.
 fn verify_instance(
     store: &Store<'_>,
     index: usize,
@@ -255,22 +344,29 @@ fn verify_instance(
     scratch: &mut MatchScratch,
 ) -> Result<(Verification, bool), BudgetExceeded> {
     let cfg = &store.cfg;
-    let table = cfg.match_table();
+    let table = store.table;
     let shared = table.and_then(|t| t.get(index));
     let from_table = shared.is_some();
-    let (matches, rows) = match shared {
-        Some(record) => (record.matches.to_vec(), Arc::clone(&record.rows)),
+    let (matches, rows, pair_sum, record) = match shared {
+        Some(record) => (
+            record.matches.to_vec(),
+            Arc::clone(&record.rows),
+            Some(record.pair_sum),
+            Some(record),
+        ),
         None => {
             let (matches, rows) = match_instance(cfg, inst, ancestors, scratch)?;
             let rows: Arc<[NodeId]> = rows.into();
-            if let Some(table) = table {
-                table.publish(index, &matches, &rows);
-            }
-            (matches, rows)
+            // The record needs the pair sum, and δ reuses it.
+            let pair_sum = table.map(|_| store.measure.pair_sum(&matches));
+            let record = table
+                .zip(pair_sum)
+                .and_then(|(table, p)| table.publish(index, &matches, &rows, p));
+            (matches, rows, pair_sum, record)
         }
     };
     let counts = cfg.groups.count_in_groups(&matches);
-    let delta = cfg.diversity_of(&store.measure, &matches);
+    let delta = cfg.diversity_of(&store.measure, &matches, pair_sum);
     let fcov = coverage_score(&counts, cfg.spec);
     let feasible = is_feasible(&counts, cfg.spec);
     let result = EvalResult {
@@ -279,7 +375,14 @@ fn verify_instance(
         objectives: Objectives::new(delta, fcov),
         feasible,
     };
-    Ok((Verification { result, rows }, from_table))
+    Ok((
+        Verification {
+            result,
+            rows,
+            record,
+        },
+        from_table,
+    ))
 }
 
 /// The search behind one verification: materialises `inst` and matches it
@@ -522,6 +625,73 @@ mod tests {
             assert_eq!(warm.stats.verified, cold.stats.verified);
             assert!(warm.stats.warm_match_hits > 0);
         }
+    }
+
+    /// A table filled by template-refined runs memoises `Spawn`: a later
+    /// template-refined run reads the children, a run without template
+    /// refinement ignores them, and both archives are the ones the same
+    /// runs give without a table. Every filled memo is what
+    /// `spawn_refinements` computes from the record's match set.
+    #[test]
+    fn spawn_memos_are_spawn_refinements_and_only_template_refinement_reads_them() {
+        use crate::spawn::{spawn_refinements, SpawnOptions};
+        use crate::{biqgen, rfqgen, BiQGenOptions, RfQGenOptions};
+        let fx = talent_fixture();
+        let table = CountingTable::default();
+        let cfg = fx.configuration_at(0.2, 0.4);
+        let first = rfqgen(cfg.with_shared_matches(&table), RfQGenOptions::default());
+        assert_eq!(first.stats.warm_spawn_hits, 0);
+        biqgen(cfg.with_shared_matches(&table), BiQGenOptions::default());
+
+        let plain = RfQGenOptions {
+            spawn: SpawnOptions {
+                template_refinement: false,
+            },
+            ..RfQGenOptions::default()
+        };
+        for lambda in [0.0, 0.7] {
+            let cfg = fx.configuration_at(0.2, lambda);
+            let cold = rfqgen(cfg, plain);
+            let warm = rfqgen(cfg.with_shared_matches(&table), plain);
+            assert_eq!(archive(&warm), archive(&cold), "plain at λ {lambda}");
+            assert_eq!(warm.stats.spawned, cold.stats.spawned);
+            assert_eq!(warm.stats.warm_spawn_hits, 0);
+            assert!(warm.stats.warm_match_hits > 0);
+
+            let cold = rfqgen(cfg, RfQGenOptions::default());
+            let warm = rfqgen(cfg.with_shared_matches(&table), RfQGenOptions::default());
+            assert_eq!(archive(&warm), archive(&cold), "rfqgen at λ {lambda}");
+            assert_eq!(warm.stats.spawned, cold.stats.spawned);
+            assert_eq!(warm.stats.pruned_infeasible, cold.stats.pruned_infeasible);
+            assert!(warm.stats.warm_spawn_hits > 0);
+        }
+
+        let lattice = fairsqg_query::LatticeIndex::new(fx.domains()).unwrap();
+        let cfg = fx.configuration(0.2);
+        let mut filled = 0;
+        for (index, record) in table.records() {
+            let Some(steps) = record.children.get() else {
+                continue;
+            };
+            filled += 1;
+            let inst = lattice.instance(index);
+            let result = EvalResult {
+                matches: record.matches.to_vec(),
+                counts: Vec::new(),
+                objectives: Objectives::new(0.0, 0.0),
+                feasible: true,
+            };
+            let expected: Vec<SpawnStep> =
+                spawn_refinements(&cfg, &inst, &result, SpawnOptions::default())
+                    .iter()
+                    .map(|(var, child)| {
+                        let k = child.indices()[*var] - inst.indices()[*var];
+                        (*var as u32, k)
+                    })
+                    .collect();
+            assert_eq!(steps.to_vec(), expected, "memo of {inst:?}");
+        }
+        assert!(filled > 0);
     }
 
     /// The reference path is the oracle the table is checked against: it

@@ -53,7 +53,7 @@ pub use cancel::CancelToken;
 pub use cbm::{cbm, CbmOptions};
 pub use config::{Configuration, GenStats};
 pub use enumerate::{enum_qgen, evaluate_universe, kungs};
-pub use evaluator::{EvalResult, Evaluator, MatchRecord, MatchTable, Verification};
+pub use evaluator::{EvalResult, Evaluator, MatchRecord, MatchTable, SpawnStep, Verification};
 pub use fairsqg_matcher::{BudgetExceeded, BudgetKind, MatchBudget};
 pub use online::{online_qgen, EpsTrace, OnlineOptions, OnlineQGen};
 pub use output::{AnytimePoint, Generated};

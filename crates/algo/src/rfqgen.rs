@@ -10,7 +10,7 @@ use crate::archive::EpsParetoArchive;
 use crate::config::{Configuration, GenStats};
 use crate::evaluator::Evaluator;
 use crate::output::{AnytimePoint, Generated};
-use crate::spawn::{spawn_refinements, SpawnOptions};
+use crate::spawn::SpawnOptions;
 use fairsqg_query::Instantiation;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -93,7 +93,7 @@ pub fn rfqgen(cfg: Configuration<'_>, opts: RfQGenOptions) -> Generated {
             });
         }
         // Spawn the front set Q_F and continue depth-first.
-        for (_, child) in spawn_refinements(&cfg, &inst, result, opts.spawn) {
+        for (_, child) in ev.spawn(&inst, &verified, opts.spawn) {
             if !visited.contains(&child) {
                 stats.spawned += 1;
                 stack.push(child);

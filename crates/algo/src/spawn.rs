@@ -230,10 +230,15 @@ impl Question<'_> {
             Asks::Constant { later, first, .. } => (first < later.len()).then_some(first + 1)?,
             Asks::Edge { found, .. } => found.then_some(1)?,
         };
-        let mut idx = inst.indices().to_vec();
-        idx[self.var] += steps as u16;
-        Some(Instantiation::new(idx))
+        Some(stepped(inst, self.var, steps as u16))
     }
+}
+
+/// `inst` with variable `var` refined by `steps` domain steps.
+pub(crate) fn stepped(inst: &Instantiation, var: usize, steps: u16) -> Instantiation {
+    let mut idx = inst.indices().to_vec();
+    idx[var] += steps;
+    Instantiation::new(idx)
 }
 
 /// Answers `questions` by one breadth-first search from `seeds` over the

@@ -9,7 +9,7 @@
 //! the run verified, so memory follows the run, never `|I(Q)|`.
 
 use crate::config::Configuration;
-use crate::evaluator::Verification;
+use crate::evaluator::{MatchTable, Verification};
 use fairsqg_measures::DiversityMeasure;
 use fairsqg_query::{Instantiation, LatticeIndex};
 use std::collections::HashMap;
@@ -79,6 +79,9 @@ pub(crate) struct Store<'a> {
     pub measure: DiversityMeasure<'a>,
     /// What verified `Ok`; a tripped verification is never published.
     pub verified: LatticeTable<Verification>,
+    /// The shared match table every view verifies and spawns through,
+    /// when the configuration may use one (`Configuration::match_table`).
+    pub table: Option<&'a dyn MatchTable>,
 }
 
 impl<'a> Store<'a> {
@@ -89,6 +92,7 @@ impl<'a> Store<'a> {
             lattice: LatticeIndex::new(cfg.domains).expect("checked by Configuration::new"),
             measure: cfg.diversity_measure(),
             verified: LatticeTable::default(),
+            table: cfg.match_table(),
         }
     }
 

@@ -32,6 +32,14 @@ impl CountingTable {
             self.records.len(),
         )
     }
+
+    /// Every record held, with its lattice index.
+    pub fn records(&self) -> Vec<(usize, Arc<MatchRecord>)> {
+        let records = self.records.indices().into_iter();
+        records
+            .filter_map(|i| Some((i, self.records.get(i)?)))
+            .collect()
+    }
 }
 
 impl MatchTable for CountingTable {
@@ -40,14 +48,16 @@ impl MatchTable for CountingTable {
         self.records.get(index)
     }
 
-    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>) {
+    fn publish(
+        &self,
+        index: usize,
+        matches: &[NodeId],
+        rows: &Arc<[NodeId]>,
+        pair_sum: f64,
+    ) -> Option<Arc<MatchRecord>> {
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.records.insert_with(index, || {
-            Some(MatchRecord {
-                matches: matches.into(),
-                rows: Arc::clone(rows),
-            })
-        });
+        self.records
+            .insert_with(index, || Some(MatchRecord::new(matches, rows, pair_sum)))
     }
 }
 

@@ -96,13 +96,15 @@ impl MatchTable for Table {
         self.0.get(index)
     }
 
-    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>) {
-        self.0.insert_with(index, || {
-            Some(MatchRecord {
-                matches: matches.into(),
-                rows: Arc::clone(rows),
-            })
-        });
+    fn publish(
+        &self,
+        index: usize,
+        matches: &[NodeId],
+        rows: &Arc<[NodeId]>,
+        pair_sum: f64,
+    ) -> Option<Arc<MatchRecord>> {
+        self.0
+            .insert_with(index, || Some(MatchRecord::new(matches, rows, pair_sum)))
     }
 }
 

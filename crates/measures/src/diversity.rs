@@ -568,18 +568,46 @@ impl<'g> DiversityMeasure<'g> {
         self.score_by(matches, Summation::Pairwise)
     }
 
+    /// `R = Σ_{v∈matches} r(u_o, v)`, the relevance half of `δ`: `O(n)`.
+    pub fn relevance_sum(&self, matches: &[NodeId]) -> f64 {
+        matches.iter().map(|&v| self.relevance(v)).sum()
+    }
+
+    /// `P = Σ_{v<w} d(v, w)` over `matches`, exact, as [`score`](Self::score)
+    /// sums it. It depends on neither λ nor the relevance function, so one
+    /// `P` serves a match set under every configuration; `0.0` for the
+    /// empty set.
+    ///
+    /// # Panics
+    ///
+    /// If a match lies outside `V_uo`.
+    pub fn pair_sum(&self, matches: &[NodeId]) -> f64 {
+        if matches.is_empty() {
+            return 0.0;
+        }
+        self.profile().pair_sum(matches, Summation::Sorted)
+    }
+
+    /// `δ` of a non-empty match set from its two λ-free sums:
+    /// `(1−λ)·R + (2λ/(|V_uo|−1))·P`. [`score`](Self::score) is this
+    /// expression over [`relevance_sum`](Self::relevance_sum) and
+    /// [`pair_sum`](Self::pair_sum), so the two agree to the bit.
+    pub fn combine(&self, relevance_sum: f64, pair_sum: f64) -> f64 {
+        let lambda = self.config.lambda;
+        let norm = match self.population() {
+            0 | 1 => 0.0,
+            pop => 2.0 * lambda / (pop as f64 - 1.0),
+        };
+        (1.0 - lambda) * relevance_sum + norm * pair_sum
+    }
+
     /// `δ` with the pair sum's per-column integers added up by `summation`.
     fn score_by(&self, matches: &[NodeId], summation: Summation) -> f64 {
         if matches.is_empty() {
             return 0.0;
         }
-        let lambda = self.config.lambda;
-        let relevance_sum: f64 = matches.iter().map(|&v| self.relevance(v)).sum();
-        let norm = match self.population() {
-            0 | 1 => 0.0,
-            pop => 2.0 * lambda / (pop as f64 - 1.0),
-        };
-        (1.0 - lambda) * relevance_sum + norm * self.profile().pair_sum(matches, summation)
+        let pair_sum = self.profile().pair_sum(matches, summation);
+        self.combine(self.relevance_sum(matches), pair_sum)
     }
 }
 

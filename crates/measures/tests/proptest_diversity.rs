@@ -1,6 +1,7 @@
 //! Property tests of the exact max-sum diversity: on any mix of schema
 //! classes it equals the pairwise reference to the bit and the float
-//! formula over `distance()` to 1e-9.
+//! formula over `distance()` to 1e-9, and splitting it into its λ-free
+//! sums keeps its bits.
 
 use fairsqg_graph::{AttrValue, Graph, GraphBuilder, LabelId, NodeId};
 use fairsqg_measures::{DiversityConfig, DiversityMeasure, DiversityProfile, Relevance};
@@ -177,6 +178,36 @@ fn check(
     Ok(())
 }
 
+/// On one population over `classes`: `δ` split into its λ-free sums and
+/// combined, `score` and `score_pairwise` agree to the bit, and the empty
+/// set scores `0.0` every way.
+fn check_split(
+    pop: usize,
+    n: usize,
+    kinds: &[Kind],
+    classes: &[Edit],
+    lambda: f64,
+    uniform: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let rng = &mut TestRng::from_seed(seed);
+    let (graph, label) = population(pop, kinds, classes, rng);
+    let matches = match_set(&graph, label, n.min(pop), rng);
+    let m = DiversityMeasure::new(&graph, label, config(lambda, uniform));
+    let score = m.score(&matches);
+    if matches.is_empty() {
+        prop_assert_eq!(score.to_bits(), 0.0f64.to_bits());
+    } else {
+        let split = m.combine(m.relevance_sum(&matches), m.pair_sum(&matches));
+        prop_assert_eq!(split.to_bits(), score.to_bits());
+    }
+    prop_assert_eq!(score.to_bits(), m.score_pairwise(&matches).to_bits());
+    prop_assert_eq!(m.score(&[]).to_bits(), 0.0f64.to_bits());
+    prop_assert_eq!(m.score_pairwise(&[]).to_bits(), 0.0f64.to_bits());
+    prop_assert_eq!(m.pair_sum(&[]).to_bits(), 0.0f64.to_bits());
+    Ok(())
+}
+
 fn arb_kinds() -> impl Strategy<Value = Vec<Kind>> {
     proptest::collection::vec((0usize..KINDS.len()).prop_map(|i| KINDS[i]), 0..=5)
 }
@@ -211,6 +242,19 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         check(pop, n, &kinds, &classes, lambda, uniform, seed)?;
+    }
+
+    #[test]
+    fn splitting_delta_into_its_lambda_free_sums_keeps_its_bits(
+        pop in 0usize..48,
+        n in 0usize..48,
+        kinds in arb_kinds(),
+        classes in arb_classes(),
+        lambda in (0usize..3).prop_map(|i| [0.0, 0.3, 1.0][i]),
+        uniform in any::<bool>(),
+        seed in 0u64..u64::MAX,
+    ) {
+        check_split(pop, n, &kinds, &classes, lambda, uniform, seed)?;
     }
 }
 

@@ -134,15 +134,12 @@ impl JobSpec {
         };
         let eps = v.get("eps").and_then(Value::as_f64).unwrap_or(0.1);
         let lambda = v.get("lambda").and_then(Value::as_f64).unwrap_or(0.5);
-        if eps <= 0.0 {
-            return Err("job.eps must be positive".into());
-        }
         let cover = v
             .get("cover")
             .and_then(Value::as_u64)
             .ok_or("job.cover (integer) is required")?;
         let cover = u32::try_from(cover).map_err(|_| "job.cover out of range".to_string())?;
-        Ok(Self {
+        let spec = Self {
             graph: field("graph")?,
             template: field("template")?,
             group_attr: field("group_attr")?,
@@ -167,7 +164,26 @@ impl JobSpec {
                 .map_or(DEFAULT_PRIORITY, |p| p.min(MAX_PRIORITY as u64) as u8),
             client: v.get("client").and_then(Value::as_str).map(str::to_string),
             subscribe: v.get("subscribe").and_then(Value::as_bool).unwrap_or(false),
-        })
+        };
+        spec.check_parameters()?;
+        Ok(spec)
+    }
+
+    /// Refuses generation parameters no run may take: a λ outside
+    /// `[0, 1]` (the paper's trade-off range; outside it `δ` goes negative
+    /// or overflows) and an ε that is not a finite positive number. Served
+    /// jobs and the CLI both call it before planning.
+    pub fn check_parameters(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.lambda) {
+            return Err(format!("lambda must be in [0, 1], got {:?}", self.lambda));
+        }
+        if !(self.eps.is_finite() && self.eps > 0.0) {
+            return Err(format!(
+                "eps must be a finite positive number, got {:?}",
+                self.eps
+            ));
+        }
+        Ok(())
     }
 
     /// The wire form of this spec.
@@ -599,6 +615,10 @@ pub fn generated_to_value_with(
                     Value::from(out.stats.warm_match_hits as i64),
                 ),
                 (
+                    "warm_spawn_hits",
+                    Value::from(out.stats.warm_spawn_hits as i64),
+                ),
+                (
                     "budget_tripped",
                     match out.stats.budget_tripped {
                         Some(t) => Value::object([
@@ -745,6 +765,42 @@ pub(crate) mod tests {
         ]);
         let clamped = JobSpec::from_value(&v).unwrap();
         assert_eq!(clamped.priority, MAX_PRIORITY);
+    }
+
+    /// λ is taken on `[0, 1]` inclusive and ε only finite and positive,
+    /// by the one check both the wire and the CLI run.
+    #[test]
+    fn lambda_and_eps_out_of_range_are_refused() {
+        let with = |lambda: f64, eps: f64| JobSpec {
+            lambda,
+            eps,
+            ..spec()
+        };
+        for lambda in [0.0, 0.3, 1.0] {
+            assert_eq!(with(lambda, 0.1).check_parameters(), Ok(()), "λ {lambda}");
+            let back = JobSpec::from_value(&with(lambda, 0.1).to_value()).unwrap();
+            assert_eq!(back.lambda, lambda);
+        }
+        for lambda in [-0.1, 1.5, 3.0, 1e308, f64::NAN, f64::INFINITY] {
+            let err = with(lambda, 0.1).check_parameters().unwrap_err();
+            assert!(
+                err.contains("lambda must be in [0, 1]"),
+                "λ {lambda}: {err}"
+            );
+        }
+        for lambda in [-0.1, 1.5] {
+            let err = JobSpec::from_value(&with(lambda, 0.1).to_value()).unwrap_err();
+            assert!(err.contains("lambda"), "λ {lambda}: {err}");
+        }
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = with(0.5, eps).check_parameters().unwrap_err();
+            assert!(
+                err.contains("eps must be a finite positive"),
+                "ε {eps}: {err}"
+            );
+        }
+        let err = JobSpec::from_value(&with(0.5, -0.5).to_value()).unwrap_err();
+        assert!(err.contains("eps"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * per pooled plan, a [`WarmMatches`] table of verified instances: an
 //!   instance's match set and witness rows depend on the plan and the
 //!   instance only, so a job reuses what any earlier job on the plan
-//!   verified, whatever its λ, ε or algorithm.
+//!   verified, whatever its λ, ε or algorithm — and with them `δ`'s
+//!   λ-free pair sum and, once a job has spawned from the instance,
+//!   `Spawn`'s children.
 //!
 //! Profiles and plans are immutable and derived from the graph alone, and
 //! a match record is the exact match set of its instance, so warm results
@@ -29,7 +31,7 @@
 //! graphs with LRU eviction (see `GraphRegistry::warm_state`).
 
 use crate::job::JobSpec;
-use fairsqg_algo::{LatticeTable, MatchRecord, MatchTable};
+use fairsqg_algo::{LatticeTable, MatchRecord, MatchTable, SpawnStep};
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet, LabelId, NodeId};
 use fairsqg_measures::{DiversityConfig, DiversityProfile};
 use fairsqg_query::{QueryTemplate, RefinementDomains};
@@ -113,8 +115,8 @@ pub struct WarmCounters {
     pub match_hits: AtomicU64,
     /// Verifications that searched because the table did not hold it.
     pub match_misses: AtomicU64,
-    /// Profiles, plans and match records not stored because they would
-    /// have taken their state past its byte budget.
+    /// Profiles, plans, match records and `Spawn` memos not stored
+    /// because they would have taken their state past its byte budget.
     pub budget_refusals: AtomicU64,
 }
 
@@ -152,15 +154,20 @@ impl Ledger {
 }
 
 /// Bookkeeping charged per match record on top of its node ids: the map
-/// slot, the record's header, the two `Arc` headers and allocator
+/// slot (16 bytes), the record's header (64: the two slices, the pair sum
+/// and the empty `Spawn` memo), the two `Arc` headers (32) and allocator
 /// rounding.
 const RECORD_OVERHEAD: usize = 128;
 
+/// Bookkeeping charged per filled `Spawn` memo on top of its steps:
+/// allocator rounding of the one boxed slice.
+const MEMO_OVERHEAD: usize = 16;
+
 /// A pooled plan's table of verified instances, keyed by lattice index
 /// (the plan's domains fix the numbering): each maps to the `Arc` of its
-/// match set and witness rows. The service's [`MatchTable`]: jobs read it
-/// on a miss in their own run's store and publish every search they
-/// finish.
+/// [`MatchRecord`]. The service's [`MatchTable`]: jobs read it on a miss
+/// in their own run's store, publish every search they finish, and fill
+/// a record's `Spawn` memo the first time they spawn from it.
 #[derive(Debug)]
 pub struct WarmMatches {
     records: LatticeTable<MatchRecord>,
@@ -196,19 +203,38 @@ impl MatchTable for WarmMatches {
         hit
     }
 
-    fn publish(&self, index: usize, matches: &[NodeId], rows: &Arc<[NodeId]>) {
+    fn publish(
+        &self,
+        index: usize,
+        matches: &[NodeId],
+        rows: &Arc<[NodeId]>,
+        pair_sum: f64,
+    ) -> Option<Arc<MatchRecord>> {
         // A job racing on the same instance got there first: the match
         // set is the same, so the record already charged stays.
         self.records.insert_with(index, || {
             let bytes = RECORD_OVERHEAD + (matches.len() + rows.len()) * size_of::<NodeId>();
             self.ledger.try_charge(bytes).then(|| {
                 self.bytes.fetch_add(bytes, Ordering::Relaxed);
-                MatchRecord {
-                    matches: matches.into(),
-                    rows: Arc::clone(rows),
-                }
+                MatchRecord::new(matches, rows, pair_sum)
             })
-        });
+        })
+    }
+
+    fn remember_children(&self, record: &MatchRecord, children: Box<[SpawnStep]>) {
+        if record.children.get().is_some() {
+            return;
+        }
+        let bytes = MEMO_OVERHEAD + size_of_val(&*children);
+        if !self.ledger.try_charge(bytes) {
+            return;
+        }
+        // A job racing on the same record filled it first: the children
+        // are the same, so the charge goes back.
+        match record.children.set(children) {
+            Ok(()) => self.bytes.fetch_add(bytes, Ordering::Relaxed),
+            Err(_) => self.ledger.used.fetch_sub(bytes, Ordering::Relaxed),
+        };
     }
 }
 
@@ -389,6 +415,58 @@ mod tests {
         };
         assert!(warm.plan(&key).is_none());
         assert_eq!(counters.plan_misses.load(Ordering::Relaxed), 1);
+    }
+
+    /// A record and its `Spawn` memo are charged when stored, and neither
+    /// is stored past the budget: the record is declined, the memo left
+    /// empty, and both refusals counted.
+    #[test]
+    fn records_and_spawn_memos_are_charged_and_refused_past_the_budget() {
+        let table = |limit: usize| {
+            let counters = Arc::new(WarmCounters::default());
+            let ledger = Ledger {
+                limit,
+                used: AtomicUsize::new(0),
+                counters: Arc::clone(&counters),
+            };
+            let matches = WarmMatches {
+                records: LatticeTable::default(),
+                bytes: AtomicUsize::new(0),
+                ledger: Arc::new(ledger),
+            };
+            (matches, counters)
+        };
+        let refusals = |c: &WarmCounters| c.budget_refusals.load(Ordering::Relaxed);
+        let node = [NodeId::from_index(3)];
+        let rows: Arc<[NodeId]> = Arc::from(&node[..]);
+        assert!(size_of::<MatchRecord>() <= 64, "RECORD_OVERHEAD assumes it");
+        let record_bytes = RECORD_OVERHEAD + 2 * size_of::<NodeId>();
+        let memo_bytes = MEMO_OVERHEAD + size_of::<SpawnStep>();
+
+        let (fits, counters) = table(record_bytes + memo_bytes);
+        let record = fits.publish(0, &node, &rows, 0.5).expect("fits");
+        assert_eq!(record.pair_sum, 0.5);
+        assert_eq!(fits.approx_bytes(), record_bytes);
+        fits.remember_children(&record, Box::new([(0, 2)]));
+        fits.remember_children(&record, Box::new([(0, 2)]));
+        assert_eq!(
+            record.children.get().map(|c| c.to_vec()),
+            Some(vec![(0, 2)])
+        );
+        assert_eq!(fits.approx_bytes(), record_bytes + memo_bytes);
+        assert_eq!(
+            fits.ledger.used.load(Ordering::Relaxed),
+            record_bytes + memo_bytes
+        );
+        assert!(fits.publish(1, &node, &rows, 0.5).is_none());
+        assert_eq!(refusals(&counters), 1);
+
+        let (tight, counters) = table(record_bytes);
+        let record = tight.publish(0, &node, &rows, 0.5).expect("fits");
+        tight.remember_children(&record, Box::new([(0, 2)]));
+        assert!(record.children.get().is_none());
+        assert_eq!(tight.approx_bytes(), record_bytes);
+        assert_eq!(refusals(&counters), 1);
     }
 
     /// A plan's size counts its group membership column, one `u16` per

@@ -373,9 +373,10 @@ fn sweep_spec(algo: AlgoKind, lambda: f64, eps: f64) -> JobSpec {
 }
 
 /// Acceptance: a λ sweep and an ε change through one warm plan, under
-/// every served search algorithm, give archives, match sets, counts and
-/// streamed deltas bit-identical to cold runs, and every job after the
-/// first takes match sets from the table.
+/// every served search algorithm, give archives, match sets, counts,
+/// streamed deltas and search counters bit-identical to cold runs, and
+/// every job after the first takes match sets from the table — and, under
+/// RfQGen and BiQGen, `Spawn` children from the records' memos.
 #[test]
 fn lambda_and_eps_sweeps_through_one_warm_plan_match_cold_runs_bit_for_bit() {
     let g = graph(120, 4);
@@ -404,10 +405,16 @@ fn lambda_and_eps_sweeps_through_one_warm_plan_match_cold_runs_bit_for_bit() {
             assert_eq!(bits(&hot), bits(&cold), "{at}");
             assert_eq!(hot_deltas, cold_deltas, "{at}");
             assert_eq!(hot.stats.verified, cold.stats.verified, "{at}");
+            assert_eq!(hot.stats.spawned, cold.stats.spawned, "{at}");
+            let pruned = |out: &Generated| (out.stats.pruned_infeasible, out.stats.pruned_sandwich);
+            assert_eq!(pruned(&hot), pruned(&cold), "{at}");
+            let spawns = matches!(algo, AlgoKind::RfQGen | AlgoKind::BiQGen);
             if i == 0 {
                 assert_eq!(hot.stats.warm_match_hits, 0, "{at}");
+                assert_eq!(hot.stats.warm_spawn_hits, 0, "{at}");
             } else {
                 assert!(hot.stats.warm_match_hits > 0, "{at}");
+                assert_eq!(hot.stats.warm_spawn_hits > 0, spawns, "{at}");
             }
         }
         assert!(counters.match_hits.load(Ordering::Relaxed) > 0);

@@ -261,7 +261,7 @@ fn job_spec_from_args(args: &Args, graph_name: &str) -> Result<JobSpec, String> 
                 .map_err(|_| "--deadline-ms expects an integer".to_string())
         })
         .transpose()?;
-    Ok(JobSpec {
+    let spec = JobSpec {
         graph: graph_name.to_string(),
         template,
         group_attr: args
@@ -288,7 +288,9 @@ fn job_spec_from_args(args: &Args, graph_name: &str) -> Result<JobSpec, String> 
         },
         client: None,
         subscribe: false,
-    })
+    };
+    spec.check_parameters()?;
+    Ok(spec)
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {

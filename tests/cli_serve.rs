@@ -1,6 +1,7 @@
 //! Smoke test of the `fairsqg serve` binary: there is one serving path,
 //! with or without the retired `--mux` switch, and the client talks to it
-//! in-process and through `fairsqg client`.
+//! in-process and through `fairsqg client`. Also: `fairsqg generate`
+//! refuses out-of-range generation parameters with a usage error.
 
 #![cfg(unix)]
 
@@ -68,6 +69,63 @@ fn serve_answers_the_client_with_and_without_the_mux_flag() {
             served.0.wait().unwrap().success(),
             "serve {extra:?} exits 0"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn generate_refuses_lambda_outside_the_unit_interval_and_a_nan_eps() {
+    let dir = std::env::temp_dir().join(format!("fairsqg-cli-params-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.tsv");
+    let mut tsv = String::new();
+    for i in 0..6 {
+        tsv += &format!("{i}\tdirector\tgender={}\n", i % 2);
+    }
+    for j in 0..6 {
+        tsv += &format!("{}\tuser\tyearsOfExp={}\n", 6 + j, j + 1);
+    }
+    tsv += "\n";
+    for j in 0..6 {
+        tsv += &format!("{}\trecommend\t{}\n", 6 + j, j);
+    }
+    std::fs::write(&graph, tsv).unwrap();
+    let template = dir.join("t.dsl");
+    std::fs::write(
+        &template,
+        "node u0 : director\nnode u1 : user\nedge u1 -recommend-> u0\n\
+         where u1.yearsOfExp >= ?\noutput u0\n",
+    )
+    .unwrap();
+    let generate = |flags: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_fairsqg"))
+            .arg("generate")
+            .arg("--graph")
+            .arg(&graph)
+            .arg("--template")
+            .arg(&template)
+            .args(["--group-attr", "gender", "--cover", "1", "--format", "json"])
+            .args(flags)
+            .output()
+            .expect("run fairsqg generate")
+    };
+    for lambda in ["0", "1"] {
+        let out = generate(&["--lambda", lambda]);
+        assert!(out.status.success(), "λ {lambda}: {out:?}");
+    }
+    for flags in [
+        &["--lambda", "-0.1"][..],
+        &["--lambda", "1.5"],
+        &["--lambda", "3"],
+        &["--lambda", "1e308"],
+        &["--eps", "nan"],
+        &["--eps", "0"],
+    ] {
+        let out = generate(flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -381,3 +381,41 @@ fn a_full_lattice_job_settles_truncated_and_the_server_stays_up() {
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
 }
+
+/// A λ outside `[0, 1]` or a non-positive ε is a `bad_request` at
+/// `submit`; the edges λ = 0 and λ = 1 are served.
+#[cfg(unix)]
+#[test]
+fn out_of_range_lambda_and_eps_are_bad_requests() {
+    let registry = Arc::new(GraphRegistry::new());
+    registry.insert("g", graph(40, 3));
+    let engine = Arc::new(Engine::start(registry, EngineConfig::default()));
+    let (addr, _stop, server) =
+        fairsqg::service::spawn_mux("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let client = MuxClient::connect(&addr.to_string()).unwrap();
+    for lambda in [0.0, 1.0] {
+        let id = client
+            .submit(&JobSpec {
+                lambda,
+                ..spec("g", None)
+            })
+            .unwrap();
+        let result = client.wait(id, Duration::from_secs(60)).unwrap();
+        assert!(result.get("result").is_some(), "λ {lambda}");
+    }
+    for (lambda, eps) in [(-0.1, 0.05), (1.5, 0.05), (0.5, 0.0), (0.5, -1.0)] {
+        let err = client
+            .submit(&JobSpec {
+                lambda,
+                eps,
+                ..spec("g", None)
+            })
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("bad_request"),
+            "λ {lambda} ε {eps}: {err}"
+        );
+    }
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
