@@ -300,8 +300,10 @@ pub struct GenStats {
     /// Candidate sets restricted to an `incVerify` pool instead of the
     /// label population.
     pub pool_restrictions: u64,
-    /// Postings shards skipped wholesale by partition metadata during
-    /// indexed range evaluation.
+    /// Always 0: range literals are two binary searches over the postings,
+    /// with no shard table to skip. Kept only because `perf/` reads it; it
+    /// goes with the `graph.shard_skips` metric when the benchmark next
+    /// changes.
     pub shard_skips: u64,
     /// Always 0: the diversity measure no longer caches distances. Kept,
     /// with [`distance_cache_misses`](Self::distance_cache_misses), only
@@ -338,7 +340,6 @@ impl GenStats {
         self.scan_candidates += matcher.scan_candidates;
         self.scan_fallbacks += matcher.scan_fallbacks;
         self.pool_restrictions += matcher.pool_restrictions;
-        self.shard_skips += matcher.shard_skips;
         self.order_replans += matcher.order_replans;
         self.cand_memo_hits += matcher.cand_memo_hits;
         self.witness_hits += matcher.witness_hits;

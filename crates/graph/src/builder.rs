@@ -5,7 +5,6 @@ use crate::domains::ActiveDomains;
 use crate::graph::Graph;
 use crate::ids::{AttrId, EdgeLabelId, LabelId, NodeId};
 use crate::index::AttrIndex;
-use crate::partition::{PartitionTable, DEFAULT_SHARD_TARGET};
 use crate::schema::Schema;
 use crate::seg::Segment;
 use crate::value::AttrValue;
@@ -136,8 +135,7 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph: builds CSR adjacency, the label index, the
-    /// value postings, the active domains, and the shard partitions. This
-    /// is the only code that builds them — every load path that starts
+    /// value postings and the active domains. This is the only code that builds them — every load path that starts
     /// from text or from API calls ends here.
     pub fn finish(self) -> Graph {
         let n = self.node_labels.len();
@@ -213,14 +211,6 @@ impl GraphBuilder {
         );
         let domains = ActiveDomains::from_postings(&attr_index);
 
-        // Shard partitions over the postings.
-        let partitions = PartitionTable::build(
-            attr_index
-                .iter_sorted()
-                .map(|(l, a, p)| (l, a, p.entries())),
-            DEFAULT_SHARD_TARGET,
-        );
-
         Graph {
             uid: crate::graph::next_uid(),
             schema: self.schema,
@@ -235,7 +225,6 @@ impl GraphBuilder {
             label_nodes: Segment::from_vec(label_nodes),
             domains,
             attr_index,
-            partitions,
         }
     }
 }

@@ -223,7 +223,7 @@ impl Ord for PostEntry {
     }
 }
 
-/// A standalone encoded [`AttrValue`] (domain tables, shard bounds).
+/// A standalone encoded [`AttrValue`] (domain tables).
 ///
 /// 16 bytes, no implicit padding.
 #[repr(C)]

@@ -5,7 +5,6 @@ use crate::cols::{Adj, AttrEntry};
 use crate::domains::ActiveDomains;
 use crate::ids::{AttrId, EdgeLabelId, LabelId, NodeId};
 use crate::index::AttrIndex;
-use crate::partition::PartitionTable;
 use crate::schema::Schema;
 use crate::seg::Segment;
 use crate::value::AttrValue;
@@ -28,8 +27,8 @@ pub(crate) fn next_uid() -> u64 {
 /// * per-`(label, attribute)` **active domains** — the sorted distinct values
 ///   an attribute takes over nodes of a label, which parameterize the
 ///   refinement domains of range variables,
-/// * per-`(label, attribute)` sorted value postings with shard partition
-///   metadata for indexed range-literal evaluation,
+/// * per-`(label, attribute)` sorted value postings for indexed
+///   range-literal evaluation,
 /// * `d`-hop neighborhood extraction used by template refinement (Spawn).
 ///
 /// Every large array is a [`Segment`]: owned heap for built graphs,
@@ -57,8 +56,6 @@ pub struct Graph {
     /// Per-`(label, attribute)` sorted value postings for indexed range
     /// literal evaluation.
     pub(crate) attr_index: AttrIndex,
-    /// Shard partition metadata over the postings.
-    pub(crate) partitions: PartitionTable,
     /// Process-unique identity (see [`Graph::uid`]). Clones keep the
     /// uid — their data is identical, which is what uid consumers key on.
     pub(crate) uid: u64,
@@ -98,8 +95,6 @@ pub struct GraphParts {
     pub domains: ActiveDomains,
     /// Value postings per `(label, attribute)`.
     pub attr_index: AttrIndex,
-    /// Shard partition metadata.
-    pub partitions: PartitionTable,
 }
 
 /// Borrowed views of a graph's raw columnar arrays, in exactly the layout
@@ -153,7 +148,6 @@ impl Graph {
             label_nodes: parts.label_nodes,
             domains: parts.domains,
             attr_index: parts.attr_index,
-            partitions: parts.partitions,
         }
     }
 
@@ -276,12 +270,6 @@ impl Graph {
         &self.attr_index
     }
 
-    /// The shard partition metadata over the value postings.
-    #[inline]
-    pub fn partitions(&self) -> &PartitionTable {
-        &self.partitions
-    }
-
     /// Borrowed views of the raw columnar arrays (serialization).
     pub fn columns(&self) -> GraphColumns<'_> {
         GraphColumns {
@@ -304,7 +292,7 @@ impl Graph {
     }
 
     /// Byte accounting of the graph's storage (large arrays plus the
-    /// index, domain and partition tables; the schema's interned strings
+    /// index and domain tables; the schema's interned strings
     /// are excluded — they are small and always owned).
     pub fn storage(&self) -> StorageFootprint {
         let heap_bytes = self.node_labels.heap_bytes()
@@ -317,8 +305,7 @@ impl Graph {
             + self.label_offsets.heap_bytes()
             + self.label_nodes.heap_bytes()
             + self.domains.heap_bytes()
-            + self.attr_index.heap_bytes()
-            + self.partitions.heap_bytes();
+            + self.attr_index.heap_bytes();
         let mapped_bytes = self.node_labels.mapped_bytes()
             + self.attr_offsets.mapped_bytes()
             + self.attr_entries.mapped_bytes()
@@ -467,6 +454,6 @@ mod tests {
         let f = g.storage();
         assert!(f.heap_bytes > 0);
         assert_eq!(f.mapped_bytes, 0);
-        assert!(g.partitions().pair_count() >= 1);
+        assert!(g.attr_index().pair_count() >= 1);
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::cols::{AttrEntry, PostEntry};
 use crate::ids::{AttrId, LabelId, NodeId};
-use crate::partition::Shard;
 use crate::seg::Segment;
 use crate::value::{AttrValue, CmpOp};
 use std::collections::HashMap;
@@ -59,51 +58,17 @@ impl Postings {
     /// — two binary searches (`partition_point`) on the value-sorted
     /// entries.
     pub fn range(&self, op: CmpOp, c: AttrValue) -> &[PostEntry] {
-        self.range_sharded(op, c, None).0
-    }
-
-    /// Like [`Postings::range`], but when a shard table for this pair is
-    /// available the boundary search is narrowed to the single shard that
-    /// contains it; every shard whose `[min, max]` envelope lies entirely
-    /// on one side of `c` is skipped without touching its entries.
-    /// Returns the slice and the number of shards skipped (0 without a
-    /// table). Results are identical to the unsharded path.
-    pub fn range_sharded(
-        &self,
-        op: CmpOp,
-        c: AttrValue,
-        shards: Option<&[Shard]>,
-    ) -> (&[PostEntry], usize) {
         let e: &[PostEntry] = &self.entries;
-        let mut skipped = 0usize;
-        // First index with value >= c / value > c, found by narrowing the
-        // binary search to the one shard that can contain the boundary.
-        let below = |skipped: &mut usize| -> usize {
-            let (lo, hi) = match shards {
-                Some(s) => bound_window(s, c, false, skipped),
-                None => (0, e.len()),
-            };
-            lo + e[lo..hi].partition_point(|p| p.value() < c)
-        };
-        let at_or_below = |skipped: &mut usize| -> usize {
-            let (lo, hi) = match shards {
-                Some(s) => bound_window(s, c, true, skipped),
-                None => (0, e.len()),
-            };
-            lo + e[lo..hi].partition_point(|p| p.value() <= c)
-        };
-        let slice = match op {
-            CmpOp::Lt => &e[..below(&mut skipped)],
-            CmpOp::Le => &e[..at_or_below(&mut skipped)],
-            CmpOp::Eq => {
-                let lo = below(&mut skipped);
-                let hi = at_or_below(&mut skipped);
-                &e[lo..hi]
-            }
-            CmpOp::Ge => &e[below(&mut skipped)..],
-            CmpOp::Gt => &e[at_or_below(&mut skipped)..],
-        };
-        (slice, skipped)
+        // First index with value >= c / value > c.
+        let below = || e.partition_point(|p| p.value() < c);
+        let at_or_below = || e.partition_point(|p| p.value() <= c);
+        match op {
+            CmpOp::Lt => &e[..below()],
+            CmpOp::Le => &e[..at_or_below()],
+            CmpOp::Eq => &e[below()..at_or_below()],
+            CmpOp::Ge => &e[below()..],
+            CmpOp::Gt => &e[at_or_below()..],
+        }
     }
 
     /// Number of nodes satisfying `value op c` (postings hold each node at
@@ -122,42 +87,6 @@ impl Postings {
     pub fn mapped_bytes(&self) -> usize {
         self.entries.mapped_bytes()
     }
-}
-
-/// The entry window `[lo, hi)` that contains the partition boundary
-/// (first value `>= c`, or `> c` when `strict_above` is set), found by
-/// scanning the shard envelopes. Shards wholly below the boundary
-/// contribute their length to `lo`; shards wholly above cap `hi`. The
-/// number of shards whose entries were not touched is added to `skipped`.
-fn bound_window(
-    shards: &[Shard],
-    c: AttrValue,
-    strict_above: bool,
-    skipped: &mut usize,
-) -> (usize, usize) {
-    // Shards partition a value-sorted array, so "wholly below the
-    // boundary" (every value < c, or <= c for the strict bound) is a
-    // prefix of the shard list and "wholly above" (every value >= c /
-    // > c) is a suffix; both are found with partition points over the
-    // stored envelopes. The (possibly empty) middle — shards straddling
-    // the boundary, more than one only when a run of values equal to `c`
-    // crosses shard edges — is what the binary search still touches.
-    let first_not_below =
-        shards.partition_point(|s| if strict_above { s.max <= c } else { s.max < c });
-    let first_above = shards.partition_point(|s| if strict_above { s.min <= c } else { s.min < c });
-    debug_assert!(first_not_below <= first_above);
-    let lo = if first_not_below == 0 {
-        0
-    } else {
-        shards[first_not_below - 1].end as usize
-    };
-    let hi = if first_above == shards.len() {
-        shards.last().map_or(0, |s| s.end as usize)
-    } else {
-        shards[first_above].start as usize
-    };
-    *skipped += first_not_below + (shards.len() - first_above);
-    (lo, hi)
 }
 
 /// Per-`(label, attribute)` postings of a whole graph.
@@ -241,7 +170,7 @@ impl AttrIndex {
     }
 
     /// Pairs in `(label, attr)` order — deterministic iteration for
-    /// serialization and partition building.
+    /// serialization.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (LabelId, AttrId, &Postings)> {
         let mut keys: Vec<&(LabelId, AttrId)> = self.postings.keys().collect();
         keys.sort();
@@ -414,32 +343,42 @@ mod tests {
     }
 
     #[test]
-    fn sharded_range_agrees_with_plain_range() {
-        use crate::partition::shards_of;
+    fn range_equals_a_linear_filter_of_the_entries() {
         let mut b = GraphBuilder::new();
         for i in 0..300i64 {
-            b.add_named_node("user", &[("x", AttrValue::Int(i % 37))]);
+            let v = i % 37;
+            b.add_named_node(
+                "user",
+                &[("x", AttrValue::Int(v)), ("y", AttrValue::Int(2 * v))],
+            );
         }
         let g = b.finish();
         let user = g.schema().find_node_label("user").unwrap();
-        let x = g.schema().find_attr("x").unwrap();
-        let p = g.attr_index().postings(user, x).unwrap();
-        let shards = shards_of(p.entries(), 16);
-        assert!(shards.len() > 3);
-        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ge, CmpOp::Gt] {
-            for c in [-1i64, 0, 5, 18, 36, 37, 100] {
-                let plain = p.range(op, AttrValue::Int(c));
-                let (sharded, skipped) = p.range_sharded(op, AttrValue::Int(c), Some(&shards));
-                assert_eq!(plain, sharded, "op {op:?} c {c}");
-                // A boundary away from the extremes must skip shards.
-                if c == 18 && matches!(op, CmpOp::Ge | CmpOp::Lt) {
-                    assert!(skipped > 0);
+        // `x` holds 0..=36 and `y` the even numbers 0..=72, each value in
+        // a run of 8 or 9 equal entries. The constants fall below the
+        // values, at both ends, at inner values, between two values
+        // (odd `y` constants) and above.
+        for (attr, consts) in [
+            ("x", [-1i64, 0, 5, 18, 36, 37, 100]),
+            ("y", [-1i64, 0, 17, 36, 71, 72, 73]),
+        ] {
+            let a = g.schema().find_attr(attr).unwrap();
+            let p = g.attr_index().postings(user, a).unwrap();
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ge, CmpOp::Gt] {
+                for c in consts.map(AttrValue::Int) {
+                    let want: Vec<PostEntry> = p
+                        .entries()
+                        .iter()
+                        .copied()
+                        .filter(|e| op.eval(e.value(), c))
+                        .collect();
+                    assert_eq!(p.range(op, c), want, "{attr} {op:?} {c:?}");
                 }
             }
         }
         // Index accounting helpers.
         assert!(g.attr_index().pair_count() >= 1);
-        assert_eq!(g.attr_index().entry_count(), 300);
+        assert_eq!(g.attr_index().entry_count(), 600);
         assert!(g.attr_index().heap_bytes() > 0);
         assert_eq!(g.attr_index().mapped_bytes(), 0);
         let pairs: Vec<_> = g

@@ -35,7 +35,6 @@ mod ids;
 mod index;
 mod interner;
 mod io;
-mod partition;
 mod schema;
 mod seg;
 mod stats;
@@ -50,7 +49,6 @@ pub use ids::{AttrId, EdgeLabelId, GroupId, LabelId, NodeId, SymbolId};
 pub use index::{gallop_intersect, AttrIndex, NodeBitset, Postings};
 pub use interner::Interner;
 pub use io::{parse_tsv, read_tsv, read_tsv_path, write_tsv, IoError};
-pub use partition::{shards_of, PartitionTable, Shard, DEFAULT_SHARD_TARGET};
 pub use schema::{Schema, SchemaFull};
 pub use seg::{Pod, Segment, SegmentError, StableBytes};
 pub use stats::{GraphStats, LabelStats};

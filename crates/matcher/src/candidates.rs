@@ -72,19 +72,14 @@ pub(crate) fn candidates_into(
 
     // One value-index range slice per literal; a missing (label, attr)
     // pair means no node of this label carries the attribute, so the
-    // literal — and the whole conjunction — is unsatisfiable. Shard
-    // partition metadata (when present) narrows each boundary search to
-    // one shard and counts the shards skipped wholesale.
+    // literal — and the whole conjunction — is unsatisfiable.
     let mut ranges = Vec::with_capacity(node.literals.len());
     for l in &node.literals {
         let Some(p) = graph.attr_index().postings(node.label, l.attr) else {
             stats::count_index_candidates();
             return;
         };
-        let shards = graph.partitions().shards(node.label, l.attr);
-        let (slice, skipped) = p.range_sharded(l.op, l.value, shards);
-        stats::count_shard_skips(skipped as u64);
-        ranges.push((slice, l));
+        ranges.push((p.range(l.op, l.value), l));
     }
     ranges.sort_by_key(|(slice, _)| slice.len());
     if ranges[0].0.is_empty() {

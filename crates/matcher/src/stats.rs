@@ -24,10 +24,6 @@ pub struct MatcherStats {
     /// Candidate sets restricted to an `incVerify` pool (the parent's
     /// output match set) instead of the full label population.
     pub pool_restrictions: u64,
-    /// Postings shards skipped wholesale by partition metadata during
-    /// indexed range evaluation (their `[min, max]` envelope lay entirely
-    /// on one side of the literal's boundary).
-    pub shard_skips: u64,
     /// Mid-enumeration suffix re-plans triggered by the adaptive
     /// fail-count threshold (QuickSI/RI-style reordering).
     pub order_replans: u64,
@@ -47,7 +43,6 @@ impl MatcherStats {
         self.scan_candidates += other.scan_candidates;
         self.scan_fallbacks += other.scan_fallbacks;
         self.pool_restrictions += other.pool_restrictions;
-        self.shard_skips += other.shard_skips;
         self.order_replans += other.order_replans;
         self.cand_memo_hits += other.cand_memo_hits;
         self.witness_hits += other.witness_hits;
@@ -68,7 +63,6 @@ impl MatcherStats {
             pool_restrictions: self
                 .pool_restrictions
                 .saturating_sub(baseline.pool_restrictions),
-            shard_skips: self.shard_skips.saturating_sub(baseline.shard_skips),
             order_replans: self.order_replans.saturating_sub(baseline.order_replans),
             cand_memo_hits: self.cand_memo_hits.saturating_sub(baseline.cand_memo_hits),
             witness_hits: self.witness_hits.saturating_sub(baseline.witness_hits),
@@ -81,7 +75,6 @@ thread_local! {
     static SCAN_CANDIDATES: Cell<u64> = const { Cell::new(0) };
     static SCAN_FALLBACKS: Cell<u64> = const { Cell::new(0) };
     static POOL_RESTRICTIONS: Cell<u64> = const { Cell::new(0) };
-    static SHARD_SKIPS: Cell<u64> = const { Cell::new(0) };
     static ORDER_REPLANS: Cell<u64> = const { Cell::new(0) };
     static CAND_MEMO_HITS: Cell<u64> = const { Cell::new(0) };
     static WITNESS_HITS: Cell<u64> = const { Cell::new(0) };
@@ -108,13 +101,6 @@ pub(crate) fn count_pool_restriction() {
 }
 
 #[inline]
-pub(crate) fn count_shard_skips(n: u64) {
-    if n > 0 {
-        SHARD_SKIPS.with(|c| c.set(c.get() + n));
-    }
-}
-
-#[inline]
 pub(crate) fn count_order_replans() {
     ORDER_REPLANS.with(|c| c.set(c.get() + 1));
 }
@@ -136,7 +122,6 @@ pub fn matcher_stats() -> MatcherStats {
         scan_candidates: SCAN_CANDIDATES.with(Cell::get),
         scan_fallbacks: SCAN_FALLBACKS.with(Cell::get),
         pool_restrictions: POOL_RESTRICTIONS.with(Cell::get),
-        shard_skips: SHARD_SKIPS.with(Cell::get),
         order_replans: ORDER_REPLANS.with(Cell::get),
         cand_memo_hits: CAND_MEMO_HITS.with(Cell::get),
         witness_hits: WITNESS_HITS.with(Cell::get),
@@ -151,7 +136,6 @@ pub fn take_stats() -> MatcherStats {
         scan_candidates: SCAN_CANDIDATES.with(|c| c.replace(0)),
         scan_fallbacks: SCAN_FALLBACKS.with(|c| c.replace(0)),
         pool_restrictions: POOL_RESTRICTIONS.with(|c| c.replace(0)),
-        shard_skips: SHARD_SKIPS.with(|c| c.replace(0)),
         order_replans: ORDER_REPLANS.with(|c| c.replace(0)),
         cand_memo_hits: CAND_MEMO_HITS.with(|c| c.replace(0)),
         witness_hits: WITNESS_HITS.with(|c| c.replace(0)),
@@ -183,7 +167,6 @@ mod tests {
             scan_candidates: 2,
             scan_fallbacks: 3,
             pool_restrictions: 4,
-            shard_skips: 5,
             order_replans: 7,
             cand_memo_hits: 10,
             witness_hits: 11,
@@ -193,7 +176,6 @@ mod tests {
         assert_eq!(a.scan_candidates, 4);
         assert_eq!(a.scan_fallbacks, 6);
         assert_eq!(a.pool_restrictions, 8);
-        assert_eq!(a.shard_skips, 10);
         assert_eq!(a.order_replans, 14);
         assert_eq!(a.cand_memo_hits, 20);
         assert_eq!(a.witness_hits, 22);

@@ -334,7 +334,6 @@ pub(crate) struct Counters {
     match_scan_candidates: AtomicU64,
     match_scan_fallbacks: AtomicU64,
     match_pool_restrictions: AtomicU64,
-    match_shard_skips: AtomicU64,
     match_order_replans: AtomicU64,
     match_cand_memo_hits: AtomicU64,
     // Robustness counters.
@@ -1021,10 +1020,6 @@ impl Engine {
                         Value::from(c.match_pool_restrictions.load(Ordering::Relaxed)),
                     ),
                     (
-                        "shard_skips",
-                        Value::from(c.match_shard_skips.load(Ordering::Relaxed)),
-                    ),
-                    (
                         "order_replans",
                         Value::from(c.match_order_replans.load(Ordering::Relaxed)),
                     ),
@@ -1321,7 +1316,6 @@ fn run_job(shared: &Shared, run: Run) {
             (&c.match_scan_candidates, out.stats.scan_candidates),
             (&c.match_scan_fallbacks, out.stats.scan_fallbacks),
             (&c.match_pool_restrictions, out.stats.pool_restrictions),
-            (&c.match_shard_skips, out.stats.shard_skips),
             (&c.match_order_replans, out.stats.order_replans),
             (&c.match_cand_memo_hits, out.stats.cand_memo_hits),
         ] {

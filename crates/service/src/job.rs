@@ -603,7 +603,6 @@ pub fn generated_to_value_with(
                     "pool_restrictions",
                     Value::from(out.stats.pool_restrictions as i64),
                 ),
-                ("shard_skips", Value::from(out.stats.shard_skips as i64)),
                 ("order_replans", Value::from(out.stats.order_replans as i64)),
                 (
                     "cand_memo_hits",

@@ -21,7 +21,7 @@ pub enum StoreError {
     UnsupportedVersion {
         /// The version the file declares.
         found: u32,
-        /// The version this build reads and writes.
+        /// The newest version this build reads (and the one it writes).
         supported: u32,
     },
     /// The endianness marker does not match — the file was written on an
@@ -56,7 +56,8 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported container version {found} (this build reads version {supported})"
+                "unsupported container version {found} (this build reads versions {} to {supported})",
+                crate::format::MIN_VERSION
             ),
             StoreError::BadEndianness => {
                 write!(

@@ -17,9 +17,10 @@ use crate::error::{corrupt, StoreError};
 /// First 8 bytes of every `.fsg` file.
 pub const MAGIC: [u8; 8] = *b"FAIRSQG1";
 /// The container format version this build **writes**. Version 2 added the
-/// whole-file xxHash64 digest at header bytes `[40..48)`; version-1 files
-/// (those bytes required zero) are still read.
-pub const VERSION: u32 = 2;
+/// whole-file xxHash64 digest at header bytes `[40..48)`; version 3 made
+/// header bytes `[36..40)` reserved. Version-1 and -2 files (which carry a
+/// postings shard size target there, now read past) are still read.
+pub const VERSION: u32 = 3;
 /// The oldest container format version this build still reads.
 pub const MIN_VERSION: u32 = 1;
 /// Byte offset of the v2 whole-file digest inside the header. The digest
@@ -79,7 +80,7 @@ pub mod section {
     pub const DOM_VALUES: u32 = 15;
 }
 
-/// Every section kind a version-1 container must carry, in file order.
+/// Every section kind a container must carry (all versions), in file order.
 pub const REQUIRED_SECTIONS: [u32; 15] = [
     section::NODE_LABELS,
     section::ATTR_OFFSETS,
@@ -107,8 +108,6 @@ pub struct Header {
     pub edge_count: u64,
     /// Entries in the section table.
     pub section_count: u32,
-    /// Shard size target the partition table is rebuilt with at load.
-    pub shard_target: u32,
     /// Whole-file xxHash64 digest (v2; see [`DIGEST_OFFSET`]). `0` =
     /// absent: v1 files, and v2 streams that could not be patched.
     pub digest: u64,
@@ -124,7 +123,6 @@ impl Header {
         out[16..24].copy_from_slice(&self.node_count.to_le_bytes());
         out[24..32].copy_from_slice(&self.edge_count.to_le_bytes());
         out[32..36].copy_from_slice(&self.section_count.to_le_bytes());
-        out[36..40].copy_from_slice(&self.shard_target.to_le_bytes());
         out[DIGEST_OFFSET..DIGEST_OFFSET + 8].copy_from_slice(&self.digest.to_le_bytes());
         out
     }
@@ -161,9 +159,12 @@ impl Header {
         if endian != ENDIAN_MARK {
             return Err(StoreError::BadEndianness);
         }
-        // v1 reserved the whole tail; v2 carved the digest out of it.
-        let reserved_from = if version >= 2 { DIGEST_OFFSET + 8 } else { 40 };
-        if bytes[reserved_from..HEADER_BYTES].iter().any(|&b| b != 0) {
+        // v1 reserved the whole tail; v2 carved the digest out of it. v1
+        // and v2 kept a shard size target at [36..40), read past here;
+        // v3 reserves those bytes.
+        let nonzero = |from: usize, to: usize| bytes[from..to].iter().any(|&b| b != 0);
+        let reserved_tail = if version >= 2 { DIGEST_OFFSET + 8 } else { 40 };
+        if nonzero(reserved_tail, HEADER_BYTES) || (version >= 3 && nonzero(36, 40)) {
             return Err(corrupt("header", "nonzero reserved bytes"));
         }
         let digest = if version >= 2 {
@@ -175,7 +176,6 @@ impl Header {
             node_count: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
             edge_count: u64::from_le_bytes(bytes[24..32].try_into().unwrap()),
             section_count: u32::from_le_bytes(bytes[32..36].try_into().unwrap()),
-            shard_target: u32::from_le_bytes(bytes[36..40].try_into().unwrap()),
             digest,
         })
     }
@@ -232,7 +232,6 @@ mod tests {
             node_count: 12,
             edge_count: 34,
             section_count: 15,
-            shard_target: 4096,
             digest: 0xDEAD_BEEF_0BAD_F00D,
         };
         assert_eq!(Header::parse(&h.to_bytes()).unwrap(), h);
@@ -244,11 +243,12 @@ mod tests {
             node_count: 12,
             edge_count: 34,
             section_count: 15,
-            shard_target: 4096,
             digest: 0,
         };
         let mut v1 = h.to_bytes();
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        // v1 and v2 carry a shard size target at [36..40), read past.
+        v1[36..40].copy_from_slice(&4096u32.to_le_bytes());
         assert_eq!(Header::parse(&v1).unwrap(), h);
         // In a v1 file the digest bytes are *reserved* and must be zero.
         v1[DIGEST_OFFSET] = 7;
@@ -264,7 +264,6 @@ mod tests {
             node_count: 1,
             edge_count: 0,
             section_count: 15,
-            shard_target: 4096,
             digest: 1,
         };
         let good = h.to_bytes();
@@ -290,6 +289,12 @@ mod tests {
         assert!(matches!(
             Header::parse(&bad),
             Err(StoreError::BadEndianness)
+        ));
+        let mut bad = good;
+        bad[36] = 1;
+        assert!(matches!(
+            Header::parse(&bad),
+            Err(StoreError::Corrupt { .. })
         ));
         let mut bad = good;
         bad[63] = 1;

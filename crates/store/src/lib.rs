@@ -22,10 +22,9 @@
 //! Loading validates **everything** up front — magic, version,
 //! endianness, section table, offset monotonicity, run sort order, id
 //! ranges, reserved bytes — and reports failures as typed [`StoreError`]s
-//! instead of panicking on untrusted bytes. The shard partition table is
-//! rebuilt at load from the mapped postings and the stored shard size
-//! target, so an `.fsg` load and a TSV load of the same graph expose
-//! identical shard boundaries, candidates, and generation archives.
+//! instead of panicking on untrusted bytes. An `.fsg` load and a TSV load
+//! of the same graph expose identical postings, candidates, and
+//! generation archives.
 //!
 //! See `docs/storage.md` for the byte-level format specification.
 
@@ -101,14 +100,12 @@ mod tests {
                     (None, None) => {}
                     other => panic!("postings presence mismatch for ({l:?}, {at:?}): {other:?}"),
                 }
-                assert_eq!(a.partitions().shards(l, at), b.partitions().shards(l, at));
             }
         }
         for at in 0..a.schema().attr_count() {
             let at = fairsqg_graph::AttrId(at as u16);
             assert_eq!(a.domains().global(at), b.domains().global(at));
         }
-        assert_eq!(a.partitions().target(), b.partitions().target());
     }
 
     #[test]

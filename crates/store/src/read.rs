@@ -7,8 +7,8 @@
 //! be zero. After validation the large arrays stay exactly where they are
 //! — typed [`Segment`](fairsqg_graph::Segment) views into the shared
 //! (usually memory-mapped) byte buffer — and only the small derived
-//! tables (schema strings, domains, shard partitions) are materialized on
-//! the heap.
+//! tables (schema strings, domains, the postings directory) are
+//! materialized on the heap.
 
 use crate::error::{corrupt, StoreError};
 use crate::format::{
@@ -18,7 +18,7 @@ use crate::format::{
 use crate::mmap::FileBytes;
 use fairsqg_graph::{
     ActiveDomains, Adj, AttrEntry, AttrId, AttrIndex, AttrValue, Graph, GraphParts, LabelId,
-    NodeId, PartitionTable, PostEntry, RawVal, Schema, Segment, StableBytes, TAG_STR,
+    NodeId, PostEntry, RawVal, Schema, Segment, StableBytes, TAG_STR,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -402,7 +402,7 @@ fn pair_of(
     Ok((LabelId(l as u16), AttrId(a as u16)))
 }
 
-/// Validates `bytes` as a version-1 container and assembles the graph,
+/// Validates `bytes` as an `.fsg` container and assembles the graph,
 /// taking zero-copy views into the buffer for every large array.
 pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
     let bytes = owner.stable_bytes();
@@ -427,9 +427,6 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
                 ),
             ));
         }
-    }
-    if header.shard_target == 0 {
-        return Err(corrupt("header", "shard size target is 0"));
     }
     if header.node_count > u32::MAX as u64 {
         return Err(corrupt(
@@ -676,16 +673,6 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
         per_label.insert((l, a), decode_run(d)?);
     }
 
-    // Assemble: the shard partition table is rebuilt from the mapped
-    // postings with the stored target — two envelope reads per shard —
-    // so both load paths expose identical shard boundaries.
-    let attr_index = AttrIndex::from_parts(index_parts);
-    let partitions = PartitionTable::build(
-        attr_index
-            .iter_sorted()
-            .map(|(l, a, p)| (l, a, p.entries())),
-        header.shard_target as usize,
-    );
     Ok(Graph::from_parts(GraphParts {
         schema,
         node_labels,
@@ -698,8 +685,7 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
         label_offsets,
         label_nodes,
         domains: ActiveDomains::from_parts(global, per_label),
-        attr_index,
-        partitions,
+        attr_index: AttrIndex::from_parts(index_parts),
     }))
 }
 

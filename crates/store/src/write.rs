@@ -257,7 +257,6 @@ pub(crate) fn write_container<W: Write>(graph: &Graph, w: W) -> std::io::Result<
         node_count: n as u64,
         edge_count: m as u64,
         section_count: entries.len() as u32,
-        shard_target: graph.partitions().target().max(1) as u32,
         digest: 0,
     };
     out.put(&header.to_bytes())?;

@@ -26,7 +26,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Semantic equality through the public accessor surface (nodes, tuples,
-/// adjacency, label index, postings, domains, shards).
+/// adjacency, label index, postings, domains).
 fn assert_same_graph(a: &Graph, b: &Graph) {
     assert_eq!(a.node_count(), b.node_count());
     assert_eq!(a.edge_count(), b.edge_count());
@@ -42,7 +42,6 @@ fn assert_same_graph(a: &Graph, b: &Graph) {
         for at in 0..a.schema().attr_count() {
             let at = AttrId(at as u16);
             assert_eq!(a.domains().for_label(l, at), b.domains().for_label(l, at));
-            assert_eq!(a.partitions().shards(l, at), b.partitions().shards(l, at));
             match (
                 a.attr_index().postings(l, at),
                 b.attr_index().postings(l, at),
