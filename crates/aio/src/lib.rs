@@ -3,8 +3,8 @@
 //! The build environment has no `mio`/`tokio`, so the multiplexed server
 //! core ([`fairsqg-service`]'s mux module) drives nonblocking sockets off
 //! this crate's [`Poller`]: a level-triggered readiness queue backed by
-//! `epoll(7)` on Linux and `poll(2)` on other Unix, reached through the
-//! same two-symbol `extern "C"` idiom as `fairsqg-store`'s mmap loader.
+//! `epoll(7)`, reached through the same small `extern "C"` idiom as
+//! `fairsqg-store`'s mmap loader.
 //! [`Waker`] is a nonblocking `UnixStream` pair whose read end registers
 //! with the poller like any other source, so worker threads can interrupt
 //! a blocked [`Poller::wait`].
@@ -12,8 +12,8 @@
 //! Level-triggered semantics are deliberate: a readable/writable source is
 //! reported on every wait until drained, so partial reads/writes (the
 //! normal case under backpressure) need no readiness re-arming and cannot
-//! be lost. On non-Unix targets [`Poller::new`] returns
-//! `ErrorKind::Unsupported`: serving is Unix-only.
+//! be lost. On every target but Linux [`Poller::new`] returns
+//! `ErrorKind::Unsupported`: serving is Linux-only.
 
 mod poller;
 mod waker;

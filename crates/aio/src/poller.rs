@@ -1,4 +1,5 @@
-//! The readiness queue: `epoll(7)` on Linux, `poll(2)` elsewhere on Unix.
+//! The readiness queue: `epoll(7)` on Linux; elsewhere a stub whose
+//! constructor fails.
 
 use std::io;
 use std::time::Duration;
@@ -59,7 +60,7 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates the queue. On non-Unix targets this returns
+    /// Creates the queue. On targets other than Linux this returns
     /// `ErrorKind::Unsupported`.
     pub fn new() -> io::Result<Self> {
         Ok(Self {
@@ -93,7 +94,7 @@ impl Poller {
 
 /// Clamps an optional timeout to the millisecond `int` the syscalls take
 /// (`-1` = infinite), rounding up so a 100µs timeout doesn't busy-spin.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -253,151 +254,22 @@ mod imp {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::{timeout_ms, Event, Interest};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::raw::{c_int, c_short};
-    use std::os::unix::io::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: usize, timeout: c_int) -> c_int;
-    }
-
-    /// Portable fallback: the registry lives in user space and every wait
-    /// rebuilds the pollfd array. O(n) per wait — fine for the modest fd
-    /// counts of non-Linux dev boxes; production serving targets Linux.
-    pub struct Poller {
-        registry: Mutex<BTreeMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registry: Mutex::new(BTreeMap::new()),
-            })
-        }
-
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-            if reg.insert(fd, (token, interest)).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-            match reg.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-            match reg.remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn wait(
-            &self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let (mut fds, tokens): (Vec<PollFd>, Vec<u64>) = {
-                let reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-                reg.iter()
-                    .map(|(&fd, &(token, interest))| {
-                        let mut ev: c_short = 0;
-                        if interest.readable {
-                            ev |= POLLIN;
-                        }
-                        if interest.writable {
-                            ev |= POLLOUT;
-                        }
-                        (
-                            PollFd {
-                                fd,
-                                events: ev,
-                                revents: 0,
-                            },
-                            token,
-                        )
-                    })
-                    .unzip()
-            };
-            let n = loop {
-                // SAFETY: `fds` is a valid writable array of the exact
-                // length passed.
-                let rc = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms(timeout)) };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(err);
-                }
-                break rc as usize;
-            };
-            let mut appended = 0;
-            for (pfd, &token) in fds.iter().zip(tokens.iter()) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    closed: pfd.revents & (POLLERR | POLLHUP) != 0,
-                });
-                appended += 1;
-            }
-            debug_assert!(appended >= n.min(appended));
-            Ok(appended)
-        }
-    }
-}
-
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
     use super::{Event, Interest};
     use std::io;
     use std::time::Duration;
     type RawFd = i32;
 
-    /// Non-Unix stub: construction fails; serving is Unix-only.
+    /// Stub for every target but Linux: construction fails; serving is
+    /// Linux-only.
     pub struct Poller;
 
     impl Poller {
         pub fn new() -> io::Result<Self> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "readiness polling requires a Unix target",
+                "readiness polling requires Linux",
             ))
         }
         pub fn register(&self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
@@ -415,7 +287,7 @@ mod imp {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

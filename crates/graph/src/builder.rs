@@ -1,8 +1,7 @@
 //! Mutable construction of [`Graph`]s.
 
 use crate::cols::{Adj, AttrEntry};
-use crate::domains::ActiveDomains;
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphParts};
 use crate::ids::{AttrId, EdgeLabelId, LabelId, NodeId};
 use crate::index::AttrIndex;
 use crate::schema::Schema;
@@ -134,8 +133,9 @@ impl GraphBuilder {
         self.add_edge(src, dst, label);
     }
 
-    /// Finalizes the graph: builds CSR adjacency, the label index, the
-    /// value postings and the active domains. This is the only code that builds them — every load path that starts
+    /// Finalizes the graph: builds CSR adjacency, the label index and the
+    /// value postings, then assembles it with [`Graph::from_parts`]. This
+    /// is the only code that builds them — every load path that starts
     /// from text or from API calls ends here.
     pub fn finish(self) -> Graph {
         let n = self.node_labels.len();
@@ -200,8 +200,8 @@ impl GraphBuilder {
             cursor[l.index()] += 1;
         }
 
-        // Sorted (value, node) postings per (label, attribute) pair, and
-        // the active domains read off them.
+        // Sorted (value, node) postings per (label, attribute) pair; the
+        // active domains are read off them in `Graph::from_parts`.
         let attr_index = AttrIndex::build(
             &label_offsets,
             &label_nodes,
@@ -209,10 +209,8 @@ impl GraphBuilder {
             &self.attr_entries,
             self.schema.attr_count(),
         );
-        let domains = ActiveDomains::from_postings(&attr_index);
 
-        Graph {
-            uid: crate::graph::next_uid(),
+        Graph::from_parts(GraphParts {
             schema: self.schema,
             node_labels: Segment::from_vec(self.node_labels),
             attr_offsets: Segment::from_vec(self.attr_offsets),
@@ -223,9 +221,8 @@ impl GraphBuilder {
             in_adj: Segment::from_vec(in_adj),
             label_offsets: Segment::from_vec(label_offsets),
             label_nodes: Segment::from_vec(label_nodes),
-            domains,
             attr_index,
-        }
+        })
     }
 }
 

@@ -223,57 +223,6 @@ impl Ord for PostEntry {
     }
 }
 
-/// A standalone encoded [`AttrValue`] (domain tables).
-///
-/// 16 bytes, no implicit padding.
-#[repr(C)]
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct RawVal {
-    tag: u32,
-    pad: u32,
-    payload: i64,
-}
-
-#[allow(unsafe_code)]
-unsafe impl Pod for RawVal {}
-
-impl RawVal {
-    /// Encodes `value`.
-    #[inline]
-    pub fn new(value: AttrValue) -> Self {
-        let (tag, payload) = encode_value(value);
-        Self {
-            tag: tag as u32,
-            pad: 0,
-            payload,
-        }
-    }
-
-    /// The decoded value.
-    #[inline]
-    pub fn value(self) -> AttrValue {
-        decode_value(self.tag as u16, self.payload)
-    }
-
-    /// The raw value tag.
-    #[inline]
-    pub fn tag(self) -> u32 {
-        self.tag
-    }
-
-    /// The raw value payload.
-    #[inline]
-    pub fn payload(self) -> i64 {
-        self.payload
-    }
-
-    /// Whether the reserved pad bytes are zero.
-    #[inline]
-    pub fn pad_is_zero(self) -> bool {
-        self.pad == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +233,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Adj>(), 8);
         assert_eq!(std::mem::size_of::<AttrEntry>(), 16);
         assert_eq!(std::mem::size_of::<PostEntry>(), 16);
-        assert_eq!(std::mem::size_of::<RawVal>(), 16);
         let _ = LabelId(0); // silence unused import on some cfgs
     }
 
@@ -297,7 +245,6 @@ mod tests {
         ] {
             assert_eq!(AttrEntry::new(AttrId(3), v).value(), v);
             assert_eq!(PostEntry::new(v, NodeId(9)).value(), v);
-            assert_eq!(RawVal::new(v).value(), v);
         }
         assert_eq!(
             AttrEntry::new(AttrId(3), AttrValue::Int(1)).attr(),

@@ -3,14 +3,15 @@
 //! `adom(A)` (Section II) parameterizes the search space of range variables:
 //! a literal `u.A >= x` can only usefully bind `x` to values in the active
 //! domain of `A` restricted to nodes labeled `L(u)`. Both the global and the
-//! per-label domains are precomputed at graph build time.
+//! per-label domains are read off the value-sorted postings whenever a
+//! graph is assembled, built or loaded; no container stores them.
 
 use crate::ids::{AttrId, LabelId};
 use crate::index::AttrIndex;
 use crate::value::AttrValue;
 use std::collections::HashMap;
 
-/// Precomputed sorted distinct attribute values.
+/// Sorted distinct attribute values, derived from the postings.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveDomains {
     global: HashMap<AttrId, Vec<AttrValue>>,
@@ -77,36 +78,6 @@ impl ActiveDomains {
     /// Number of attributes with a non-empty global domain.
     pub fn attr_count(&self) -> usize {
         self.global.len()
-    }
-
-    /// Reassembles domains from already-built parts (store loads). Each
-    /// value list must be sorted and deduplicated.
-    pub fn from_parts(
-        global: HashMap<AttrId, Vec<AttrValue>>,
-        per_label: HashMap<(LabelId, AttrId), Vec<AttrValue>>,
-    ) -> Self {
-        debug_assert!(global
-            .values()
-            .chain(per_label.values())
-            .all(|v| v.windows(2).all(|w| w[0] < w[1])));
-        Self { global, per_label }
-    }
-
-    /// Global domains in attribute-id order — deterministic iteration for
-    /// serialization.
-    pub fn iter_global_sorted(&self) -> impl Iterator<Item = (AttrId, &[AttrValue])> {
-        let mut keys: Vec<&AttrId> = self.global.keys().collect();
-        keys.sort();
-        keys.into_iter().map(|&a| (a, self.global[&a].as_slice()))
-    }
-
-    /// Per-label domains in `(label, attr)` order — deterministic
-    /// iteration for serialization.
-    pub fn iter_per_label_sorted(&self) -> impl Iterator<Item = (LabelId, AttrId, &[AttrValue])> {
-        let mut keys: Vec<&(LabelId, AttrId)> = self.per_label.keys().collect();
-        keys.sort();
-        keys.into_iter()
-            .map(|&(l, a)| (l, a, self.per_label[&(l, a)].as_slice()))
     }
 
     /// Approximate heap bytes held by the domain tables.

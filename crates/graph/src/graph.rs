@@ -10,7 +10,7 @@ use crate::seg::Segment;
 use crate::value::AttrValue;
 
 /// Allocates a fresh process-unique graph uid (see [`Graph::uid`]).
-pub(crate) fn next_uid() -> u64 {
+fn next_uid() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT_UID: AtomicU64 = AtomicU64::new(1);
     NEXT_UID.fetch_add(1, Ordering::Relaxed)
@@ -18,15 +18,15 @@ pub(crate) fn next_uid() -> u64 {
 
 /// An immutable attributed directed graph.
 ///
-/// Built through [`GraphBuilder`](crate::GraphBuilder) or reassembled from
-/// an `.fsg` container via [`Graph::from_parts`]; once finished the graph
+/// Built through [`GraphBuilder`](crate::GraphBuilder) or loaded from an
+/// `.fsg` container; both end in [`Graph::from_parts`]. The graph
 /// exposes:
 ///
 /// * CSR out/in adjacency with edge labels (`O(log deg)` edge lookups),
 /// * a node-label index (`V(u_o)` in the paper: all nodes with a label),
 /// * per-`(label, attribute)` **active domains** — the sorted distinct values
-///   an attribute takes over nodes of a label, which parameterize the
-///   refinement domains of range variables,
+///   an attribute takes over nodes of a label, read off the postings, which
+///   parameterize the refinement domains of range variables,
 /// * per-`(label, attribute)` sorted value postings for indexed
 ///   range-literal evaluation,
 /// * `d`-hop neighborhood extraction used by template refinement (Spawn).
@@ -91,9 +91,8 @@ pub struct GraphParts {
     pub label_offsets: Segment<u32>,
     /// Nodes grouped by label.
     pub label_nodes: Segment<NodeId>,
-    /// Active domains.
-    pub domains: ActiveDomains,
-    /// Value postings per `(label, attribute)`.
+    /// Value postings per `(label, attribute)`; the active domains are
+    /// read off them.
     pub attr_index: AttrIndex,
 }
 
@@ -131,8 +130,9 @@ pub struct StorageFootprint {
 }
 
 impl Graph {
-    /// Reassembles a graph from columnar parts (see [`GraphParts`] for the
-    /// invariants the caller must guarantee).
+    /// Assembles a graph from columnar parts (see [`GraphParts`] for the
+    /// invariants the caller must guarantee), deriving the active domains
+    /// from the postings. Every graph, built or loaded, is assembled here.
     pub fn from_parts(parts: GraphParts) -> Self {
         Self {
             uid: next_uid(),
@@ -146,7 +146,7 @@ impl Graph {
             in_adj: parts.in_adj,
             label_offsets: parts.label_offsets,
             label_nodes: parts.label_nodes,
-            domains: parts.domains,
+            domains: ActiveDomains::from_postings(&parts.attr_index),
             attr_index: parts.attr_index,
         }
     }

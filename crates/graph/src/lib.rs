@@ -41,7 +41,7 @@ mod stats;
 mod value;
 
 pub use builder::GraphBuilder;
-pub use cols::{Adj, AttrEntry, PostEntry, RawVal, TAG_INT, TAG_STR};
+pub use cols::{Adj, AttrEntry, PostEntry, TAG_INT, TAG_STR};
 pub use domains::ActiveDomains;
 pub use graph::{Graph, GraphColumns, GraphParts, StorageFootprint};
 pub use groups::{CoverageSpec, GroupSet};

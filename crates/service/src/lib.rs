@@ -11,7 +11,7 @@
 //!   `(graph epoch, template text, parameters)`;
 //! * [`MuxServer`] — a newline-delimited JSON TCP wire surface
 //!   (`submit`/`status`/`result`/`cancel`/`stats`/`graphs`/`shutdown`)
-//!   served by one readiness-driven event loop (Unix only; see [`mux`]),
+//!   served by one readiness-driven event loop (Linux only; see [`mux`]),
 //!   with [`proto`] holding the protocol table and error codes;
 //! * [`MuxClient`] — the client: many `rid`-tagged requests and streaming
 //!   subscriptions on one connection, shared across threads, with

@@ -1,7 +1,7 @@
 //! The server: a readiness-driven, multiplexed TCP front end.
 //!
 //! One event-loop thread drives every connection off a
-//! [`fairsqg_aio::Poller`] (epoll on Linux, `poll(2)` elsewhere on Unix):
+//! [`fairsqg_aio::Poller`] (epoll; serving is Linux-only):
 //! nonblocking sockets, a push-based [`FrameDecoder`] per connection, and
 //! a per-connection outbound byte queue that engine worker threads append
 //! to directly (via [`EventSink`]s) before waking the loop. Generation

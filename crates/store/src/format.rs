@@ -18,9 +18,11 @@ use crate::error::{corrupt, StoreError};
 pub const MAGIC: [u8; 8] = *b"FAIRSQG1";
 /// The container format version this build **writes**. Version 2 added the
 /// whole-file xxHash64 digest at header bytes `[40..48)`; version 3 made
-/// header bytes `[36..40)` reserved. Version-1 and -2 files (which carry a
-/// postings shard size target there, now read past) are still read.
-pub const VERSION: u32 = 3;
+/// header bytes `[36..40)` reserved; version 4 stopped writing the active
+/// domains (section kinds 13–15), which are read off the postings. Older
+/// files are still read: the postings shard size target that v1 and v2
+/// carry at `[36..40)` and the domain sections of v1–v3 are read past.
+pub const VERSION: u32 = 4;
 /// The oldest container format version this build still reads.
 pub const MIN_VERSION: u32 = 1;
 /// Byte offset of the v2 whole-file digest inside the header. The digest
@@ -70,18 +72,12 @@ pub mod section {
     pub const POSTINGS_DIR: u32 = 11;
     /// `[PostEntry; 16B]` — concatenated per-pair value postings.
     pub const POSTINGS: u32 = 12;
-    /// `[u64] * 3 * attr_count` — global active-domain directory:
-    /// `(attr, start, len)` into `DOM_VALUES`, sorted by attr.
-    pub const GLOBAL_DOM_DIR: u32 = 13;
-    /// `[u64] * 3 * pair_count` — per-label active-domain directory:
-    /// `(label << 16 | attr, start, len)` into `DOM_VALUES`.
-    pub const LABEL_DOM_DIR: u32 = 14;
-    /// `[RawVal; 16B]` — concatenated domain value runs.
-    pub const DOM_VALUES: u32 = 15;
+    // Kinds 13–15 are retired: v1–v3 files stored the active domains
+    // there. The loader bounds-checks and then skips them.
 }
 
 /// Every section kind a container must carry (all versions), in file order.
-pub const REQUIRED_SECTIONS: [u32; 15] = [
+pub const REQUIRED_SECTIONS: [u32; 12] = [
     section::NODE_LABELS,
     section::ATTR_OFFSETS,
     section::ATTR_ENTRIES,
@@ -94,9 +90,6 @@ pub const REQUIRED_SECTIONS: [u32; 15] = [
     section::STRINGS,
     section::POSTINGS_DIR,
     section::POSTINGS,
-    section::GLOBAL_DOM_DIR,
-    section::LABEL_DOM_DIR,
-    section::DOM_VALUES,
 ];
 
 /// The fixed-size file header.
@@ -161,7 +154,7 @@ impl Header {
         }
         // v1 reserved the whole tail; v2 carved the digest out of it. v1
         // and v2 kept a shard size target at [36..40), read past here;
-        // v3 reserves those bytes.
+        // v3 and v4 reserve those bytes.
         let nonzero = |from: usize, to: usize| bytes[from..to].iter().any(|&b| b != 0);
         let reserved_tail = if version >= 2 { DIGEST_OFFSET + 8 } else { 40 };
         if nonzero(reserved_tail, HEADER_BYTES) || (version >= 3 && nonzero(36, 40)) {
@@ -231,10 +224,16 @@ mod tests {
         let h = Header {
             node_count: 12,
             edge_count: 34,
-            section_count: 15,
+            section_count: 12,
             digest: 0xDEAD_BEEF_0BAD_F00D,
         };
-        assert_eq!(Header::parse(&h.to_bytes()).unwrap(), h);
+        let bytes = h.to_bytes();
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
+        assert_eq!(Header::parse(&bytes).unwrap(), h);
+        // A v3 header has the v4 layout and parses the same.
+        let mut v3 = bytes;
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(Header::parse(&v3).unwrap(), h);
     }
 
     #[test]
@@ -242,7 +241,7 @@ mod tests {
         let h = Header {
             node_count: 12,
             edge_count: 34,
-            section_count: 15,
+            section_count: 12,
             digest: 0,
         };
         let mut v1 = h.to_bytes();
@@ -263,7 +262,7 @@ mod tests {
         let h = Header {
             node_count: 1,
             edge_count: 0,
-            section_count: 15,
+            section_count: 12,
             digest: 1,
         };
         let good = h.to_bytes();
@@ -291,11 +290,23 @@ mod tests {
             Err(StoreError::BadEndianness)
         ));
         let mut bad = good;
-        bad[36] = 1;
+        bad[8] = 5;
         assert!(matches!(
             Header::parse(&bad),
-            Err(StoreError::Corrupt { .. })
+            Err(StoreError::UnsupportedVersion {
+                found: 5,
+                supported: 4
+            })
         ));
+        for version in [3u32, 4] {
+            let mut bad = good;
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            bad[36] = 1;
+            assert!(matches!(
+                Header::parse(&bad),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
         let mut bad = good;
         bad[63] = 1;
         assert!(matches!(

@@ -5,9 +5,10 @@
 //! every index on each load. This crate adds the persistent counterpart —
 //! a versioned little-endian container holding the graph's columnar
 //! arrays (CSR adjacency both directions, attribute runs, label index,
-//! value postings, active domains) exactly as
-//! [`Segment`](fairsqg_graph::Segment)s hold them in memory, so loading is
-//! *validate + point*, not parse + rebuild:
+//! value postings) exactly as [`Segment`](fairsqg_graph::Segment)s hold
+//! them in memory, so loading is *validate + point*, not parse + rebuild.
+//! Each fact is stored once: the active domains are read off the postings
+//! at load (one linear pass), as they are at build time.
 //!
 //! * [`write_graph`] / [`write_graph_to_path`] serialize a built
 //!   [`Graph`](fairsqg_graph::Graph);
@@ -19,12 +20,14 @@
 //!   [`load_bytes`] does the same over any
 //!   [`StableBytes`](fairsqg_graph::StableBytes) buffer.
 //!
-//! Loading validates **everything** up front — magic, version,
-//! endianness, section table, offset monotonicity, run sort order, id
-//! ranges, reserved bytes — and reports failures as typed [`StoreError`]s
-//! instead of panicking on untrusted bytes. An `.fsg` load and a TSV load
-//! of the same graph expose identical postings, candidates, and
-//! generation archives.
+//! Loading validates up front — magic, version, endianness, section
+//! table, offset monotonicity, run sort order, id ranges, reserved bytes,
+//! and each posting's node against its run's label and the postings total
+//! against the attribute entries (not posting by posting; the whole-file
+//! digest covers the rest) — and reports failures as typed
+//! [`StoreError`]s instead of panicking on untrusted bytes. An `.fsg` load
+//! and a TSV load of the same graph expose identical postings, domains,
+//! candidates, and generation archives.
 //!
 //! See `docs/storage.md` for the byte-level format specification.
 

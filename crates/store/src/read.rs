@@ -7,8 +7,10 @@
 //! be zero. After validation the large arrays stay exactly where they are
 //! — typed [`Segment`](fairsqg_graph::Segment) views into the shared
 //! (usually memory-mapped) byte buffer — and only the small derived
-//! tables (schema strings, domains, the postings directory) are
-//! materialized on the heap.
+//! tables (schema strings, the postings directory, and the active domains
+//! that [`Graph::from_parts`] reads off the postings) are materialized on
+//! the heap. The domain sections of v1–v3 files (kinds 13–15) are
+//! bounds-checked with the rest of the section table, then skipped.
 
 use crate::error::{corrupt, StoreError};
 use crate::format::{
@@ -17,8 +19,8 @@ use crate::format::{
 };
 use crate::mmap::FileBytes;
 use fairsqg_graph::{
-    ActiveDomains, Adj, AttrEntry, AttrId, AttrIndex, AttrValue, Graph, GraphParts, LabelId,
-    NodeId, PostEntry, RawVal, Schema, Segment, StableBytes, TAG_STR,
+    Adj, AttrEntry, AttrId, AttrIndex, Graph, GraphParts, LabelId, NodeId, PostEntry, Schema,
+    Segment, StableBytes, TAG_STR,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -51,9 +53,7 @@ fn section_name(kind: u32) -> &'static str {
         section::STRINGS => "strings",
         section::POSTINGS_DIR => "postings_dir",
         section::POSTINGS => "postings",
-        section::GLOBAL_DOM_DIR => "global_dom_dir",
-        section::LABEL_DOM_DIR => "label_dom_dir",
-        section::DOM_VALUES => "dom_values",
+        13..=15 => "retired domain section",
         _ => "unknown",
     }
 }
@@ -69,8 +69,10 @@ fn elem_size(kind: u32) -> u64 {
         | section::LABEL_NODES => 4,
         section::OUT_ADJ | section::IN_ADJ => 8,
         section::STRINGS => 1,
-        section::POSTINGS_DIR | section::GLOBAL_DOM_DIR | section::LABEL_DOM_DIR => 8,
-        section::ATTR_ENTRIES | section::POSTINGS | section::DOM_VALUES => 16,
+        // 13–15: the retired domain sections of v1–v3 (two directories of
+        // u64 triples, then 16-byte values), bounds-checked and skipped.
+        section::POSTINGS_DIR | 13 | 14 => 8,
+        section::ATTR_ENTRIES | section::POSTINGS | 15 => 16,
         _ => 0,
     }
 }
@@ -345,9 +347,8 @@ struct DirEntry {
 }
 
 /// Validates a `(key, start, len)` directory: triple-aligned length,
-/// strictly increasing keys, runs contiguous from `base` covering
-/// entries up to the returned total.
-fn check_dir(name: &'static str, dir: &[u64], base: u64) -> Result<Vec<DirEntry>, StoreError> {
+/// strictly increasing keys, nonempty runs contiguous from 0.
+fn check_dir(name: &'static str, dir: &[u64]) -> Result<Vec<DirEntry>, StoreError> {
     if !dir.len().is_multiple_of(3) {
         return Err(corrupt(
             name,
@@ -355,7 +356,7 @@ fn check_dir(name: &'static str, dir: &[u64], base: u64) -> Result<Vec<DirEntry>
         ));
     }
     let mut out = Vec::with_capacity(dir.len() / 3);
-    let mut expect_start = base;
+    let mut expect_start = 0u64;
     let mut last_key = None;
     for t in dir.chunks_exact(3) {
         let (key, start, len) = (t[0], t[1], t[2]);
@@ -377,7 +378,6 @@ fn check_dir(name: &'static str, dir: &[u64], base: u64) -> Result<Vec<DirEntry>
             .ok_or_else(|| corrupt(name, "run end overflows"))?;
         out.push(DirEntry { key, start, len });
     }
-    let _ = expect_start;
     Ok(out)
 }
 
@@ -465,9 +465,6 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
     let label_nodes: Segment<NodeId> = seg(&owner, &sections[&section::LABEL_NODES])?;
     let postings_dir: Segment<u64> = seg(&owner, &sections[&section::POSTINGS_DIR])?;
     let postings: Segment<PostEntry> = seg(&owner, &sections[&section::POSTINGS])?;
-    let global_dom_dir: Segment<u64> = seg(&owner, &sections[&section::GLOBAL_DOM_DIR])?;
-    let label_dom_dir: Segment<u64> = seg(&owner, &sections[&section::LABEL_DOM_DIR])?;
-    let dom_values: Segment<RawVal> = seg(&owner, &sections[&section::DOM_VALUES])?;
 
     // Node labels.
     if node_labels.len() != n {
@@ -559,7 +556,7 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
 
     // Postings: directory + per-pair sorted runs. Every attribute
     // observation has exactly one posting, so totals must agree.
-    let post_dir = check_dir("postings_dir", &postings_dir, 0)?;
+    let post_dir = check_dir("postings_dir", &postings_dir)?;
     let total: u64 = post_dir.iter().map(|d| d.len).sum();
     if total != postings.len() as u64 {
         return Err(corrupt(
@@ -619,60 +616,6 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
         index_parts.insert((l, a), seg);
     }
 
-    // Active domains: global runs first, per-label runs after, both
-    // strictly sorted (sorted + deduplicated).
-    let global_dir = check_dir("global_dom_dir", &global_dom_dir, 0)?;
-    let global_total: u64 = global_dir.iter().map(|d| d.len).sum();
-    let label_dir = check_dir("label_dom_dir", &label_dom_dir, global_total)?;
-    let dom_total = global_total + label_dir.iter().map(|d| d.len).sum::<u64>();
-    if dom_total != dom_values.len() as u64 {
-        return Err(corrupt(
-            "dom_values",
-            format!(
-                "directories cover {dom_total} values, section has {}",
-                dom_values.len()
-            ),
-        ));
-    }
-    for (i, v) in dom_values.iter().enumerate() {
-        if v.tag() > TAG_STR as u32 {
-            return Err(corrupt(
-                "dom_values",
-                format!("entry {i}: invalid value tag"),
-            ));
-        }
-        check_value(
-            "dom_values",
-            v.tag() as u16,
-            v.payload(),
-            v.pad_is_zero(),
-            symbol_count,
-        )?;
-    }
-    let decode_run = |d: &DirEntry| -> Result<Vec<AttrValue>, StoreError> {
-        let run = &dom_values[d.start as usize..(d.start + d.len) as usize];
-        let vals: Vec<AttrValue> = run.iter().map(|v| v.value()).collect();
-        if vals.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(corrupt("dom_values", "run is not strictly sorted"));
-        }
-        Ok(vals)
-    };
-    let mut global = HashMap::with_capacity(global_dir.len());
-    for d in &global_dir {
-        if d.key >= attr_count as u64 {
-            return Err(corrupt(
-                "global_dom_dir",
-                format!("attribute key {} out of range", d.key),
-            ));
-        }
-        global.insert(AttrId(d.key as u16), decode_run(d)?);
-    }
-    let mut per_label = HashMap::with_capacity(label_dir.len());
-    for d in &label_dir {
-        let (l, a) = pair_of("label_dom_dir", d.key, label_count, attr_count)?;
-        per_label.insert((l, a), decode_run(d)?);
-    }
-
     Ok(Graph::from_parts(GraphParts {
         schema,
         node_labels,
@@ -684,7 +627,6 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
         in_adj,
         label_offsets,
         label_nodes,
-        domains: ActiveDomains::from_parts(global, per_label),
         attr_index: AttrIndex::from_parts(index_parts),
     }))
 }

@@ -136,32 +136,12 @@ fn put_post_entries<W: Write>(out: &mut Out<W>, vals: &[PostEntry]) -> std::io::
     Ok(())
 }
 
-fn put_raw_vals<W: Write>(out: &mut Out<W>, vals: &[AttrValue]) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(16 * vals.len().min(1 << 16));
-    for chunk in vals.chunks(1 << 16) {
-        buf.clear();
-        for &v in chunk {
-            let (tag, payload) = encode(v);
-            buf.extend_from_slice(&(tag as u32).to_le_bytes());
-            buf.extend_from_slice(&0u32.to_le_bytes());
-            buf.extend_from_slice(&payload.to_le_bytes());
-        }
-        out.put(&buf)?;
-    }
-    Ok(())
-}
-
 fn put_u64s<W: Write>(out: &mut Out<W>, vals: &[u64]) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(8 * vals.len());
     for &v in vals {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     out.put(&buf)
-}
-
-#[inline]
-fn pair_key(l: fairsqg_graph::LabelId, a: fairsqg_graph::AttrId) -> u64 {
-    ((l.0 as u64) << 16) | a.0 as u64
 }
 
 /// Writes `graph` as a container, returning `(bytes_written, digest)`.
@@ -174,26 +154,15 @@ pub(crate) fn write_container<W: Write>(graph: &Graph, w: W) -> std::io::Result<
     let n = cols.node_labels.len();
     let m = cols.out_adj.len();
 
-    // Directories and concatenated payloads of the postings/domain maps,
-    // in deterministic (label, attr) order.
+    // The postings directory, in deterministic (label, attr) order.
     let strings = strings_blob(graph.schema());
     let mut postings_dir: Vec<u64> = Vec::new();
     let mut postings_total = 0u64;
     for (l, a, p) in graph.attr_index().iter_sorted() {
         let len = p.entries().len() as u64;
-        postings_dir.extend_from_slice(&[pair_key(l, a), postings_total, len]);
+        let key = ((l.0 as u64) << 16) | a.0 as u64;
+        postings_dir.extend_from_slice(&[key, postings_total, len]);
         postings_total += len;
-    }
-    let mut global_dom_dir: Vec<u64> = Vec::new();
-    let mut label_dom_dir: Vec<u64> = Vec::new();
-    let mut dom_total = 0u64;
-    for (a, vals) in graph.domains().iter_global_sorted() {
-        global_dom_dir.extend_from_slice(&[a.0 as u64, dom_total, vals.len() as u64]);
-        dom_total += vals.len() as u64;
-    }
-    for (l, a, vals) in graph.domains().iter_per_label_sorted() {
-        label_dom_dir.extend_from_slice(&[pair_key(l, a), dom_total, vals.len() as u64]);
-        dom_total += vals.len() as u64;
     }
 
     // Section layout: (kind, element count, byte length) in file order.
@@ -222,17 +191,6 @@ pub(crate) fn write_container<W: Write>(graph: &Graph, w: W) -> std::io::Result<
             8 * postings_dir.len() as u64,
         ),
         (section::POSTINGS, postings_total, 16 * postings_total),
-        (
-            section::GLOBAL_DOM_DIR,
-            global_dom_dir.len() as u64,
-            8 * global_dom_dir.len() as u64,
-        ),
-        (
-            section::LABEL_DOM_DIR,
-            label_dom_dir.len() as u64,
-            8 * label_dom_dir.len() as u64,
-        ),
-        (section::DOM_VALUES, dom_total, 16 * dom_total),
     ];
 
     let mut offset = (HEADER_BYTES + SECTION_ENTRY_BYTES * layout.len()) as u64;
@@ -300,16 +258,6 @@ pub(crate) fn write_container<W: Write>(graph: &Graph, w: W) -> std::io::Result<
             section::POSTINGS => {
                 for (_, _, p) in graph.attr_index().iter_sorted() {
                     put_post_entries(&mut out, p.entries())?;
-                }
-            }
-            section::GLOBAL_DOM_DIR => put_u64s(&mut out, &global_dom_dir)?,
-            section::LABEL_DOM_DIR => put_u64s(&mut out, &label_dom_dir)?,
-            section::DOM_VALUES => {
-                for (_, vals) in graph.domains().iter_global_sorted() {
-                    put_raw_vals(&mut out, vals)?;
-                }
-                for (_, _, vals) in graph.domains().iter_per_label_sorted() {
-                    put_raw_vals(&mut out, vals)?;
                 }
             }
             other => unreachable!("unknown section kind {other} in writer layout"),

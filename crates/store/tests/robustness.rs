@@ -3,7 +3,7 @@
 //! wrong graph. Mirrors the wire layer's robustness posture
 //! (`crates/wire/tests/robustness.rs`).
 
-use fairsqg_graph::{AttrValue, Graph, GraphBuilder};
+use fairsqg_graph::{AttrId, AttrValue, Graph, GraphBuilder, LabelId, TAG_INT};
 use fairsqg_store::format::{
     section, Header, SectionEntry, DIGEST_OFFSET, HEADER_BYTES, SECTION_ENTRY_BYTES,
 };
@@ -71,12 +71,12 @@ fn garbage_is_not_a_container() {
 fn wrong_version_and_endianness_are_rejected() {
     let good = container();
     let mut bad = good.clone();
-    bad[8] = 4; // one past the newest version this build writes
+    bad[8] = 5; // one past the newest version this build writes
     assert!(matches!(
         load(bad),
         Err(StoreError::UnsupportedVersion {
-            found: 4,
-            supported: 3
+            found: 5,
+            supported: 4
         })
     ));
     let mut bad = good;
@@ -301,32 +301,17 @@ fn postings_directory_corruption_is_rejected() {
 }
 
 #[test]
-fn domain_directory_corruption_is_rejected() {
-    let good = container();
-    let (_, e) = entry_at(&good, section::GLOBAL_DOM_DIR);
-    let at = e.offset as usize;
-    // Zero-length run.
-    let mut bad = good.clone();
-    bad[at + 16..at + 24].copy_from_slice(&0u64.to_le_bytes());
-    assert!(matches!(load(bad), Err(StoreError::Corrupt { .. })));
-    // Attribute key out of range.
-    let mut bad = good.clone();
-    bad[at..at + 8].copy_from_slice(&0xFFFFu64.to_le_bytes());
-    assert!(matches!(load(bad), Err(StoreError::Corrupt { .. })));
-}
-
-#[test]
 fn nonzero_reserved_header_bytes_are_rejected() {
     let mut bad = container();
     bad[50] = 1;
     assert!(matches!(load(bad), Err(StoreError::Corrupt { .. })));
 }
 
-/// `v3` rewritten as a version-1 or -2 container: the version field set,
+/// `v4` rewritten as a version-1 or -2 container: the version field set,
 /// a shard size target of 4096 at `[36..40)` (what those versions kept
 /// there), and for v2 the whole-file digest recomputed over it.
-fn as_older_version(v3: &[u8], version: u32) -> Vec<u8> {
-    let mut old = v3.to_vec();
+fn as_older_version(v4: &[u8], version: u32) -> Vec<u8> {
+    let mut old = v4.to_vec();
     old[8..12].copy_from_slice(&version.to_le_bytes());
     old[36..40].copy_from_slice(&4096u32.to_le_bytes());
     old[DIGEST_OFFSET..DIGEST_OFFSET + 8].fill(0);
@@ -339,18 +324,84 @@ fn as_older_version(v3: &[u8], version: u32) -> Vec<u8> {
 
 #[test]
 fn version_1_and_2_containers_load_to_the_same_graph() {
-    let v3 = container();
-    assert_eq!(u32::from_le_bytes(v3[8..12].try_into().unwrap()), 3);
+    let v4 = container();
+    assert_eq!(u32::from_le_bytes(v4[8..12].try_into().unwrap()), 4);
     for version in [1, 2] {
-        let old = as_older_version(&v3, version);
+        let old = as_older_version(&v4, version);
         let header = Header::parse(&old).unwrap();
         assert_eq!(header.digest != 0, version == 2);
         // Serialization is deterministic, so writing the loaded graph
-        // back out gives the v3 bytes exactly when the graphs agree.
+        // back out gives the v4 bytes exactly when the graphs agree.
         let mut again = Vec::new();
         write_graph(&load(old).unwrap(), &mut again).unwrap();
-        assert_eq!(again, v3, "version {version}");
+        assert_eq!(again, v4, "version {version}");
     }
+}
+
+/// `sample()` as an older build wrote it: format version 3, digest
+/// stamped, with the three domain sections (kinds 13–15) that version 4
+/// no longer writes.
+const SAMPLE_V3: &[u8] = include_bytes!("data/sample_v3.fsg");
+
+/// Equality of two graphs: the same container bytes (every stored column)
+/// and the same active domains, global and per label.
+fn assert_same_graph(a: &Graph, b: &Graph) {
+    let bytes = |g: &Graph| {
+        let mut buf = Vec::new();
+        write_graph(g, &mut buf).unwrap();
+        buf
+    };
+    assert_eq!(bytes(a), bytes(b));
+    for at in 0..a.schema().attr_count() {
+        let at = AttrId(at as u16);
+        assert_eq!(a.domains().global(at), b.domains().global(at));
+        for l in 0..a.schema().node_label_count() {
+            let l = LabelId(l as u16);
+            assert_eq!(a.domains().for_label(l, at), b.domains().for_label(l, at));
+        }
+    }
+}
+
+#[test]
+fn version_3_fixture_loads_to_the_same_graph() {
+    let header = Header::parse(SAMPLE_V3).unwrap();
+    assert_eq!(u32::from_le_bytes(SAMPLE_V3[8..12].try_into().unwrap()), 3);
+    assert_ne!(header.digest, 0);
+    assert_eq!(header.section_count, 15);
+    assert_same_graph(
+        &load(SAMPLE_V3.to_vec()).unwrap(),
+        &load(container()).unwrap(),
+    );
+}
+
+#[test]
+fn version_3_domain_sections_are_read_past_not_trusted() {
+    // Kind 15 held the domain values as 16-byte (tag u32, pad u32,
+    // payload i64) records. Raise every integer among them by 100.
+    let (_, e) = entry_at(SAMPLE_V3, 15);
+    let mut raised = SAMPLE_V3.to_vec();
+    let mut ints = 0;
+    for at in (e.offset as usize..(e.offset + e.byte_len) as usize).step_by(16) {
+        if u32::from_le_bytes(raised[at..at + 4].try_into().unwrap()) == TAG_INT as u32 {
+            let v = i64::from_le_bytes(raised[at + 8..at + 16].try_into().unwrap());
+            raised[at + 8..at + 16].copy_from_slice(&(v + 100).to_le_bytes());
+            ints += 1;
+        }
+    }
+    assert!(ints > 0);
+    raised[DIGEST_OFFSET..DIGEST_OFFSET + 8].fill(0);
+    // The domains come from the postings, as a build of `sample()` has them.
+    let g = load(raised.clone()).unwrap();
+    let gender = g.schema().find_attr("gender").unwrap();
+    assert_eq!(
+        g.domains().global(gender),
+        &[AttrValue::Int(0), AttrValue::Int(1)]
+    );
+    assert_same_graph(&g, &sample());
+    // The retired sections are still bounds-checked.
+    let (at, _) = entry_at(&raised, 15);
+    raised[at + 8..at + 16].copy_from_slice(&(SAMPLE_V3.len() as u64 * 2).to_le_bytes());
+    assert!(matches!(load(raised), Err(StoreError::Truncated { .. })));
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //! the output path ends in `.fsg`.
 //!
 //! `serve` runs the concurrent generation server (`fairsqg::service`,
-//! Unix only): one event-loop thread serves every connection and many
+//! Linux only): one event-loop thread serves every connection and many
 //! requests can ride one connection via `rid`-tagged frames. `client`
 //! speaks its newline-delimited JSON protocol over one `MuxClient`, with
 //! reconnect and retry; `--op submit --subscribe on` streams Pareto
@@ -512,7 +512,7 @@ fn serve(addr: &str, engine: Arc<Engine>, manifest: Option<String>) -> Result<()
 
 #[cfg(not(unix))]
 fn serve(_addr: &str, _engine: Arc<Engine>, _manifest: Option<String>) -> Result<(), String> {
-    Err("serve requires a Unix platform (epoll/poll readiness)".into())
+    Err("serve requires Linux (epoll readiness)".into())
 }
 
 fn cmd_client(args: &Args) -> Result<(), String> {
