@@ -6,7 +6,7 @@
 //! `numberOfCitations`, and `year`; `author` nodes carry `hIndex`.
 //! `cites` edges follow preferential attachment toward highly cited work.
 
-use crate::util::{rng, zipf};
+use crate::util::{rng, Zipf};
 use fairsqg_graph::{AttrValue, Graph, GraphBuilder, GroupSet, NodeId};
 use rand::Rng;
 
@@ -63,11 +63,13 @@ pub fn citations_graph(cfg: CitationsConfig) -> Graph {
     let mut citation_counts = vec![0i64; n_papers];
     let mut cite_edges: Vec<(usize, usize)> = Vec::new();
     let mut topics = Vec::with_capacity(n_papers);
+    let topic_of = Zipf::new(TOPICS.len(), 0.7);
+    let refs_of = Zipf::new(8, 1.0);
     for i in 0..n_papers {
-        let topic = zipf(&mut r, TOPICS.len(), 0.7);
+        let topic = topic_of.sample(&mut r);
         topics.push(topic);
         if i > 0 {
-            let refs = 2 + zipf(&mut r, 8, 1.0);
+            let refs = 2 + refs_of.sample(&mut r);
             for _ in 0..refs {
                 let target = if !head_topic_papers.is_empty() && r.gen_bool(0.25) {
                     head_topic_papers[r.gen_range(0..head_topic_papers.len())]
@@ -93,10 +95,12 @@ pub fn citations_graph(cfg: CitationsConfig) -> Graph {
         let s = b.schema_mut();
         TOPICS.iter().map(|t| s.symbol(t)).collect()
     };
+    let h_index_of = Zipf::new(60, 1.1);
+    let papers_of = Zipf::new(30, 1.0);
     let authors: Vec<NodeId> = (0..n_authors)
         .map(|_| {
-            let h = zipf(&mut r, 60, 1.1) as i64;
-            let np = 1 + zipf(&mut r, 30, 1.0) as i64;
+            let h = h_index_of.sample(&mut r) as i64;
+            let np = 1 + papers_of.sample(&mut r) as i64;
             b.add_named_node(
                 "author",
                 &[
@@ -123,10 +127,12 @@ pub fn citations_graph(cfg: CitationsConfig) -> Graph {
         b.add_named_edge(papers[src], papers[dst], "cites");
     }
     // Authorship: each paper gets 1–4 authors, Zipf-skewed.
+    let byline_of = Zipf::new(4, 1.0);
+    let author_of = Zipf::new(authors.len(), 0.8);
     for &p in &papers {
-        let k = 1 + zipf(&mut r, 4, 1.0);
+        let k = 1 + byline_of.sample(&mut r);
         for _ in 0..k {
-            let a = authors[zipf(&mut r, authors.len(), 0.8)];
+            let a = authors[author_of.sample(&mut r)];
             b.add_named_edge(a, p, "authored");
         }
     }

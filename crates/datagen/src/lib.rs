@@ -30,4 +30,4 @@ pub use presets::{workload, CoverageMode, DatasetKind, Workload, WorkloadParams}
 pub use social::{gender_groups, social_graph, SocialConfig, MAJORS};
 pub use stream::{stream_tsv, stream_tsv_to_path, StreamStats};
 pub use templates::{generate_template, generate_template_with_retry, TemplateSpec, Topology};
-pub use util::{log_uniform, zipf, zipf_approx};
+pub use util::{log_uniform, zipf_approx};

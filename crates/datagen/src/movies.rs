@@ -6,7 +6,7 @@
 //! skewed genre/country distributions, numeric attributes with non-trivial
 //! active domains — at a configurable scale.
 
-use crate::util::{log_uniform, rng, zipf};
+use crate::util::{log_uniform, rng, Zipf};
 use fairsqg_graph::{AttrValue, Graph, GraphBuilder, GroupSet, NodeId};
 use rand::Rng;
 
@@ -85,9 +85,10 @@ pub fn movies_graph(cfg: MoviesConfig) -> Graph {
         })
         .collect();
 
+    let director_awards = Zipf::new(11, 1.2);
     let directors: Vec<NodeId> = (0..n_directors)
         .map(|_| {
-            let awards = zipf(&mut r, 11, 1.2) as i64;
+            let awards = director_awards.sample(&mut r) as i64;
             let years = r.gen_range(1..40);
             b.add_named_node(
                 "director",
@@ -99,10 +100,11 @@ pub fn movies_graph(cfg: MoviesConfig) -> Graph {
         })
         .collect();
 
+    let actor_awards = Zipf::new(8, 1.5);
     let actors: Vec<NodeId> = (0..n_actors)
         .map(|_| {
             let age = r.gen_range(18..80);
-            let awards = zipf(&mut r, 8, 1.5) as i64;
+            let awards = actor_awards.sample(&mut r) as i64;
             b.add_named_node(
                 "actor",
                 &[
@@ -113,9 +115,10 @@ pub fn movies_graph(cfg: MoviesConfig) -> Graph {
         })
         .collect();
 
+    let genre_of = Zipf::new(GENRES.len(), 0.8);
     let movies: Vec<NodeId> = (0..n_movies)
         .map(|_| {
-            let genre_idx = zipf(&mut r, GENRES.len(), 0.8);
+            let genre_idx = genre_of.sample(&mut r);
             let genre = genres_syms[genre_idx];
             // Ratings on a 0–100 scale (paper case study: "rating > 7"
             // corresponds to 70 here), roughly bell-shaped — with a
@@ -145,20 +148,23 @@ pub fn movies_graph(cfg: MoviesConfig) -> Graph {
         })
         .collect();
 
-    // Edges. Directors and countries get Zipf-skewed popularity.
+    // Edges. Directors, actors and countries get Zipf-skewed popularity.
+    let director_of = Zipf::new(directors.len(), 0.7);
+    let country_of = Zipf::new(countries.len(), 0.9);
+    let actor_of = Zipf::new(actors.len(), 0.6);
     for (i, &m) in movies.iter().enumerate() {
-        let d = directors[zipf(&mut r, directors.len(), 0.7)];
+        let d = directors[director_of.sample(&mut r)];
         b.add_named_edge(d, m, "directed");
-        let c = countries[zipf(&mut r, countries.len(), 0.9)];
+        let c = countries[country_of.sample(&mut r)];
         b.add_named_edge(m, c, "producedIn");
         let cast = 3 + (i % 4);
         for _ in 0..cast {
-            let a = actors[zipf(&mut r, actors.len(), 0.6)];
+            let a = actors[actor_of.sample(&mut r)];
             b.add_named_edge(a, m, "actedIn");
         }
     }
     for &a in &actors {
-        let c = countries[zipf(&mut r, countries.len(), 0.9)];
+        let c = countries[country_of.sample(&mut r)];
         b.add_named_edge(a, c, "bornIn");
     }
 

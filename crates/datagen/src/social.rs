@@ -6,7 +6,7 @@
 //! and `org` employers, wired with `recommend`, `worksAt`, and `coReview`
 //! edges under preferential attachment.
 
-use crate::util::{log_uniform, rng, zipf};
+use crate::util::{log_uniform, rng, Zipf};
 use fairsqg_graph::{AttrValue, Graph, GraphBuilder, GroupSet, NodeId};
 use rand::Rng;
 
@@ -75,11 +75,12 @@ pub fn social_graph(cfg: SocialConfig) -> Graph {
         .collect();
 
     let mut user_exp: Vec<i64> = Vec::with_capacity(n_users);
+    let endorsements_of = Zipf::new(50, 1.1);
     let users: Vec<NodeId> = (0..n_users)
         .map(|_| {
             let exp = r.gen_range(0..31i64);
             user_exp.push(exp);
-            let endorsements = zipf(&mut r, 50, 1.1) as i64;
+            let endorsements = endorsements_of.sample(&mut r) as i64;
             b.add_named_node(
                 "user",
                 &[
@@ -115,9 +116,11 @@ pub fn social_graph(cfg: SocialConfig) -> Graph {
     // distribution of the candidates), instead of shrinking both groups
     // proportionally.
     let mut pa_pool: Vec<NodeId> = directors.clone();
+    let fanout_of = Zipf::new(5, 1.0);
+    let org_of = Zipf::new(orgs.len(), 0.8);
     for (ui, &u) in users.iter().enumerate() {
         let senior = user_exp[ui] >= 15;
-        let fanout = 2 + zipf(&mut r, 5, 1.0);
+        let fanout = 2 + fanout_of.sample(&mut r);
         for _ in 0..fanout {
             let d = if senior && !minority_directors.is_empty() && r.gen_bool(0.6) {
                 minority_directors[r.gen_range(0..minority_directors.len())]
@@ -127,7 +130,7 @@ pub fn social_graph(cfg: SocialConfig) -> Graph {
             b.add_named_edge(u, d, "recommend");
             pa_pool.push(d);
         }
-        let o = orgs[zipf(&mut r, orgs.len(), 0.8)];
+        let o = orgs[org_of.sample(&mut r)];
         b.add_named_edge(u, o, "worksAt");
     }
     // Sparse co-review ties between users.

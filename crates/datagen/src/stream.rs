@@ -20,7 +20,7 @@
 //! topics) works unchanged on the loaded graphs.
 
 use crate::presets::DatasetKind;
-use crate::util::{log_uniform, rng, zipf, zipf_approx};
+use crate::util::{log_uniform, rng, zipf_approx, Zipf};
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
 use std::io::{self, BufWriter, Write};
@@ -104,6 +104,10 @@ fn stream_dbp<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     let director_id = |i: usize| (n_countries + i) as u64;
     let actor_id = |i: usize| (n_countries + n_directors + i) as u64;
     let movie_id = |i: usize| (n_countries + n_directors + n_actors + i) as u64;
+    let director_awards = Zipf::new(11, 1.2);
+    let actor_awards = Zipf::new(8, 1.5);
+    let genre_of = Zipf::new(GENRES.len(), 0.8);
+    let country_of = Zipf::new(n_countries, 0.9);
 
     node_header(out)?;
     for (i, name) in COUNTRIES.iter().enumerate() {
@@ -116,7 +120,7 @@ fn stream_dbp<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     }
     for i in 0..n_directors {
         let r = &mut sub_rng(seed, 1, i as u64);
-        let awards = zipf(r, 11, 1.2);
+        let awards = director_awards.sample(r);
         let years = r.gen_range(1..40i64);
         writeln!(
             out,
@@ -127,12 +131,12 @@ fn stream_dbp<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     for i in 0..n_actors {
         let r = &mut sub_rng(seed, 2, i as u64);
         let age = r.gen_range(18..80i64);
-        let awards = zipf(r, 8, 1.5);
+        let awards = actor_awards.sample(r);
         writeln!(out, "{}\tactor\tage={age}\tawards={awards}", actor_id(i))?;
     }
     for i in 0..n_movies {
         let r = &mut sub_rng(seed, 3, i as u64);
-        let genre_idx = zipf(r, GENRES.len(), 0.8);
+        let genre_idx = genre_of.sample(r);
         let genre_bias = match genre_idx {
             0 => -8,
             4 => 10,
@@ -156,7 +160,7 @@ fn stream_dbp<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
         let r = &mut sub_rng(seed, 4, i as u64);
         let d = zipf_approx(r, n_directors, 0.7);
         writeln!(out, "{}\tdirected\t{}", director_id(d), movie_id(i))?;
-        let c = zipf(r, n_countries, 0.9);
+        let c = country_of.sample(r);
         writeln!(out, "{}\tproducedIn\t{}", movie_id(i), country_id(c))?;
         edges += 2;
         for _ in 0..3 + (i % 4) {
@@ -167,7 +171,7 @@ fn stream_dbp<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     }
     for i in 0..n_actors {
         let r = &mut sub_rng(seed, 5, i as u64);
-        let c = zipf(r, n_countries, 0.9);
+        let c = country_of.sample(r);
         writeln!(out, "{}\tbornIn\t{}", actor_id(i), country_id(c))?;
         edges += 1;
     }
@@ -201,6 +205,8 @@ fn stream_lki<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     };
     // First draw of a user's RNG.
     let exp_of = |i: usize| -> i64 { sub_rng(seed, 2, i as u64).gen_range(0..31i64) };
+    let endorsements_of = Zipf::new(50, 1.1);
+    let fanout_of = Zipf::new(5, 1.0);
 
     node_header(out)?;
     for i in 0..n_dir {
@@ -217,7 +223,7 @@ fn stream_lki<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     for i in 0..n_users {
         let r = &mut sub_rng(seed, 2, i as u64);
         let exp = r.gen_range(0..31i64);
-        let endorsements = zipf(r, 50, 1.1);
+        let endorsements = endorsements_of.sample(r);
         writeln!(
             out,
             "{}\tuser\tyearsOfExp={exp}\tendorsements={endorsements}",
@@ -240,7 +246,7 @@ fn stream_lki<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Stre
     for i in 0..n_users {
         let r = &mut sub_rng(seed, 4, i as u64);
         let senior = exp_of(i) >= 15;
-        let fanout = 2 + zipf(r, 5, 1.0);
+        let fanout = 2 + fanout_of.sample(r);
         for _ in 0..fanout {
             let mut d = zipf_approx(r, n_dir, 0.8);
             if senior && r.gen_bool(0.6) {
@@ -285,19 +291,24 @@ fn stream_cite<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Str
     let author_id = |i: usize| i as u64;
     let paper_id = |i: usize| (n_authors + i) as u64;
 
+    let topic_table = Zipf::new(TOPICS.len(), 0.7);
+    let h_index_of = Zipf::new(60, 1.1);
+    let papers_of = Zipf::new(30, 1.0);
+    let refs_of = Zipf::new(8, 1.0);
+    let byline_of = Zipf::new(4, 1.0);
     // First draw of a paper's RNG; the edge pass repeats it.
-    let topic_of = |i: usize| -> usize { zipf(&mut sub_rng(seed, 2, i as u64), TOPICS.len(), 0.7) };
+    let topic_of = |i: usize| -> usize { topic_table.sample(&mut sub_rng(seed, 2, i as u64)) };
 
     node_header(out)?;
     for i in 0..n_authors {
         let r = &mut sub_rng(seed, 1, i as u64);
-        let h = zipf(r, 60, 1.1);
-        let np = 1 + zipf(r, 30, 1.0);
+        let h = h_index_of.sample(r);
+        let np = 1 + papers_of.sample(r);
         writeln!(out, "{}\tauthor\thIndex={h}\tpapers={np}", author_id(i))?;
     }
     for i in 0..n_papers {
         let r = &mut sub_rng(seed, 2, i as u64);
-        let topic = zipf(r, TOPICS.len(), 0.7);
+        let topic = topic_table.sample(r);
         let year = 1980 + (i as i64 * 44) / n_papers as i64;
         // Early papers accumulate citations (the edge pass skews toward
         // low indices); the head topic gets the same boost its targets do.
@@ -319,7 +330,7 @@ fn stream_cite<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Str
     for i in 0..n_papers {
         let r = &mut sub_rng(seed, 3, i as u64);
         if i > 0 {
-            let refs = 2 + zipf(r, 8, 1.0);
+            let refs = 2 + refs_of.sample(r);
             for _ in 0..refs {
                 let mut t = if r.gen_bool(0.3) {
                     r.gen_range(0..i)
@@ -342,7 +353,7 @@ fn stream_cite<W: Write>(scale: usize, seed: u64, out: &mut W) -> io::Result<Str
                 edges += 1;
             }
         }
-        let k = 1 + zipf(r, 4, 1.0);
+        let k = 1 + byline_of.sample(r);
         for _ in 0..k {
             let a = zipf_approx(r, n_authors, 0.8);
             writeln!(out, "{}\tauthored\t{}", author_id(a), paper_id(i))?;

@@ -11,6 +11,8 @@
 //! that [`Graph::from_parts`] reads off the postings) are materialized on
 //! the heap. The domain sections of v1–v3 files (kinds 13–15) are
 //! bounds-checked with the rest of the section table, then skipped.
+//! A file without a whole-file digest also has every posting checked
+//! against its node's attribute tuple; a stamped file skips that pass.
 
 use crate::error::{corrupt, StoreError};
 use crate::format::{
@@ -599,6 +601,25 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
                     "postings",
                     format!("entry {i}: node {} filed under wrong label", e.node().0),
                 ));
+            }
+            // Without a digest nothing else ties a posting to its node's
+            // tuple: a sorted run can carry a value the node does not hold.
+            if header.digest == 0 {
+                let v = e.node().index();
+                let tuple = &attr_entries[attr_offsets[v] as usize..attr_offsets[v + 1] as usize];
+                let held = tuple
+                    .binary_search_by_key(&a, |x| x.attr())
+                    .is_ok_and(|k| tuple[k].tag() == e.tag() && tuple[k].payload() == e.payload());
+                if !held {
+                    return Err(corrupt(
+                        "postings",
+                        format!(
+                            "entry {i}: node {} does not hold this value of attribute {}",
+                            e.node().0,
+                            a.0
+                        ),
+                    ));
+                }
             }
         }
         if run.windows(2).any(|w| w[0] >= w[1]) {

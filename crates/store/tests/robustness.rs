@@ -300,6 +300,36 @@ fn postings_directory_corruption_is_rejected() {
     assert!(matches!(load(bad), Err(StoreError::Corrupt { .. })));
 }
 
+/// A digest-less container whose posting disagrees with its node's tuple,
+/// in a run that stays sorted, is refused instead of loading a graph whose
+/// value index (and so its active domains) contradicts its nodes.
+#[test]
+fn posting_that_disagrees_with_its_node_is_rejected() {
+    let mut b = GraphBuilder::new();
+    b.add_named_node("director", &[("gender", AttrValue::Int(1))]);
+    b.add_named_node("director", &[("gender", AttrValue::Int(0))]);
+    let mut good = Vec::new();
+    write_graph(&b.finish(), &mut good).unwrap();
+    assert_eq!(Header::parse(&good).unwrap().digest, 0);
+    load(good.clone()).unwrap();
+    // PostEntry layout: tag u16, pad u16, node u32, payload i64. The one
+    // run is [(0, node 1), (1, node 0)]; (5, node 0) keeps it sorted.
+    let (_, e) = entry_at(&good, section::POSTINGS);
+    let at = (e.offset as usize..(e.offset + e.byte_len) as usize)
+        .step_by(16)
+        .find(|&at| {
+            u32::from_le_bytes(good[at + 4..at + 8].try_into().unwrap()) == 0
+                && i64::from_le_bytes(good[at + 8..at + 16].try_into().unwrap()) == 1
+        })
+        .expect("posting (1, node 0)");
+    let mut bad = good;
+    bad[at + 8..at + 16].copy_from_slice(&5i64.to_le_bytes());
+    match load(bad) {
+        Err(StoreError::Corrupt { section, .. }) => assert_eq!(section, "postings"),
+        other => panic!("expected postings corruption, got {other:?}"),
+    }
+}
+
 #[test]
 fn nonzero_reserved_header_bytes_are_rejected() {
     let mut bad = container();
