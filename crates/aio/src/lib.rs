@@ -7,7 +7,9 @@
 //! `fairsqg-store`'s mmap loader.
 //! [`Waker`] is a nonblocking `UnixStream` pair whose read end registers
 //! with the poller like any other source, so worker threads can interrupt
-//! a blocked [`Poller::wait`].
+//! a blocked [`Poller::wait`]. A socket pair buffers many bytes, so wakes
+//! coalesce on an atomic flag instead: between two drains only the first
+//! wake writes to the pair.
 //!
 //! Level-triggered semantics are deliberate: a readable/writable source is
 //! reported on every wait until drained, so partial reads/writes (the

@@ -12,6 +12,7 @@
 use fairsqg_algo::{biqgen, BiQGenOptions};
 use fairsqg_bench::common::configuration;
 use fairsqg_datagen::{workload, CoverageMode, DatasetKind, WorkloadParams};
+use std::io::{self, ErrorKind, Write};
 use std::time::Instant;
 
 fn main() {
@@ -19,41 +20,58 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(50_000);
+    match run(scale) {
+        // The reader went away (`feasibility | head -3`): nothing to report.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("feasibility: {e}");
+            std::process::exit(1);
+        }
+        Ok(()) => {}
+    }
+}
 
+fn run(scale: usize) -> io::Result<()> {
+    let mut out = io::stdout().lock();
     let t0 = Instant::now();
     let params = WorkloadParams {
         coverage: CoverageMode::AutoFraction(0.5),
         ..WorkloadParams::default()
     };
     let w = workload(DatasetKind::Lki, scale, &params);
-    println!(
+    writeln!(
+        out,
         "graph built in {:.1}s: |V| = {}, |E| = {} ({} total elements)",
         t0.elapsed().as_secs_f64(),
         w.graph.node_count(),
         w.graph.edge_count(),
         w.graph.node_count() + w.graph.edge_count()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "workload: |I(Q)| = {}, coverage {:?}",
         w.instance_space_size(),
         w.spec.constraints()
-    );
+    )?;
 
     let cfg = configuration(&w, 0.01);
     let t1 = Instant::now();
-    let out = biqgen(cfg, BiQGenOptions::default());
-    println!(
+    let result = biqgen(cfg, BiQGenOptions::default());
+    writeln!(
+        out,
         "BiQGen: {} suggestions in {:.1}s ({} verified, {} quick-pruned, {} sandwich-pruned)",
-        out.entries.len(),
+        result.entries.len(),
         t1.elapsed().as_secs_f64(),
-        out.stats.verified,
-        out.stats.pruned_infeasible,
-        out.stats.pruned_sandwich
-    );
-    for e in out.entries.iter().take(5) {
-        println!(
+        result.stats.verified,
+        result.stats.pruned_infeasible,
+        result.stats.pruned_sandwich
+    )?;
+    for e in result.entries.iter().take(5) {
+        writeln!(
+            out,
             "  δ={:.1} f={:.0} counts={:?}",
             e.result.objectives.delta, e.result.objectives.fcov, e.result.counts
-        );
+        )?;
     }
+    Ok(())
 }

@@ -10,6 +10,7 @@
 
 use fairsqg_bench::scales::ExpScale;
 use fairsqg_bench::{run_experiment, EXPERIMENTS};
+use std::io::{self, ErrorKind, Write};
 
 fn export_workload(scale: &ExpScale) -> String {
     use fairsqg_algo::{online_qgen, OnlineOptions, ShuffledStream};
@@ -43,30 +44,45 @@ fn main() {
     } else {
         args.iter().map(String::as_str).collect()
     };
+    match run(&scale, selected) {
+        // The reader went away (`repro all | head`): nothing to report.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            let _ = writeln!(io::stderr(), "repro: {e}");
+            std::process::exit(1);
+        }
+        Ok(true) => {}
+        Ok(false) => std::process::exit(2),
+    }
+}
 
-    eprintln!(
+/// Prints each selected report; `Ok(false)` when a name was unknown.
+fn run(scale: &ExpScale, selected: Vec<&str>) -> io::Result<bool> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        io::stderr(),
         "# FairSQG reproduction harness (scale: DBP={}, LKI={}, Cite={}; set FAIRSQG_SCALE to change)",
         scale.dbp, scale.lki, scale.cite
-    );
+    )?;
     let mut unknown = Vec::new();
     for name in selected {
         if name == "export" {
-            println!("{}", export_workload(&scale));
+            writeln!(out, "{}", export_workload(scale))?;
             continue;
         }
-        match run_experiment(name, &scale) {
-            Some(report) => {
-                println!("\n{report}");
-            }
+        match run_experiment(name, scale) {
+            Some(report) => writeln!(out, "\n{report}")?,
             None => unknown.push(name.to_string()),
         }
     }
     if !unknown.is_empty() {
-        eprintln!(
+        writeln!(
+            io::stderr(),
             "unknown experiment(s): {}; available: {}",
             unknown.join(", "),
             EXPERIMENTS.join(", ")
-        );
-        std::process::exit(2);
+        )?;
+        return Ok(false);
     }
+    Ok(true)
 }

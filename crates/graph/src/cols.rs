@@ -49,6 +49,9 @@ pub struct Adj {
     pad: u16,
 }
 
+// SAFETY: `#[repr(C)]` over `Pod` fields (4 + 2 + 2 bytes, the pad
+// explicit), so there is no implicit padding and every bit pattern is a
+// valid `Adj`.
 #[allow(unsafe_code)]
 unsafe impl Pod for Adj {}
 
@@ -98,6 +101,9 @@ pub struct AttrEntry {
     payload: i64,
 }
 
+// SAFETY: `#[repr(C)]` over `Pod` fields (2 + 2 + 4 + 8 bytes, the pad
+// explicit), so there is no implicit padding and every bit pattern is a
+// valid `AttrEntry`; a bad tag is caught on decode, not by the layout.
 #[allow(unsafe_code)]
 unsafe impl Pod for AttrEntry {}
 
@@ -160,6 +166,9 @@ pub struct PostEntry {
     payload: i64,
 }
 
+// SAFETY: `#[repr(C)]` over `Pod` fields (2 + 2 + 4 + 8 bytes, the pad
+// explicit), so there is no implicit padding and every bit pattern is a
+// valid `PostEntry`; a bad tag is caught on decode, not by the layout.
 #[allow(unsafe_code)]
 unsafe impl Pod for PostEntry {}
 

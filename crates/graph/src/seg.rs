@@ -42,8 +42,8 @@ pub unsafe trait StableBytes: Send + Sync + 'static {
     fn stable_bytes(&self) -> &[u8];
 }
 
-// A `Vec<u8>` behind an `Arc<dyn StableBytes>` is immutable (no `&mut`
-// access exists) and its heap buffer does not move without `&mut`.
+// SAFETY: a `Vec<u8>` behind an `Arc<dyn StableBytes>` is immutable (no
+// `&mut` access exists) and its heap buffer does not move without `&mut`.
 #[allow(unsafe_code)]
 unsafe impl StableBytes for Vec<u8> {
     fn stable_bytes(&self) -> &[u8] {
@@ -66,6 +66,8 @@ pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 macro_rules! impl_pod {
     ($($t:ty),* $(,)?) => {
         $(
+            // SAFETY: primitive integers and `#[repr(transparent)]` id
+            // newtypes over them: no padding, every bit pattern valid.
             #[allow(unsafe_code)]
             unsafe impl Pod for $t {}
         )*
@@ -120,12 +122,13 @@ pub struct Segment<T: Pod> {
     backing: Backing<T>,
 }
 
-// The pointed-to data is immutable and either owned by `backing` or kept
-// alive (and unmoved, per `StableBytes`) by the owner `Arc`, so sharing
-// across threads is sound whenever `T` itself is `Send + Sync` (which
-// `Pod` requires).
+// SAFETY: the pointed-to data is immutable and either owned by `backing`
+// or kept alive (and unmoved, per `StableBytes`) by the owner `Arc`, so
+// sharing across threads is sound whenever `T` itself is `Send + Sync`
+// (which `Pod` requires).
 #[allow(unsafe_code)]
 unsafe impl<T: Pod> Send for Segment<T> {}
+// SAFETY: as above — `Segment` hands out only shared `&[T]`.
 #[allow(unsafe_code)]
 unsafe impl<T: Pod> Sync for Segment<T> {}
 

@@ -7,7 +7,10 @@
 //! to directly (via [`EventSink`]s) before waking the loop. Generation
 //! work itself still runs on the engine's worker pool — the loop only
 //! parses, dispatches, and shuttles bytes, so hundreds of multiplexed
-//! clients cost one thread instead of one thread each.
+//! clients cost one thread instead of one thread each. Frames are written
+//! once, straight into the outbound queue, from borrowed values
+//! ([`fairsqg_wire::write_object`]); only other threads wake the loop,
+//! because each iteration ends in a flush pass over every connection.
 //!
 //! ## Multiplexing
 //!
@@ -40,6 +43,11 @@
 //! `result` op. Above the **hard** cap the connection is closed: a peer
 //! that far behind is not consuming.
 //!
+//! A readable connection gets one `read` per readiness: a short read
+//! means the socket is empty, and level-triggered readiness reports any
+//! later bytes on the next wait. A peer that has closed is read on to
+//! EOF, so a half-closed peer's last request is still answered.
+//!
 //! ## Metrics
 //!
 //! The `metrics` op returns the engine's statistics flattened to
@@ -54,7 +62,7 @@ use crate::proto::{
 };
 use crate::sync;
 use fairsqg_aio::{Interest, Poller, Waker};
-use fairsqg_wire::{FrameDecoder, FrameError, Value};
+use fairsqg_wire::{write_object, Field, FrameDecoder, FrameError, Value};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -99,8 +107,8 @@ impl Default for MuxOptions {
 
 /// A per-connection outbound byte queue. Shared between the event loop
 /// (which drains it into the socket) and engine worker threads (whose
-/// event sinks append frames); the mutex is held only for memcpy-scale
-/// work.
+/// event sinks append frames); the mutex is held for one frame's
+/// serialization at most.
 struct Outbound {
     buf: Vec<u8>,
     /// Read cursor into `buf` (compacted opportunistically).
@@ -126,11 +134,31 @@ impl Outbound {
     }
 
     fn push(&mut self, bytes: &[u8]) {
+        self.rewind_if_empty();
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends one newline-terminated frame, serialized by `write`
+    /// straight into the queue, unless the connection is closed. Past
+    /// `hard_cap` the peer is unboundedly behind: the connection closes
+    /// instead of buffering toward OOM, and the loop tears it down.
+    fn push_frame(&mut self, hard_cap: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        if self.closed {
+            return;
+        }
+        self.rewind_if_empty();
+        write(&mut self.buf);
+        self.buf.push(b'\n');
+        if self.len() > hard_cap {
+            self.closed = true;
+        }
+    }
+
+    fn rewind_if_empty(&mut self) {
         if self.start > 0 && self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
     }
 
     fn consume(&mut self, n: usize) {
@@ -144,32 +172,80 @@ impl Outbound {
     }
 }
 
-/// Appends one frame (newline-terminated JSON) to `out`, enforcing the
-/// hard cap, and wakes the event loop. Safe from any thread.
-fn enqueue_frame(out: &Mutex<Outbound>, waker: &Waker, hard_cap: usize, frame: &Value) {
-    {
-        let mut o = sync::lock(out);
-        if o.closed {
-            return;
-        }
-        let mut text = frame.to_string();
-        text.push('\n');
-        o.push(text.as_bytes());
-        if o.len() > hard_cap {
-            // The peer is unboundedly behind; close instead of buffering
-            // toward OOM. The loop tears the connection down on wake.
-            o.closed = true;
-        }
-    }
-    waker.wake();
+/// Writes a response object with the request's `rid` (verbatim, any JSON
+/// value) echoed into it.
+fn write_response(buf: &mut Vec<u8>, response: &Value, rid: Option<&Value>) {
+    let Value::Object(map) = response else {
+        // Every response the protocol builds is an object; anything else
+        // has no key to echo the rid under and goes out as it is.
+        buf.extend_from_slice(response.to_string().as_bytes());
+        return;
+    };
+    let mut fields: Vec<(&str, Field)> = map
+        .iter()
+        .map(|(k, v)| (k.as_str(), Field::Value(v)))
+        .chain(rid.map(|r| ("rid", Field::Value(r))))
+        .collect();
+    write_object(buf, &mut fields);
 }
 
-/// Echoes the request's `rid` (verbatim, any JSON value) into a response.
-fn with_rid(mut response: Value, rid: Option<&Value>) -> Value {
-    if let (Value::Object(map), Some(r)) = (&mut response, rid) {
-        map.insert("rid".to_string(), r.clone());
+/// Writes one subscription event frame from the event's own fields (and,
+/// for a settled `Done` job, the shared result's): nothing is cloned.
+fn write_event_frame(buf: &mut Vec<u8>, ev: &JobEvent, lossy: bool, rid: Option<&Value>) {
+    let order: Vec<&Value>;
+    let mut fields: Vec<(&str, Field)> = Vec::with_capacity(11);
+    match ev {
+        JobEvent::Delta {
+            id,
+            version,
+            added,
+            removed,
+        } => fields.extend([
+            ("event", Field::Str("delta")),
+            ("id", Field::U64(*id)),
+            ("version", Field::U64(*version)),
+            ("added", Field::Values(added)),
+            ("removed", Field::Strs(removed)),
+        ]),
+        JobEvent::Settled {
+            id,
+            state,
+            truncated,
+            from_cache,
+            error,
+            result,
+        } => {
+            fields.extend([
+                ("event", Field::Str("settled")),
+                ("id", Field::U64(*id)),
+                ("state", Field::Str(state.name())),
+                ("truncated", Field::Bool(*truncated)),
+                ("from_cache", Field::Bool(*from_cache)),
+                ("lossy", Field::Bool(lossy)),
+            ]);
+            if let Some(e) = error {
+                fields.push(("error_message", Field::Str(e)));
+            }
+            if let Some(result) = result {
+                if let Some(eps) = result.get("eps") {
+                    fields.push(("eps", Field::Value(eps)));
+                }
+                if let Some(stats) = result.get("stats") {
+                    fields.push(("stats", Field::Value(stats)));
+                }
+                order = result
+                    .get("entries")
+                    .and_then(Value::as_array)
+                    .map(|entries| entries.iter().filter_map(|e| e.get("bindings")).collect())
+                    .unwrap_or_default();
+                fields.push(("order", Field::Refs(&order)));
+            }
+        }
     }
-    response
+    if let Some(r) = rid {
+        fields.push(("rid", Field::Value(r)));
+    }
+    write_object(buf, &mut fields);
 }
 
 /// One connection's event-loop state.
@@ -283,7 +359,7 @@ impl MuxServer {
                     token => {
                         if let Some(conn) = conns.get_mut(&token) {
                             if ev.readable {
-                                self.read_ready(conn);
+                                self.read_ready(conn, ev.closed);
                             }
                             if ev.closed && sync::lock(&conn.out).len() == 0 {
                                 conn.dead = true;
@@ -293,7 +369,9 @@ impl MuxServer {
                 }
             }
             // Flush, retune interest, and reap — for every connection,
-            // because worker-thread sinks enqueue outside any event.
+            // because worker-thread sinks enqueue outside any event. This
+            // pass is also what sends the frames this thread enqueued
+            // above, which is why the loop never wakes itself.
             conns.retain(|&token, conn| {
                 if !conn.dead {
                     flush_outbound(conn);
@@ -376,10 +454,13 @@ impl MuxServer {
         }
     }
 
-    /// Drains the socket into the frame decoder and dispatches every
-    /// complete frame. The `server.read` fail point injects a transport
-    /// error exactly like a dead peer.
-    fn read_ready(&self, conn: &mut Conn) {
+    /// Reads the socket into the frame decoder and dispatches every
+    /// complete frame. A short read ends the pass (level-triggered
+    /// readiness reports anything that arrives later) unless the peer has
+    /// closed: then reading goes on to EOF, so the decoder gets to finish
+    /// a half-closed peer's last request. The `server.read` fail point
+    /// injects a transport error exactly like a dead peer.
+    fn read_ready(&self, conn: &mut Conn, peer_closed: bool) {
         // Over the soft cap the connection is not read (interest already
         // dropped); this guard covers the event that raced the retune.
         if sync::lock(&conn.out).len() > self.options.soft_outbound_bytes {
@@ -404,7 +485,7 @@ impl MuxServer {
                     }
                     conn.decoder.push(&buf[..n]);
                     self.dispatch_frames(conn);
-                    if conn.dead || conn.close_after_flush {
+                    if conn.dead || conn.close_after_flush || (n < buf.len() && !peer_closed) {
                         return;
                     }
                 }
@@ -441,10 +522,12 @@ impl MuxServer {
                         "bad_request",
                         &format!("frame exceeds {limit} bytes; line discarded"),
                     ),
+                    None,
                 ),
                 Err(FrameError::Io(e)) if e.kind() == ErrorKind::InvalidData => self.enqueue(
                     conn,
                     &error_response("bad_request", &format!("unreadable frame: {e}")),
+                    None,
                 ),
                 Err(FrameError::Io(_)) => {
                     conn.dead = true;
@@ -479,11 +562,12 @@ impl MuxServer {
                 self.enqueue(
                     conn,
                     &error_response("bad_request", &format!("invalid JSON: {e}")),
+                    None,
                 );
                 return;
             }
         };
-        let rid = request.get("rid").cloned();
+        let rid = request.get("rid");
         let subscribe = request.get("op").and_then(Value::as_str) == Some("submit")
             && request
                 .get("job")
@@ -491,11 +575,11 @@ impl MuxServer {
                 .and_then(Value::as_bool)
                 == Some(true);
         if subscribe {
-            self.handle_streaming_submit(conn, &request, rid.as_ref());
+            self.handle_streaming_submit(conn, &request, rid);
             return;
         }
         let (response, shutdown) = handle_request_from(&self.engine, &request, Some(&conn.tag));
-        self.enqueue(conn, &with_rid(response, rid.as_ref()));
+        self.enqueue(conn, &response, rid);
         if shutdown {
             self.stopping.store(true, Ordering::Release);
         }
@@ -507,16 +591,13 @@ impl MuxServer {
     /// in between.
     fn handle_streaming_submit(&self, conn: &mut Conn, request: &Value, rid: Option<&Value>) {
         let Some(job) = request.get("job") else {
-            self.enqueue(
-                conn,
-                &with_rid(error_response("bad_request", "missing 'job'"), rid),
-            );
+            self.enqueue(conn, &error_response("bad_request", "missing 'job'"), rid);
             return;
         };
         let mut spec = match JobSpec::from_value(job) {
             Ok(s) => s,
             Err(m) => {
-                self.enqueue(conn, &with_rid(error_response("bad_request", &m), rid));
+                self.enqueue(conn, &error_response("bad_request", &m), rid);
                 return;
             }
         };
@@ -525,116 +606,58 @@ impl MuxServer {
         }
         match self.engine.submit(spec) {
             Ok(id) => {
-                self.enqueue(conn, &with_rid(submit_ok_response(&self.engine, id), rid));
+                self.enqueue(conn, &submit_ok_response(&self.engine, id), rid);
                 let sink = self.make_event_sink(conn, rid.cloned());
                 self.engine.subscribe(id, sink);
             }
-            Err(e) => self.enqueue(conn, &with_rid(submit_error_response(&e), rid)),
+            Err(e) => self.enqueue(conn, &submit_error_response(&e), rid),
         }
     }
 
     /// Builds the [`EventSink`] bridging one subscription onto this
-    /// connection. Runs on engine worker threads: it renders the event
-    /// to a frame, appends it to the outbound queue, and wakes the loop.
-    /// Over the soft cap delta frames are shed (the subscription turns
-    /// lossy); settled frames always go out (the hard cap is their only
-    /// limit).
+    /// connection. It writes each event's frame into the outbound queue
+    /// and, unless it runs on this server's loop thread (a job that had
+    /// already settled when subscribed, or one settled by a request this
+    /// loop handles), wakes the loop. Over the soft cap delta frames are
+    /// shed (the subscription turns lossy); settled frames always go out
+    /// (the hard cap is their only limit).
     fn make_event_sink(&self, conn: &Conn, rid: Option<Value>) -> EventSink {
         let out = Arc::clone(&conn.out);
         let waker = Arc::clone(&self.waker);
+        // Subscriptions are made while handling a request, on the loop
+        // thread. Per server, not per process: servers may share an engine.
+        let loop_thread = std::thread::current().id();
         let soft = self.options.soft_outbound_bytes;
         let hard = self.options.hard_outbound_bytes;
         let lossy = AtomicBool::new(false);
         Arc::new(move |ev: &JobEvent| {
-            let frame = match ev {
-                JobEvent::Delta {
-                    id,
-                    version,
-                    added,
-                    removed,
-                } => {
-                    {
-                        let mut o = sync::lock(&out);
-                        if o.closed {
-                            return;
-                        }
-                        if o.len() > soft {
-                            o.dropped_deltas += 1;
-                            lossy.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                    let removed: Vec<Value> =
-                        removed.iter().map(|b| Value::from(b.as_str())).collect();
-                    let mut pairs = vec![
-                        ("event", Value::from("delta")),
-                        ("id", Value::from(*id)),
-                        ("version", Value::from(*version)),
-                        ("added", Value::Array(added.clone())),
-                        ("removed", Value::Array(removed)),
-                    ];
-                    if let Some(r) = &rid {
-                        pairs.push(("rid", r.clone()));
-                    }
-                    Value::object(pairs)
+            {
+                let mut o = sync::lock(&out);
+                if o.closed {
+                    return;
                 }
-                JobEvent::Settled {
-                    id,
-                    state,
-                    truncated,
-                    from_cache,
-                    error,
-                    result,
-                } => {
-                    let mut pairs = vec![
-                        ("event", Value::from("settled")),
-                        ("id", Value::from(*id)),
-                        ("state", Value::from(state.name())),
-                        ("truncated", Value::from(*truncated)),
-                        ("from_cache", Value::from(*from_cache)),
-                        ("lossy", Value::from(lossy.load(Ordering::Relaxed))),
-                    ];
-                    if let Some(e) = error {
-                        pairs.push(("error_message", Value::from(e.as_str())));
-                    }
-                    if let Some(result) = result {
-                        if let Some(eps) = result.get("eps") {
-                            pairs.push(("eps", eps.clone()));
-                        }
-                        if let Some(stats) = result.get("stats") {
-                            pairs.push(("stats", stats.clone()));
-                        }
-                        let order: Vec<Value> = result
-                            .get("entries")
-                            .and_then(Value::as_array)
-                            .map(|entries| {
-                                entries
-                                    .iter()
-                                    .filter_map(|e| e.get("bindings"))
-                                    .cloned()
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        pairs.push(("order", Value::Array(order)));
-                    }
-                    if let Some(r) = &rid {
-                        pairs.push(("rid", r.clone()));
-                    }
-                    Value::object(pairs)
+                if matches!(ev, JobEvent::Delta { .. }) && o.len() > soft {
+                    o.dropped_deltas += 1;
+                    lossy.store(true, Ordering::Relaxed);
+                    return;
                 }
-            };
-            enqueue_frame(&out, &waker, hard, &frame);
+                let lossy = lossy.load(Ordering::Relaxed);
+                o.push_frame(hard, |buf| {
+                    write_event_frame(buf, ev, lossy, rid.as_ref());
+                });
+            }
+            if std::thread::current().id() != loop_thread {
+                waker.wake();
+            }
         })
     }
 
-    /// Enqueues a response frame from the event-loop thread.
-    fn enqueue(&self, conn: &Conn, frame: &Value) {
-        enqueue_frame(
-            &conn.out,
-            &self.waker,
-            self.options.hard_outbound_bytes,
-            frame,
-        );
+    /// Enqueues a response frame from the event-loop thread. No wake:
+    /// this iteration's flush pass sends it.
+    fn enqueue(&self, conn: &Conn, response: &Value, rid: Option<&Value>) {
+        sync::lock(&conn.out).push_frame(self.options.hard_outbound_bytes, |buf| {
+            write_response(buf, response, rid);
+        });
     }
 }
 
@@ -702,4 +725,207 @@ pub fn spawn_mux_with(
         .spawn(move || server.serve())
         .expect("spawn mux server thread");
     Ok((bound, stop, handle))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::JobState;
+
+    /// The frames as the server built them before [`write_event_frame`]:
+    /// an owned [`Value`] deep-copied out of the event. Kept as the oracle.
+    fn event_frame_value(ev: &JobEvent, lossy: bool, rid: Option<&Value>) -> Value {
+        let mut pairs = match ev {
+            JobEvent::Delta {
+                id,
+                version,
+                added,
+                removed,
+            } => {
+                let removed: Vec<Value> = removed.iter().map(|b| Value::from(b.as_str())).collect();
+                vec![
+                    ("event", Value::from("delta")),
+                    ("id", Value::from(*id)),
+                    ("version", Value::from(*version)),
+                    ("added", Value::Array(added.clone())),
+                    ("removed", Value::Array(removed)),
+                ]
+            }
+            JobEvent::Settled {
+                id,
+                state,
+                truncated,
+                from_cache,
+                error,
+                result,
+            } => {
+                let mut pairs = vec![
+                    ("event", Value::from("settled")),
+                    ("id", Value::from(*id)),
+                    ("state", Value::from(state.name())),
+                    ("truncated", Value::from(*truncated)),
+                    ("from_cache", Value::from(*from_cache)),
+                    ("lossy", Value::from(lossy)),
+                ];
+                if let Some(e) = error {
+                    pairs.push(("error_message", Value::from(e.as_str())));
+                }
+                if let Some(result) = result {
+                    if let Some(eps) = result.get("eps") {
+                        pairs.push(("eps", eps.clone()));
+                    }
+                    if let Some(stats) = result.get("stats") {
+                        pairs.push(("stats", stats.clone()));
+                    }
+                    let order: Vec<Value> = result
+                        .get("entries")
+                        .and_then(Value::as_array)
+                        .map(|entries| {
+                            entries
+                                .iter()
+                                .filter_map(|e| e.get("bindings"))
+                                .cloned()
+                                .collect()
+                        })
+                        .unwrap_or_default();
+                    pairs.push(("order", Value::Array(order)));
+                }
+                pairs
+            }
+        };
+        if let Some(r) = rid {
+            pairs.push(("rid", r.clone()));
+        }
+        Value::object(pairs)
+    }
+
+    fn entry(bindings: &str, query: &str) -> Value {
+        Value::object([
+            ("bindings", Value::from(bindings)),
+            ("query", Value::from(query)),
+            ("score", Value::Float(0.5)),
+            ("matches", Value::from(vec![3i64, 1])),
+        ])
+    }
+
+    #[test]
+    fn event_frames_match_the_value_oracle_byte_for_byte() {
+        let tricky = "u1.yearsOfExp >= 3 \"quoted\" \\ back\nslash\t中 é 🦀 \u{1}\u{1f}";
+        let entries = vec![
+            entry("u1.yearsOfExp=3", "node u0 : director\nwhere u1.x >= 3"),
+            entry(tricky, tricky),
+            Value::object([("no_bindings", Value::Null)]),
+        ];
+        let result = |eps: bool| {
+            let mut pairs = vec![
+                ("entries", Value::Array(entries.clone())),
+                (
+                    "stats",
+                    Value::object([
+                        ("verified", Value::from(12u64)),
+                        ("note", Value::from(tricky)),
+                    ]),
+                ),
+                ("truncated", Value::Bool(false)),
+            ];
+            if eps {
+                pairs.push(("eps", Value::Float(0.05)));
+            }
+            Arc::new(Value::object(pairs))
+        };
+        let mut events = Vec::new();
+        for added in [Vec::new(), entries.clone()] {
+            for removed in [Vec::new(), vec!["a=1".to_string(), tricky.to_string()]] {
+                events.push(JobEvent::Delta {
+                    id: 42,
+                    version: 7,
+                    added: added.clone(),
+                    removed,
+                });
+            }
+        }
+        for (state, error, result) in [
+            (JobState::Done, None, Some(result(true))),
+            (JobState::Done, None, Some(result(false))),
+            (
+                JobState::Done,
+                None,
+                Some(Arc::new(Value::object([(
+                    "entries",
+                    Value::Array(Vec::new()),
+                )]))),
+            ),
+            (JobState::Done, None, Some(Arc::new(Value::object([])))),
+            (JobState::Failed, Some(tricky.to_string()), None),
+            (JobState::Cancelled, None, None),
+        ] {
+            for (truncated, from_cache) in [(false, true), (true, false)] {
+                events.push(JobEvent::Settled {
+                    id: u64::MAX,
+                    state,
+                    truncated,
+                    from_cache,
+                    error: error.clone(),
+                    result: result.clone(),
+                });
+            }
+        }
+        let rids = [
+            None,
+            Some(Value::from(3u64)),
+            Some(Value::from(tricky)),
+            Some(Value::object([("k", Value::from(vec![1i64]))])),
+        ];
+        for ev in &events {
+            for rid in &rids {
+                for lossy in [false, true] {
+                    let mut buf = b"earlier frame\n".to_vec();
+                    write_event_frame(&mut buf, ev, lossy, rid.as_ref());
+                    let oracle = event_frame_value(ev, lossy, rid.as_ref()).to_string();
+                    assert_eq!(
+                        std::str::from_utf8(&buf).unwrap(),
+                        format!("earlier frame\n{oracle}"),
+                        "{ev:?} lossy={lossy} rid={rid:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn responses_echo_the_rid_like_an_inserted_key() {
+        let responses = [
+            error_response("bad_request", "bad \"line\"\n"),
+            Value::object([
+                ("ok", Value::Bool(true)),
+                ("id", Value::from(5u64)),
+                ("state", Value::from("done")),
+            ]),
+            Value::object([]),
+        ];
+        for response in &responses {
+            for rid in [None, Some(Value::from("r-1")), Some(Value::Null)] {
+                let mut oracle = response.clone();
+                if let (Value::Object(map), Some(r)) = (&mut oracle, &rid) {
+                    map.insert("rid".to_string(), r.clone());
+                }
+                let mut buf = Vec::new();
+                write_response(&mut buf, response, rid.as_ref());
+                assert_eq!(String::from_utf8(buf).unwrap(), oracle.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn frames_close_the_queue_past_the_hard_cap() {
+        let mut o = Outbound::new();
+        o.push_frame(64, |buf| buf.extend_from_slice(b"{}"));
+        assert_eq!(&o.buf[o.start..], b"{}\n");
+        assert!(!o.closed);
+        o.push_frame(64, |buf| buf.extend_from_slice(&[b'x'; 80]));
+        assert!(o.closed);
+        let len = o.len();
+        o.push_frame(64, |buf| buf.extend_from_slice(b"{}"));
+        assert_eq!(o.len(), len, "a closed queue takes no more frames");
+    }
 }

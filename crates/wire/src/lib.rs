@@ -5,7 +5,8 @@
 //! json` output, and the bench crate's workload export. The build
 //! environment has no registry access, so `serde_json` is not available;
 //! this crate covers the subset FairSQG needs: a [`Value`] model, a strict
-//! UTF-8 parser, and compact/pretty writers.
+//! UTF-8 parser, compact/pretty writers, and [`write_object`], which writes
+//! a compact object from borrowed fields without building a [`Value`].
 //!
 //! Numbers are kept as either `i64` or `f64` ([`Value::Int`] /
 //! [`Value::Float`]): job ids and counters stay exact, measure values stay
@@ -22,7 +23,7 @@ mod write;
 pub use decode::FrameDecoder;
 pub use frame::FrameError;
 pub use parse::{parse, ParseError};
-pub use write::{to_string, to_string_pretty};
+pub use write::{to_string, to_string_pretty, write_object, Field};
 
 use std::collections::BTreeMap;
 use std::fmt;

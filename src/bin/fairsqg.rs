@@ -382,6 +382,9 @@ mod sigterm {
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal(2)` with a valid signal number and an
+        // `extern "C"` handler that only stores to a static atomic, which
+        // is async-signal-safe.
         unsafe {
             signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
         }
