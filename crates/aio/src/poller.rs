@@ -29,11 +29,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Both classes.
-    pub const BOTH: Self = Self {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness report from [`Poller::wait`].

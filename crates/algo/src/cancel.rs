@@ -91,11 +91,6 @@ impl CancelToken {
         self.hard.store(true, Ordering::Release);
     }
 
-    /// Whether [`hard_stop`](Self::hard_stop) was requested.
-    pub fn hard_stop_requested(&self) -> bool {
-        self.hard.load(Ordering::Acquire)
-    }
-
     /// The shared hard-stop flag, for threading into matcher
     /// [`MatchOptions`](fairsqg_matcher::MatchOptions) inner-loop checks.
     pub fn hard_stop_flag(&self) -> &Arc<AtomicBool> {
@@ -120,12 +115,10 @@ mod tests {
     fn hard_stop_is_shared_and_implies_cancel() {
         let t = CancelToken::new();
         let c = t.clone();
-        assert!(!t.hard_stop_requested());
+        assert!(!t.hard_stop_flag().load(Ordering::Acquire));
         c.hard_stop();
-        assert!(t.hard_stop_requested() && t.is_cancelled() && t.cancel_requested());
-        assert!(t
-            .hard_stop_flag()
-            .load(std::sync::atomic::Ordering::Acquire));
+        assert!(t.hard_stop_flag().load(Ordering::Acquire));
+        assert!(t.is_cancelled() && t.cancel_requested());
     }
 
     #[test]

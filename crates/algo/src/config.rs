@@ -28,11 +28,6 @@ pub struct Configuration<'a> {
     pub eps: f64,
     /// Diversity measure parameters (λ, relevance).
     pub diversity: DiversityConfig,
-    /// Optional **sorted** restriction of the output population: only these
-    /// nodes may appear in any instance's answer. Use it to layer
-    /// constraints the template language cannot express — e.g. a node set
-    /// an external query computed. `None` = the full label population.
-    pub output_restriction: Option<&'a [NodeId]>,
     /// Optional cooperative cancellation/deadline token. Checked by the
     /// search loops before each verification; when it fires, the algorithm
     /// returns its partial archive with
@@ -61,14 +56,14 @@ pub struct Configuration<'a> {
     /// results are bit-identical with or without one.
     pub shared_diversity: Option<&'a Arc<DiversityProfile>>,
     /// Optional table of verified match sets shared with other runs over
-    /// the same graph, template, domains and output restriction — the
-    /// service's warm-state layer keeps one per plan. Verification reads a
-    /// match set (and `δ`'s λ-free pair sum) from it instead of searching,
-    /// and publishes what it searches; `Spawn` keeps its children in the
-    /// records. None of these depends on λ, ε or the algorithm, so
-    /// results are bit-identical with or without one. Runs on the
-    /// reference path or under a [`budget`](Self::budget) cap neither read
-    /// nor publish (see [`match_table`](Self::match_table)).
+    /// the same graph, template and domains — the service's warm-state
+    /// layer keeps one per plan. Verification reads a match set (and `δ`'s
+    /// λ-free pair sum) from it instead of searching, and publishes what it
+    /// searches; `Spawn` keeps its children in the records. None of these
+    /// depends on λ, ε or the algorithm, so results are bit-identical with
+    /// or without one. Runs on the reference path or under a
+    /// [`budget`](Self::budget) cap neither read nor publish (see
+    /// [`match_table`](Self::match_table)).
     pub shared_matches: Option<&'a dyn MatchTable>,
     /// Optional in-run archive-mutation observer. When set, the anytime
     /// loops offer instances via [`offer`](Self::offer), which reports each
@@ -118,7 +113,6 @@ impl<'a> Configuration<'a> {
             spec,
             eps,
             diversity,
-            output_restriction: None,
             cancel: None,
             budget: MatchBudget::UNLIMITED,
             reference_path: false,
@@ -126,28 +120,6 @@ impl<'a> Configuration<'a> {
             shared_matches: None,
             progress: None,
         }
-    }
-
-    /// Restricts the output population (see
-    /// [`output_restriction`](Self::output_restriction)). The slice must be
-    /// sorted ascending and contain only nodes with the template's output
-    /// label — foreign-label nodes can never match the output anyway, and
-    /// the matcher's pool-restricted candidate path assumes a
-    /// label-homogeneous pool. The `FairSqg` façade filters user pools
-    /// accordingly before reaching this call.
-    pub fn with_output_restriction(mut self, restriction: &'a [NodeId]) -> Self {
-        debug_assert!(
-            restriction.windows(2).all(|w| w[0] < w[1]),
-            "must be sorted"
-        );
-        debug_assert!(
-            restriction
-                .iter()
-                .all(|&v| self.graph.label(v) == self.template.output_label()),
-            "output restriction contains a node whose label differs from the template output's"
-        );
-        self.output_restriction = Some(restriction);
-        self
     }
 
     /// Attaches a cancellation/deadline token (see
@@ -165,6 +137,9 @@ impl<'a> Configuration<'a> {
 
     /// Switches to the un-indexed, pair-walking reference path (see
     /// [`reference_path`](Self::reference_path)).
+    ///
+    /// Test oracle: `crates/algo/tests/witness_purity.rs` and
+    /// `tests/diversity_purity.rs` hold the default path to it.
     pub fn with_reference_path(mut self) -> Self {
         self.reference_path = true;
         self

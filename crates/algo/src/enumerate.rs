@@ -165,36 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn output_restriction_bounds_every_answer() {
-        let fx = talent_fixture();
-        let base = fx.configuration(0.3);
-        // Restrict to the even-id half of the output population.
-        let pool: Vec<fairsqg_graph::NodeId> = fx
-            .graph()
-            .nodes_with_label(base.template.output_label())
-            .iter()
-            .copied()
-            .filter(|v| v.index() % 2 == 0)
-            .collect();
-        let cfg = base.with_output_restriction(&pool);
-        for e in evaluate_universe(cfg).entries {
-            for m in &e.result.matches {
-                assert!(pool.binary_search(m).is_ok(), "match outside restriction");
-            }
-        }
-        // Restricted generation still returns a valid (possibly empty) set
-        // whose members' counts reflect the restricted population.
-        let out = enum_qgen(cfg, false);
-        for e in &out.entries {
-            assert!(e
-                .result
-                .matches
-                .iter()
-                .all(|m| pool.binary_search(m).is_ok()));
-        }
-    }
-
-    #[test]
     fn enum_qgen_anytime_trace_is_monotone() {
         let fx = talent_fixture();
         let cfg = fx.configuration(0.3);

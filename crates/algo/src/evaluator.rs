@@ -67,14 +67,13 @@ impl MatchRecord {
 /// index ([`LatticeIndex`](fairsqg_query::LatticeIndex)).
 ///
 /// A match set `q(u_o, G)` depends on the graph, the template, the
-/// refinement domains, the output restriction and the instance's bindings
-/// — never on λ, ε, the coverage spec or the algorithm — so every run over
-/// the same four may reuse what another verified. Rows from another run
-/// are sound witnesses: a certificate is re-checked against the instance's
-/// own constraints. Attach a table with
-/// [`Configuration::with_shared_matches`]; it is read only inside
-/// verification, on a miss in the run's own store, and a record's `Spawn`
-/// memo only by [`Evaluator::spawn`].
+/// refinement domains and the instance's bindings — never on λ, ε, the
+/// coverage spec or the algorithm — so every run over the same three may
+/// reuse what another verified. Rows from another run are sound witnesses:
+/// a certificate is re-checked against the instance's own constraints.
+/// Attach a table with [`Configuration::with_shared_matches`]; it is read
+/// only inside verification, on a miss in the run's own store, and a
+/// record's `Spawn` memo only by [`Evaluator::spawn`].
 pub trait MatchTable: Sync {
     /// The record of instance `index`, if some run has published one.
     fn get(&self, index: usize) -> Option<Arc<MatchRecord>>;
@@ -293,16 +292,13 @@ impl<'a> Evaluator<'a> {
         }
         let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
         // Tightest known output pool: the smallest nearest ancestor's match
-        // set (the first on a tie) bounds this instance's matches (Lemma 2)
-        // and is never looser than the configured restriction (the
-        // ancestor was verified under it).
+        // set (the first on a tie) bounds this instance's matches (Lemma 2).
         let ancestors = (!cfg.reference_path).then(|| store.ancestors(index, inst));
         let pool = ancestors
             .iter()
             .flatten()
             .map(|v| v.result.matches.as_slice())
-            .min_by_key(|m| m.len())
-            .or(cfg.output_restriction);
+            .min_by_key(|m| m.len());
         let output = cfg.template.output();
         let cands = match pool {
             Some(pool) => fairsqg_matcher::candidates_from_pool(cfg.graph, &query, output, pool),
@@ -398,12 +394,9 @@ fn match_instance(
     scratch: &mut MatchScratch,
 ) -> Result<(Vec<NodeId>, Vec<NodeId>), BudgetExceeded> {
     let query = ConcreteQuery::materialize(cfg.template, cfg.domains, inst);
-    // An ancestor's match set is already inside the configuration's output
-    // restriction (the root was verified under it), so the tighter of the
-    // two suffices.
     let pool = ancestors.iter().map(|w| w.matches).min_by_key(|m| m.len());
     let opts = MatchOptions {
-        restrict_output: pool.or(cfg.output_restriction),
+        restrict_output: pool,
         use_index: !cfg.reference_path,
         stop: cfg.hard_stop_flag(),
         ..MatchOptions::default()

@@ -65,26 +65,4 @@ impl ExpScale {
             }
         }
     }
-
-    /// A coverage budget `C` appropriate for a dataset scale: the paper's
-    /// `C = 200` when the population supports it, scaled down otherwise.
-    pub fn coverage_for(population: usize) -> u32 {
-        if population >= 1200 {
-            200
-        } else {
-            (population as u32 / 8).max(8)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn coverage_scales_down_for_small_graphs() {
-        assert_eq!(ExpScale::coverage_for(2000), 200);
-        assert_eq!(ExpScale::coverage_for(600), 75);
-        assert_eq!(ExpScale::coverage_for(10), 8);
-    }
 }

@@ -43,21 +43,6 @@ pub struct TemplateSpec {
     pub seed: u64,
 }
 
-impl TemplateSpec {
-    /// The paper's default setting: `|Q| = 3`, `|X| = 3` (2 range + 1 edge).
-    pub fn paper_default(output_label: &str, seed: u64) -> Self {
-        Self {
-            edges: 3,
-            range_vars: 2,
-            edge_vars: 1,
-            topology: Topology::Random,
-            output_label: output_label.to_string(),
-            max_values_per_range_var: 8,
-            seed,
-        }
-    }
-}
-
 /// Generates a template and its refinement domains, or `None` when the
 /// graph cannot support the requested shape from the sampled seed node
 /// (callers retry with a different seed).
@@ -225,6 +210,19 @@ mod tests {
         })
     }
 
+    /// The paper's default setting: `|Q| = 3`, `|X| = 3` (2 range + 1 edge).
+    fn paper_spec(output_label: &str, seed: u64) -> TemplateSpec {
+        TemplateSpec {
+            edges: 3,
+            range_vars: 2,
+            edge_vars: 1,
+            topology: Topology::Random,
+            output_label: output_label.to_string(),
+            max_values_per_range_var: 8,
+            seed,
+        }
+    }
+
     #[test]
     fn generates_requested_shape() {
         let g = social();
@@ -274,7 +272,7 @@ mod tests {
             movies: 400,
             seed: 77,
         });
-        let spec = TemplateSpec::paper_default("movie", 5);
+        let spec = paper_spec("movie", 5);
         let got = generate_template_with_retry(&g, &spec, 50, |_, _| true);
         assert!(got.is_some());
     }
@@ -282,7 +280,7 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let g = social();
-        let spec = TemplateSpec::paper_default("director", 9);
+        let spec = paper_spec("director", 9);
         let a = generate_template(&g, &spec);
         let b = generate_template(&g, &spec);
         match (a, b) {
@@ -310,7 +308,7 @@ mod tests {
         assert!(generate_template(&g, &spec).is_none());
         let spec2 = TemplateSpec {
             output_label: "nonexistent".into(),
-            ..TemplateSpec::paper_default("x", 1)
+            ..paper_spec("x", 1)
         };
         assert!(generate_template(&g, &spec2).is_none());
     }

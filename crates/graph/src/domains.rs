@@ -58,6 +58,9 @@ impl ActiveDomains {
     }
 
     /// Size of the largest active domain (`adom_m` in Theorem 1).
+    ///
+    /// Test oracle: `crates/store/tests/proptest_store.rs` checks it
+    /// across a `.fsg` round trip.
     pub fn max_domain_size(&self) -> usize {
         self.global.values().map(Vec::len).max().unwrap_or(0)
     }

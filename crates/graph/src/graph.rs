@@ -333,6 +333,9 @@ impl Graph {
     /// This is the paper's `G_q^d`: template refinement restricts the values
     /// a range variable can take to those observed on same-labeled nodes in
     /// the `d`-hop neighborhood of the current match set.
+    ///
+    /// Test oracle: `crates/algo/tests/proptest_spawn.rs` holds `Spawn`'s
+    /// template refinement to this definition of `G_q^d`.
     pub fn d_hop_neighborhood(&self, seeds: &[NodeId], d: usize) -> Vec<NodeId> {
         let mut visited = vec![false; self.node_count()];
         let mut frontier: Vec<NodeId> = Vec::with_capacity(seeds.len());

@@ -164,11 +164,6 @@ impl AttrIndex {
         self.postings.len()
     }
 
-    /// Total posting entries across all pairs.
-    pub fn entry_count(&self) -> usize {
-        self.postings.values().map(|p| p.entries().len()).sum()
-    }
-
     /// Pairs in `(label, attr)` order — deterministic iteration for
     /// serialization.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (LabelId, AttrId, &Postings)> {
@@ -244,31 +239,6 @@ impl NodeBitset {
     /// Whether no bit is set.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Intersects in place with `other` (word-parallel).
-    pub fn intersect_with(&mut self, other: &NodeBitset) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-        // Ids beyond `other`'s capacity cannot be members of it.
-        for w in self.words.iter_mut().skip(other.words.len()) {
-            *w = 0;
-        }
-    }
-
-    /// Set bits as a sorted ascending id list.
-    pub fn to_sorted_vec(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        for (i, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(NodeId::from_index(i * 64 + b));
-                bits &= bits - 1;
-            }
-        }
-        out
     }
 }
 
@@ -378,7 +348,6 @@ mod tests {
         }
         // Index accounting helpers.
         assert!(g.attr_index().pair_count() >= 1);
-        assert_eq!(g.attr_index().entry_count(), 600);
         assert!(g.attr_index().heap_bytes() > 0);
         assert_eq!(g.attr_index().mapped_bytes(), 0);
         let pairs: Vec<_> = g
@@ -410,12 +379,7 @@ mod tests {
         assert!(!s.contains(NodeId(62)));
         assert!(!s.contains(NodeId(1000))); // out of capacity: absent
         assert_eq!(s.len(), 5);
-        assert_eq!(s.to_sorted_vec(), ids(&[0, 63, 64, 127, 199]));
 
-        let t = NodeBitset::from_nodes(128, ids(&[63, 64, 90]));
-        let mut u = s.clone();
-        u.intersect_with(&t);
-        assert_eq!(u.to_sorted_vec(), ids(&[63, 64]));
         assert!(!NodeBitset::from_nodes(10, ids(&[3])).is_empty());
         assert!(NodeBitset::new(10).is_empty());
     }

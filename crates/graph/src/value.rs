@@ -31,15 +31,6 @@ impl AttrValue {
             AttrValue::Str(_) => None,
         }
     }
-
-    /// Returns the symbol payload, if this is an [`AttrValue::Str`].
-    #[inline]
-    pub fn as_str_sym(self) -> Option<SymbolId> {
-        match self {
-            AttrValue::Int(_) => None,
-            AttrValue::Str(s) => Some(s),
-        }
-    }
 }
 
 impl PartialOrd for AttrValue {

@@ -229,7 +229,10 @@ mod tests {
         let d = RefinementDomains::with_range_values(&t, vec![]);
         let root = ConcreteQuery::materialize(&t, &d, &Instantiation::new(vec![0]));
         let child = ConcreteQuery::materialize(&t, &d, &Instantiation::new(vec![1]));
-        assert_eq!((root.active_count(), child.active_count()), (2, 3));
+        assert_eq!(
+            (root.active_nodes().count(), child.active_nodes().count()),
+            (2, 3)
+        );
         let (rm, rrows) = try_match_witnessed(
             &g,
             &root,

@@ -28,6 +28,9 @@ impl Objectives {
     }
 
     /// ε-dominance: `(1+ε)δ(self) ≥ δ(other)` and `(1+ε)f(self) ≥ f(other)`.
+    ///
+    /// Test oracle: the paper's ε rule, against which
+    /// `crates/measures/tests/proptest_measures.rs` checks `needed_eps`.
     #[inline]
     pub fn eps_dominates(&self, other: &Self, eps: f64) -> bool {
         let factor = 1.0 + eps;

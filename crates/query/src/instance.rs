@@ -236,11 +236,6 @@ impl ConcreteQuery {
         }
     }
 
-    /// Number of active (matched) query nodes.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
-    }
-
     /// Active node ids.
     pub fn active_nodes(&self) -> impl Iterator<Item = QNodeId> + '_ {
         self.active
@@ -320,7 +315,7 @@ mod tests {
         let root = Instantiation::root(&d);
         let q = ConcreteQuery::materialize(&t, &d, &root);
         // Optional edge absent: only the output node is in u_o's component.
-        assert_eq!(q.active_count(), 1);
+        assert_eq!(q.active_nodes().count(), 1);
         assert!(q.active[t.output().index()]);
         assert!(q.edges.is_empty());
         // Wildcard range literal dropped.
@@ -332,7 +327,7 @@ mod tests {
         let (_, t, d) = setup();
         let bottom = Instantiation::bottom(&d);
         let q = ConcreteQuery::materialize(&t, &d, &bottom);
-        assert_eq!(q.active_count(), 2);
+        assert_eq!(q.active_nodes().count(), 2);
         assert_eq!(q.edges.len(), 1);
         let lits = &q.nodes[t.output().index()].literals;
         assert_eq!(lits.len(), 1);

@@ -193,40 +193,6 @@ impl QueryTemplate {
     pub fn diameter(&self) -> usize {
         self.diameter
     }
-
-    /// Whether `edge_idx` is a bridge of the full template graph (removing
-    /// it disconnects the template). Used by Spawn's template refinement.
-    pub fn is_bridge(&self, edge_idx: usize) -> bool {
-        let n = self.nodes.len();
-        let mut adj = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            if i == edge_idx {
-                continue;
-            }
-            adj[e.src.index()].push(e.dst.index());
-            adj[e.dst.index()].push(e.src.index());
-        }
-        // Check whether the endpoints of edge_idx stay connected.
-        let (s, t) = (
-            self.edges[edge_idx].src.index(),
-            self.edges[edge_idx].dst.index(),
-        );
-        let mut seen = vec![false; n];
-        seen[s] = true;
-        let mut stack = vec![s];
-        while let Some(v) = stack.pop() {
-            if v == t {
-                return false;
-            }
-            for &w in &adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        true
-    }
 }
 
 /// Errors raised when building an invalid template.
@@ -488,28 +454,5 @@ mod tests {
         b.edge(u1, u2, e);
         let t = b.finish(u0).unwrap();
         assert_eq!(t.diameter(), 2);
-    }
-
-    #[test]
-    fn bridge_detection() {
-        let (l, e, _) = ids();
-        let mut b = TemplateBuilder::new();
-        let u0 = b.node(l);
-        let u1 = b.node(l);
-        let u2 = b.node(l);
-        b.edge(u0, u1, e); // bridge to the triangle-less tail
-        b.edge(u1, u2, e);
-        b.edge(u2, u0, e); // closes a triangle: none of these are bridges
-        let tri = b.finish(u0).unwrap();
-        assert!(!tri.is_bridge(0));
-        assert!(!tri.is_bridge(1));
-        assert!(!tri.is_bridge(2));
-
-        let mut b = TemplateBuilder::new();
-        let u0 = b.node(l);
-        let u1 = b.node(l);
-        b.edge(u0, u1, e);
-        let path = b.finish(u0).unwrap();
-        assert!(path.is_bridge(0));
     }
 }

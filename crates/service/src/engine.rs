@@ -745,11 +745,6 @@ impl Engine {
         self.shared.workers_alive.load(Ordering::SeqCst)
     }
 
-    /// The current pressure level (last admission evaluation).
-    pub fn pressure_level(&self) -> PressureLevel {
-        sync::lock(&self.shared.observed).controller.level()
-    }
-
     /// Whether [`Self::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
         sync::lock(&self.shared.sched).is_draining()

@@ -290,13 +290,6 @@ impl std::ops::Deref for Plan<'_> {
     }
 }
 
-impl Plan<'_> {
-    /// The shared planning skeleton (for publishing into a warm pool).
-    pub fn warm_plan(&self) -> &Arc<WarmPlan> {
-        &self.warm
-    }
-}
-
 /// A 64-bit digest of a spec's planning inputs: the overload model's job
 /// class id, where a collision only blurs an estimate. It identifies
 /// nothing served — the warm plan pool keys on the inputs themselves
@@ -869,7 +862,7 @@ pub(crate) mod tests {
         let warm = crate::warm::WarmState::new(1, std::sync::Arc::new(Default::default()));
         let cold = plan_spec_cached(&g, &s, &warm).unwrap();
         let hot = plan_spec_cached(&g, &s, &warm).unwrap();
-        assert!(std::sync::Arc::ptr_eq(cold.warm_plan(), hot.warm_plan()));
+        assert!(std::sync::Arc::ptr_eq(&cold.warm, &hot.warm));
         // A different template keys separately.
         let mut s2 = s.clone();
         s2.template = TEMPLATE.replace(">=", "<=");
@@ -896,7 +889,7 @@ pub(crate) mod tests {
         let plan_a = plan_spec_cached(&g, &a, &warm).unwrap();
         assert!(warm.plan(&PlanKey::of(&b)).is_none());
         let plan_b = plan_spec_cached(&g, &b, &warm).unwrap();
-        assert!(!Arc::ptr_eq(plan_a.warm_plan(), plan_b.warm_plan()));
+        assert!(!Arc::ptr_eq(&plan_a.warm, &plan_b.warm));
         let parsed = |p: &Plan<'_>| format!("{:?}", p.template);
         assert_ne!(parsed(&plan_a), parsed(&plan_b));
         assert_eq!(parsed(&plan_b), parsed(&plan_spec(&g, &b).unwrap()));

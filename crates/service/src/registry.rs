@@ -302,8 +302,10 @@ impl GraphRegistry {
     }
 
     /// The pooled warm state for `name` at its *current* epoch, if one is
-    /// resident. Test/diagnostic accessor — does not create state or
-    /// touch the LRU clock.
+    /// resident. Does not create state or touch the LRU clock.
+    ///
+    /// Test oracle: `crates/service/tests/warm_state.rs` reads the pooled
+    /// state through it.
     pub fn warm_snapshot(&self, name: &str) -> Option<Arc<WarmState>> {
         crate::sync::lock(&self.warm)
             .entries

@@ -9,7 +9,7 @@
 //! to the *output* columns (2 bytes per label, 16 per attribute, 12 per
 //! pending edge), not to the text or to any per-node allocation.
 
-use crate::write::{write_container, write_container_to_path};
+use crate::write::{write_graph, write_graph_to_path};
 use fairsqg_graph::{parse_tsv, Graph, IoError};
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -23,20 +23,14 @@ pub struct ConvertStats {
     pub edges: u64,
     /// Container bytes written.
     pub bytes: u64,
-    /// Whole-file xxHash64 digest of the container. [`convert_tsv_path`]
-    /// stamps it into the header; [`convert_tsv`] writes to a sink that may
-    /// not seek and leaves the header field zero ("absent"), and the caller
-    /// may patch this value into [`crate::format::DIGEST_OFFSET`] itself.
-    pub digest: u64,
 }
 
 impl ConvertStats {
-    fn of(graph: &Graph, (bytes, digest): (u64, u64)) -> Self {
+    fn of(graph: &Graph, bytes: u64) -> Self {
         Self {
             nodes: graph.node_count() as u64,
             edges: graph.edge_count() as u64,
             bytes,
-            digest,
         }
     }
 }
@@ -44,7 +38,7 @@ impl ConvertStats {
 /// Converts TSV text from `input` into a container written to `out`.
 pub fn convert_tsv<R: BufRead, W: Write>(input: R, out: W) -> Result<ConvertStats, IoError> {
     let graph = parse_tsv(input)?.finish();
-    Ok(ConvertStats::of(&graph, write_container(&graph, out)?))
+    Ok(ConvertStats::of(&graph, write_graph(&graph, out)?))
 }
 
 /// Converts the TSV file at `src` into the `.fsg` container at `dst`,
@@ -53,8 +47,5 @@ pub fn convert_tsv<R: BufRead, W: Write>(input: R, out: W) -> Result<ConvertStat
 pub fn convert_tsv_path(src: &Path, dst: &Path) -> Result<ConvertStats, IoError> {
     let input = std::io::BufReader::new(std::fs::File::open(src)?);
     let graph = parse_tsv(input).map_err(|e| e.with_path(src))?.finish();
-    Ok(ConvertStats::of(
-        &graph,
-        write_container_to_path(&graph, dst)?,
-    ))
+    Ok(ConvertStats::of(&graph, write_graph_to_path(&graph, dst)?))
 }

@@ -23,9 +23,10 @@
 //! Loading validates up front — magic, version, endianness, section
 //! table, offset monotonicity, run sort order, id ranges, reserved bytes,
 //! and each posting's node against its run's label and the postings total
-//! against the attribute entries (not posting by posting; the whole-file
-//! digest covers the rest) — and reports failures as typed
-//! [`StoreError`]s instead of panicking on untrusted bytes. An `.fsg` load
+//! against the attribute entries. A file with a whole-file digest is
+//! checked against it; a file without one has every posting checked
+//! against its node's attribute tuple instead. Failures are reported as
+//! typed [`StoreError`]s instead of panics on untrusted bytes. An `.fsg` load
 //! and a TSV load of the same graph expose identical postings, domains,
 //! candidates, and generation archives.
 //!

@@ -147,7 +147,7 @@ fn put_u64s<W: Write>(out: &mut Out<W>, vals: &[u64]) -> std::io::Result<()> {
 /// Writes `graph` as a container, returning `(bytes_written, digest)`.
 /// The emitted stream carries a **zero** digest field (a non-seekable sink
 /// cannot be patched; zero means "absent, skip verification");
-/// [`write_container_to_path`] patches the returned digest into
+/// [`write_graph_to_path`] patches the returned digest into
 /// [`DIGEST_OFFSET`] afterwards.
 pub(crate) fn write_container<W: Write>(graph: &Graph, w: W) -> std::io::Result<(u64, u64)> {
     let cols = &graph.columns();
@@ -281,19 +281,13 @@ pub fn write_graph<W: Write>(graph: &Graph, w: W) -> std::io::Result<u64> {
 }
 
 /// Writes `graph` to `path` (buffered, synced) with the whole-file digest
-/// stamped into the header, returning `(bytes_written, digest)`.
-pub(crate) fn write_container_to_path(graph: &Graph, path: &Path) -> std::io::Result<(u64, u64)> {
+/// stamped into the header, returning the bytes written.
+pub fn write_graph_to_path(graph: &Graph, path: &Path) -> std::io::Result<u64> {
     let file = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(file);
     let (n, digest) = write_container(graph, &mut w)?;
     let mut file = w.into_inner()?;
     patch_digest(&mut file, digest)?;
     file.sync_all()?;
-    Ok((n, digest))
-}
-
-/// Writes `graph` to `path` (buffered) with the whole-file digest stamped
-/// into the header, returning the bytes written.
-pub fn write_graph_to_path(graph: &Graph, path: &Path) -> std::io::Result<u64> {
-    write_container_to_path(graph, path).map(|(n, _)| n)
+    Ok(n)
 }

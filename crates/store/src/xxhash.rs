@@ -146,6 +146,9 @@ impl Xxh64 {
 }
 
 /// One-shot xxHash64 of `bytes` with `seed`.
+///
+/// Test oracle: `crates/store/tests/robustness.rs` recomputes a whole-file
+/// digest with it.
 pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
     let mut h = Xxh64::new(seed);
     h.update(bytes);

@@ -66,8 +66,8 @@ pub use fairsqg_store as store;
 pub use fairsqg_wire as wire;
 
 use fairsqg_algo::{
-    biqgen, cbm, enum_qgen, kungs, rfqgen, BiQGenOptions, CancelToken, CbmOptions, Configuration,
-    Generated, RfQGenOptions,
+    biqgen, cbm, enum_qgen, kungs, rfqgen, BiQGenOptions, CbmOptions, Configuration, Generated,
+    RfQGenOptions,
 };
 use fairsqg_graph::{CoverageSpec, Graph, GroupSet};
 use fairsqg_measures::DiversityConfig;
@@ -96,7 +96,6 @@ pub struct FairSqg<'g> {
     eps: f64,
     diversity: DiversityConfig,
     domain_config: DomainConfig,
-    output_restriction: Option<Vec<fairsqg_graph::NodeId>>,
 }
 
 impl<'g> FairSqg<'g> {
@@ -108,18 +107,7 @@ impl<'g> FairSqg<'g> {
             eps: 0.01,
             diversity: DiversityConfig::default(),
             domain_config: DomainConfig::default(),
-            output_restriction: None,
         }
-    }
-
-    /// Restricts the output population: only these nodes may appear in any
-    /// suggested query's answer — a way to layer constraints the template
-    /// language cannot express (sorted/deduplicated internally).
-    pub fn restrict_output(mut self, mut pool: Vec<fairsqg_graph::NodeId>) -> Self {
-        pool.sort_unstable();
-        pool.dedup();
-        self.output_restriction = Some(pool);
-        self
     }
 
     /// Sets the ε-dominance tolerance.
@@ -155,44 +143,8 @@ impl<'g> FairSqg<'g> {
         spec: &CoverageSpec,
         algorithm: Algorithm,
     ) -> Generated {
-        self.generate_inner(template, groups, spec, algorithm, None)
-    }
-
-    /// Like [`generate`](Self::generate), but observing a cancellation /
-    /// deadline token: when it fires, the returned set is the partial
-    /// archive built so far, flagged [`Generated::truncated`].
-    pub fn generate_cancellable(
-        &self,
-        template: &QueryTemplate,
-        groups: &GroupSet,
-        spec: &CoverageSpec,
-        algorithm: Algorithm,
-        cancel: &CancelToken,
-    ) -> Generated {
-        self.generate_inner(template, groups, spec, algorithm, Some(cancel))
-    }
-
-    fn generate_inner(
-        &self,
-        template: &QueryTemplate,
-        groups: &GroupSet,
-        spec: &CoverageSpec,
-        algorithm: Algorithm,
-        cancel: Option<&CancelToken>,
-    ) -> Generated {
         let domains = self.domains_for(template);
-        // The matcher requires restriction pools to be label-homogeneous
-        // with the template's output node; user pools may contain
-        // anything, so drop foreign-label nodes here —
-        // they could never be output matches anyway.
-        let sanitized: Option<Vec<fairsqg_graph::NodeId>> =
-            self.output_restriction.as_ref().map(|pool| {
-                pool.iter()
-                    .copied()
-                    .filter(|&v| self.graph.label(v) == template.output_label())
-                    .collect()
-            });
-        let mut cfg = Configuration::new(
+        let cfg = Configuration::new(
             self.graph,
             template,
             &domains,
@@ -201,12 +153,6 @@ impl<'g> FairSqg<'g> {
             self.eps,
             self.diversity,
         );
-        if let Some(pool) = &sanitized {
-            cfg = cfg.with_output_restriction(pool);
-        }
-        if let Some(token) = cancel {
-            cfg = cfg.with_cancel(token);
-        }
         match algorithm {
             Algorithm::EnumQGen => enum_qgen(cfg, false),
             Algorithm::Kungs => kungs(cfg),

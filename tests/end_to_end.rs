@@ -209,28 +209,3 @@ fn facade_runs_every_algorithm_variant() {
         assert!(!out.entries.is_empty(), "{algo:?} returned nothing");
     }
 }
-
-#[test]
-fn facade_output_restriction_flows_through() {
-    let w = small_workload(DatasetKind::Lki);
-    let pool: Vec<NodeId> = w
-        .graph
-        .nodes_with_label(w.template.output_label())
-        .iter()
-        .copied()
-        .filter(|v| v.index() % 2 == 0)
-        .collect();
-    // Coverage must be attainable within the halved population.
-    let spec = CoverageSpec::equal_opportunity(w.groups.len(), 1);
-    let fair = FairSqg::new(&w.graph)
-        .epsilon(0.2)
-        .restrict_output(pool.clone());
-    let out = fair.generate(&w.template, &w.groups, &spec, Algorithm::BiQGen);
-    for e in &out.entries {
-        assert!(e
-            .result
-            .matches
-            .iter()
-            .all(|m| pool.binary_search(m).is_ok()));
-    }
-}
