@@ -58,7 +58,7 @@ use fairsqg_faults::Fault;
 use fairsqg_wire::Value;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Engine tuning knobs.
@@ -238,7 +238,7 @@ pub enum JobEvent {
         /// The archive's monotonic version after this change.
         version: u64,
         /// Rendered entries that entered the archive.
-        added: Vec<Value>,
+        added: Added,
         /// `bindings` keys of entries that left the archive.
         removed: Vec<String>,
     },
@@ -255,8 +255,122 @@ pub enum JobEvent {
         /// Error message (`Failed` only).
         error: Option<String>,
         /// The full rendered result (`Done` only).
-        result: Option<Arc<Value>>,
+        result: Option<Arc<JobResult>>,
     },
+}
+
+/// The entries a [`JobEvent::Delta`] adds: rendered by the running job,
+/// or shared with the settled result (a settlement catch-up).
+#[derive(Debug, Clone)]
+pub enum Added {
+    /// Entries the running job rendered as they entered its archive.
+    Live(Vec<Value>),
+    /// Every entry of the settled result that carries a `bindings` key,
+    /// in order: nothing reached the stream live.
+    All(Arc<JobResult>),
+    /// The entries of the settled result at these positions in its
+    /// `entries`: the keyed ones the live stream never carried.
+    Missing(Arc<JobResult>, Vec<usize>),
+}
+
+/// A `Done` job's rendered result, shared by its job record, the result
+/// cache and every event and reply that carries it. It dereferences to
+/// the result [`Value`], which stays the source of truth; its wire
+/// encoding is built from that value, by the same writer, the first time
+/// a catch-up delta that carries every entry needs it, and from then on
+/// every frame of the result copies those bytes instead of serializing
+/// again.
+#[derive(Debug)]
+pub struct JobResult {
+    value: Value,
+    wire: OnceLock<ResultWire>,
+}
+
+/// The compact JSON of the parts of a result that frames carry,
+/// byte-identical to what [`fairsqg_wire::to_string`] writes for the same
+/// values.
+#[derive(Debug)]
+pub(crate) struct ResultWire {
+    /// The array of `entries` that carry a `bindings` string: a catch-up
+    /// delta's `added` when nothing was streamed.
+    pub(crate) added: String,
+    /// The result's `eps`, if it has one.
+    pub(crate) eps: Option<String>,
+    /// The result's `stats`, if it has one.
+    pub(crate) stats: Option<String>,
+    /// The array of the entries' `bindings`: a settled frame's `order`.
+    pub(crate) order: String,
+}
+
+impl JobResult {
+    pub(crate) fn new(value: Value) -> Self {
+        Self {
+            value,
+            wire: OnceLock::new(),
+        }
+    }
+
+    /// The result's entries (none when it has no `entries` array).
+    pub(crate) fn entries(&self) -> &[Value] {
+        self.value
+            .get("entries")
+            .and_then(Value::as_array)
+            .unwrap_or_default()
+    }
+
+    /// The wire encoding, built on first use.
+    pub(crate) fn wire(&self) -> &ResultWire {
+        self.wire.get_or_init(|| ResultWire::encode(self))
+    }
+
+    /// The wire encoding, if something has built it already.
+    pub(crate) fn encoded(&self) -> Option<&ResultWire> {
+        self.wire.get()
+    }
+}
+
+impl std::ops::Deref for JobResult {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        &self.value
+    }
+}
+
+impl std::fmt::Display for JobResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(&self.value, f)
+    }
+}
+
+impl ResultWire {
+    fn encode(result: &JobResult) -> Self {
+        let entries = result.entries();
+        Self {
+            added: json_array(entries.iter().filter(|e| entry_key(e).is_some())),
+            eps: result.get("eps").map(fairsqg_wire::to_string),
+            stats: result.get("stats").map(fairsqg_wire::to_string),
+            order: json_array(entries.iter().filter_map(|e| e.get("bindings"))),
+        }
+    }
+}
+
+/// The compact JSON array of `items`.
+fn json_array<'a>(items: impl Iterator<Item = &'a Value>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&fairsqg_wire::to_string(item));
+    }
+    out.push(']');
+    out
+}
+
+/// The key a rendered archive entry is identified by on a stream.
+pub(crate) fn entry_key(entry: &Value) -> Option<&str> {
+    entry.get("bindings").and_then(Value::as_str)
 }
 
 /// A subscriber callback. Called from engine worker threads (or from the
@@ -364,6 +478,10 @@ pub(crate) struct Counters {
     stream_deltas: AtomicU64,
     pub(crate) stream_catchups: AtomicU64,
     pub(crate) stream_settled: AtomicU64,
+    // Frames written from a result's stored encoding, counted by the
+    // server. An `Arc`, so its sinks count
+    // without holding the engine that holds them.
+    pub(crate) stored_frames: Arc<AtomicU64>,
 }
 
 /// What the engine has observed of its own load: the inputs to admission
@@ -392,7 +510,7 @@ struct Shared {
     /// Signalled (on `sched`) at shutdown; only the watchdog waits on it,
     /// so it never swallows a worker's wake-up.
     watchdog_wake: Condvar,
-    cache: Mutex<LruCache<Arc<Value>>>,
+    cache: Mutex<LruCache<Arc<JobResult>>>,
     observed: Mutex<Observed>,
     /// Live worker handles (replacements register themselves here) and
     /// the watchdog's.
@@ -698,7 +816,7 @@ impl Engine {
     }
 
     /// The result of a `Done` job (shared, render-once).
-    pub fn result(&self, id: u64) -> Option<Arc<Value>> {
+    pub fn result(&self, id: u64) -> Option<Arc<JobResult>> {
         sync::lock(&self.shared.sched).result(id)
     }
 
@@ -733,6 +851,12 @@ impl Engine {
     /// Current queue depth (admitted, not yet picked up).
     pub fn queue_depth(&self) -> usize {
         sync::lock(&self.shared.sched).queue_depth()
+    }
+
+    /// The counter of frames written from a result's stored encoding
+    /// (`streaming.stored_frames`).
+    pub(crate) fn stored_frames(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.shared.counters.stored_frames)
     }
 
     /// Result-cache counters.
@@ -971,6 +1095,10 @@ impl Engine {
                     (
                         "settled",
                         Value::from(c.stream_settled.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "stored_frames",
+                        Value::from(c.stored_frames.load(Ordering::Relaxed)),
                     ),
                     ("active", Value::from(streams as u64)),
                 ]),
@@ -1212,7 +1340,7 @@ impl ArchiveObserver for StreamObs<'_, '_> {
         let ev = JobEvent::Delta {
             id,
             version,
-            added,
+            added: Added::Live(added),
             removed,
         };
         for sink in &sinks {
@@ -1319,7 +1447,7 @@ fn run_job(shared: &Shared, run: Run) {
         if out.stats.budget_tripped.is_some() {
             c.budget_trips.fetch_add(1, Ordering::Relaxed);
         }
-        Ok::<_, String>((Arc::new(rendered), out.truncated, stages))
+        Ok::<_, String>((Arc::new(JobResult::new(rendered)), out.truncated, stages))
     }));
 
     // Feed the admission predictor whatever happened: service time for

@@ -67,7 +67,9 @@ pub mod sync;
 pub mod warm;
 
 pub use cache::{CacheStats, LruCache};
-pub use engine::{Engine, EngineConfig, EventSink, JobEvent, JobState, JobStatus, SubmitError};
+pub use engine::{
+    Added, Engine, EngineConfig, EventSink, JobEvent, JobResult, JobState, JobStatus, SubmitError,
+};
 pub use job::{
     diversity_for_spec, entry_bindings, entry_to_value, generated_to_value,
     generated_to_value_with, plan_key, plan_spec, plan_spec_cached, run_plan, run_plan_observed,

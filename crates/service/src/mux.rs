@@ -55,10 +55,11 @@
 //! `GET /metrics` line gets the same text as a plain HTTP/1.0 response
 //! (then the connection closes), so a scraper needs no protocol support.
 
-use crate::engine::{Engine, EventSink, JobEvent};
+use crate::engine::{Added, Engine, EventSink, JobEvent};
 use crate::job::JobSpec;
 use crate::proto::{
     error_response, handle_request_from, metrics_text, submit_error_response, submit_ok_response,
+    Reply,
 };
 use crate::sync;
 use fairsqg_aio::{Interest, Poller, Waker};
@@ -189,10 +190,39 @@ fn write_response(buf: &mut Vec<u8>, response: &Value, rid: Option<&Value>) {
     write_object(buf, &mut fields);
 }
 
-/// Writes one subscription event frame from the event's own fields (and,
-/// for a settled `Done` job, the shared result's): nothing is cloned.
-fn write_event_frame(buf: &mut Vec<u8>, ev: &JobEvent, lossy: bool, rid: Option<&Value>) {
+/// Writes a reply, with the request's `rid` echoed into it: a `result`
+/// reply from the shared result, borrowed.
+fn write_reply(buf: &mut Vec<u8>, reply: &Reply, rid: Option<&Value>) {
+    let (id, from_cache, result) = match reply {
+        Reply::Value(response) => return write_response(buf, response, rid),
+        Reply::Result {
+            id,
+            from_cache,
+            result,
+        } => (id, from_cache, result),
+    };
+    let mut fields = vec![
+        ("ok", Field::Bool(true)),
+        ("id", Field::U64(*id)),
+        ("from_cache", Field::Bool(*from_cache)),
+        ("result", Field::Value(result)),
+    ];
+    if let Some(r) = rid {
+        fields.push(("rid", Field::Value(r)));
+    }
+    write_object(buf, &mut fields);
+}
+
+/// Writes one subscription event frame from the event's own fields and,
+/// for a catch-up delta or a settled `Done` job, the shared result's:
+/// nothing is cloned. A catch-up that carries every entry is written from
+/// the result's stored encoding (built on first use), and a settled frame
+/// uses it once it exists. Returns whether the stored encoding was
+/// written.
+fn write_event_frame(buf: &mut Vec<u8>, ev: &JobEvent, lossy: bool, rid: Option<&Value>) -> bool {
+    let picked: Vec<&Value>;
     let order: Vec<&Value>;
+    let mut stored = false;
     let mut fields: Vec<(&str, Field)> = Vec::with_capacity(11);
     match ev {
         JobEvent::Delta {
@@ -200,13 +230,27 @@ fn write_event_frame(buf: &mut Vec<u8>, ev: &JobEvent, lossy: bool, rid: Option<
             version,
             added,
             removed,
-        } => fields.extend([
-            ("event", Field::Str("delta")),
-            ("id", Field::U64(*id)),
-            ("version", Field::U64(*version)),
-            ("added", Field::Values(added)),
-            ("removed", Field::Strs(removed)),
-        ]),
+        } => {
+            let added = match added {
+                Added::Live(entries) => Field::Values(entries),
+                Added::All(result) => {
+                    stored = true;
+                    Field::Json(&result.wire().added)
+                }
+                Added::Missing(result, at) => {
+                    let entries = result.entries();
+                    picked = at.iter().map(|&i| &entries[i]).collect();
+                    Field::Refs(&picked)
+                }
+            };
+            fields.extend([
+                ("event", Field::Str("delta")),
+                ("id", Field::U64(*id)),
+                ("version", Field::U64(*version)),
+                ("added", added),
+                ("removed", Field::Strs(removed)),
+            ]);
+        }
         JobEvent::Settled {
             id,
             state,
@@ -227,18 +271,29 @@ fn write_event_frame(buf: &mut Vec<u8>, ev: &JobEvent, lossy: bool, rid: Option<
                 fields.push(("error_message", Field::Str(e)));
             }
             if let Some(result) = result {
-                if let Some(eps) = result.get("eps") {
-                    fields.push(("eps", Field::Value(eps)));
+                if let Some(wire) = result.encoded() {
+                    stored = true;
+                    if let Some(eps) = &wire.eps {
+                        fields.push(("eps", Field::Json(eps)));
+                    }
+                    if let Some(stats) = &wire.stats {
+                        fields.push(("stats", Field::Json(stats)));
+                    }
+                    fields.push(("order", Field::Json(&wire.order)));
+                } else {
+                    if let Some(eps) = result.get("eps") {
+                        fields.push(("eps", Field::Value(eps)));
+                    }
+                    if let Some(stats) = result.get("stats") {
+                        fields.push(("stats", Field::Value(stats)));
+                    }
+                    order = result
+                        .entries()
+                        .iter()
+                        .filter_map(|e| e.get("bindings"))
+                        .collect();
+                    fields.push(("order", Field::Refs(&order)));
                 }
-                if let Some(stats) = result.get("stats") {
-                    fields.push(("stats", Field::Value(stats)));
-                }
-                order = result
-                    .get("entries")
-                    .and_then(Value::as_array)
-                    .map(|entries| entries.iter().filter_map(|e| e.get("bindings")).collect())
-                    .unwrap_or_default();
-                fields.push(("order", Field::Refs(&order)));
             }
         }
     }
@@ -246,6 +301,7 @@ fn write_event_frame(buf: &mut Vec<u8>, ev: &JobEvent, lossy: bool, rid: Option<
         fields.push(("rid", Field::Value(r)));
     }
     write_object(buf, &mut fields);
+    stored
 }
 
 /// One connection's event-loop state.
@@ -271,6 +327,8 @@ pub struct MuxServer {
     waker: Arc<Waker>,
     stopping: Arc<AtomicBool>,
     options: MuxOptions,
+    /// The engine's `streaming.stored_frames` counter.
+    stored_frames: Arc<AtomicU64>,
 }
 
 /// Stops a [`MuxServer`]'s event loop from another thread.
@@ -309,6 +367,7 @@ impl MuxServer {
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
         poller.register(waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
         Ok(Self {
+            stored_frames: engine.stored_frames(),
             engine,
             listener,
             poller,
@@ -578,8 +637,10 @@ impl MuxServer {
             self.handle_streaming_submit(conn, &request, rid);
             return;
         }
-        let (response, shutdown) = handle_request_from(&self.engine, &request, Some(&conn.tag));
-        self.enqueue(conn, &response, rid);
+        let (reply, shutdown) = handle_request_from(&self.engine, &request, Some(&conn.tag));
+        sync::lock(&conn.out).push_frame(self.options.hard_outbound_bytes, |buf| {
+            write_reply(buf, &reply, rid);
+        });
         if shutdown {
             self.stopping.store(true, Ordering::Release);
         }
@@ -630,6 +691,7 @@ impl MuxServer {
         let soft = self.options.soft_outbound_bytes;
         let hard = self.options.hard_outbound_bytes;
         let lossy = AtomicBool::new(false);
+        let stored_frames = Arc::clone(&self.stored_frames);
         Arc::new(move |ev: &JobEvent| {
             {
                 let mut o = sync::lock(&out);
@@ -642,9 +704,13 @@ impl MuxServer {
                     return;
                 }
                 let lossy = lossy.load(Ordering::Relaxed);
+                let mut stored = false;
                 o.push_frame(hard, |buf| {
-                    write_event_frame(buf, ev, lossy, rid.as_ref());
+                    stored = write_event_frame(buf, ev, lossy, rid.as_ref());
                 });
+                if stored {
+                    stored_frames.fetch_add(1, Ordering::Relaxed);
+                }
             }
             if std::thread::current().id() != loop_thread {
                 waker.wake();
@@ -730,7 +796,7 @@ pub fn spawn_mux_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::JobState;
+    use crate::engine::{entry_key, JobResult, JobState};
 
     /// The frames as the server built them before [`write_event_frame`]:
     /// an owned [`Value`] deep-copied out of the event. Kept as the oracle.
@@ -742,12 +808,24 @@ mod tests {
                 added,
                 removed,
             } => {
+                let added: Vec<Value> = match added {
+                    Added::Live(entries) => entries.clone(),
+                    Added::All(result) => result
+                        .entries()
+                        .iter()
+                        .filter(|e| entry_key(e).is_some())
+                        .cloned()
+                        .collect(),
+                    Added::Missing(result, at) => {
+                        at.iter().map(|&i| result.entries()[i].clone()).collect()
+                    }
+                };
                 let removed: Vec<Value> = removed.iter().map(|b| Value::from(b.as_str())).collect();
                 vec![
                     ("event", Value::from("delta")),
                     ("id", Value::from(*id)),
                     ("version", Value::from(*version)),
-                    ("added", Value::Array(added.clone())),
+                    ("added", Value::Array(added)),
                     ("removed", Value::Array(removed)),
                 ]
             }
@@ -799,6 +877,28 @@ mod tests {
         Value::object(pairs)
     }
 
+    /// The `result` reply as the protocol built it before [`Reply::Result`]:
+    /// the whole result deep-copied into the response. Kept as the oracle.
+    fn result_reply_value(reply: &Reply, rid: Option<&Value>) -> Value {
+        let mut oracle = match reply {
+            Reply::Value(v) => v.clone(),
+            Reply::Result {
+                id,
+                from_cache,
+                result,
+            } => Value::object([
+                ("ok", Value::from(true)),
+                ("id", Value::from(*id)),
+                ("from_cache", Value::from(*from_cache)),
+                ("result", (**result).clone()),
+            ]),
+        };
+        if let (Value::Object(map), Some(r)) = (&mut oracle, rid) {
+            map.insert("rid".to_string(), r.clone());
+        }
+        oracle
+    }
+
     fn entry(bindings: &str, query: &str) -> Value {
         Value::object([
             ("bindings", Value::from(bindings)),
@@ -808,85 +908,188 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn event_frames_match_the_value_oracle_byte_for_byte() {
-        let tricky = "u1.yearsOfExp >= 3 \"quoted\" \\ back\nslash\t中 é 🦀 \u{1}\u{1f}";
-        let entries = vec![
+    const TRICKY: &str = "u1.yearsOfExp >= 3 \"quoted\" \\ back\nslash\t中 é 🦀 \u{1}\u{1f}";
+
+    /// Results of every shape a frame meets: with and without `eps`, a
+    /// keyless entry among keyed ones, only keyed entries, no entries,
+    /// no `entries` at all, and escaped strings throughout.
+    fn results() -> Vec<Value> {
+        let keyed = vec![
             entry("u1.yearsOfExp=3", "node u0 : director\nwhere u1.x >= 3"),
-            entry(tricky, tricky),
-            Value::object([("no_bindings", Value::Null)]),
+            entry(TRICKY, TRICKY),
         ];
-        let result = |eps: bool| {
-            let mut pairs = vec![
-                ("entries", Value::Array(entries.clone())),
-                (
-                    "stats",
-                    Value::object([
-                        ("verified", Value::from(12u64)),
-                        ("note", Value::from(tricky)),
-                    ]),
-                ),
+        let mut mixed = keyed.clone();
+        mixed.push(Value::object([("no_bindings", Value::Null)]));
+        let stats = Value::object([
+            ("verified", Value::from(12u64)),
+            ("note", Value::from(TRICKY)),
+        ]);
+        vec![
+            Value::object([
+                ("entries", Value::Array(mixed.clone())),
+                ("stats", stats.clone()),
                 ("truncated", Value::Bool(false)),
-            ];
-            if eps {
-                pairs.push(("eps", Value::Float(0.05)));
-            }
-            Arc::new(Value::object(pairs))
-        };
+                ("eps", Value::Float(0.05)),
+            ]),
+            Value::object([
+                ("entries", Value::Array(mixed)),
+                ("stats", stats.clone()),
+                ("truncated", Value::Bool(true)),
+            ]),
+            Value::object([
+                ("entries", Value::Array(keyed)),
+                ("stats", stats),
+                ("eps", Value::Float(0.05)),
+            ]),
+            Value::object([("entries", Value::Array(Vec::new()))]),
+            Value::object([]),
+        ]
+    }
+
+    /// Every event shape, each on a result of its own that nothing has
+    /// encoded yet.
+    fn events() -> Vec<JobEvent> {
+        let live = results().swap_remove(0);
+        let live = live.get("entries").and_then(Value::as_array).unwrap();
         let mut events = Vec::new();
-        for added in [Vec::new(), entries.clone()] {
-            for removed in [Vec::new(), vec!["a=1".to_string(), tricky.to_string()]] {
+        for added in [Vec::new(), live.to_vec()] {
+            for removed in [Vec::new(), vec!["a=1".to_string(), TRICKY.to_string()]] {
                 events.push(JobEvent::Delta {
                     id: 42,
                     version: 7,
-                    added: added.clone(),
+                    added: Added::Live(added.clone()),
                     removed,
                 });
             }
         }
-        for (state, error, result) in [
-            (JobState::Done, None, Some(result(true))),
-            (JobState::Done, None, Some(result(false))),
-            (
-                JobState::Done,
-                None,
-                Some(Arc::new(Value::object([(
-                    "entries",
-                    Value::Array(Vec::new()),
-                )]))),
-            ),
-            (JobState::Done, None, Some(Arc::new(Value::object([])))),
-            (JobState::Failed, Some(tricky.to_string()), None),
-            (JobState::Cancelled, None, None),
-        ] {
+        for value in results() {
+            let entries = value
+                .get("entries")
+                .and_then(Value::as_array)
+                .unwrap_or_default();
+            let keyed: Vec<usize> = (0..entries.len())
+                .filter(|&i| entry_key(&entries[i]).is_some())
+                .collect();
+            let result = || Arc::new(JobResult::new(value.clone()));
+            for removed in [Vec::new(), vec![TRICKY.to_string()]] {
+                events.push(JobEvent::Delta {
+                    id: 9,
+                    version: 1,
+                    added: Added::All(result()),
+                    removed: removed.clone(),
+                });
+                for at in [keyed.clone(), keyed.iter().copied().skip(1).collect()] {
+                    events.push(JobEvent::Delta {
+                        id: 9,
+                        version: 3,
+                        added: Added::Missing(result(), at),
+                        removed: removed.clone(),
+                    });
+                }
+            }
             for (truncated, from_cache) in [(false, true), (true, false)] {
                 events.push(JobEvent::Settled {
                     id: u64::MAX,
-                    state,
+                    state: JobState::Done,
                     truncated,
                     from_cache,
-                    error: error.clone(),
-                    result: result.clone(),
+                    error: None,
+                    result: Some(result()),
                 });
             }
         }
-        let rids = [
+        for (state, error) in [
+            (JobState::Failed, Some(TRICKY.to_string())),
+            (JobState::Cancelled, None),
+        ] {
+            events.push(JobEvent::Settled {
+                id: u64::MAX,
+                state,
+                truncated: false,
+                from_cache: false,
+                error,
+                result: None,
+            });
+        }
+        events
+    }
+
+    fn rids() -> [Option<Value>; 4] {
+        [
             None,
             Some(Value::from(3u64)),
-            Some(Value::from(tricky)),
+            Some(Value::from(TRICKY)),
             Some(Value::object([("k", Value::from(vec![1i64]))])),
-        ];
-        for ev in &events {
-            for rid in &rids {
-                for lossy in [false, true] {
-                    let mut buf = b"earlier frame\n".to_vec();
-                    write_event_frame(&mut buf, ev, lossy, rid.as_ref());
-                    let oracle = event_frame_value(ev, lossy, rid.as_ref()).to_string();
-                    assert_eq!(
-                        std::str::from_utf8(&buf).unwrap(),
-                        format!("earlier frame\n{oracle}"),
-                        "{ev:?} lossy={lossy} rid={rid:?}"
-                    );
+        ]
+    }
+
+    /// Frames match the oracle whether written from values or from a
+    /// result's stored encoding, and the stored encoding is written
+    /// exactly where it should be: a catch-up carrying every entry builds
+    /// it, a settled frame uses it once it exists, and live and partial
+    /// deltas never touch it.
+    #[test]
+    fn event_frames_match_the_value_oracle_byte_for_byte() {
+        let events = events();
+        for encoded_first in [false, true] {
+            for ev in &events {
+                let (expect_stored, result) = match ev {
+                    JobEvent::Delta { added, .. } => match added {
+                        Added::All(r) => (true, Some(r)),
+                        Added::Missing(r, _) => (false, Some(r)),
+                        Added::Live(_) => (false, None),
+                    },
+                    JobEvent::Settled { result, .. } => {
+                        (result.is_some() && encoded_first, result.as_ref())
+                    }
+                };
+                if let (true, Some(r)) = (encoded_first, result) {
+                    r.wire();
+                }
+                for rid in &rids() {
+                    for lossy in [false, true] {
+                        let mut buf = b"earlier frame\n".to_vec();
+                        let stored = write_event_frame(&mut buf, ev, lossy, rid.as_ref());
+                        let oracle = event_frame_value(ev, lossy, rid.as_ref()).to_string();
+                        assert_eq!(
+                            std::str::from_utf8(&buf).unwrap(),
+                            format!("earlier frame\n{oracle}"),
+                            "{ev:?} lossy={lossy} rid={rid:?}"
+                        );
+                        assert_eq!(stored, expect_stored, "{ev:?}");
+                    }
+                }
+                if let (JobEvent::Settled { .. }, Some(r)) = (ev, result) {
+                    assert_eq!(r.encoded().is_some(), encoded_first);
+                }
+            }
+        }
+    }
+
+    /// A `result` reply is written from the shared result, borrowed, and
+    /// builds no stored encoding.
+    #[test]
+    fn result_replies_match_the_value_oracle_byte_for_byte() {
+        let mut replies: Vec<Reply> = results()
+            .into_iter()
+            .flat_map(|value| {
+                let result = Arc::new(JobResult::new(value));
+                [true, false].map(|from_cache| Reply::Result {
+                    id: 17,
+                    from_cache,
+                    result: Arc::clone(&result),
+                })
+            })
+            .collect();
+        replies.push(Reply::Value(error_response("internal", TRICKY)));
+        for reply in &replies {
+            for rid in &rids() {
+                let mut buf = Vec::new();
+                write_reply(&mut buf, reply, rid.as_ref());
+                let oracle = result_reply_value(reply, rid.as_ref()).to_string();
+                assert_eq!(String::from_utf8(buf).unwrap(), oracle, "{reply:?}");
+                if let Reply::Result { result, .. } = reply {
+                    assert!(result.encoded().is_none());
                 }
             }
         }

@@ -33,10 +33,11 @@
 //! the job's own `client` field if set, else the connection tag the
 //! server passes to [`handle_request_from`].
 
-use crate::engine::{Engine, JobState, SubmitError};
+use crate::engine::{Engine, JobResult, JobState, SubmitError};
 use crate::job::JobSpec;
 use crate::registry::LoadError;
 use fairsqg_wire::Value;
+use std::sync::Arc;
 
 /// Builds the error response for `code`/`message`.
 pub fn error_response(code: &'static str, message: &str) -> Value {
@@ -148,22 +149,39 @@ fn status_body(engine: &Engine, id: u64) -> Option<Vec<(&'static str, Value)>> {
     Some(body)
 }
 
-/// Handles one parsed request against the engine. Returns the response and
-/// whether the server should begin shutting down.
-pub fn handle_request(engine: &Engine, request: &Value) -> (Value, bool) {
-    handle_request_from(engine, request, None)
+/// A response to one request. A `Done` job's `result` reply shares the
+/// result instead of copying it into a [`Value`]: the server writes it
+/// from the borrowed result.
+#[derive(Debug)]
+pub enum Reply {
+    /// A response built as a value.
+    Value(Value),
+    /// `{"ok": true, "id", "from_cache", "result"}`.
+    Result {
+        /// The job id.
+        id: u64,
+        /// Whether the result came from the cross-request cache.
+        from_cache: bool,
+        /// The job's result.
+        result: Arc<JobResult>,
+    },
 }
 
-/// Like [`handle_request`], stamping submissions that carry no explicit
-/// `client` field with `client_tag` (the server's per-connection
-/// identity), so per-client quotas apply to anonymous submitters too.
+/// Handles one parsed request against the engine, stamping submissions
+/// that carry no explicit `client` field with `client_tag` (the server's
+/// per-connection identity), so per-client quotas apply to anonymous
+/// submitters too. Returns the reply and whether the server should begin
+/// shutting down.
 pub fn handle_request_from(
     engine: &Engine,
     request: &Value,
     client_tag: Option<&str>,
-) -> (Value, bool) {
+) -> (Reply, bool) {
     let Some(op) = request.get("op").and_then(Value::as_str) else {
-        return (error_response("bad_request", "missing 'op'"), false);
+        return (
+            Reply::Value(error_response("bad_request", "missing 'op'")),
+            false,
+        );
     };
     let id_field = || {
         request
@@ -175,7 +193,10 @@ pub fn handle_request_from(
         "ping" => ok_response(vec![("pong", Value::from(true))]),
         "submit" => {
             let Some(job) = request.get("job") else {
-                return (error_response("bad_request", "missing 'job'"), false);
+                return (
+                    Reply::Value(error_response("bad_request", "missing 'job'")),
+                    false,
+                );
             };
             match JobSpec::from_value(job) {
                 Err(m) => error_response("bad_request", &m),
@@ -202,11 +223,17 @@ pub fn handle_request_from(
             Ok(id) => match engine.status(id) {
                 None => error_response("not_found", &format!("no job {id}")),
                 Some(s) if s.state == JobState::Done => match engine.result(id) {
-                    Some(r) => ok_response(vec![
-                        ("id", Value::from(id)),
-                        ("from_cache", Value::from(s.from_cache)),
-                        ("result", (*r).clone()),
-                    ]),
+                    Some(result) => {
+                        let from_cache = s.from_cache;
+                        return (
+                            Reply::Result {
+                                id,
+                                from_cache,
+                                result,
+                            },
+                            false,
+                        );
+                    }
                     None => error_response("internal", "done job lost its result"),
                 },
                 Some(s) if s.state == JobState::Failed => {
@@ -301,11 +328,12 @@ pub fn handle_request_from(
             ])
         }
         "shutdown" => {
-            return (ok_response(vec![("stopping", Value::from(true))]), true);
+            let response = ok_response(vec![("stopping", Value::from(true))]);
+            return (Reply::Value(response), true);
         }
         other => error_response("bad_request", &format!("unknown op '{other}'")),
     };
-    (response, false)
+    (Reply::Value(response), false)
 }
 
 /// Renders the engine's statistics as Prometheus text-exposition gauges:

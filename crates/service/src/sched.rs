@@ -17,7 +17,9 @@
 //! record becomes terminal only in [`Sched::finish`]; followers are
 //! disposed of only in [`Sched::settle`].
 
-use crate::engine::{Counters, EngineConfig, EventSink, JobEvent, JobState, JobStatus};
+use crate::engine::{
+    entry_key, Added, Counters, EngineConfig, EventSink, JobEvent, JobResult, JobState, JobStatus,
+};
 use crate::job::JobSpec;
 use crate::registry::GraphEntry;
 use fairsqg_algo::CancelToken;
@@ -31,16 +33,11 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The key a rendered archive entry is identified by on a stream.
-fn bindings(entry: &Value) -> Option<&str> {
-    entry.get("bindings").and_then(Value::as_str)
-}
-
 struct JobRecord {
     spec: JobSpec,
     state: JobState,
     cancel: CancelToken,
-    result: Option<Arc<Value>>,
+    result: Option<Arc<JobResult>>,
     error: Option<String>,
     from_cache: bool,
     truncated: bool,
@@ -76,7 +73,7 @@ struct StreamState {
 /// Terminal outcome of a job, consumed by [`Sched::settle`].
 pub(crate) enum Settled {
     Done {
-        result: Arc<Value>,
+        result: Arc<JobResult>,
         truncated: bool,
     },
     Failed(String),
@@ -102,7 +99,7 @@ pub(crate) struct Flush {
     truncated: bool,
     from_cache: bool,
     error: Option<String>,
-    result: Option<Arc<Value>>,
+    result: Option<Arc<JobResult>>,
     stream: StreamState,
 }
 
@@ -122,33 +119,33 @@ impl Flush {
     /// Fires a catch-up [`JobEvent::Delta`] reconciling the stream with
     /// the final entry set (covers cache hits, coalesced followers,
     /// rescales, and end-built archives), then the [`JobEvent::Settled`].
+    /// The catch-up shares the result: a stream that carried nothing gets
+    /// [`Added::All`], one that carried some gets the positions it lacks.
     pub(crate) fn fire(self, c: &Counters) {
         let Self { id, stream: st, .. } = self;
         if let (JobState::Done, Some(result)) = (self.state, &self.result) {
-            let final_entries: Vec<&Value> = result
-                .get("entries")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().collect())
-                .unwrap_or_default();
-            let final_keys: BTreeSet<&str> =
-                final_entries.iter().filter_map(|e| bindings(e)).collect();
-            let added: Vec<Value> = final_entries
-                .iter()
-                .filter(|e| bindings(e).is_some_and(|b| !st.streamed.contains(b)))
-                .map(|e| (*e).clone())
-                .collect();
+            let entries = result.entries();
+            let final_keys: BTreeSet<&str> = entries.iter().filter_map(entry_key).collect();
             let removed: Vec<String> = st
                 .streamed
                 .iter()
                 .filter(|b| !final_keys.contains(b.as_str()))
                 .cloned()
                 .collect();
-            if !added.is_empty() || !removed.is_empty() {
+            let missing: Vec<usize> = (0..entries.len())
+                .filter(|&i| entry_key(&entries[i]).is_some_and(|b| !st.streamed.contains(b)))
+                .collect();
+            if !missing.is_empty() || !removed.is_empty() {
                 bump(&c.stream_catchups);
+                let result = Arc::clone(result);
                 let ev = JobEvent::Delta {
                     id,
                     version: st.last_version + 1,
-                    added,
+                    added: if st.streamed.is_empty() {
+                        Added::All(result)
+                    } else {
+                        Added::Missing(result, missing)
+                    },
                     removed,
                 };
                 for sink in &st.sinks {
@@ -318,7 +315,12 @@ impl Sched {
     }
 
     /// Records a job answered from the result cache: born `Done`.
-    pub(crate) fn admit_cached(&mut self, spec: JobSpec, result: Arc<Value>, now: Instant) -> u64 {
+    pub(crate) fn admit_cached(
+        &mut self,
+        spec: JobSpec,
+        result: Arc<JobResult>,
+        now: Instant,
+    ) -> u64 {
         let truncated = result
             .get("truncated")
             .and_then(Value::as_bool)
@@ -690,7 +692,7 @@ impl Sched {
             st.streamed.remove(b);
         }
         for v in added {
-            if let Some(b) = bindings(v) {
+            if let Some(b) = entry_key(v) {
                 st.streamed.insert(b.to_string());
             }
         }
@@ -708,7 +710,7 @@ impl Sched {
         })
     }
 
-    pub(crate) fn result(&self, id: u64) -> Option<Arc<Value>> {
+    pub(crate) fn result(&self, id: u64) -> Option<Arc<JobResult>> {
         self.records.get(&id).and_then(|r| r.result.clone())
     }
 
@@ -829,10 +831,10 @@ mod tests {
 
     fn done(truncated: bool) -> Settled {
         let entry = Value::object([("bindings", Value::from("u1=3"))]);
-        let result = Arc::new(Value::object([
+        let result = Arc::new(JobResult::new(Value::object([
             ("entries", Value::Array(vec![entry])),
             ("truncated", Value::from(truncated)),
-        ]));
+        ])));
         Settled::Done { result, truncated }
     }
 

@@ -8,7 +8,7 @@ use fairsqg_datagen::{social_graph, SocialConfig};
 use fairsqg_service::warm::{PlanKey, WarmCounters, WarmState};
 use fairsqg_service::{
     diversity_for_spec, plan_spec, plan_spec_cached, run_plan_observed, AlgoKind, BrownoutConfig,
-    Engine, EngineConfig, GraphRegistry, JobSpec, JobState,
+    Engine, EngineConfig, GraphRegistry, JobResult, JobSpec, JobState,
 };
 use fairsqg_wire::Value;
 use std::sync::atomic::Ordering;
@@ -76,7 +76,7 @@ fn config(workers: usize) -> EngineConfig {
     }
 }
 
-fn wait(engine: &Engine, id: u64) -> Arc<Value> {
+fn wait(engine: &Engine, id: u64) -> Arc<JobResult> {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         match engine.status(id).expect("job exists").state {

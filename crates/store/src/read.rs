@@ -12,7 +12,8 @@
 //! the heap. The domain sections of v1–v3 files (kinds 13–15) are
 //! bounds-checked with the rest of the section table, then skipped.
 //! A file without a whole-file digest also has every posting checked
-//! against its node's attribute tuple; a stamped file skips that pass.
+//! against its node's attribute tuple and every in-edge against the
+//! out-edges; a stamped file skips those passes.
 
 use crate::error::{corrupt, StoreError};
 use crate::format::{
@@ -526,6 +527,28 @@ pub fn load_bytes(owner: Arc<dyn StableBytes>) -> Result<Graph, StoreError> {
     check_offsets("in_offsets", &in_offsets, n, m)?;
     check_adjacency("out_adj", &out_offsets, &out_adj, n, edge_label_count)?;
     check_adjacency("in_adj", &in_offsets, &in_adj, n, edge_label_count)?;
+    // Without a digest nothing else ties the two directions together: a
+    // sorted in-run can name an edge no out-run holds. Both sides hold `m`
+    // distinct entries, so finding every in-edge among the out-edges
+    // makes them the same edge set.
+    if header.digest == 0 {
+        for (v, run) in in_offsets.windows(2).enumerate() {
+            let key = |l| (NodeId(v as u32), l);
+            for a in &in_adj[run[0] as usize..run[1] as usize] {
+                let u = a.to().index();
+                let out = &out_adj[out_offsets[u] as usize..out_offsets[u + 1] as usize];
+                if out
+                    .binary_search_by_key(&key(a.label()), |b| b.key())
+                    .is_err()
+                {
+                    return Err(corrupt(
+                        "in_adj",
+                        format!("node {v}: in-edge from node {u} is not an out-edge of {u}"),
+                    ));
+                }
+            }
+        }
+    }
 
     // Label index: every node exactly once, runs ascending, labels agree.
     if label_nodes.len() != n {

@@ -330,6 +330,36 @@ fn posting_that_disagrees_with_its_node_is_rejected() {
     }
 }
 
+/// A digest-less container whose in-adjacency names an edge the
+/// out-adjacency does not hold, in a run that stays sorted, is refused
+/// instead of loading a graph whose `in_neighbors` and `has_edge`
+/// disagree (the matcher extends through `in_neighbors`).
+#[test]
+fn in_edge_missing_from_the_out_edges_is_rejected() {
+    let mut b = GraphBuilder::new();
+    let a = b.add_named_node("n", &[]);
+    let bn = b.add_named_node("n", &[]);
+    let c = b.add_named_node("n", &[]);
+    let d = b.add_named_node("n", &[]);
+    b.add_named_edge(a, c, "e");
+    b.add_named_edge(bn, d, "e");
+    let mut good = Vec::new();
+    write_graph(&b.finish(), &mut good).unwrap();
+    assert_eq!(Header::parse(&good).unwrap().digest, 0);
+    load(good.clone()).unwrap();
+    // Adj layout: endpoint u32, label u16, pad u16. The first in-entry is
+    // c's, from a (node 0); from b (node 1) its one-entry run stays sorted.
+    let (_, e) = entry_at(&good, section::IN_ADJ);
+    let at = e.offset as usize;
+    assert_eq!(u32::from_le_bytes(good[at..at + 4].try_into().unwrap()), 0);
+    let mut bad = good;
+    bad[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    match load(bad) {
+        Err(StoreError::Corrupt { section, .. }) => assert_eq!(section, "in_adj"),
+        other => panic!("expected in_adj corruption, got {other:?}"),
+    }
+}
+
 #[test]
 fn nonzero_reserved_header_bytes_are_rejected() {
     let mut bad = container();

@@ -19,7 +19,8 @@ pub fn to_string_pretty(v: &Value) -> String {
 }
 
 /// One field of an object written by [`write_object`]: a borrowed
-/// [`Value`], or a scalar or array the caller holds in another form.
+/// [`Value`], a scalar or array the caller holds in another form, or JSON
+/// the caller encoded earlier.
 #[derive(Debug, Clone, Copy)]
 pub enum Field<'a> {
     /// `true` / `false`.
@@ -36,6 +37,9 @@ pub enum Field<'a> {
     Refs(&'a [&'a Value]),
     /// An array of strings.
     Strs(&'a [String]),
+    /// Compact JSON text, copied verbatim — for a value encoded once (by
+    /// [`to_string`]) and written into many objects.
+    Json(&'a str),
 }
 
 /// Appends the compact JSON object holding `fields` to `out`, without
@@ -74,6 +78,7 @@ fn write_field(out: &mut Vec<u8>, field: &Field<'_>) {
         Field::Values(items) => write_array(out, items, |out, v| write_value(out, v, None, 0)),
         Field::Refs(items) => write_array(out, items, |out, v| write_value(out, v, None, 0)),
         Field::Strs(items) => write_array(out, items, |out, s| write_string(out, s)),
+        Field::Json(text) => out.put(text),
     }
 }
 
@@ -307,6 +312,7 @@ mod tests {
         let entries = vec![entry.clone(), Value::Null];
         let names = vec!["a\"b".to_string(), "é".to_string()];
         let refs = [&entry, &entries[1]];
+        let encoded = to_string(&Value::Array(entries.clone()));
         let mut fields = vec![
             ("zeta", Field::Bool(true)),
             ("id", Field::U64(7)),
@@ -318,6 +324,7 @@ mod tests {
             ("refs", Field::Refs(&refs)),
             ("names", Field::Strs(&names)),
             ("no_names", Field::Strs(&[])),
+            ("json", Field::Json(&encoded)),
             ("id", Field::U64(8)),
         ];
         let oracle = Value::object([
@@ -334,6 +341,7 @@ mod tests {
             ),
             ("names", Value::from(names.clone())),
             ("no_names", Value::Array(Vec::new())),
+            ("json", Value::Array(entries.clone())),
             ("id", Value::from(8u64)),
         ]);
         let mut out = Vec::new();
